@@ -1,8 +1,10 @@
 //! Ablation benches for the design choices DESIGN.md calls out:
 //!
-//! * **spawn-per-region vs pooled team** — paper Figure 9's model spawns
-//!   threads on every region entry; `aomp::pool::TeamPool` is the §VII
-//!   "optimised mechanisms" alternative. This bench quantifies the
+//! * **fresh team per region vs pooled team** — paper Figure 9's model
+//!   creates the team's threads on every region entry
+//!   (`RegionConfig::pooled(false)`); a kept-warm team
+//!   (`aomp::pool::TeamPool`, like the default hot-team cache) is the
+//!   §VII "optimised mechanisms" alternative. This bench quantifies the
 //!   region-entry cost difference.
 //! * **schedule choice on irregular work** — triangle counting on a
 //!   power-law graph under every library schedule plus the case-specific
@@ -28,7 +30,7 @@ fn bench_spawn_vs_pool(c: &mut Criterion) {
         g.bench_function(format!("spawn_per_region_t{t}"), |b| {
             b.iter(|| {
                 for _ in 0..20 {
-                    region::parallel_with(RegionConfig::new().threads(t), || {
+                    region::parallel_with(RegionConfig::new().threads(t).pooled(false), || {
                         work.fetch_add(1, Ordering::Relaxed);
                     });
                 }

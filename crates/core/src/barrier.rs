@@ -214,11 +214,11 @@ mod tests {
         let n = 4;
         let b = Arc::new(SenseBarrier::new(n));
         let phase = Arc::new(AtomicUsize::new(0));
-        std::thread::scope(|s| {
-            for _ in 0..n {
+        let members: Vec<_> = (0..n)
+            .map(|_| {
                 let b = Arc::clone(&b);
                 let phase = Arc::clone(&phase);
-                s.spawn(move || {
+                std::thread::spawn(move || {
                     for round in 0..50usize {
                         // Everyone must observe the same phase before the
                         // barrier releases the round.
@@ -227,9 +227,12 @@ mod tests {
                         assert_eq!(phase.load(Ordering::SeqCst), (round + 1) * n);
                         b.wait();
                     }
-                });
-            }
-        });
+                })
+            })
+            .collect();
+        for m in members {
+            m.join().expect("member panicked");
+        }
     }
 
     #[test]
@@ -238,19 +241,22 @@ mod tests {
         let rounds = 40;
         let b = Arc::new(SenseBarrier::new(n));
         let leaders = Arc::new(AtomicUsize::new(0));
-        std::thread::scope(|s| {
-            for _ in 0..n {
+        let members: Vec<_> = (0..n)
+            .map(|_| {
                 let b = Arc::clone(&b);
                 let leaders = Arc::clone(&leaders);
-                s.spawn(move || {
+                std::thread::spawn(move || {
                     for _ in 0..rounds {
                         if b.wait() {
                             leaders.fetch_add(1, Ordering::SeqCst);
                         }
                     }
-                });
-            }
-        });
+                })
+            })
+            .collect();
+        for m in members {
+            m.join().expect("member panicked");
+        }
         assert_eq!(leaders.load(Ordering::SeqCst), rounds);
     }
 

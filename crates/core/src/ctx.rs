@@ -94,20 +94,22 @@ pub(crate) struct TeamShared {
     pub cancelled: AtomicBool,
     /// Present iff a stall watchdog is armed for this team.
     pub watch: Option<WatchState>,
+    /// First *real* panic payload of the team (the region layer's exit
+    /// classifier filters benign `Cancelled`/`TeamPoisoned` unwinds).
+    /// Team state rather than master-stack state so that a member the
+    /// master abandoned still co-owns the slot it may write to.
+    pub first_panic: Mutex<Option<Box<dyn Any + Send>>>,
     /// Weak handle to the runtime this region resolved to — weak so a
     /// team (notably one held by an abandoned detached straggler, or
     /// parked in a hot team's job slot) never keeps its runtime alive.
     /// Member threads upgrade it to inherit the runtime for nested
-    /// regions and tasks (see [`CtxGuard::enter`]); empty for teams
-    /// constructed outside the region layer (e.g. a bare [`TeamPool`]
-    /// dispatch), which then inherit through the surrounding context.
-    ///
-    /// [`TeamPool`]: crate::pool::TeamPool
+    /// regions and tasks (see [`CtxGuard::enter`]).
     pub(crate) rt: crate::runtime::WeakRuntime,
     slots: Mutex<HashMap<(u64, u64), SlotEntry>>,
 }
 
 impl TeamShared {
+    #[cfg(test)]
     pub fn new(n: usize, level: usize) -> Self {
         Self::with_robustness(n, level, false, false)
     }
@@ -115,6 +117,7 @@ impl TeamShared {
     /// Team with explicit robustness settings: `cancellable` enables
     /// [`cancel_team`]; `watched` allocates the wait-site registry the
     /// stall watchdog reads.
+    #[cfg(test)]
     pub fn with_robustness(n: usize, level: usize, cancellable: bool, watched: bool) -> Self {
         Self::for_runtime(
             n,
@@ -145,6 +148,7 @@ impl TeamShared {
             } else {
                 None
             },
+            first_panic: Mutex::new(None),
             rt,
             slots: Mutex::new(HashMap::new()),
         }
@@ -417,7 +421,7 @@ impl CtxGuard {
         STACK.with(|s| s.borrow_mut().push(ctx));
         // Make the team's runtime the enclosing one for everything this
         // member starts (nested regions, tasks) — on every member thread,
-        // hot-team workers and scoped spawns alike. This is what makes a
+        // master and hot-team workers alike. This is what makes a
         // nested region inherit its parent's runtime rather than falling
         // back to the default.
         let entered_rt = match shared.rt.upgrade() {

@@ -50,7 +50,7 @@
 //! and tasks refused by admission control run on dedicated threads.
 //!
 //! Disabled together with the hot-team cache (`AOMP_NO_POOL=1` /
-//! [`runtime::set_pool_enabled(false)`](crate::runtime::set_pool_enabled)):
+//! [`RuntimeBuilder::pooled(false)`](crate::runtime::RuntimeBuilder::pooled)):
 //! every task then gets a dedicated thread, as before. The pool-enabled
 //! gate lives on the runtime, not here — the runtime decides whether to
 //! offer the task to its executor at all.

@@ -193,7 +193,7 @@ macro_rules! counters {
 counters! {
     /// Multi-thread regions served by a leased hot team (always on).
     RegionPooled => "region_pooled",
-    /// Multi-thread regions that spawned fresh scoped threads (always on).
+    /// Multi-thread regions that built a fresh team (always on).
     RegionSpawned => "region_spawned",
     /// Size-1 regions run inline on the caller.
     RegionInline => "region_inline",

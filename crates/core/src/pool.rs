@@ -1,147 +1,143 @@
-//! Hot teams — the pooled parallel-region executor and its runtime cache.
+//! Hot teams — the one team engine, and the runtime cache that keeps
+//! teams warm.
 //!
-//! The paper's Figure 9 model spawns a fresh team per region, as AOmpLib
-//! v1.0 did; its §VII names "the optimisation of several mechanisms" as
-//! current work and Figure 13 measures the cost: parallel-region entry
-//! overhead. This module is that optimisation, and since the hot-teams
-//! change it is the *default* region executor, not an ablation
-//! alternative: [`region::parallel`](crate::region::parallel) (and with
-//! it the `#[parallel]` macro, the weaver and every JGF kernel) leases a
-//! [`HotTeam`] — `n − 1` workers parked on a condvar — from its
-//! runtime's cache keyed by team size, dispatches the region body to
-//! them, and returns the team on region exit. Each
-//! [`Runtime`](crate::runtime::Runtime) owns one [`HotCache`] (the
-//! process-wide cache of earlier versions is now just the default
-//! runtime's), so two runtimes never trade teams, and dropping a
-//! runtime closes its cache: idle teams are torn down and joined, and
-//! in-flight leases tear their team down on return instead of
-//! re-caching it. Thread creation leaves the
-//! region-entry path entirely after the first region of each size; the
-//! `fig13` bench (`BENCH_fig13.json`) quantifies the difference between
-//! this path and the spawn path.
+//! The paper's Figure 9 model has one region shape: the master wakes a
+//! team, runs the body itself, and joins. [`HotTeam`] is the only way team
+//! threads ever execute a region body here: `n − 1` workers parked on a
+//! condvar, woken with one region generation (dispatch), each running the
+//! member sequence — team context, body, exit classification — and
+//! signalling a done-counter the master joins on. The master half of the
+//! sequence lives once in [`region`](crate::region); what varies between
+//! regions is only *where the team comes from*:
 //!
-//! The pooled path preserves the full member protocol: every member runs
-//! under a fresh team context (`MemberStart`/`MemberEnd` hook events,
-//! cancellation points, watchdog wait-site registration), panics are
-//! filtered through the same exit classifier as spawned members, and a
-//! panicking or cancelled region never poisons the team for its next
-//! lease — the workers themselves hold no region state between
-//! generations.
+//! * **leased** from the resolved [`Runtime`](crate::runtime::Runtime)'s
+//!   size-keyed [`HotCache`] and returned on region exit — the default
+//!   for top-level regions, and the optimisation the paper's §VII names
+//!   as current work (Figure 13 measures region-entry overhead; the
+//!   `fig13` bench quantifies it). Thread creation leaves the entry path
+//!   after the first region of each size;
+//! * **fresh**: built for this region and torn down on exit — nested
+//!   regions (`ctx::level() > 0`: the cache only serves top-level
+//!   regions, avoiding lease re-entrancy), `AOMP_NO_POOL=1` /
+//!   [`RuntimeBuilder::pooled(false)`](crate::runtime::RuntimeBuilder::pooled),
+//!   [`RegionConfig::pooled(false)`](crate::region::RegionConfig::pooled),
+//!   a closed or exhausted cache, and
+//!   [`region::try_parallel_detached`](crate::region::try_parallel_detached)
+//!   (its abandonment contract needs threads the runtime can afford to
+//!   leak);
+//! * **none** for a team of one.
 //!
-//! Fallbacks to the spawn executor (fresh scoped threads): nested
-//! regions (`ctx::level() > 0` — the cache only serves top-level
-//! regions, avoiding lease re-entrancy), `AOMP_NO_POOL=1` /
-//! [`runtime::set_pool_enabled(false)`](crate::runtime::set_pool_enabled),
-//! [`RegionConfig::pooled(false)`](crate::region::RegionConfig::pooled),
-//! and worker-spawn failure on a cache miss.
-//! [`region::try_parallel_detached`](crate::region::try_parallel_detached)
-//! always spawns: its abandonment contract needs threads the runtime can
-//! afford to leak.
+//! Each runtime owns one cache, so two runtimes never trade teams, and
+//! dropping a runtime closes its cache: idle teams are torn down and
+//! joined, and in-flight leases tear their team down on return instead of
+//! re-caching it.
 //!
-//! One observable consequence of reuse: hot-team workers are long-lived
-//! OS threads, so per-OS-thread state such as
+//! Workers hold no region state between generations, so a panicking,
+//! cancelled or stalled region never poisons the team for its next lease.
+//! One observable consequence of reuse: cached workers are long-lived OS
+//! threads, so per-OS-thread state such as
 //! [`ThreadLocalField`](crate::threadlocal::ThreadLocalField) copies
-//! persists across regions until `reduce`/`drain_locals` — exactly as it
-//! always did under a user-owned [`TeamPool`].
+//! persists across regions until `reduce`/`drain_locals`.
 //!
-//! [`TeamPool`] remains the *explicit* surface: a user-owned team with a
-//! fixed size, independent of the runtime cache (leases never hand out a
-//! `TeamPool`'s workers, and a `TeamPool` never borrows cached ones).
-//! Its one deliberate restriction stands: a body must not re-enter the
-//! *same* pool (the workers are busy executing it); nested
-//! [`region::parallel`](crate::region::parallel) calls inside a pool
-//! body fall back to spawned teams automatically.
+//! [`TeamPool`] is the explicit surface: a handle on a private
+//! single-size runtime, so its teams are never traded with any other
+//! runtime's cache.
 
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use crate::ctx::{CtxGuard, TeamShared};
 use crate::obs;
-use crate::region::{record_member_exit, PayloadSlot};
+use crate::region::{record_member_exit, RegionConfig};
+use crate::runtime::Runtime;
 
-/// Lifetime-erased view of one dispatched region: the body and the
-/// first-panic slot, both living on the dispatching caller's stack. The
-/// completion protocol (the master's [`HotTeam::join_workers`] blocks
-/// until every worker signalled done) bounds all worker dereferences
-/// within the dispatching call, which is what makes the `'static`
-/// erasure sound.
-#[derive(Clone, Copy)]
-struct JobPtrs {
-    body: &'static (dyn Fn() + Sync),
-    payload: &'static PayloadSlot,
+/// One region's body, as its members reach it.
+#[derive(Clone)]
+pub(crate) enum Work<'a> {
+    /// Living on the master's stack; always fully joined.
+    Borrowed(&'a (dyn Fn() + Sync)),
+    /// Co-owned by every member — ownership, not lifetime erasure, is
+    /// what lets a master give up on a wedged member. The only work a
+    /// master may abandon.
+    Owned(Arc<dyn Fn() + Send + Sync>),
 }
 
+impl Work<'_> {
+    pub(crate) fn run(&self) {
+        match self {
+            Work::Borrowed(body) => body(),
+            Work::Owned(body) => body(),
+        }
+    }
+}
+
+/// The give-up join's arguments: the owned body of the dispatched
+/// [`Work`], and the poll that says when to stop waiting.
+pub(crate) type GiveUp<'a> = (&'a Arc<dyn Fn() + Send + Sync>, &'a mut dyn FnMut() -> bool);
+
+#[derive(Default)]
 struct Job {
     generation: u64,
-    ptrs: Option<JobPtrs>,
+    work: Option<Work<'static>>,
     team: Option<Arc<TeamShared>>,
     shutdown: bool,
 }
 
+/// The completion latch: how many workers finished the current
+/// generation, and whether the master gave up on it.
+#[derive(Default)]
+struct Done {
+    count: usize,
+    /// Set when a give-up join abandoned the team: a straggler's late
+    /// exit record is dropped rather than mutating a panic slot the
+    /// master already classified, and teardown detaches instead of joins.
+    closed: bool,
+}
+
+#[derive(Default)]
 struct HotShared {
     job: Mutex<Job>,
     start: Condvar,
-    done: Mutex<usize>,
+    done: Mutex<Done>,
     done_cv: Condvar,
-    generation: AtomicU64,
 }
 
 /// A parked team of `size − 1` worker threads that executes one region
-/// generation at a time. This is the engine under both the runtime
-/// hot-team cache (via [`lease`]) and the public [`TeamPool`].
+/// generation at a time — leased from a [`HotCache`] or built fresh for
+/// one region by [`region`](crate::region).
 pub(crate) struct HotTeam {
     shared: Arc<HotShared>,
     handles: Vec<std::thread::JoinHandle<()>>,
     size: usize,
+    /// Built for one region: the workers exit after their one generation
+    /// instead of parking for a next one (saves a wake-up per worker at
+    /// teardown).
+    single_use: bool,
 }
 
 impl HotTeam {
-    /// Spawn `size − 1` parked workers. Unlike the region spawn path this
-    /// is fallible: a cache miss under thread exhaustion must fall back
-    /// to the (equally doomed, but consistently reported) spawn executor
-    /// rather than panic inside the dispatcher.
-    fn new(size: usize) -> std::io::Result<Self> {
+    /// Spawn `size − 1` parked workers. Fallible: a cache miss under
+    /// thread exhaustion is reported by the caller, not by a panic inside
+    /// the cache.
+    pub(crate) fn new(size: usize, single_use: bool) -> std::io::Result<Self> {
         assert!(size >= 1, "a hot team needs at least one thread");
-        let shared = Arc::new(HotShared {
-            job: Mutex::new(Job {
-                generation: 0,
-                ptrs: None,
-                team: None,
-                shutdown: false,
-            }),
-            start: Condvar::new(),
-            done: Mutex::new(0),
-            done_cv: Condvar::new(),
-            generation: AtomicU64::new(0),
-        });
-        let mut handles = Vec::with_capacity(size - 1);
-        for tid in 1..size {
-            let worker_shared = Arc::clone(&shared);
-            let spawned = std::thread::Builder::new()
-                .name(format!("aomp-pool-t{tid}"))
-                .spawn(move || worker_loop(worker_shared, tid));
-            match spawned {
-                Ok(h) => handles.push(h),
-                Err(e) => {
-                    // Partial team: shut down what was spawned.
-                    let partial = HotTeam {
-                        shared,
-                        handles,
-                        size,
-                    };
-                    drop(partial);
-                    return Err(e);
-                }
-            }
-        }
-        Ok(Self {
-            shared,
-            handles,
+        let mut team = HotTeam {
+            shared: Arc::default(),
+            handles: Vec::with_capacity(size - 1),
             size,
-        })
+            single_use,
+        };
+        for tid in 1..size {
+            let shared = Arc::clone(&team.shared);
+            // On failure `team` drops here, shutting down the partial team.
+            let handle = std::thread::Builder::new()
+                .name(format!("aomp-team-t{tid}"))
+                .spawn(move || worker_loop(shared, tid))?;
+            team.handles.push(handle);
+        }
+        Ok(team)
     }
 
     pub(crate) fn size(&self) -> usize {
@@ -153,63 +149,77 @@ impl HotTeam {
     }
 
     /// Wake every worker with one region generation. The caller must pair
-    /// this with [`join_workers`](Self::join_workers) before `team`,
-    /// `payload` or `body` go out of scope, and must not dispatch again
-    /// before that join — the single-`Job`-slot protocol has no queue.
-    pub(crate) fn dispatch(
-        &self,
-        team: &Arc<TeamShared>,
-        payload: &PayloadSlot,
-        body: &(dyn Fn() + Sync),
-    ) {
-        // SAFETY: the pointees outlive every use — workers only touch
-        // them between this dispatch and the completion signal that
-        // `join_workers` waits for, and the caller keeps both alive
-        // across that window (it owns them on its stack).
-        let ptrs = JobPtrs {
-            body: unsafe {
-                std::mem::transmute::<&(dyn Fn() + Sync), &'static (dyn Fn() + Sync)>(body)
-            },
-            payload: unsafe { std::mem::transmute::<&PayloadSlot, &'static PayloadSlot>(payload) },
-        };
-        let generation = self.shared.generation.fetch_add(1, Ordering::Relaxed) + 1;
+    /// this with [`join_workers`](Self::join_workers) — the full join,
+    /// unless the work is owned — before a borrowed body goes out of
+    /// scope, and must not dispatch again before that join — the
+    /// single-`Job`-slot protocol has no queue.
+    pub(crate) fn dispatch(&self, team: &Arc<TeamShared>, work: &Work<'_>) {
+        // SAFETY: only the lifetime changes, and it only matters for
+        // `Borrowed`: workers call the body between this dispatch and the
+        // completion signal `join_workers` waits for, and the caller
+        // keeps it alive across that window (it owns it on its stack).
+        // The give-up join takes the `Owned` body, whose `Arc` each
+        // worker clones with the job.
+        let work = unsafe { std::mem::transmute::<Work<'_>, Work<'static>>(work.clone()) };
         {
             let mut job = self.shared.job.lock();
-            job.generation = generation;
-            job.ptrs = Some(ptrs);
+            job.generation += 1;
+            job.work = Some(work);
             job.team = Some(Arc::clone(team));
+            // Workers take a pending generation before they look at this.
+            job.shutdown = self.single_use;
         }
         self.shared.start.notify_all();
     }
 
     /// Block until every worker of the current generation signalled
-    /// completion, then reset the counter for the next generation.
-    pub(crate) fn join_workers(&self) {
-        let workers = self.workers();
+    /// completion, then reset for the next generation — the full join,
+    /// with `None`.
+    ///
+    /// `Some` selects the give-up join, for owned work only (hence the
+    /// body the closure comes paired with): the closure is polled, and
+    /// once it says so the latch is closed and the stragglers abandoned —
+    /// they co-own the body and their team state, and dropping this team
+    /// then detaches them instead of joining.
+    pub(crate) fn join_workers(&self, mut give_up: Option<GiveUp<'_>>) {
         {
             let mut done = self.shared.done.lock();
-            while *done < workers {
-                self.shared.done_cv.wait(&mut done);
+            while done.count < self.workers() {
+                let Some((_body, give_up)) = give_up.as_mut() else {
+                    self.shared.done_cv.wait(&mut done);
+                    continue;
+                };
+                if give_up() {
+                    done.closed = true;
+                    return;
+                }
+                // Nothing notifies this condvar when the watchdog
+                // declares the stall `give_up` looks for: poll.
+                self.shared
+                    .done_cv
+                    .wait_for(&mut done, crate::barrier::PARK_TIMEOUT);
             }
-            *done = 0;
+            done.count = 0;
         }
         // Clear the finished generation from the job slot: a cached idle
         // team must not keep the last region's `TeamShared` (watch state,
         // slot maps, its runtime back-reference) alive until the next
         // lease of the same size.
         let mut job = self.shared.job.lock();
-        job.ptrs = None;
+        job.work = None;
         job.team = None;
     }
 }
 
 impl Drop for HotTeam {
     fn drop(&mut self) {
-        {
-            let mut job = self.shared.job.lock();
-            job.shutdown = true;
-        }
+        self.shared.job.lock().shutdown = true;
         self.shared.start.notify_all();
+        if self.shared.done.lock().closed {
+            // Abandoned: a straggler wedged in user code may never come
+            // back, so detach. Each exits on its own once it does.
+            return;
+        }
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
@@ -219,36 +229,40 @@ impl Drop for HotTeam {
 fn worker_loop(shared: Arc<HotShared>, tid: usize) {
     let mut last_generation = 0u64;
     loop {
-        let (ptrs, team) = {
+        let (work, team) = {
             let mut job = shared.job.lock();
             loop {
-                if job.shutdown {
-                    return;
-                }
                 if job.generation != last_generation {
                     break;
+                }
+                if job.shutdown {
+                    return;
                 }
                 shared.start.wait(&mut job);
             }
             last_generation = job.generation;
             (
-                job.ptrs.expect("job body set"),
+                job.work.clone().expect("job body set"),
                 job.team.clone().expect("job team set"),
             )
         };
-        // The full member protocol, identical to a spawned team thread:
-        // the ctx guard emits MemberStart/MemberEnd hook events and makes
-        // cancellation points and wait-site registration work, and the
-        // exit classifier filters benign unwinds (cancel echoes, sibling
-        // poison) so only real panics reach the caller.
+        // The member sequence: the ctx guard emits MemberStart/MemberEnd
+        // hook events and makes cancellation points and wait-site
+        // registration work, and the exit classifier filters benign
+        // unwinds (cancel echoes, sibling poison) so only real panics
+        // reach the caller.
         let r = catch_unwind(AssertUnwindSafe(|| {
             let _guard = CtxGuard::enter(Arc::clone(&team), tid);
-            (ptrs.body)();
+            work.run();
         }));
-        record_member_exit(&team, ptrs.payload, r);
         let mut done = shared.done.lock();
-        *done += 1;
-        if *done == team.n - 1 {
+        if done.closed {
+            // The master gave up and classified the region already.
+            continue;
+        }
+        record_member_exit(&team, r);
+        done.count += 1;
+        if done.count == team.n - 1 {
             shared.done_cv.notify_all();
         }
     }
@@ -295,7 +309,7 @@ impl HotCache {
 
     /// Lease a hot team of exactly `size` threads, creating one on a
     /// miss. Returns `None` when the cache is closed or the workers
-    /// cannot be spawned — the caller falls back to the spawn executor.
+    /// cannot be spawned — the caller builds a fresh team instead.
     pub(crate) fn lease(self: &Arc<Self>, size: usize) -> Option<HotLease> {
         debug_assert!(size >= 2, "size-1 regions run inline, not pooled");
         let cached = {
@@ -320,7 +334,7 @@ impl HotCache {
             None => {
                 obs::count_always(obs::Counter::PoolCacheMiss);
                 self.scope.bump(obs::Counter::PoolCacheMiss);
-                let t = HotTeam::new(size).ok()?;
+                let t = HotTeam::new(size, false).ok()?;
                 obs::count_always(obs::Counter::TeamsCreated);
                 self.scope.bump(obs::Counter::TeamsCreated);
                 t
@@ -359,7 +373,8 @@ impl HotCache {
 pub struct HotTeamStats {
     /// Regions served by a cached/leased hot team.
     pub pooled_regions: u64,
-    /// Regions that fell back to freshly spawned scoped threads.
+    /// Regions that built a fresh team (nested, pooling refused or
+    /// disabled, detached).
     pub spawned_regions: u64,
     /// Hot teams created on cache misses (lower = better reuse).
     pub teams_created: u64,
@@ -370,29 +385,17 @@ pub struct HotTeamStats {
 /// [`Runtime::hot_team_stats`](crate::runtime::Runtime::hot_team_stats).
 pub fn hot_team_stats() -> HotTeamStats {
     let s = obs::snapshot();
-    HotTeamStats {
-        pooled_regions: s.counter(obs::Counter::RegionPooled),
-        spawned_regions: s.counter(obs::Counter::RegionSpawned),
-        teams_created: s.counter(obs::Counter::TeamsCreated),
+    HotTeamStats::read(|c| s.counter(c))
+}
+
+impl HotTeamStats {
+    pub(crate) fn read(counter: impl Fn(obs::Counter) -> u64) -> Self {
+        HotTeamStats {
+            pooled_regions: counter(obs::Counter::RegionPooled),
+            spawned_regions: counter(obs::Counter::RegionSpawned),
+            teams_created: counter(obs::Counter::TeamsCreated),
+        }
     }
-}
-
-pub(crate) fn stats_from_scope(scope: &obs::Scope) -> HotTeamStats {
-    HotTeamStats {
-        pooled_regions: scope.counter(obs::Counter::RegionPooled),
-        spawned_regions: scope.counter(obs::Counter::RegionSpawned),
-        teams_created: scope.counter(obs::Counter::TeamsCreated),
-    }
-}
-
-pub(crate) fn note_pooled_region(scope: &obs::Scope) {
-    obs::count_always(obs::Counter::RegionPooled);
-    scope.bump(obs::Counter::RegionPooled);
-}
-
-pub(crate) fn note_spawned_region(scope: &obs::Scope) {
-    obs::count_always(obs::Counter::RegionSpawned);
-    scope.bump(obs::Counter::RegionSpawned);
 }
 
 /// An exclusive lease on a [`HotTeam`] from a runtime's cache. Dropping
@@ -434,72 +437,46 @@ impl Drop for HotLease {
 // ---------------------------------------------------------------------
 
 /// A reusable, user-owned team of worker threads for executing parallel
-/// regions — the explicit counterpart of the runtime's hot-team cache.
+/// regions — a handle on a private [`Runtime`] whose default team size is
+/// the pool's, so its workers are never traded with another runtime's
+/// cache.
 ///
-/// Semantics match [`region::parallel_with`](crate::region::parallel_with):
-/// every member (the caller is the master, id 0) runs the body once under
-/// a fresh team context; panics poison the team and re-raise on the
-/// caller; the pool itself survives and stays reusable.
-///
-/// Owning a `TeamPool` pins its workers for the pool's lifetime and
-/// guarantees the team size regardless of cache pressure; the implicit
-/// cache behind [`region::parallel`](crate::region::parallel) makes the
-/// same optimisation without the object to carry around.
+/// Semantics are those of
+/// [`region::parallel_with`](crate::region::parallel_with): every member
+/// (the caller is the master, id 0) runs the body once under a fresh team
+/// context; panics poison the team and re-raise on the caller; the pool
+/// itself survives and stays reusable. Dropping the pool joins its
+/// workers.
 pub struct TeamPool {
-    inner: HotTeam,
-    /// Serialises concurrent `parallel` dispatches on one pool (the
-    /// single-job-slot protocol admits one generation at a time).
-    dispatch: Mutex<()>,
+    rt: Runtime,
 }
 
 impl TeamPool {
-    /// Pool executing regions with a team of `threads` (spawns
-    /// `threads − 1` persistent workers).
+    /// Pool executing regions with a team of `threads` (`threads − 1`
+    /// persistent workers, created by the first region).
     pub fn new(threads: usize) -> Self {
         assert!(threads >= 1, "a team pool needs at least one thread");
         Self {
-            inner: HotTeam::new(threads).expect("failed to spawn aomp pool worker"),
-            dispatch: Mutex::new(()),
+            rt: Runtime::builder().threads(threads).build(),
         }
     }
 
     /// Team size of this pool.
     pub fn size(&self) -> usize {
-        self.inner.size()
+        self.rt.default_threads()
     }
 
     /// Execute `body` as a parallel region on the pooled team. Blocks
     /// until every member has finished; panics (on the caller) if any
-    /// member panicked.
+    /// member panicked. The calling thread's parallel kill switch is
+    /// honoured: with it off the body runs once, sequentially.
     pub fn parallel<F>(&self, body: F)
     where
         F: Fn() + Sync,
     {
-        let n = if crate::runtime::current().parallel_enabled() {
-            self.size()
-        } else {
-            1
-        };
-        let team = Arc::new(TeamShared::new(n, crate::ctx::level() + 1));
-        if n == 1 {
-            let _guard = CtxGuard::enter(team, 0);
-            body();
-            return;
-        }
-        let _dispatch = self.dispatch.lock();
-        let payload: PayloadSlot = Mutex::new(None);
-        self.inner.dispatch(&team, &payload, &body);
-        // The caller is the master.
-        let r = catch_unwind(AssertUnwindSafe(|| {
-            let _guard = CtxGuard::enter(Arc::clone(&team), 0);
-            body();
-        }));
-        record_member_exit(&team, &payload, r);
-        self.inner.join_workers();
-        let panic = payload.lock().take();
-        if let Some(p) = panic {
-            resume_unwind(p);
-        }
+        let enabled = crate::runtime::current().parallel_enabled();
+        self.rt
+            .parallel_with(RegionConfig::new().only_if(enabled), body)
     }
 }
 
@@ -509,7 +486,7 @@ mod tests {
     use crate::ctx::{team_size, thread_id};
     use crate::prelude::*;
     use std::collections::HashSet;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex as StdMutex;
 
     #[test]

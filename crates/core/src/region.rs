@@ -7,23 +7,31 @@
 //! `ParallelRegion` aspect (crate `aomp-weaver`) and the `#[parallel]`
 //! annotation (crate `aomp-macros`) both dispatch into.
 //!
-//! Top-level multi-thread regions are served by **hot teams** by
-//! default: parked workers leased from the resolved
-//! [`Runtime`](crate::runtime::Runtime)'s size-keyed cache
-//! (see [`pool`](crate::pool)) instead of `n − 1` fresh OS threads per
-//! region. A region resolves its runtime as [`RegionConfig::runtime`] >
-//! the innermost entered runtime on the calling thread (which is how a
+//! **One protocol, three team sources, two join policies.** Every region
+//! runs the same master sequence (`run_region` → `master_sequence`): arm
+//! the watchdog, wake the team (a [`pool`](crate::pool) hot-team
+//! dispatch), run the body as member 0, classify the exit, join the
+//! workers at a registered [`WaitSite::Join`], stop the watchdog. Team
+//! threads only ever execute a body through the hot-team worker loop, so
+//! context guards, hook events, cancellation points, wait sites and panic
+//! classification are the same code whatever the team's provenance:
+//!
+//! * **none** — a team of one (`threads(1)`, the parallel kill switch,
+//!   `only_if(false)`, `nested(false)` inside a region);
+//! * **leased** from the resolved [`Runtime`](crate::runtime::Runtime)'s
+//!   size-keyed cache and returned on exit — the default for top-level
+//!   regions; thread creation is paid once per team, not per region;
+//! * **fresh** — built for this region and torn down on exit: nested
+//!   regions, [`RegionConfig::pooled(false)`], a pool-disabled runtime
+//!   (`AOMP_NO_POOL=1` /
+//!   [`RuntimeBuilder::pooled(false)`](crate::runtime::RuntimeBuilder::pooled))
+//!   and [`try_parallel_detached`].
+//!
+//! A region resolves its runtime as [`RegionConfig::runtime`] > the
+//! innermost entered runtime on the calling thread (which is how a
 //! nested region inherits its parent's) > the default runtime.
-//! Nested regions, `AOMP_NO_POOL=1` /
-//! [`runtime::set_pool_enabled(false)`](crate::runtime::set_pool_enabled),
-//! [`RegionConfig::pooled(false)`] and [`try_parallel_detached`] use the
-//! spawn executor. Pooled or spawned, the member protocol — context
-//! guards, hook events, cancellation points, watchdog wait sites, panic
-//! classification — is identical.
 //!
 //! # Failure semantics
-//!
-//! Three API surfaces over two executors:
 //!
 //! * [`parallel`] / [`parallel_with`] — the classic panicking API: a team
 //!   thread's panic poisons the team (unblocking siblings) and is
@@ -32,19 +40,21 @@
 //! * [`try_parallel`] / [`try_parallel_with`] — the fallible API:
 //!   returns [`RegionError::Panicked`], [`RegionError::Cancelled`] or
 //!   [`RegionError::Stalled`] instead.
-//! * [`try_parallel_detached`] — the fallible API over the *owning*
-//!   executor: the body must be `Send + Sync + 'static`, workers run
-//!   detached, and on a watchdog-declared stall members wedged in
-//!   non-cooperative user code are abandoned so the caller is released.
+//! * [`try_parallel_detached`] — the fallible API with the *give-up*
+//!   join: the body must be `Send + Sync + 'static`, and on a
+//!   watchdog-declared stall members wedged in non-cooperative user code
+//!   are abandoned so the caller is released.
 //!
 //! The first two accept borrowing bodies (`F: Fn() + Sync`) and therefore
-//! always run on scoped threads with a full join: releasing the caller
-//! while a worker still borrows its frame would be a use-after-free, so
-//! their watchdog is *cooperative* — it can wake and cancel members
-//! parked in library primitives, but a member wedged in user code delays
-//! the region until it returns. [`try_parallel_detached`] trades the
-//! borrowing ergonomics for liveness: ownership (`Arc`-shared region
-//! frame), not lifetime erasure, is what makes its abandonment sound.
+//! always use the **full join**: releasing the caller while a worker
+//! still borrows its frame would be a use-after-free, so their watchdog
+//! is *cooperative* — it can wake and cancel members parked in library
+//! primitives, but a member wedged in user code delays the region until
+//! it returns. [`try_parallel_detached`] trades the borrowing ergonomics
+//! for liveness: ownership (an `Arc`-shared body and panic slot every
+//! member co-owns), not lifetime erasure, is what makes its abandonment
+//! sound — the give-up join is only reachable with that owned frame in
+//! hand.
 //!
 //! Cancellation follows OpenMP 4.0's `cancel parallel` model: opt in with
 //! [`RegionConfig::cancellable`], request with
@@ -64,12 +74,13 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use crate::ctx::{self, CtxGuard, TeamShared};
 use crate::error::{self, Cancelled, RegionError, TeamPoisoned, WaitSite};
 use crate::hook::{self, HookEvent};
-use crate::obs;
+use crate::obs::{self, Counter, Lat};
+use crate::pool::{HotLease, HotTeam, Work};
 use crate::runtime;
 
 /// Configuration of a parallel region — the Rust analogue of
@@ -172,9 +183,9 @@ impl RegionConfig {
 
     /// Allow (`true`, the default) or refuse (`false`) serving this
     /// region from the runtime's hot-team cache. With pooling refused the
-    /// region always spawns fresh scoped threads — the per-region
-    /// counterpart of the process-wide
-    /// [`runtime::set_pool_enabled`](crate::runtime::set_pool_enabled) /
+    /// region always builds a fresh team and tears it down on exit — the
+    /// per-region counterpart of the per-runtime
+    /// [`RuntimeBuilder::pooled`](crate::runtime::RuntimeBuilder::pooled) /
     /// `AOMP_NO_POOL=1` opt-out. Semantics are identical either way; the
     /// switch exists for ablation measurements and for bodies that want
     /// guaranteed-fresh OS threads (e.g. ones mutating thread-level
@@ -213,10 +224,6 @@ impl RegionConfig {
         }
         n
     }
-
-    fn effective_stall_deadline(&self, rt: &runtime::Runtime) -> Option<Duration> {
-        self.stall_deadline.or_else(|| rt.default_stall_deadline())
-    }
 }
 
 /// Execute `body` as a parallel region with the default configuration.
@@ -243,7 +250,7 @@ pub fn parallel_with<F>(cfg: RegionConfig, body: F)
 where
     F: Fn() + Sync,
 {
-    match run_region(cfg, body) {
+    match run_region(cfg, Work::Borrowed(&body)) {
         RawOutcome::Completed | RawOutcome::Cancelled => {}
         RawOutcome::Stalled(blocked) => {
             panic!("{}", RegionError::Stalled { blocked })
@@ -272,8 +279,8 @@ where
 ///
 /// # Stall semantics
 ///
-/// The body may capture by reference, so the region runs on scoped
-/// threads and **always joins every worker** before returning — no
+/// The body may capture by reference, so the region **always joins
+/// every worker** before returning (the full join) — no
 /// member is ever left holding a borrow of a freed frame. A stall
 /// declared by the watchdog force-cancels the team: members parked in
 /// library primitives (barriers, broadcasts, criticals, task joins)
@@ -288,24 +295,18 @@ pub fn try_parallel_with<F>(cfg: RegionConfig, body: F) -> Result<(), RegionErro
 where
     F: Fn() + Sync,
 {
-    match run_region(cfg, body) {
-        RawOutcome::Completed => Ok(()),
-        RawOutcome::Cancelled => Err(RegionError::Cancelled),
-        RawOutcome::Stalled(blocked) => Err(RegionError::Stalled { blocked }),
-        RawOutcome::Panicked(payload) => Err(RegionError::Panicked {
-            payload_msg: error::payload_msg(payload.as_ref()),
-        }),
-    }
+    run_region(cfg, Work::Borrowed(&body)).into_result()
 }
 
-/// Fallible parallel region over the *owning* executor: workers run
-/// detached (plain OS threads, not scoped), so a member wedged in
+/// Fallible parallel region with the *give-up* join: a member wedged in
 /// non-cooperative user code cannot hold the caller hostage.
 ///
 /// The price is the `Send + Sync + 'static` bound: the body must own its
 /// captures (`Arc`, atomics, moved values — no borrows of the caller's
-/// frame). Body, panic slot and completion latch live in one
-/// `Arc`-shared region frame that every worker co-owns.
+/// frame). Body and panic slot live in one `Arc`-shared frame that every
+/// worker co-owns, and the team is always built fresh for the region —
+/// never leased from the cache, which must not get an abandoned team
+/// back.
 ///
 /// On a watchdog-declared stall ([`RegionConfig::stall_deadline`] or the
 /// [process-wide default](crate::runtime::set_default_stall_deadline)),
@@ -313,11 +314,12 @@ where
 /// a member that never reaches a cancellation point is **abandoned**
 /// after a short grace period (`min(deadline, 100 ms)`) and the call
 /// returns [`RegionError::Stalled`]. Abandonment is memory-safe: the
-/// straggler's `Arc` keeps the region frame alive, so even if it later
-/// resumes it only touches live, owned state, observes the force-cancel
-/// at its next cancellation point and exits. Until then it occupies an
-/// OS thread and whatever the body captured — effectively leaked for as
-/// long as it stays wedged.
+/// straggler's `Arc` keeps the frame alive, so even if it later resumes
+/// it only touches live, owned state, observes the force-cancel at its
+/// next cancellation point and exits (its late exit record is dropped —
+/// the verdict is already in). Until then it occupies an OS thread and
+/// whatever the body captured — effectively leaked for as long as it
+/// stays wedged.
 ///
 /// Without a stall deadline this behaves like [`try_parallel_with`]
 /// (full join), just with owned instead of borrowed captures.
@@ -325,14 +327,7 @@ pub fn try_parallel_detached<F>(cfg: RegionConfig, body: F) -> Result<(), Region
 where
     F: Fn() + Send + Sync + 'static,
 {
-    match run_region_detached(cfg, body) {
-        RawOutcome::Completed => Ok(()),
-        RawOutcome::Cancelled => Err(RegionError::Cancelled),
-        RawOutcome::Stalled(blocked) => Err(RegionError::Stalled { blocked }),
-        RawOutcome::Panicked(payload) => Err(RegionError::Panicked {
-            payload_msg: error::payload_msg(payload.as_ref()),
-        }),
-    }
+    run_region(cfg, Work::Owned(Arc::new(body))).into_result()
 }
 
 /// Execute `body` on a team and collect each thread's return value,
@@ -371,19 +366,26 @@ enum RawOutcome {
     Panicked(Box<dyn std::any::Any + Send>),
 }
 
-/// First *real* panic payload of the team (benign `Cancelled` /
-/// `TeamPoisoned` unwinds are filtered out by [`record_member_exit`]).
-/// `pub(crate)` because the hot-team executor (`pool`) runs the same
-/// member exit protocol.
-pub(crate) type PayloadSlot = Mutex<Option<Box<dyn std::any::Any + Send>>>;
+impl RawOutcome {
+    fn into_result(self) -> Result<(), RegionError> {
+        match self {
+            RawOutcome::Completed => Ok(()),
+            RawOutcome::Cancelled => Err(RegionError::Cancelled),
+            RawOutcome::Stalled(blocked) => Err(RegionError::Stalled { blocked }),
+            RawOutcome::Panicked(payload) => Err(RegionError::Panicked {
+                payload_msg: error::payload_msg(payload.as_ref()),
+            }),
+        }
+    }
+}
 
 /// Classify one member's exit. Benign unwinds (`Cancelled` echoes of an
 /// actual team cancel, `TeamPoisoned` echoes of a sibling's panic) are
 /// absorbed; a real panic poisons the team and its payload is kept
-/// (first wins).
+/// (first wins). `pub(crate)` because the hot-team worker loop (`pool`)
+/// is the other caller.
 pub(crate) fn record_member_exit(
     shared: &TeamShared,
-    payload: &PayloadSlot,
     r: Result<(), Box<dyn std::any::Any + Send>>,
 ) {
     let Err(p) = r else { return };
@@ -400,14 +402,14 @@ pub(crate) fn record_member_exit(
         return;
     }
     shared.poison();
-    let mut slot = payload.lock();
+    let mut slot = shared.first_panic.lock();
     if slot.is_none() {
         *slot = Some(p);
     }
 }
 
-fn classify(shared: &TeamShared, payload: &PayloadSlot) -> RawOutcome {
-    if let Some(p) = payload.lock().take() {
+fn classify(shared: &TeamShared) -> RawOutcome {
+    if let Some(p) = shared.first_panic.lock().take() {
         return RawOutcome::Panicked(p);
     }
     if let Some(blocked) = shared.take_stalled() {
@@ -419,364 +421,140 @@ fn classify(shared: &TeamShared, payload: &PayloadSlot) -> RawOutcome {
     RawOutcome::Completed
 }
 
-fn new_team(cfg: &RegionConfig, rt: &runtime::Runtime, n: usize, watched: bool) -> Arc<TeamShared> {
-    Arc::new(TeamShared::for_runtime(
-        n,
-        ctx::level() + 1,
-        cfg.cancellable.unwrap_or(false),
-        watched,
-        rt.downgrade(),
-    ))
+/// Where a region's team threads come from. Dropping the value is the
+/// teardown: a lease returns its team to the cache, a fresh team joins
+/// its workers (or detaches them, if the give-up join abandoned it).
+enum Team {
+    /// A team of one: the master is the whole team.
+    None,
+    Leased(HotLease),
+    Fresh(HotTeam),
 }
 
-fn run_region<F>(cfg: RegionConfig, body: F) -> RawOutcome
-where
-    F: Fn() + Sync,
-{
+/// Every region: resolve the configuration, pick the team source, run
+/// the [`master_sequence`], classify.
+fn run_region(cfg: RegionConfig, work: Work<'_>) -> RawOutcome {
     // The master's `rt` binding keeps the runtime alive for the region's
     // duration — the team itself only holds a weak handle.
     let rt = cfg.resolve_runtime();
     let n = cfg.resolve_threads(&rt);
-    let deadline = cfg.effective_stall_deadline(&rt);
-    let shared = new_team(&cfg, &rt, n, deadline.is_some());
-    let payload: PayloadSlot = Mutex::new(None);
+    let deadline = cfg.stall_deadline.or_else(|| rt.default_stall_deadline());
+    let shared = Arc::new(TeamShared::for_runtime(
+        n,
+        ctx::level() + 1,
+        cfg.cancellable.unwrap_or(false),
+        deadline.is_some(),
+        rt.downgrade(),
+    ));
 
     hook::emit(|| HookEvent::RegionStart {
         team: shared.token(),
         size: n,
         level: shared.level,
     });
-    // Region round-trip histogram (entry + body + join): with an empty
-    // body this is exactly fig13's entry overhead, keyed by executor.
+    // Region round-trip histogram (entry + body + join + teardown): with
+    // an empty body this is exactly fig13's entry overhead, keyed by
+    // team source.
     let t0 = obs::region_timer();
-    if n == 1 {
-        obs::count(obs::Counter::RegionInline);
-        rt.scope().bump(obs::Counter::RegionInline);
-        inline_region(&shared, &payload, &body, deadline);
-        obs::region_done(t0, obs::Lat::RegionInline);
-    } else if let Some(lease) = hot_lease(&cfg, &rt, n) {
-        crate::pool::note_pooled_region(rt.scope());
-        hot_region(lease.team(), deadline, &shared, &payload, &body);
-        obs::region_done(t0, obs::Lat::RegionPooled);
+    // The cache only serves top-level regions (a nested region's caller
+    // may itself be a cached worker mid-dispatch — no lease re-entrancy)
+    // and only borrowed work: owned work may abandon its team, and an
+    // abandoned team must never be handed back.
+    let cacheable = matches!(work, Work::Borrowed(_))
+        && cfg.pooled != Some(false)
+        && rt.pool_enabled()
+        && ctx::level() == 0;
+    let team = if n == 1 {
+        Team::None
+    } else if let Some(lease) = cacheable.then(|| rt.lease(n)).flatten() {
+        Team::Leased(lease)
     } else {
-        crate::pool::note_spawned_region(rt.scope());
-        scoped_region(n, deadline, &shared, &payload, &body);
-        obs::region_done(t0, obs::Lat::RegionSpawned);
-    }
-    let outcome = classify(&shared, &payload);
-    hook::emit(|| HookEvent::RegionEnd {
-        team: shared.token(),
-    });
-    outcome
-}
-
-fn run_region_detached<F>(cfg: RegionConfig, body: F) -> RawOutcome
-where
-    F: Fn() + Send + Sync + 'static,
-{
-    let rt = cfg.resolve_runtime();
-    let n = cfg.resolve_threads(&rt);
-    let deadline = cfg.effective_stall_deadline(&rt);
-    let shared = new_team(&cfg, &rt, n, deadline.is_some());
-
-    hook::emit(|| HookEvent::RegionStart {
-        team: shared.token(),
-        size: n,
-        level: shared.level,
-    });
-    let t0 = obs::region_timer();
-    let outcome = if n == 1 {
-        let payload: PayloadSlot = Mutex::new(None);
-        obs::count(obs::Counter::RegionInline);
-        rt.scope().bump(obs::Counter::RegionInline);
-        inline_region(&shared, &payload, &body, deadline);
-        obs::region_done(t0, obs::Lat::RegionInline);
-        classify(&shared, &payload)
-    } else {
-        // Never pooled: abandonment on the stall path needs threads the
-        // runtime can afford to leak, so fresh detached ones are spawned.
-        crate::pool::note_spawned_region(rt.scope());
-        let o = detached_region(n, deadline, &shared, body);
-        obs::region_done(t0, obs::Lat::RegionSpawned);
-        o
+        Team::Fresh(HotTeam::new(n, true).expect("failed to spawn aomp team thread"))
     };
+    let (workers, counter, lat) = match &team {
+        Team::None => (None, Counter::RegionInline, Lat::RegionInline),
+        Team::Leased(lease) => (Some(lease.team()), Counter::RegionPooled, Lat::RegionPooled),
+        Team::Fresh(fresh) => (Some(fresh), Counter::RegionSpawned, Lat::RegionSpawned),
+    };
+    // The two hot-team counters are always on (`hot_team_stats` reads
+    // them without the metrics opt-in); the inline one is gated.
+    if n == 1 {
+        obs::count(counter);
+    } else {
+        obs::count_always(counter);
+    }
+    rt.scope().bump(counter);
+    master_sequence(workers, &shared, deadline, &work);
+    drop(team);
+    obs::region_done(t0, lat);
+
+    let outcome = classify(&shared);
     hook::emit(|| HookEvent::RegionEnd {
         team: shared.token(),
     });
     outcome
 }
 
-/// Team-of-one executor: sequential semantics, but still under a
-/// (size-1) team context so constructs observe consistent
-/// `thread_id`/`team_size` values — and still under the watchdog when a
-/// deadline is armed, so a single-member region parked in a library
-/// primitive (say, a future that is never fulfilled) is force-cancelled
-/// and diagnosed as [`RegionError::Stalled`] instead of parking forever.
-fn inline_region<F>(
-    shared: &Arc<TeamShared>,
-    payload: &PayloadSlot,
-    body: &F,
-    deadline: Option<Duration>,
-) where
-    F: Fn() + Sync,
-{
-    let _watchdog = deadline.map(|d| spawn_watchdog(Arc::clone(shared), d));
-    let r = catch_unwind(AssertUnwindSafe(|| {
-        let _guard = CtxGuard::enter(Arc::clone(shared), 0);
-        body();
-    }));
-    record_member_exit(shared, payload, r);
-    shared.shutdown_watch(); // watchdog (if any) exits on its next tick
-}
+/// How long the give-up join waits, after a declared stall, for members
+/// parked in library primitives to observe the cancel and unwind.
+const STALL_GRACE: Duration = Duration::from_millis(100);
 
-/// Try to lease a hot team for this region. The cache only serves
-/// top-level regions: a nested region's caller may itself be a hot-team
-/// worker mid-dispatch, and the spawn executor handles arbitrary nesting
-/// depth without lease re-entrancy questions.
-fn hot_lease(cfg: &RegionConfig, rt: &runtime::Runtime, n: usize) -> Option<crate::pool::HotLease> {
-    if cfg.pooled == Some(false) || !rt.pool_enabled() || ctx::level() > 0 {
-        return None;
-    }
-    rt.lease(n)
-}
-
-/// The hot-team executor behind the default [`parallel_with`] path: the
-/// leased team's parked workers run the body instead of freshly spawned
-/// threads. Same structure and same contracts as [`scoped_region`] —
-/// full join, cooperative watchdog, registered join wait site — with the
-/// thread-creation cost paid once per team, not per region.
+/// The master's half of paper Figure 9, the same for every team source:
+/// wake the team, execute the body as member 0, join the rest.
 ///
-/// Lifetime note: the body and panic slot cross into the workers via the
-/// pool's lifetime-erased dispatch; `join_workers` returning is what
-/// bounds every worker access within this frame. The watchdog is armed
-/// *before* dispatch so no panic (e.g. watchdog spawn failure) can
-/// unwind this frame between dispatch and join.
-fn hot_region<F>(
-    team: &crate::pool::HotTeam,
-    deadline: Option<Duration>,
-    shared: &Arc<TeamShared>,
-    payload: &PayloadSlot,
-    body: &F,
-) where
-    F: Fn() + Sync,
-{
-    debug_assert_eq!(team.size(), shared.n);
-    let _watchdog = deadline.map(|d| spawn_watchdog(Arc::clone(shared), d));
-    team.dispatch(shared, payload, body);
-    let r = catch_unwind(AssertUnwindSafe(|| {
-        let _guard = CtxGuard::enter(Arc::clone(shared), 0);
-        body();
-    }));
-    record_member_exit(shared, payload, r);
-    {
-        // As in `scoped_region`: the join is a registered wait site so
-        // the watchdog can adjudicate a stall even when no member is
-        // parked in a library primitive.
-        let _w = shared.begin_wait(0, WaitSite::Join);
-        team.join_workers();
-    }
-    shared.shutdown_watch(); // watchdog (if any) exits on its next tick
-}
-
-/// The spawning executor behind [`parallel_with`] / [`try_parallel_with`]
-/// when the hot-team cache is unavailable (nested regions, pooling
-/// disabled, worker-spawn failure): scoped threads, always a full join —
-/// the body may capture the caller's frame by reference precisely
-/// because no member can outlive this call. Mirrors paper Figure 9:
-/// spawn n−1 workers, the master executes the body itself, then joins
-/// the rest.
+/// A team of one still runs under a (size-1) team context, so constructs
+/// observe consistent `thread_id`/`team_size` values, and under the
+/// watchdog when a deadline is armed, so a single member parked in a
+/// library primitive (say, a future that is never fulfilled) is
+/// force-cancelled and diagnosed instead of parking forever.
 ///
-/// A watchdog (when armed) is *cooperative*: on a stall it force-cancels
-/// the team so members parked in library primitives unwind and the join
-/// completes, but it never abandons a member — a thread wedged in
-/// non-cooperative user code delays the join until it returns. Safety
-/// over liveness; [`detached_region`] makes the opposite trade.
-fn scoped_region<F>(
-    n: usize,
-    deadline: Option<Duration>,
+/// The watchdog is *cooperative* under the full join: on a stall it
+/// force-cancels the team so members parked in library primitives unwind
+/// and the join completes, but a thread wedged in non-cooperative user
+/// code delays the join until it returns — borrowed work may reference
+/// this frame, so safety wins over liveness. Owned work makes the
+/// opposite trade: after the stall grace the master abandons stragglers.
+fn master_sequence(
+    workers: Option<&HotTeam>,
     shared: &Arc<TeamShared>,
-    payload: &PayloadSlot,
-    body: &F,
-) where
-    F: Fn() + Sync,
-{
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (1..n)
-            .map(|tid| {
-                let shared = Arc::clone(shared);
-                std::thread::Builder::new()
-                    .name(format!("aomp-l{}-t{tid}", shared.level))
-                    .spawn_scoped(scope, move || {
-                        let r = catch_unwind(AssertUnwindSafe(|| {
-                            let _guard = CtxGuard::enter(Arc::clone(&shared), tid);
-                            body();
-                        }));
-                        record_member_exit(&shared, payload, r);
-                    })
-                    .expect("failed to spawn aomp team thread")
-            })
-            .collect();
-        let _watchdog = deadline.map(|d| spawn_watchdog(Arc::clone(shared), d));
-        let r = catch_unwind(AssertUnwindSafe(|| {
-            let _guard = CtxGuard::enter(Arc::clone(shared), 0);
-            body();
-        }));
-        record_member_exit(shared, payload, r);
-        {
-            // The join is a registered wait site: a stall where every
-            // member is either exited or wedged in user code (nobody
-            // parked in a library primitive) is still visible to the
-            // watchdog through the waiting master.
-            let _w = shared.begin_wait(0, WaitSite::Join);
-            for h in handles {
-                let _ = h.join();
-            }
-        }
-        shared.shutdown_watch(); // watchdog (if any) exits on its next tick
-    });
-}
-
-/// Everything a detached worker shares with its region: the body, the
-/// first-panic slot and the completion latch, jointly owned via `Arc`.
-/// An abandoned straggler holds its own `Arc` clone, so the frame
-/// outlives the region call for as long as any member might touch it —
-/// ownership is what makes abandonment on the stall path memory-safe
-/// (contrast with borrowing the master's stack, which would be a
-/// use-after-free the moment the caller is released).
-struct RegionFrame {
-    body: Box<dyn Fn() + Send + Sync>,
-    payload: PayloadSlot,
-    latch: Latch,
-}
-
-/// Completion latch for detached workers. The `closed` flag makes the
-/// region's verdict deterministic: once the master gave up waiting
-/// (stall grace expired), a straggler's late exit record is dropped
-/// rather than mutating a payload slot the master already classified.
-struct Latch {
-    state: Mutex<LatchState>,
-    cv: Condvar,
-}
-
-struct LatchState {
-    remaining: usize,
-    closed: bool,
-}
-
-impl Latch {
-    fn new(workers: usize) -> Self {
-        Self {
-            state: Mutex::new(LatchState {
-                remaining: workers,
-                closed: false,
-            }),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Worker exit: records the result unless the master already closed
-    /// the latch (the stall verdict supersedes a straggler's outcome).
-    fn finish(
-        &self,
-        shared: &TeamShared,
-        payload: &PayloadSlot,
-        r: Result<(), Box<dyn std::any::Any + Send>>,
-    ) {
-        let mut st = self.state.lock();
-        if st.closed {
-            return;
-        }
-        record_member_exit(shared, payload, r);
-        st.remaining -= 1;
-        self.cv.notify_all();
-    }
-
-    /// Wait until all workers finished, or — only once `give_up_after`
-    /// yields a deadline — until that deadline passes, closing the latch.
-    /// Returns `true` when fully joined.
-    fn join(&self, mut give_up_after: impl FnMut() -> Option<Instant>) -> bool {
-        let mut st = self.state.lock();
-        loop {
-            if st.remaining == 0 {
-                return true;
-            }
-            if let Some(d) = give_up_after() {
-                if Instant::now() >= d {
-                    st.closed = true;
-                    return false;
-                }
-            }
-            self.cv.wait_for(&mut st, crate::barrier::PARK_TIMEOUT);
-        }
-    }
-}
-
-/// The owning executor behind [`try_parallel_detached`]: workers are
-/// detached OS threads so a wedged member cannot hold the caller
-/// hostage. Each worker co-owns the [`RegionFrame`]; on a stall the
-/// watchdog force-cancels the team, wakes every parked waiter, and the
-/// master abandons any straggler after a short grace period.
-fn detached_region<F>(
-    n: usize,
     deadline: Option<Duration>,
-    shared: &Arc<TeamShared>,
-    body: F,
-) -> RawOutcome
-where
-    F: Fn() + Send + Sync + 'static,
-{
-    let frame = Arc::new(RegionFrame {
-        body: Box::new(body),
-        payload: Mutex::new(None),
-        latch: Latch::new(n - 1),
-    });
-
-    for tid in 1..n {
-        let shared = Arc::clone(shared);
-        let frame = Arc::clone(&frame);
-        std::thread::Builder::new()
-            .name(format!("aomp-l{}-t{tid}", shared.level))
-            .spawn(move || {
-                let r = catch_unwind(AssertUnwindSafe(|| {
-                    let _guard = CtxGuard::enter(Arc::clone(&shared), tid);
-                    (frame.body)();
-                }));
-                frame.latch.finish(&shared, &frame.payload, r);
-            })
-            .expect("failed to spawn aomp team thread");
-    }
-
+    work: &Work<'_>,
+) {
+    // Armed *before* dispatch so no panic (e.g. watchdog spawn failure)
+    // can unwind this frame between dispatch and join.
     let _watchdog = deadline.map(|d| spawn_watchdog(Arc::clone(shared), d));
-
+    if let Some(team) = workers {
+        debug_assert_eq!(team.size(), shared.n);
+        team.dispatch(shared, work);
+    }
     let r = catch_unwind(AssertUnwindSafe(|| {
         let _guard = CtxGuard::enter(Arc::clone(shared), 0);
-        (frame.body)();
+        work.run();
     }));
-    record_member_exit(shared, &frame.payload, r);
-
-    // Join the workers. Normal completion waits indefinitely; once the
-    // watchdog declared a stall, wait only a grace period (enough for
-    // members parked in library primitives to observe the cancel and
-    // unwind), then abandon stragglers wedged in user code.
-    let grace = deadline
-        .unwrap_or(Duration::from_millis(100))
-        .min(Duration::from_millis(100));
-    let mut grace_deadline: Option<Instant> = None;
-    {
-        // As in `scoped_region`, the join is a registered wait site so
-        // the watchdog can adjudicate a stall even when no member is
-        // parked in a library primitive.
+    record_member_exit(shared, r);
+    if let Some(team) = workers {
+        // The join is a registered wait site: a stall where every member
+        // is either exited or wedged in user code (nobody parked in a
+        // library primitive) is still visible to the watchdog through
+        // the waiting master.
         let _w = shared.begin_wait(0, WaitSite::Join);
-        frame.latch.join(|| {
-            if shared.stall_declared() {
-                Some(*grace_deadline.get_or_insert_with(|| Instant::now() + grace))
-            } else {
-                None
+        match work {
+            Work::Borrowed(_) => team.join_workers(None),
+            Work::Owned(body) => {
+                // Once the watchdog declared a stall, wait only a grace
+                // period, then abandon stragglers wedged in user code.
+                let grace = deadline.map_or(STALL_GRACE, |d| d.min(STALL_GRACE));
+                let mut give_up_at: Option<Instant> = None;
+                let mut give_up = || {
+                    shared.stall_declared()
+                        && Instant::now()
+                            >= *give_up_at.get_or_insert_with(|| Instant::now() + grace)
+                };
+                team.join_workers(Some((body, &mut give_up)));
             }
-        });
+        }
     }
     shared.shutdown_watch(); // watchdog (if any) exits on its next tick
-    classify(shared, &frame.payload)
 }
 
 fn spawn_watchdog(shared: Arc<TeamShared>, deadline: Duration) -> std::thread::JoinHandle<()> {

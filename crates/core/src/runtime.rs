@@ -67,10 +67,10 @@ use crate::region::RegionConfig;
 pub const NUM_THREADS_ENV: &str = "AOMP_NUM_THREADS";
 
 /// Environment variable disabling the default runtime's hot-team cache
-/// and task executor (`AOMP_NO_POOL=1`): every region spawns fresh OS
-/// threads and every task gets a dedicated thread, as in the unpooled
-/// runtime. Captured once at default-runtime construction; explicitly
-/// built runtimes ignore it.
+/// and task executor (`AOMP_NO_POOL=1`): every region builds a fresh team
+/// and every task gets a dedicated thread. Captured once at
+/// default-runtime construction; explicitly built runtimes ignore it
+/// (they have [`RuntimeBuilder::pooled`]).
 pub const NO_POOL_ENV: &str = "AOMP_NO_POOL";
 
 struct RuntimeInner {
@@ -80,7 +80,8 @@ struct RuntimeInner {
     /// the default runtime: env, else `available_parallelism`).
     base_threads: usize,
     parallel: AtomicBool,
-    pool: AtomicBool,
+    /// Fixed at construction: `AOMP_NO_POOL` / [`RuntimeBuilder::pooled`].
+    pool: bool,
     /// Default stall deadline in nanoseconds; 0 = no watchdog.
     stall_nanos: AtomicU64,
     scope: Arc<obs::Scope>,
@@ -188,18 +189,13 @@ impl Runtime {
         self.inner.parallel.store(enabled, Ordering::Relaxed);
     }
 
-    /// Whether pooled execution (hot teams for regions, the executor for
-    /// tasks) is enabled on this runtime.
+    /// Whether pooled execution (cached hot teams for regions, the
+    /// executor for tasks) is enabled on this runtime. Fixed at
+    /// construction; with pooling disabled every region builds a fresh
+    /// team and every task runs on a dedicated thread — useful for
+    /// ablation measurements (see `crates/bench/src/bin/fig13.rs`).
     pub fn pool_enabled(&self) -> bool {
-        self.inner.pool.load(Ordering::Relaxed)
-    }
-
-    /// Enable or disable pooled execution on this runtime. With pooling
-    /// disabled every region spawns fresh scoped threads and every task
-    /// runs on a dedicated thread — the exact pre-pool executors, useful
-    /// for ablation measurements (see `crates/bench/src/bin/fig13.rs`).
-    pub fn set_pool_enabled(&self, enabled: bool) {
-        self.inner.pool.store(enabled, Ordering::Relaxed);
+        self.inner.pool
     }
 
     /// This runtime's default stall deadline, if one is armed.
@@ -284,7 +280,7 @@ impl Runtime {
     /// of the process-wide [`pool::hot_team_stats`](crate::pool::hot_team_stats)).
     /// All-zero when the runtime was built with `.metrics(false)`.
     pub fn hot_team_stats(&self) -> HotTeamStats {
-        crate::pool::stats_from_scope(&self.inner.scope)
+        HotTeamStats::read(|c| self.inner.scope.counter(c))
     }
 
     /// Point-in-time copy of this runtime's counter scope. Counters
@@ -400,8 +396,8 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Start with pooled execution enabled or disabled (default:
-    /// enabled); toggleable later via [`Runtime::set_pool_enabled`].
+    /// Build with pooled execution enabled or disabled (default:
+    /// enabled); see [`Runtime::pool_enabled`].
     pub fn pooled(mut self, enabled: bool) -> Self {
         self.pooled = enabled;
         self
@@ -442,44 +438,26 @@ impl RuntimeBuilder {
                 .map(|n| n.get())
                 .unwrap_or(1)
         });
-        let workers = self
+        let task_workers = self
             .task_workers
             .unwrap_or_else(executor::default_max_workers);
-        build_runtime(
-            base_threads,
-            self.parallel,
-            self.pooled,
-            workers,
-            self.stall_deadline,
-            self.metrics,
-        )
-    }
-}
-
-fn build_runtime(
-    base_threads: usize,
-    parallel: bool,
-    pooled: bool,
-    task_workers: usize,
-    stall_deadline: Option<Duration>,
-    metrics: bool,
-) -> Runtime {
-    let scope = Arc::new(obs::Scope::new(metrics));
-    let stall_nanos = match stall_deadline {
-        None => 0,
-        Some(d) => u64::try_from(d.as_nanos()).unwrap_or(u64::MAX).max(1),
-    };
-    Runtime {
-        inner: Arc::new(RuntimeInner {
-            threads: AtomicUsize::new(0),
-            base_threads,
-            parallel: AtomicBool::new(parallel),
-            pool: AtomicBool::new(pooled),
-            stall_nanos: AtomicU64::new(stall_nanos),
-            cache: HotCache::new(Arc::clone(&scope)),
-            executor: Executor::new(task_workers, Arc::clone(&scope)),
-            scope,
-        }),
+        let scope = Arc::new(obs::Scope::new(self.metrics));
+        let stall_nanos = match self.stall_deadline {
+            None => 0,
+            Some(d) => u64::try_from(d.as_nanos()).unwrap_or(u64::MAX).max(1),
+        };
+        Runtime {
+            inner: Arc::new(RuntimeInner {
+                threads: AtomicUsize::new(0),
+                base_threads,
+                parallel: AtomicBool::new(self.parallel),
+                pool: self.pooled,
+                stall_nanos: AtomicU64::new(stall_nanos),
+                cache: HotCache::new(Arc::clone(&scope)),
+                executor: Executor::new(task_workers, Arc::clone(&scope)),
+                scope,
+            }),
+        }
     }
 }
 
@@ -536,20 +514,17 @@ pub(crate) fn current() -> Runtime {
 pub fn default_runtime() -> &'static Runtime {
     static DEFAULT: OnceLock<Runtime> = OnceLock::new();
     DEFAULT.get_or_init(|| {
-        let threads = env_usize(NUM_THREADS_ENV).unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
+        let no_pool = std::env::var(NO_POOL_ENV).is_ok_and(|v| {
+            let v = v.trim();
+            !v.is_empty() && v != "0"
         });
-        let pooled = !std::env::var(NO_POOL_ENV)
-            .map(|v| {
-                let v = v.trim();
-                !v.is_empty() && v != "0"
-            })
-            .unwrap_or(false);
-        let workers =
-            env_usize(executor::TASK_WORKERS_ENV).unwrap_or_else(executor::default_max_workers);
-        build_runtime(threads, true, pooled, workers, None, true)
+        RuntimeBuilder {
+            threads: env_usize(NUM_THREADS_ENV),
+            pooled: !no_pool,
+            task_workers: env_usize(executor::TASK_WORKERS_ENV),
+            ..RuntimeBuilder::new()
+        }
+        .build()
     })
 }
 
@@ -596,22 +571,12 @@ pub fn parallel_enabled() -> bool {
     default_runtime().parallel_enabled()
 }
 
-/// Whether pooled execution ("hot teams" for regions, the shared executor
-/// for tasks) is enabled on the default runtime. Defaults to `true`
-/// unless [`NO_POOL_ENV`] (`AOMP_NO_POOL=1`) was set when the default
-/// runtime was constructed; [`set_pool_enabled`] overrides both.
+/// Whether pooled execution (cached hot teams for regions, the shared
+/// executor for tasks) is enabled on the default runtime: `true` unless
+/// [`NO_POOL_ENV`] (`AOMP_NO_POOL=1`) was set when the default runtime
+/// was constructed.
 pub fn pool_enabled() -> bool {
     default_runtime().pool_enabled()
-}
-
-/// Enable or disable pooled execution on the default runtime. With
-/// pooling disabled every parallel region spawns fresh scoped threads
-/// and every task runs on a dedicated thread — the exact pre-pool
-/// executors, useful for ablation measurements (see
-/// `crates/bench/src/bin/fig13.rs`) and for isolating a suspected pool
-/// interaction. Overrides `AOMP_NO_POOL`.
-pub fn set_pool_enabled(enabled: bool) {
-    default_runtime().set_pool_enabled(enabled)
 }
 
 /// Arm (or with `None`, disarm) the default runtime's default stall
@@ -626,7 +591,7 @@ pub fn set_pool_enabled(enabled: bool) {
 /// [`RegionError::Stalled`](crate::error::RegionError).
 /// Per-region settings always win.
 ///
-/// This is not a blanket hang kill switch: the executors behind
+/// This is not a blanket hang kill switch:
 /// [`region::parallel`](crate::region::parallel) and
 /// [`region::try_parallel`](crate::region::try_parallel) accept
 /// borrowing bodies and therefore always join every worker, so a member
@@ -680,16 +645,6 @@ mod tests {
         );
         rt.set_default_stall_deadline(None);
         assert_eq!(rt.default_stall_deadline(), None);
-    }
-
-    #[test]
-    fn pool_enabled_toggle() {
-        // Both executors must be correct regardless of this flag, so a
-        // concurrent unit test observing the transient value is fine.
-        set_pool_enabled(false);
-        assert!(!pool_enabled());
-        set_pool_enabled(true);
-        assert!(pool_enabled());
     }
 
     #[test]

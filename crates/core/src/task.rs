@@ -19,7 +19,7 @@
 //! grow; otherwise the spawn falls back to a dedicated thread, and on
 //! thread exhaustion to *inline* execution on the caller (sequential
 //! semantics) instead of panicking. `AOMP_NO_POOL=1` /
-//! [`runtime::set_pool_enabled(false)`](crate::runtime::set_pool_enabled)
+//! [`RuntimeBuilder::pooled(false)`](crate::runtime::RuntimeBuilder::pooled)
 //! restores thread-per-task.
 //!
 //! Dispatch outcomes are observable: with `AOMP_METRICS` on, the

@@ -250,13 +250,11 @@ fn rewrap(header: Vec<TokenTree>, new_body: &str) -> TokenStream {
 ///
 /// Arguments: `threads = <int>` (team size), `nested = <bool>`,
 /// `only_if = <expr>` (OpenMP's `if` clause, evaluated at call time),
-/// `cancellable` (honour `cancel_team()`, OpenMP 4.0 `cancel`), and
+/// `cancellable` (honour `cancel_team()`, OpenMP 4.0 `cancel`),
 /// `stall_deadline_ms = <int>` (arm the stall watchdog; a team stuck in
 /// its synchronisation primitives is cancelled and diagnosed instead of
 /// deadlocking — see `aomp::region` for what the watchdog can and
-/// cannot interrupt), `pooled = <bool>` (default `true`: serve the
-/// region from the runtime's hot-team cache; `false` forces freshly
-/// spawned threads), and `runtime = <expr>` (run the region on an
+/// cannot interrupt), and `runtime = <expr>` (run the region on an
 /// explicit [`aomp::Runtime`] instead of the ambient one; the
 /// expression is evaluated at call time and borrowed).
 #[proc_macro_attribute]
@@ -303,10 +301,6 @@ pub fn parallel(attr: TokenStream, item: TokenStream) -> TokenStream {
                 )),
                 Err(e) => return compile_err(&e),
             },
-            "pooled" => match bool_value(arg) {
-                Ok(p) => cfg.push_str(&format!("__aomp_cfg = __aomp_cfg.pooled({p});")),
-                Err(e) => return compile_err(&e),
-            },
             "runtime" => match &arg.value {
                 Some(e) => {
                     cfg.push_str(&format!("__aomp_cfg = __aomp_cfg.runtime(&({e}));"))
@@ -315,7 +309,7 @@ pub fn parallel(attr: TokenStream, item: TokenStream) -> TokenStream {
             },
             other => {
                 return compile_err(&format!(
-                    "aomp: unknown #[parallel] argument `{other}` (expected threads/nested/only_if/cancellable/stall_deadline_ms/pooled/runtime)"
+                    "aomp: unknown #[parallel] argument `{other}` (expected threads/nested/only_if/cancellable/stall_deadline_ms/runtime)"
                 ))
             }
         }

@@ -60,7 +60,6 @@ pub(crate) enum MechanismKind {
         nested: Option<bool>,
         cancellable: bool,
         stall_deadline: Option<std::time::Duration>,
-        pooled: Option<bool>,
         runtime: Option<aomp::Runtime>,
     },
     For {
@@ -119,7 +118,6 @@ impl Mechanism {
                 nested: None,
                 cancellable: false,
                 stall_deadline: None,
-                pooled: None,
                 runtime: None,
             },
         }
@@ -160,17 +158,6 @@ impl Mechanism {
         match &mut self.kind {
             MechanismKind::Parallel { stall_deadline, .. } => *stall_deadline = Some(deadline),
             _ => panic!("stall_deadline() only applies to Mechanism::parallel()"),
-        }
-        self
-    }
-
-    /// Allow or refuse the runtime hot-team cache for regions woven by
-    /// this mechanism — see [`RegionConfig::pooled`]. Defaults to
-    /// allowed.
-    pub fn pooled(mut self, pooled: bool) -> Self {
-        match &mut self.kind {
-            MechanismKind::Parallel { pooled: p, .. } => *p = Some(pooled),
-            _ => panic!("pooled() only applies to Mechanism::parallel()"),
         }
         self
     }
@@ -449,7 +436,6 @@ impl Mechanism {
                 nested,
                 cancellable,
                 stall_deadline,
-                pooled,
                 runtime,
             } => {
                 let mut cfg = RegionConfig::new();
@@ -464,9 +450,6 @@ impl Mechanism {
                 }
                 if let Some(d) = stall_deadline {
                     cfg = cfg.stall_deadline(*d);
-                }
-                if let Some(p) = pooled {
-                    cfg = cfg.pooled(*p);
                 }
                 if let Some(rt) = runtime {
                     cfg = cfg.runtime(rt);

@@ -19,60 +19,58 @@ fn parallel_attribute_creates_team() {
     assert_eq!(REGION_HITS.load(Ordering::SeqCst), 4);
 }
 
-static FOR_SUM: AtomicI64 = AtomicI64::new(0);
-
 #[for_loop(schedule = "staticBlock")]
-fn accumulate(start: i64, end: i64, step: i64) {
+fn accumulate(start: i64, end: i64, step: i64, sum: &AtomicI64) {
     let mut local = 0;
     let mut i = start;
     while i < end {
         local += i;
         i += step;
     }
-    FOR_SUM.fetch_add(local, Ordering::SeqCst);
+    sum.fetch_add(local, Ordering::SeqCst);
 }
 
 #[parallel(threads = 3)]
-fn region_with_for() {
-    accumulate(0, 1000, 1);
+fn region_with_for(sum: &AtomicI64) {
+    accumulate(0, 1000, 1, sum);
 }
 
 #[test]
 fn for_loop_attribute_workshares() {
-    FOR_SUM.store(0, Ordering::SeqCst);
-    region_with_for();
-    assert_eq!(FOR_SUM.load(Ordering::SeqCst), (0..1000).sum::<i64>());
+    let sum = AtomicI64::new(0);
+    region_with_for(&sum);
+    assert_eq!(sum.load(Ordering::SeqCst), (0..1000).sum::<i64>());
 }
 
 #[test]
 fn for_loop_attribute_sequential_without_region() {
-    FOR_SUM.store(0, Ordering::SeqCst);
-    accumulate(0, 100, 1);
-    assert_eq!(FOR_SUM.load(Ordering::SeqCst), (0..100).sum::<i64>());
+    let sum = AtomicI64::new(0);
+    accumulate(0, 100, 1, &sum);
+    assert_eq!(sum.load(Ordering::SeqCst), (0..100).sum::<i64>());
 }
 
 #[for_loop(schedule = "dynamic", chunk = 7)]
-fn accumulate_dynamic(start: i64, end: i64, step: i64) {
+fn accumulate_dynamic(start: i64, end: i64, step: i64, sum: &AtomicI64) {
     let mut local = 0;
     let mut i = start;
     while i < end {
         local += i * 2;
         i += step;
     }
-    FOR_SUM.fetch_add(local, Ordering::SeqCst);
+    sum.fetch_add(local, Ordering::SeqCst);
 }
 
 #[parallel(threads = 4)]
-fn region_with_dynamic_for() {
-    accumulate_dynamic(0, 500, 1);
+fn region_with_dynamic_for(sum: &AtomicI64) {
+    accumulate_dynamic(0, 500, 1, sum);
 }
 
 #[test]
 fn dynamic_for_attribute_covers_range() {
-    FOR_SUM.store(0, Ordering::SeqCst);
-    region_with_dynamic_for();
+    let sum = AtomicI64::new(0);
+    region_with_dynamic_for(&sum);
     assert_eq!(
-        FOR_SUM.load(Ordering::SeqCst),
+        sum.load(Ordering::SeqCst),
         (0..500).map(|i| i * 2).sum::<i64>()
     );
 }
@@ -209,7 +207,7 @@ fn future_task_attribute_returns_future() {
 }
 
 #[for_loop(schedule = "cyclic")]
-fn record_cyclic(start: i64, end: i64, step: i64) {
+fn record_cyclic(start: i64, end: i64, step: i64, sum: &AtomicI64) {
     // Record which elements this thread got; cyclic stride == team size.
     let mut i = start;
     let mut local = 0;
@@ -217,92 +215,92 @@ fn record_cyclic(start: i64, end: i64, step: i64) {
         local += i;
         i += step;
     }
-    FOR_SUM.fetch_add(local, Ordering::SeqCst);
+    sum.fetch_add(local, Ordering::SeqCst);
 }
 
 #[parallel(threads = 4)]
-fn region_with_cyclic() {
-    record_cyclic(0, 37, 1);
+fn region_with_cyclic(sum: &AtomicI64) {
+    record_cyclic(0, 37, 1, sum);
 }
 
 #[test]
 fn cyclic_for_attribute_covers_range() {
-    FOR_SUM.store(0, Ordering::SeqCst);
-    region_with_cyclic();
-    assert_eq!(FOR_SUM.load(Ordering::SeqCst), (0..37).sum::<i64>());
+    let sum = AtomicI64::new(0);
+    region_with_cyclic(&sum);
+    assert_eq!(sum.load(Ordering::SeqCst), (0..37).sum::<i64>());
 }
 
 #[for_loop(schedule = "blockCyclic", chunk = 5)]
-fn accumulate_block_cyclic(start: i64, end: i64, step: i64) {
+fn accumulate_block_cyclic(start: i64, end: i64, step: i64, sum: &AtomicI64) {
     let mut local = 0;
     let mut i = start;
     while i < end {
         local += i;
         i += step;
     }
-    FOR_SUM.fetch_add(local, Ordering::SeqCst);
+    sum.fetch_add(local, Ordering::SeqCst);
 }
 
 #[parallel(threads = 3)]
-fn region_with_block_cyclic() {
-    accumulate_block_cyclic(0, 123, 1);
+fn region_with_block_cyclic(sum: &AtomicI64) {
+    accumulate_block_cyclic(0, 123, 1, sum);
 }
 
 #[test]
 fn block_cyclic_for_attribute_covers_range() {
-    FOR_SUM.store(0, Ordering::SeqCst);
-    region_with_block_cyclic();
-    assert_eq!(FOR_SUM.load(Ordering::SeqCst), (0..123).sum::<i64>());
+    let sum = AtomicI64::new(0);
+    region_with_block_cyclic(&sum);
+    assert_eq!(sum.load(Ordering::SeqCst), (0..123).sum::<i64>());
 }
 
 #[for_loop(schedule = "guided", min_chunk = 3)]
-fn accumulate_guided(start: i64, end: i64, step: i64) {
+fn accumulate_guided(start: i64, end: i64, step: i64, sum: &AtomicI64) {
     let mut local = 0;
     let mut i = start;
     while i < end {
         local += i * i;
         i += step;
     }
-    FOR_SUM.fetch_add(local, Ordering::SeqCst);
+    sum.fetch_add(local, Ordering::SeqCst);
 }
 
 #[parallel(threads = 4)]
-fn region_with_guided() {
-    accumulate_guided(0, 200, 1);
+fn region_with_guided(sum: &AtomicI64) {
+    accumulate_guided(0, 200, 1, sum);
 }
 
 #[test]
 fn guided_for_attribute_covers_range() {
-    FOR_SUM.store(0, Ordering::SeqCst);
-    region_with_guided();
+    let sum = AtomicI64::new(0);
+    region_with_guided(&sum);
     assert_eq!(
-        FOR_SUM.load(Ordering::SeqCst),
+        sum.load(Ordering::SeqCst),
         (0..200).map(|i| i * i).sum::<i64>()
     );
 }
 
 #[for_loop(schedule = "adaptive", min_chunk = 2)]
-fn accumulate_adaptive(start: i64, end: i64, step: i64) {
+fn accumulate_adaptive(start: i64, end: i64, step: i64, sum: &AtomicI64) {
     let mut local = 0;
     let mut i = start;
     while i < end {
         local += i * 3;
         i += step;
     }
-    FOR_SUM.fetch_add(local, Ordering::SeqCst);
+    sum.fetch_add(local, Ordering::SeqCst);
 }
 
 #[parallel(threads = 4)]
-fn region_with_adaptive() {
-    accumulate_adaptive(0, 250, 1);
+fn region_with_adaptive(sum: &AtomicI64) {
+    accumulate_adaptive(0, 250, 1, sum);
 }
 
 #[test]
 fn adaptive_for_attribute_covers_range() {
-    FOR_SUM.store(0, Ordering::SeqCst);
-    region_with_adaptive();
+    let sum = AtomicI64::new(0);
+    region_with_adaptive(&sum);
     assert_eq!(
-        FOR_SUM.load(Ordering::SeqCst),
+        sum.load(Ordering::SeqCst),
         (0..250).map(|i| i * 3).sum::<i64>()
     );
 }
@@ -378,75 +376,72 @@ fn only_if_clause_gates_parallelism() {
 // ---------------------------------------------------------------------
 // Task dependences (`#[task(depend(...))]`) and `#[taskloop]`.
 
-static DEP_CELL: AtomicI64 = AtomicI64::new(0);
-static DEP_BAD_READS: AtomicUsize = AtomicUsize::new(0);
-
+// Task parameters move into the activity, so each test hands the pair
+// its own `'static` cells.
 #[task(depend(out = "dep_cell"))]
-fn dep_writer() {
-    DEP_CELL.fetch_add(1, Ordering::SeqCst);
+fn dep_writer(cell: &'static AtomicI64) {
+    cell.fetch_add(1, Ordering::SeqCst);
 }
 
 #[task(depend(in = "dep_cell"))]
-fn dep_reader() {
-    if DEP_CELL.load(Ordering::SeqCst) == 0 {
-        DEP_BAD_READS.fetch_add(1, Ordering::SeqCst);
+fn dep_reader(cell: &'static AtomicI64, bad_reads: &'static AtomicUsize) {
+    if cell.load(Ordering::SeqCst) == 0 {
+        bad_reads.fetch_add(1, Ordering::SeqCst);
     }
 }
 
 #[test]
 fn task_depend_attribute_orders_writer_before_reader() {
-    DEP_CELL.store(0, Ordering::SeqCst);
-    DEP_BAD_READS.store(0, Ordering::SeqCst);
+    static CELL: AtomicI64 = AtomicI64::new(0);
+    static BAD_READS: AtomicUsize = AtomicUsize::new(0);
     let group = DepGroup::new();
     aomplib::runtime::deps::scope(&group, || {
-        dep_writer();
-        dep_reader();
+        dep_writer(&CELL);
+        dep_reader(&CELL, &BAD_READS);
     });
     group.wait().expect("acyclic");
-    assert_eq!(DEP_CELL.load(Ordering::SeqCst), 1);
-    assert_eq!(DEP_BAD_READS.load(Ordering::SeqCst), 0);
+    assert_eq!(CELL.load(Ordering::SeqCst), 1);
+    assert_eq!(BAD_READS.load(Ordering::SeqCst), 0);
 }
 
 #[test]
 fn task_depend_attribute_runs_inline_without_scope() {
     // Outside any ambient dependence scope a dependent task degrades to
     // an inline call — sequential semantics.
-    DEP_CELL.store(0, Ordering::SeqCst);
-    DEP_BAD_READS.store(0, Ordering::SeqCst);
-    dep_writer();
-    dep_reader();
-    assert_eq!(DEP_CELL.load(Ordering::SeqCst), 1);
-    assert_eq!(DEP_BAD_READS.load(Ordering::SeqCst), 0);
+    static CELL: AtomicI64 = AtomicI64::new(0);
+    static BAD_READS: AtomicUsize = AtomicUsize::new(0);
+    dep_writer(&CELL);
+    dep_reader(&CELL, &BAD_READS);
+    assert_eq!(CELL.load(Ordering::SeqCst), 1);
+    assert_eq!(BAD_READS.load(Ordering::SeqCst), 0);
 }
 
-static TL_SUM: AtomicI64 = AtomicI64::new(0);
-
 #[taskloop(min_chunk = 4)]
-fn taskloop_accumulate(start: i64, end: i64, step: i64) {
+fn taskloop_accumulate(start: i64, end: i64, step: i64, sum: &AtomicI64) {
     let mut local = 0;
     let mut i = start;
     while i < end {
         local += i;
         i += step;
     }
-    TL_SUM.fetch_add(local, Ordering::SeqCst);
+    sum.fetch_add(local, Ordering::SeqCst);
 }
 
 #[parallel(threads = 4)]
-fn region_with_taskloop() {
-    taskloop_accumulate(0, 500, 1);
+fn region_with_taskloop(sum: &AtomicI64) {
+    taskloop_accumulate(0, 500, 1, sum);
 }
 
 #[test]
 fn taskloop_attribute_covers_range_in_team() {
-    TL_SUM.store(0, Ordering::SeqCst);
-    region_with_taskloop();
-    assert_eq!(TL_SUM.load(Ordering::SeqCst), (0..500).sum::<i64>());
+    let sum = AtomicI64::new(0);
+    region_with_taskloop(&sum);
+    assert_eq!(sum.load(Ordering::SeqCst), (0..500).sum::<i64>());
 }
 
 #[test]
 fn taskloop_attribute_sequential_without_region() {
-    TL_SUM.store(0, Ordering::SeqCst);
-    taskloop_accumulate(0, 100, 1);
-    assert_eq!(TL_SUM.load(Ordering::SeqCst), (0..100).sum::<i64>());
+    let sum = AtomicI64::new(0);
+    taskloop_accumulate(0, 100, 1, &sum);
+    assert_eq!(sum.load(Ordering::SeqCst), (0..100).sum::<i64>());
 }

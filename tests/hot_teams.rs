@@ -1,30 +1,43 @@
-//! Hot teams under failure: the pooled region path (the default since
-//! the hot-team cache landed) must survive cancellation, member panics
-//! and stall diagnoses without poisoning the cache for the next region,
-//! and the shared task executor behind `task::spawn` must stay live when
-//! tasks block on each other or the pool is disabled.
+//! Hot teams under failure: every region runs on a hot team — leased
+//! from the cache (the default), or built fresh — and must survive
+//! cancellation, member panics and stall diagnoses without poisoning the
+//! cache for the next region, whatever the team's provenance; and the
+//! shared task executor behind `task::spawn` must stay live when tasks
+//! block on each other or the pool is disabled.
 
 use aomp_check as check;
 use aomplib::prelude::*;
 use aomplib::runtime::clock::VirtualClock;
+use aomplib::runtime::hook::{self, HookEvent, SchedHook};
+use aomplib::runtime::obs;
 use aomplib::runtime::pool::hot_team_stats;
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// Tests that toggle the global pool kill switch or assert on the global
-/// hot-team counters serialise here, so a disabled pool in one test
-/// cannot turn another test's pooled region into a spawned one.
+/// Tests that assert on the global hot-team counters or register a
+/// process-global hook serialise here, so one test's regions cannot move
+/// another's counts.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 fn serial() -> std::sync::MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+/// A private runtime with its cache on, for the tests that are about
+/// the cache: entered, it serves every region of the test, whereas the
+/// default runtime's cache is off in CI's `AOMP_NO_POOL=1` leg.
+fn pooled_runtime() -> Runtime {
+    Runtime::builder().build()
+}
+
 #[test]
 fn top_level_regions_use_the_hot_team_cache() {
     let _s = serial();
+    let rt = pooled_runtime();
+    let _in_rt = rt.enter();
     let before = hot_team_stats();
     for _ in 0..4 {
         let hits = AtomicUsize::new(0);
@@ -57,24 +70,26 @@ fn pooled_false_forces_the_spawn_path() {
 
 #[test]
 fn kill_switch_forces_the_spawn_path() {
-    let _s = serial();
-    runtime::set_pool_enabled(false);
-    let before = hot_team_stats();
+    // A private pool-disabled runtime: its own counters, so the
+    // assertions are exact and no process-global switch is flipped.
+    let rt = Runtime::builder().pooled(false).build();
     let hits = AtomicUsize::new(0);
-    region::parallel_with(RegionConfig::new().threads(3), || {
+    rt.parallel_with(RegionConfig::new().threads(3), || {
         hits.fetch_add(1, Ordering::SeqCst);
         barrier();
     });
-    runtime::set_pool_enabled(true);
     assert_eq!(hits.load(Ordering::SeqCst), 3);
-    let after = hot_team_stats();
-    assert!(after.spawned_regions > before.spawned_regions);
-    assert_eq!(after.pooled_regions, before.pooled_regions);
+    let stats = rt.hot_team_stats();
+    assert_eq!(stats.spawned_regions, 1);
+    assert_eq!(stats.pooled_regions, 0);
+    assert_eq!(stats.teams_created, 0, "no cache miss: the cache is off");
 }
 
 #[test]
 fn nested_regions_fall_back_to_spawning() {
     let _s = serial();
+    let rt = pooled_runtime();
+    let _in_rt = rt.enter();
     let before = hot_team_stats();
     let inner_hits = AtomicUsize::new(0);
     region::parallel_with(RegionConfig::new().threads(2), || {
@@ -98,6 +113,8 @@ fn nested_regions_fall_back_to_spawning() {
 #[test]
 fn cancelled_pooled_region_leaves_the_cache_clean() {
     let _s = serial();
+    let rt = pooled_runtime();
+    let _in_rt = rt.enter();
     for round in 0..3 {
         let r = region::try_parallel_with(RegionConfig::new().threads(4).cancellable(true), || {
             if thread_id() == 1 {
@@ -121,6 +138,8 @@ fn cancelled_pooled_region_leaves_the_cache_clean() {
 #[test]
 fn member_panic_does_not_poison_the_cache() {
     let _s = serial();
+    let rt = pooled_runtime();
+    let _in_rt = rt.enter();
     for round in 0..3 {
         let r = catch_unwind(AssertUnwindSafe(|| {
             region::parallel_with(RegionConfig::new().threads(4), || {
@@ -141,70 +160,171 @@ fn member_panic_does_not_poison_the_cache() {
 }
 
 #[test]
-fn stall_watchdog_fires_inside_a_pooled_region() {
+fn stall_watchdog_fires_whatever_the_team_source() {
     let _s = serial();
-    let before = hot_team_stats();
-    // Virtual time: a 5-minute deadline elapses in wall-clock
-    // microseconds. The hang is synchronisation-level (one member waits
-    // at a barrier round the rest never join), so the watchdog's
-    // force-cancel can wake it and the pooled team still fully joins.
-    let clock = VirtualClock::install();
-    let r = region::try_parallel_with(
+    let rt = pooled_runtime();
+    let _in_rt = rt.enter();
+    // The hang is synchronisation-level (one member waits at a barrier
+    // round the rest never join), so the watchdog's force-cancel can wake
+    // it and every join policy completes: the full join on a leased and
+    // on a fresh team, and the give-up join without giving up.
+    fn deadlock() {
+        barrier();
+        if thread_id() == 1 {
+            barrier();
+        }
+    }
+    let cfg = || {
         RegionConfig::new()
             .threads(3)
-            .stall_deadline(Duration::from_secs(300)),
-        || {
+            .stall_deadline(Duration::from_secs(300))
+    };
+    type Row = (
+        &'static str,
+        bool,
+        fn(RegionConfig) -> Result<(), RegionError>,
+    );
+    let rows: [Row; 3] = [
+        ("cached", true, |c| region::try_parallel_with(c, deadlock)),
+        ("pooled(false)", false, |c| {
+            region::try_parallel_with(c.pooled(false), deadlock)
+        }),
+        ("detached", false, |c| {
+            region::try_parallel_detached(c, deadlock)
+        }),
+    ];
+    for (name, cached, run) in rows {
+        let before = rt.hot_team_stats();
+        // Virtual time: a 5-minute deadline elapses in wall-clock
+        // microseconds.
+        let clock = VirtualClock::install();
+        let r = run(cfg());
+        drop(clock);
+        assert!(
+            matches!(r, Err(RegionError::Stalled { .. })),
+            "{name}: expected a stall diagnosis, got {r:?}"
+        );
+        let after = rt.hot_team_stats();
+        let (pooled, spawned) = (
+            after.pooled_regions - before.pooled_regions,
+            after.spawned_regions - before.spawned_regions,
+        );
+        assert_eq!(
+            (pooled, spawned),
+            if cached { (1, 0) } else { (0, 1) },
+            "{name}"
+        );
+        // The cache survives the stall.
+        let hits = AtomicUsize::new(0);
+        region::parallel_with(RegionConfig::new().threads(3), || {
+            hits.fetch_add(1, Ordering::SeqCst);
             barrier();
-            if thread_id() == 1 {
-                barrier();
+        });
+        assert_eq!(hits.load(Ordering::SeqCst), 3, "{name}");
+    }
+}
+
+thread_local! {
+    /// (RegionStart, RegionEnd) events emitted by this thread — both come
+    /// from the region's master, so sibling tests' regions count on their
+    /// own threads.
+    static REGION_EVENTS: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
+}
+
+struct CountRegionEvents;
+
+impl SchedHook for CountRegionEvents {
+    fn event(&self, ev: &HookEvent) {
+        REGION_EVENTS.with(|c| {
+            let (starts, ends) = c.get();
+            match ev {
+                HookEvent::RegionStart { .. } => c.set((starts + 1, ends)),
+                HookEvent::RegionEnd { .. } => c.set((starts, ends + 1)),
+                _ => {}
             }
-        },
-    );
-    drop(clock);
-    assert!(
-        matches!(r, Err(RegionError::Stalled { .. })),
-        "expected a stall diagnosis, got {r:?}"
-    );
-    let after = hot_team_stats();
-    assert!(
-        after.pooled_regions > before.pooled_regions,
-        "the stalled region should have run on a hot team"
-    );
-    // The cache survives the stall.
-    let hits = AtomicUsize::new(0);
-    region::parallel_with(RegionConfig::new().threads(3), || {
-        hits.fetch_add(1, Ordering::SeqCst);
-        barrier();
-    });
-    assert_eq!(hits.load(Ordering::SeqCst), 3);
+        });
+    }
 }
 
 #[test]
-fn explored_pooled_region_is_schedule_independent() {
+fn explored_region_is_schedule_independent_whatever_the_team_source() {
     let _s = serial();
-    let before = hot_team_stats();
-    let report =
-        check::Explorer::new()
+    struct State {
+        h: CriticalHandle,
+        total: AtomicUsize,
+    }
+    fn body(st: &State) {
+        st.h.run(|| {
+            st.total.fetch_add(thread_id() + 1, Ordering::SeqCst);
+        });
+        barrier();
+        st.total.fetch_add(10, Ordering::SeqCst);
+    }
+    let team = || RegionConfig::new().threads(2);
+    let no_pool_rt = Runtime::builder().pooled(false).build();
+    let user_pool = TeamPool::new(2);
+    // (name, regions entered per run, the run itself). Only the nested
+    // row's explored region is not the one the checker controls (it binds
+    // the outermost), so its interleavings differ from the other rows'.
+    type Run<'a> = &'a dyn Fn(&Arc<State>);
+    let rows: [(&str, usize, Run); 6] = [
+        ("cached", 1, &|st| {
+            region::parallel_with(team(), || body(st))
+        }),
+        ("pooled(false)", 1, &|st| {
+            region::parallel_with(team().pooled(false), || body(st))
+        }),
+        ("nested in a 1-thread region", 2, &|st| {
+            region::parallel_with(RegionConfig::new().threads(1), || {
+                region::parallel_with(team(), || body(st))
+            })
+        }),
+        ("pool-disabled runtime", 1, &|st| {
+            no_pool_rt.parallel_with(team(), || body(st))
+        }),
+        ("try_parallel_detached", 1, &|st| {
+            let st = Arc::clone(st);
+            region::try_parallel_detached(team(), move || body(&st)).expect("clean region")
+        }),
+        ("TeamPool", 1, &|st| user_pool.parallel(|| body(st))),
+    ];
+    let run_once = |run: Run| {
+        let st = Arc::new(State {
+            h: CriticalHandle::new(),
+            total: AtomicUsize::new(0),
+        });
+        run(&st);
+        assert_eq!(st.total.load(Ordering::SeqCst), 23);
+    };
+    let seeds = check::seeds_from_env(24);
+    let mut controlled_digests = None;
+    for (name, regions, run) in rows {
+        // One RegionStart/RegionEnd pair per region, seen natively.
+        REGION_EVENTS.set((0, 0));
+        hook::register(&CountRegionEvents);
+        run_once(run);
+        hook::unregister();
+        assert_eq!(REGION_EVENTS.get(), (regions, regions), "{name}");
+
+        let before = hot_team_stats();
+        let report = check::Explorer::new()
             .races(true)
-            .random(check::seeds_from_env(24), 0x407_7EA5, || {
-                let h = CriticalHandle::new();
-                let total = AtomicUsize::new(0);
-                region::parallel_with(RegionConfig::new().threads(2), || {
-                    h.run(|| {
-                        total.fetch_add(thread_id() + 1, Ordering::SeqCst);
-                    });
-                    barrier();
-                    total.fetch_add(10, Ordering::SeqCst);
-                });
-                assert_eq!(total.load(Ordering::SeqCst), 23);
-            });
-    report.assert_ok();
-    assert!(report.schedules() > 1);
-    let after = hot_team_stats();
-    assert!(
-        after.pooled_regions > before.pooled_regions,
-        "the explored region should still take the pooled path"
-    );
+            .random(seeds, 0x407_7EA5, || run_once(run));
+        report.assert_ok();
+        assert_eq!(report.schedules(), seeds, "{name}");
+        if name == "cached" {
+            assert!(
+                hot_team_stats().pooled_regions > before.pooled_regions,
+                "the explored region should still take the pooled path"
+            );
+        }
+        if regions == 1 {
+            // Same protocol, same seeds: the very same interleavings.
+            assert!(report.distinct_schedules() > 1, "{name}");
+            let digests = controlled_digests.get_or_insert_with(|| report.digests());
+            assert_eq!(&report.digests(), digests, "{name}");
+        }
+    }
 }
 
 #[test]
@@ -244,8 +364,8 @@ fn task_waiting_on_task_stays_live() {
 
 #[test]
 fn tasks_degrade_to_dedicated_threads_when_pool_disabled() {
-    let _s = serial();
-    runtime::set_pool_enabled(false);
+    let rt = Runtime::builder().pooled(false).build();
+    let _in_rt = rt.enter();
     let done = std::sync::Arc::new(AtomicUsize::new(0));
     let group = TaskGroup::new();
     for _ in 0..8 {
@@ -256,8 +376,9 @@ fn tasks_degrade_to_dedicated_threads_when_pool_disabled() {
     }
     group.wait();
     let f = task::spawn_future(|| 41 + 1);
-    let v = f.get();
-    runtime::set_pool_enabled(true);
+    assert_eq!(f.get(), 42);
     assert_eq!(done.load(Ordering::SeqCst), 8);
-    assert_eq!(v, 42);
+    let snap = rt.metrics_snapshot();
+    assert_eq!(snap.counter(obs::Counter::TaskSpawned), 9);
+    assert_eq!(snap.counter(obs::Counter::TaskPooled), 0);
 }

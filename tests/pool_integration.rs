@@ -128,11 +128,13 @@ fn pool_runs_jgf_kernel() {
 
 #[test]
 fn user_owned_pool_is_distinct_from_the_runtime_cache() {
-    // `TeamPool::parallel` dispatches to the pool the user constructed —
-    // it must neither consult nor count against the runtime's hot-team
-    // cache (whose counters only move for `region::parallel*` entries).
+    // `TeamPool::parallel` runs on the pool's own private runtime — it
+    // must neither consult nor count against the cache of the runtime the
+    // caller has entered.
     let pool = TeamPool::new(6);
-    let before = aomp::pool::hot_team_stats();
+    let ambient = Runtime::builder().build();
+    let _in_ambient = ambient.enter();
+    let before = ambient.hot_team_stats();
     for _ in 0..5 {
         let hits = AtomicUsize::new(0);
         pool.parallel(|| {
@@ -141,9 +143,9 @@ fn user_owned_pool_is_distinct_from_the_runtime_cache() {
         });
         assert_eq!(hits.load(Ordering::SeqCst), 6);
     }
-    let after = aomp::pool::hot_team_stats();
     assert_eq!(
-        after.pooled_regions, before.pooled_regions,
-        "TeamPool::parallel must not be counted as a cached-region entry"
+        ambient.hot_team_stats(),
+        before,
+        "TeamPool::parallel must not move the entered runtime's counters"
     );
 }

@@ -150,8 +150,19 @@ fn dropping_a_runtime_joins_its_threads() {
     rt.spawn(move || tx.send(()).unwrap());
     rx.recv_timeout(Duration::from_secs(10)).expect("task ran");
 
+    // Only the runtime's own threads (every team, executor and watchdog
+    // thread is named `aomp-…`): the process also grows libtest threads —
+    // the next test's is parked on `SERIAL` until this one returns.
+    let is_runtime_thread = |tid: &String| {
+        std::fs::read_to_string(format!("/proc/self/task/{tid}/comm"))
+            .is_ok_and(|comm| comm.starts_with("aomp-"))
+    };
     let during = live_tids();
-    let born: Vec<String> = during.difference(&before).cloned().collect();
+    let born: Vec<String> = during
+        .difference(&before)
+        .filter(|tid| is_runtime_thread(tid))
+        .cloned()
+        .collect();
     assert!(
         !born.is_empty(),
         "the runtime should have spawned pool/executor threads"
