@@ -7,22 +7,25 @@
 //! arrival counter plus a per-round "sense" bit, so the barrier is
 //! reusable across an unbounded number of rounds without re-initialisation.
 //!
-//! Threads spin briefly and then park on a condition variable. The spin is
-//! deliberately short: on oversubscribed hosts (including the single-core
-//! CI container this reproduction runs on) long spinning starves the very
-//! thread being waited for.
+//! Waiters go through the one team wait ([`wait`](crate::wait)): they poll
+//! the sense for a bounded budget — a round of a balanced team ends well
+//! inside it, and a parked thread costs tens of microseconds to wake —
+//! and park on the condition variable only past it, or at once when this
+//! barrier's last round outlasted the budget or a scheduler hook is
+//! registered.
 //!
 //! All parked waits are *bounded*: the park timeout caps how long a
 //! thread sleeps before re-checking the team's poison/cancel flags, so a
 //! panic, a [`cancel_team`](crate::ctx::cancel_team) or the stall
-//! watchdog can never leave siblings blocked forever. An explicit
+//! watchdog can never leave siblings blocked forever (a polling waiter
+//! reaches the same check when its budget runs out). An explicit
 //! deadline variant ([`wait_timeout`](SenseBarrier::wait_timeout)) lets a
 //! caller give up on a round entirely.
 //!
 //! With `AOMP_METRICS` on, every barrier entry through
-//! [`ctx::team_barrier`](crate::ctx) records its blocked time in the
-//! [`obs::Lat::WaitBarrier`](crate::obs::Lat) histogram and each
-//! member's round exit ticks
+//! [`ctx::team_barrier`](crate::ctx) records its blocked time (spin
+//! included) in the [`obs::Lat::WaitBarrier`](crate::obs::Lat) histogram
+//! and each member's round exit ticks
 //! [`obs::Counter::BarrierRounds`](crate::obs::Counter) — the wait-site
 //! registration path is the single chokepoint, so this module needs no
 //! probes of its own.
@@ -32,15 +35,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use crate::error::{self, WaitTimedOut};
-
-/// Iterations of busy-waiting before parking on the condition variable.
-const SPIN_LIMIT: u32 = 64;
-
-/// Park timeout: bounds how long a thread sleeps before re-checking the
-/// team poison/cancel flags, so a panic (or cancellation) elsewhere in
-/// the team cannot leave siblings blocked forever. The stall watchdog
-/// piggybacks on the same loop: waiters re-register liveness every tick.
-pub(crate) const PARK_TIMEOUT: Duration = Duration::from_millis(5);
+use crate::wait::{self, Site};
 
 /// A reusable sense-reversing barrier for a fixed-size team.
 #[derive(Debug)]
@@ -50,6 +45,7 @@ pub struct SenseBarrier {
     sense: AtomicBool,
     lock: Mutex<()>,
     cv: Condvar,
+    site: Site,
 }
 
 impl SenseBarrier {
@@ -62,6 +58,7 @@ impl SenseBarrier {
             sense: AtomicBool::new(false),
             lock: Mutex::new(()),
             cv: Condvar::new(),
+            site: Site::default(),
         }
     }
 
@@ -144,44 +141,31 @@ impl SenseBarrier {
             self.cv.notify_all();
             Ok(true)
         } else {
-            for _ in 0..SPIN_LIMIT {
-                if self.sense.load(Ordering::Acquire) == local {
-                    return Ok(false);
-                }
-                std::hint::spin_loop();
-            }
-            // Slow path. `check` and `park` may block or unwind, so they
-            // run with no barrier lock held; the release path flips the
-            // sense under the lock, so re-checking the sense under the
-            // lock before any condvar wait (or retraction) makes wakeups
-            // loss-free and retractions sound.
-            loop {
-                if self.sense.load(Ordering::Acquire) == local {
-                    return Ok(false);
-                }
-                check();
-                if let Some(d) = deadline {
-                    if Instant::now() >= d {
-                        let _g = self.lock.lock();
-                        if self.sense.load(Ordering::Acquire) == local {
-                            return Ok(false);
-                        }
-                        // Retract our arrival: under the lock the round
-                        // provably has not been released, so the counter
+            let released = || self.sense.load(Ordering::Acquire) == local;
+            let expired = || deadline.is_some_and(|d| Instant::now() >= d);
+            wait::wait_until(
+                Some(&self.site),
+                (&self.lock, &self.cv),
+                || released() || expired(),
+                |_| {
+                    if released() {
+                        Some(Ok(false))
+                    } else if expired() {
+                        // Retract our arrival: the release path flips the
+                        // sense under the lock we hold, so the round
+                        // provably has not been released and the counter
                         // still includes us.
                         self.count.fetch_sub(1, Ordering::AcqRel);
-                        return Err(WaitTimedOut {
-                            timeout: timeout.unwrap(),
-                        });
+                        Some(Err(WaitTimedOut {
+                            timeout: timeout.expect("a deadline implies a timeout"),
+                        }))
+                    } else {
+                        None
                     }
-                }
-                if !park() {
-                    let mut g = self.lock.lock();
-                    if self.sense.load(Ordering::Acquire) != local {
-                        self.cv.wait_for(&mut g, PARK_TIMEOUT);
-                    }
-                }
-            }
+                },
+                Some(check),
+                park,
+            )
         }
     }
 
@@ -289,6 +273,22 @@ mod tests {
         assert!(r.is_err(), "no partner: the wait must time out");
         assert!(t0.elapsed() >= Duration::from_millis(30));
         // The timed-out arrival was retracted: a full round still works.
+        let b2 = Arc::clone(&b);
+        let h = std::thread::spawn(move || b2.wait());
+        let lead = b.wait();
+        let other = h.join().unwrap();
+        assert!(lead ^ other, "exactly one leader after recovery");
+    }
+
+    #[test]
+    fn wait_timeout_expiring_mid_spin_retracts_and_barrier_recovers() {
+        let b = Arc::new(SenseBarrier::new(2));
+        // Far inside the spin budget: the expiry is met by a spinning
+        // waiter, which must take the lock and retract all the same.
+        for _ in 0..3 {
+            assert!(b.wait_timeout(Duration::from_micros(10)).is_err());
+            assert_eq!(b.count.load(Ordering::Acquire), 0, "arrival retracted");
+        }
         let b2 = Arc::clone(&b);
         let h = std::thread::spawn(move || b2.wait());
         let lead = b.wait();

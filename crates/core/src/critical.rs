@@ -23,11 +23,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-use crate::barrier::PARK_TIMEOUT;
 use crate::ctx;
 use crate::error::WaitSite;
 use crate::hook::{self, HookEvent};
 use crate::obs;
+use crate::wait::PARK_TIMEOUT;
 
 /// A critical lock paired with a process-unique monotonic id. Hook events
 /// key locks by this id, never by address: a dropped-and-reallocated lock

@@ -418,7 +418,14 @@ pub(crate) struct CtxGuard {
 impl CtxGuard {
     pub fn enter(shared: Arc<TeamShared>, tid: usize) -> Self {
         let ctx = Rc::new(TeamCtx::new(Arc::clone(&shared), tid));
-        STACK.with(|s| s.borrow_mut().push(ctx));
+        let outermost = STACK.with(|s| {
+            let mut stack = s.borrow_mut();
+            stack.push(ctx);
+            stack.len() == 1
+        });
+        if outermost {
+            crate::wait::member_entered();
+        }
         // Make the team's runtime the enclosing one for everything this
         // member starts (nested regions, tasks) — on every member thread,
         // master and hot-team workers alike. This is what makes a
@@ -448,9 +455,14 @@ impl Drop for CtxGuard {
         if self.entered_rt {
             crate::runtime::pop_entered();
         }
-        STACK.with(|s| {
-            s.borrow_mut().pop();
+        let outermost = STACK.with(|s| {
+            let mut stack = s.borrow_mut();
+            stack.pop();
+            stack.is_empty()
         });
+        if outermost {
+            crate::wait::member_left();
+        }
         // Also fires during unwinds; the hook contract forbids panicking
         // from `event`, so this cannot double-panic.
         hook::emit(|| HookEvent::MemberEnd {

@@ -42,12 +42,12 @@ use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
 
-use crate::barrier::PARK_TIMEOUT;
 use crate::ctx;
 use crate::error::WaitSite;
 use crate::hook::{self, HookEvent};
 use crate::obs;
 use crate::range::LoopRange;
+use crate::wait::PARK_TIMEOUT;
 
 // ---------------------------------------------------------------------------
 // Tags and dependence clauses

@@ -93,6 +93,7 @@ pub mod schedule;
 pub mod sync;
 pub mod task;
 pub mod threadlocal;
+pub(crate) mod wait;
 pub mod workshare;
 
 pub use crate::runtime::{Runtime, RuntimeBuilder, RuntimeGuard};

@@ -254,6 +254,12 @@ counters! {
     ExecUnparks => "exec_unparks",
     /// Team cancellations requested.
     CancelsRequested => "cancels_requested",
+    /// Team waits (barrier, dispatch, join, broadcast, ordered) that the
+    /// spin phase caught before the thread parked.
+    WaitSpinHit => "wait_spin_hit",
+    /// Team waits that went on to park (spin budget spent, or no spin:
+    /// slow site, scheduler hook).
+    WaitParked => "wait_parked",
     /// Trace events dropped because a per-thread buffer filled up.
     TraceDropped => "trace_dropped",
     /// Serve: requests offered to a server's admission control.

@@ -3,11 +3,11 @@
 //!
 //! The paper's Figure 9 model has one region shape: the master wakes a
 //! team, runs the body itself, and joins. [`HotTeam`] is the only way team
-//! threads ever execute a region body here: `n − 1` workers parked on a
-//! condvar, woken with one region generation (dispatch), each running the
-//! member sequence — team context, body, exit classification — and
-//! signalling a done-counter the master joins on. The master half of the
-//! sequence lives once in [`region`](crate::region); what varies between
+//! threads ever execute a region body here: `n − 1` workers waiting (the
+//! spin-then-park [`wait`](crate::wait)) for one region generation
+//! (dispatch), each running the member sequence — team context, body,
+//! exit classification — and signalling a done-counter the master joins
+//! on. The master half of the sequence lives once in [`region`](crate::region); what varies between
 //! regions is only *where the team comes from*:
 //!
 //! * **leased** from the resolved [`Runtime`](crate::runtime::Runtime)'s
@@ -46,12 +46,14 @@
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crate::ctx::{CtxGuard, TeamShared};
 use crate::obs;
 use crate::region::{record_member_exit, RegionConfig};
 use crate::runtime::Runtime;
+use crate::wait::{self, Site};
 
 /// One region's body, as its members reach it.
 #[derive(Clone)]
@@ -79,29 +81,33 @@ pub(crate) type GiveUp<'a> = (&'a Arc<dyn Fn() + Send + Sync>, &'a mut dyn FnMut
 
 #[derive(Default)]
 struct Job {
-    generation: u64,
     work: Option<Work<'static>>,
     team: Option<Arc<TeamShared>>,
-    shutdown: bool,
 }
 
-/// The completion latch: how many workers finished the current
-/// generation, and whether the master gave up on it.
-#[derive(Default)]
-struct Done {
-    count: usize,
-    /// Set when a give-up join abandoned the team: a straggler's late
-    /// exit record is dropped rather than mutating a panic slot the
-    /// master already classified, and teardown detaches instead of joins.
-    closed: bool,
-}
+/// Low bit of [`HotShared::signal`]: no generation follows this one.
+const SHUTDOWN: u64 = 1;
 
 #[derive(Default)]
 struct HotShared {
     job: Mutex<Job>,
     start: Condvar,
-    done: Mutex<Done>,
+    /// `generation << 1 | SHUTDOWN`: all an idle worker polls. Stored
+    /// under the `job` lock, so a parked worker cannot miss a change, and
+    /// one word, so a worker never spins past a shutdown.
+    signal: AtomicU64,
+    idle: Site,
+    /// The completion latch: workers that finished the current
+    /// generation. Stored under the `closed` lock; the joining master
+    /// polls it.
+    done: AtomicUsize,
     done_cv: Condvar,
+    /// The latch's lock, and whether a give-up join abandoned the team:
+    /// a straggler's late exit is then dropped rather than counted or
+    /// recorded in a panic slot the master already classified, and
+    /// teardown detaches instead of joins.
+    closed: Mutex<bool>,
+    joining: Site,
 }
 
 /// A parked team of `size − 1` worker threads that executes one region
@@ -163,11 +169,15 @@ impl HotTeam {
         let work = unsafe { std::mem::transmute::<Work<'_>, Work<'static>>(work.clone()) };
         {
             let mut job = self.shared.job.lock();
-            job.generation += 1;
             job.work = Some(work);
             job.team = Some(Arc::clone(team));
-            // Workers take a pending generation before they look at this.
-            job.shutdown = self.single_use;
+            // Workers take a pending generation before they look at the
+            // shutdown bit.
+            let generation = (self.shared.signal.load(Ordering::Relaxed) >> 1) + 1;
+            self.shared.signal.store(
+                generation << 1 | u64::from(self.single_use),
+                Ordering::Release,
+            );
         }
         self.shared.start.notify_all();
     }
@@ -182,24 +192,32 @@ impl HotTeam {
     /// they co-own the body and their team state, and dropping this team
     /// then detaches them instead of joining.
     pub(crate) fn join_workers(&self, mut give_up: Option<GiveUp<'_>>) {
-        {
-            let mut done = self.shared.done.lock();
-            while done.count < self.workers() {
-                let Some((_body, give_up)) = give_up.as_mut() else {
-                    self.shared.done_cv.wait(&mut done);
-                    continue;
-                };
-                if give_up() {
-                    done.closed = true;
-                    return;
+        let shared = &*self.shared;
+        let all_done = || shared.done.load(Ordering::Acquire) == self.workers();
+        // The give-up join neither spins nor parks unbounded: nothing
+        // notifies this condvar when the watchdog declares the stall
+        // `give_up` looks for, so it is polled on the park tick.
+        let (site, tick): (_, Option<&dyn Fn()>) = match give_up {
+            None => (Some(&shared.joining), None),
+            Some(_) => (None, Some(&|| {})),
+        };
+        let joined = wait::wait_until(
+            site,
+            (&shared.closed, &shared.done_cv),
+            all_done,
+            |closed| {
+                if all_done() {
+                    shared.done.store(0, Ordering::Relaxed);
+                    return Some(true);
                 }
-                // Nothing notifies this condvar when the watchdog
-                // declares the stall `give_up` looks for: poll.
-                self.shared
-                    .done_cv
-                    .wait_for(&mut done, crate::barrier::PARK_TIMEOUT);
-            }
-            done.count = 0;
+                *closed = give_up.as_mut().is_some_and(|(_body, give_up)| give_up());
+                closed.then_some(false)
+            },
+            tick,
+            || false,
+        );
+        if !joined {
+            return;
         }
         // Clear the finished generation from the job slot: a cached idle
         // team must not keep the last region's `TeamShared` (watch state,
@@ -213,9 +231,12 @@ impl HotTeam {
 
 impl Drop for HotTeam {
     fn drop(&mut self) {
-        self.shared.job.lock().shutdown = true;
+        {
+            let _job = self.shared.job.lock();
+            self.shared.signal.fetch_or(SHUTDOWN, Ordering::Release);
+        }
         self.shared.start.notify_all();
-        if self.shared.done.lock().closed {
+        if *self.shared.closed.lock() {
             // Abandoned: a straggler wedged in user code may never come
             // back, so detach. Each exits on its own once it does.
             return;
@@ -229,22 +250,28 @@ impl Drop for HotTeam {
 fn worker_loop(shared: Arc<HotShared>, tid: usize) {
     let mut last_generation = 0u64;
     loop {
-        let (work, team) = {
-            let mut job = shared.job.lock();
-            loop {
-                if job.generation != last_generation {
-                    break;
+        // Anything but "my last generation, not shut down" ends the wait,
+        // so a single-use worker coming back from its one generation sees
+        // the shutdown at its first probe and never idle-spins.
+        let idle = last_generation << 1;
+        let next = wait::wait_until(
+            Some(&shared.idle),
+            (&shared.job, &shared.start),
+            || shared.signal.load(Ordering::Acquire) != idle,
+            |job| {
+                let signal = shared.signal.load(Ordering::Acquire);
+                if signal >> 1 == last_generation {
+                    return (signal & SHUTDOWN != 0).then_some(None);
                 }
-                if job.shutdown {
-                    return;
-                }
-                shared.start.wait(&mut job);
-            }
-            last_generation = job.generation;
-            (
-                job.work.clone().expect("job body set"),
-                job.team.clone().expect("job team set"),
-            )
+                last_generation = signal >> 1;
+                let work = job.work.clone().expect("job body set");
+                Some(Some((work, job.team.clone().expect("job team set"))))
+            },
+            None,
+            || false,
+        );
+        let Some((work, team)) = next else {
+            return;
         };
         // The member sequence: the ctx guard emits MemberStart/MemberEnd
         // hook events and makes cancellation points and wait-site
@@ -255,14 +282,15 @@ fn worker_loop(shared: Arc<HotShared>, tid: usize) {
             let _guard = CtxGuard::enter(Arc::clone(&team), tid);
             work.run();
         }));
-        let mut done = shared.done.lock();
-        if done.closed {
+        let closed = shared.closed.lock();
+        if *closed {
             // The master gave up and classified the region already.
             continue;
         }
         record_member_exit(&team, r);
-        done.count += 1;
-        if done.count == team.n - 1 {
+        let done = shared.done.fetch_add(1, Ordering::Release) + 1;
+        drop(closed);
+        if done == team.n - 1 {
             shared.done_cv.notify_all();
         }
     }
@@ -603,6 +631,69 @@ mod tests {
         });
         crate::runtime::set_parallel_enabled(true);
         assert_eq!(count.load(Ordering::SeqCst), 1);
+    }
+
+    /// A team of `size` that has just run a few empty generations: its
+    /// idle and join sites remember quick waits.
+    fn warm_team(size: usize) -> HotTeam {
+        let team = HotTeam::new(size, false).expect("spawn");
+        for _ in 0..20 {
+            let shared = Arc::new(TeamShared::new(size, 1));
+            let body = || {};
+            team.dispatch(&shared, &Work::Borrowed(&body));
+            team.join_workers(None);
+        }
+        team
+    }
+
+    #[test]
+    fn abandoned_straggler_leaves_the_latch_untouched() {
+        let team = HotTeam::new(2, true).expect("spawn");
+        let release = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let body: Arc<dyn Fn() + Send + Sync> = {
+            let release = Arc::clone(&release);
+            Arc::new(move || {
+                while !release.load(Ordering::Acquire) {
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                }
+                panic!("a straggler's late panic");
+            })
+        };
+        let shared = Arc::new(TeamShared::new(2, 1));
+        team.dispatch(&shared, &Work::Owned(Arc::clone(&body)));
+        team.join_workers(Some((&body, &mut || true)));
+        let hot = Arc::clone(&team.shared);
+        assert!(*hot.closed.lock(), "the give-up join closed the latch");
+        drop(team); // detaches: the straggler is still in the body
+        release.store(true, Ordering::Release);
+        // The straggler finds the latch closed, then the shutdown, and
+        // exits — dropping its handle on the shared state.
+        while Arc::strong_count(&hot) > 1 {
+            std::thread::yield_now();
+        }
+        assert_eq!(hot.done.load(Ordering::Acquire), 0, "no late bump");
+        assert!(shared.first_panic.lock().is_none(), "no late exit record");
+    }
+
+    #[test]
+    fn dropping_a_team_whose_workers_spin_joins_promptly() {
+        // Right after a quick generation the workers are polling for the
+        // next one: the shutdown must reach them there (or, parked, by
+        // notification), never be slept through.
+        for _ in 0..50 {
+            let team = warm_team(3);
+            let t0 = std::time::Instant::now();
+            drop(team);
+            assert!(t0.elapsed() < std::time::Duration::from_secs(2));
+        }
+    }
+
+    #[test]
+    fn latch_is_reset_at_every_hand_over() {
+        let team = warm_team(4);
+        assert_eq!(team.shared.done.load(Ordering::Acquire), 0);
+        assert_eq!(team.shared.signal.load(Ordering::Acquire), 20 << 1);
+        assert!(team.shared.job.lock().team.is_none());
     }
 
     #[test]

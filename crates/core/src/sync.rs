@@ -10,60 +10,58 @@
 
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Duration;
 
 use crate::ctx::{self, fresh_key};
 use crate::error::WaitSite;
 use crate::hook::{self, HookEvent};
-
-const PARK_TIMEOUT: Duration = Duration::from_millis(5);
+use crate::wait::{self, Site};
 
 /// Shared broadcast cell: the executing thread stores the value, the rest
 /// of the team blocks until it appears.
 struct BroadcastCell<T> {
     claimed: AtomicBool,
+    /// `value` is set: what waiters poll without the lock.
+    ready: AtomicBool,
     value: Mutex<Option<T>>,
     cv: Condvar,
+    site: Site,
 }
 
 impl<T> Default for BroadcastCell<T> {
     fn default() -> Self {
         Self {
             claimed: AtomicBool::new(false),
+            ready: AtomicBool::new(false),
             value: Mutex::new(None),
             cv: Condvar::new(),
+            site: Site::default(),
         }
     }
 }
 
 impl<T: Clone> BroadcastCell<T> {
     fn publish(&self, v: &T) {
-        *self.value.lock() = Some(v.clone());
+        {
+            let mut value = self.value.lock();
+            *value = Some(v.clone());
+            self.ready.store(true, Ordering::Release);
+        }
         self.cv.notify_all();
     }
 
     /// Block until the value is published. `check` runs on every park
     /// tick and aborts the wait by unwinding (poison/cancel), so a
-    /// broadcast whose executing thread died cannot strand the team.
-    /// `park` (the scheduler hook's blocked callback) is offered each
-    /// would-be park first; both run with the cell unlocked so they may
-    /// block or unwind freely.
+    /// broadcast whose executing thread died cannot strand the team;
+    /// `park` is the scheduler hook's blocked callback.
     fn await_value(&self, check: impl Fn(), park: impl Fn() -> bool) -> T {
-        loop {
-            {
-                let g = self.value.lock();
-                if let Some(v) = g.as_ref() {
-                    return v.clone();
-                }
-            }
-            check();
-            if !park() {
-                let mut g = self.value.lock();
-                if g.is_none() {
-                    self.cv.wait_for(&mut g, PARK_TIMEOUT);
-                }
-            }
-        }
+        wait::wait_until(
+            Some(&self.site),
+            (&self.value, &self.cv),
+            || self.ready.load(Ordering::Acquire),
+            |value| value.clone(),
+            Some(&check),
+            park,
+        )
     }
 }
 

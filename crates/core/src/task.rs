@@ -43,10 +43,10 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::barrier::PARK_TIMEOUT;
 use crate::ctx;
 use crate::error::{self, TaskPanicked, WaitSite, WaitTimedOut};
 use crate::hook::{self, HookEvent};
+use crate::wait::PARK_TIMEOUT;
 
 /// One-shot rendezvous cell: written once by the producer, consumed once
 /// by `get`.

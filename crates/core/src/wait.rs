@@ -1,0 +1,132 @@
+//! The team wait: spin briefly, then park — written once.
+//!
+//! Every wait a team thread performs on another team thread (a barrier
+//! round, an idle worker's next dispatch, the master's join, a broadcast
+//! value, an ordered turn) goes through [`wait_until`]. Waking a parked
+//! thread costs ~20 µs on a loaded host while most such waits end within
+//! a microsecond or two, so the wait first polls its condition for
+//! [`SPIN_BUDGET`] and only then takes the loss-free bounded park.
+//!
+//! How a wait spins follows from what the code can observe, never from a
+//! setting (DESIGN.md "Waiting policy"): a site whose last wait outlasted
+//! the budget parks at once ([`Site`]); a process running more team
+//! threads than it has CPUs yields between probes from the first one on
+//! (libgomp's managed-threads rule), because the thread waited for may
+//! need this very CPU; a registered scheduler hook disables polling, so
+//! a checker's decision trace is a function of the schedule alone.
+
+use parking_lot::{Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::OnceLock;
+use std::time::{Duration, Instant};
+
+use crate::obs::{self, Counter};
+
+/// Park timeout: bounds how long a thread sleeps before re-running its
+/// `check` (team poison/cancel flags), so a panic or cancellation
+/// elsewhere in the team cannot leave siblings blocked forever. The stall
+/// watchdog piggybacks on the same tick.
+pub(crate) const PARK_TIMEOUT: Duration = Duration::from_millis(5);
+
+/// How long a wait polls before it parks. Must exceed the park → wake
+/// round trip (20–40 µs on the 2-core reference host once loaded), or a
+/// parked wait could never look quick enough to turn polling back on.
+const SPIN_BUDGET: Duration = Duration::from_micros(100);
+
+/// Probes separated by a bare `spin_loop` hint before the spin starts
+/// yielding its time slice between probes (and reading the clock); none
+/// when the process is oversubscribed.
+const PURE_SPINS: u32 = 64;
+
+/// Threads inside a team context — region masters and workers running a
+/// body — process-wide, each counted once however deeply it is nested.
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+
+/// The calling thread entered its outermost team context.
+pub(crate) fn member_entered() {
+    LIVE.fetch_add(1, Ordering::Relaxed);
+}
+
+/// The calling thread left its outermost team context.
+pub(crate) fn member_left() {
+    LIVE.fetch_sub(1, Ordering::Relaxed);
+}
+
+/// The throttle: whether every running team thread can have a CPU.
+fn cpu_to_spare() -> bool {
+    static CPUS: OnceLock<usize> = OnceLock::new();
+    let cpus = CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from));
+    // A waiter outside any team context (an idle worker, a top-level
+    // master at its join) is not in `LIVE`: it counts itself.
+    let me = usize::from(crate::ctx::level() == 0);
+    LIVE.load(Ordering::Relaxed) + me <= *cpus
+}
+
+/// One wait site's history: its last wait outlasted [`SPIN_BUDGET`]. A
+/// heuristic shared by the site's waiters — relaxed, last writer wins.
+#[derive(Debug, Default)]
+pub(crate) struct Site(AtomicBool);
+
+/// Block until `take` yields a value. `take` runs under `lock` and is the
+/// wake condition proper: whoever makes it true does so under `lock`,
+/// then notifies `cv`. `probe` is its lock-free preview — it must turn
+/// true once `take` would succeed — and is all the spin phase touches.
+/// `check` runs before every park and aborts the wait by unwinding
+/// (poison/cancel); `park` (the scheduler hook's blocked callback) is
+/// offered each would-be park first. Both run with `lock` released, so
+/// they may block or unwind; re-running `take` under the lock right
+/// before the condvar wait is what makes wake-ups loss-free.
+/// `site: None` never polls; `check: None` says only a notification can
+/// end the wait, so it parks unbounded instead of ticking.
+pub(crate) fn wait_until<S, R>(
+    site: Option<&Site>,
+    (lock, cv): (&Mutex<S>, &Condvar),
+    probe: impl Fn() -> bool,
+    mut take: impl FnMut(&mut S) -> Option<R>,
+    check: Option<&dyn Fn()>,
+    park: impl Fn() -> bool,
+) -> R {
+    let poll = |take: &mut dyn FnMut(&mut S) -> Option<R>| {
+        probe().then(|| take(&mut lock.lock())).flatten()
+    };
+    if let Some(r) = poll(&mut take) {
+        return r;
+    }
+    let t0 = Instant::now();
+    if site.is_some_and(|s| !s.0.load(Ordering::Relaxed)) && !crate::hook::active() {
+        let mut probes = if cpu_to_spare() { 0 } else { PURE_SPINS };
+        while probes < PURE_SPINS || t0.elapsed() < SPIN_BUDGET {
+            if probes < PURE_SPINS {
+                probes += 1;
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
+            }
+            if let Some(r) = poll(&mut take) {
+                obs::count(Counter::WaitSpinHit);
+                return r;
+            }
+        }
+    }
+    obs::count(Counter::WaitParked);
+    let r = loop {
+        check.inspect(|check| check());
+        if !park() {
+            let mut g = lock.lock();
+            if let Some(r) = take(&mut g) {
+                break r;
+            }
+            match check {
+                Some(_) => drop(cv.wait_for(&mut g, PARK_TIMEOUT)),
+                None => cv.wait(&mut g),
+            }
+        }
+        if let Some(r) = poll(&mut take) {
+            break r;
+        }
+    };
+    if let Some(site) = site {
+        site.0.store(t0.elapsed() >= SPIN_BUDGET, Ordering::Relaxed);
+    }
+    r
+}

@@ -27,7 +27,7 @@
 
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::ctx::{self, fresh_key};
 use crate::error::WaitSite;
@@ -35,8 +35,7 @@ use crate::hook::{self, HookEvent};
 use crate::obs;
 use crate::range::LoopRange;
 use crate::schedule::{self, Schedule};
-
-const PARK_TIMEOUT: Duration = Duration::from_millis(5);
+use crate::wait::{self, Site};
 
 /// Shared dispenser for [`Schedule::Dynamic`]: the paper Figure 11
 /// `getTask()` counter.
@@ -177,41 +176,37 @@ impl AdaptiveShared {
 }
 
 /// Shared sequencing state for ordered sections.
-#[derive(Default)]
+#[derive(Debug, Default)]
 struct OrderedState {
-    next: Mutex<u64>,
+    /// The ticket whose turn it is; stored under `lock`, polled without.
+    next: AtomicU64,
+    lock: Mutex<()>,
     cv: Condvar,
+    site: Site,
 }
 
 impl OrderedState {
-    /// Block until it is `ticket`'s turn. `check` runs before the wait
-    /// and on every park tick; it aborts by unwinding (poison/cancel).
-    /// `park` (the scheduler hook's blocked callback) is offered each
-    /// would-be park first; both run with the sequencer unlocked so they
-    /// may block or unwind freely.
+    /// Block until it is `ticket`'s turn. `check` runs on every park
+    /// tick and aborts by unwinding (poison/cancel); `park` is the
+    /// scheduler hook's blocked callback.
     fn enter(&self, ticket: u64, check: impl Fn(), park: impl Fn() -> bool) {
-        loop {
-            {
-                let next = self.next.lock();
-                if *next == ticket {
-                    return;
-                }
-            }
-            check();
-            if !park() {
-                let mut next = self.next.lock();
-                if *next != ticket {
-                    self.cv.wait_for(&mut next, PARK_TIMEOUT);
-                }
-            }
-        }
+        let my_turn = || self.next.load(AtomicOrdering::Acquire) == ticket;
+        wait::wait_until(
+            Some(&self.site),
+            (&self.lock, &self.cv),
+            my_turn,
+            |_| my_turn().then_some(()),
+            Some(&check),
+            park,
+        )
     }
 
     fn exit(&self, ticket: u64) {
-        let mut next = self.next.lock();
-        debug_assert_eq!(*next, ticket);
-        *next = ticket + 1;
-        drop(next);
+        {
+            let _g = self.lock.lock();
+            debug_assert_eq!(self.next.load(AtomicOrdering::Relaxed), ticket);
+            self.next.store(ticket + 1, AtomicOrdering::Release);
+        }
         self.cv.notify_all();
     }
 }
@@ -620,14 +615,6 @@ pub struct Ordered {
     state: OrderedState,
 }
 
-impl std::fmt::Debug for OrderedState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("OrderedState")
-            .field("next", &*self.next.lock())
-            .finish()
-    }
-}
-
 impl Ordered {
     /// New sequencer expecting tickets from 0.
     pub fn new() -> Self {
@@ -665,6 +652,7 @@ mod tests {
     use crate::region::{parallel_with, RegionConfig};
     use parking_lot::Mutex as PlMutex;
     use std::sync::atomic::{AtomicI64, Ordering};
+    use std::time::Duration;
 
     fn run_for(schedule: Schedule, threads: usize, range: LoopRange) -> Vec<i64> {
         let seen = PlMutex::new(Vec::new());
