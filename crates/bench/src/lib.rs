@@ -232,41 +232,40 @@ impl ToJson for EntryOverhead {
     }
 }
 
-/// Time `iters` empty region entries per path at team size `threads`.
-/// Each path is warmed first (the pooled warm-up populates the hot-team
-/// cache; the spawn warm-up faults in thread stacks), so the numbers
-/// isolate steady-state entry cost — what a program paying region entry
-/// in a loop actually sees.
-pub fn measure_entry_overhead(threads: usize, iters: usize) -> EntryOverhead {
-    use aomp::region::{parallel_with, RegionConfig};
+/// Mean wall time, in nanoseconds, of `iters` empty region entries under
+/// `cfg`, after a warm-up (which populates the hot-team cache on the
+/// pooled path and faults in thread stacks on the spawn path), so the
+/// number isolates steady-state entry cost — what a program paying
+/// region entry in a loop actually sees.
+pub fn time_region_entries(cfg: &aomp::region::RegionConfig, iters: usize) -> f64 {
+    use aomp::region::parallel_with;
     use std::time::Instant;
+
+    for _ in 0..8.min(iters.max(1)) {
+        parallel_with(cfg.clone(), || {});
+    }
+    let t0 = Instant::now();
+    for _ in 0..iters {
+        // The per-iteration clone is two `Option` copies plus an
+        // `Option<Arc>` bump — noise next to the µs-scale entry cost
+        // it measures, and exactly what a caller reusing a config
+        // pays since `RegionConfig` stopped being `Copy`.
+        parallel_with(cfg.clone(), || {});
+    }
+    t0.elapsed().as_nanos() as f64 / iters.max(1) as f64
+}
+
+/// Time `iters` empty region entries per path at team size `threads`.
+pub fn measure_entry_overhead(threads: usize, iters: usize) -> EntryOverhead {
+    use aomp::region::RegionConfig;
 
     let pooled_cfg = RegionConfig::new().threads(threads);
     let spawn_cfg = RegionConfig::new().threads(threads).pooled(false);
-    let warmup = 8.min(iters.max(1));
-
-    let time_path = |cfg: RegionConfig| {
-        for _ in 0..warmup {
-            parallel_with(cfg.clone(), || {});
-        }
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            // The per-iteration clone is two `Option` copies plus an
-            // `Option<Arc>` bump — noise next to the µs-scale entry cost
-            // it measures, and exactly what a caller reusing a config
-            // pays since `RegionConfig` stopped being `Copy`.
-            parallel_with(cfg.clone(), || {});
-        }
-        t0.elapsed().as_nanos() as f64 / iters.max(1) as f64
-    };
-
-    let pooled_ns = time_path(pooled_cfg);
-    let spawn_ns = time_path(spawn_cfg);
     EntryOverhead {
         threads,
         iters,
-        pooled_ns,
-        spawn_ns,
+        pooled_ns: time_region_entries(&pooled_cfg, iters),
+        spawn_ns: time_region_entries(&spawn_cfg, iters),
     }
 }
 

@@ -2,19 +2,22 @@
 //!
 //! Production code paths read wall-clock time. A test that wants to
 //! exercise watchdog *logic* without waiting out (or flaking on) real
-//! deadlines installs a [`VirtualClock`]: watchdogs armed while it is
-//! held run on a process-global virtual counter that their own polls
-//! advance, so a 300 ms stall deadline elapses in microseconds of real
-//! time — and the test's outcome no longer depends on scheduler jitter
-//! (EXPERIMENTS.md documents ~2× timing noise on 1-core CI runners).
+//! deadlines installs a [`VirtualClock`]: regions that arm a deadline
+//! while it is held are watched on a process-global virtual counter that
+//! the watchdog's own polls advance, so a 300 ms stall deadline elapses
+//! in microseconds of real time — and the test's outcome no longer
+//! depends on scheduler jitter (EXPERIMENTS.md documents ~2× timing
+//! noise on 1-core CI runners).
 //!
 //! Two design rules keep concurrent tests sound:
 //!
-//! * **Mode is pinned at arm time.** A watchdog samples [`mode`] once
-//!   when it spawns and never mixes time bases: watchdogs armed outside
-//!   a virtual window are completely immune to one opening later.
+//! * **Mode is pinned at arm time.** A watched region samples [`mode`]
+//!   once, when it registers with its runtime's watchdog, and its
+//!   registry entry never mixes time bases: regions armed outside a
+//!   virtual window are completely immune to one opening later, even
+//!   though one thread sweeps both kinds.
 //! * **Virtual time never goes backwards.** The counter is only ever
-//!   advanced, never reset, so a virtual-mode watchdog that outlives its
+//!   advanced, never reset, so a virtual-mode entry that outlives its
 //!   window still sees monotonic time (its deltas just stop racing).
 //!
 //! Scope: only the watchdog's notion of "how long since the team last
@@ -25,8 +28,9 @@
 //! The clock stays process-global even though most other runtime state
 //! moved onto [`Runtime`](crate::Runtime) instances: it is a test-only
 //! guard (one virtual window at a time, enforced by [`SERIAL`]), and
-//! watchdogs are per-region with their time base pinned at arm time, so
-//! regions from different runtimes never mix bases within one window.
+//! each runtime's watchdog keeps a time base per watched region, pinned
+//! at arm time, so regions from different runtimes never mix bases
+//! within one window.
 
 use parking_lot::{Mutex, MutexGuard};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -44,7 +48,7 @@ fn epoch() -> Instant {
     *EPOCH.get_or_init(Instant::now)
 }
 
-/// The time base a watchdog runs on, sampled once when it arms.
+/// The time base a region is watched on, sampled once when it arms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ClockMode {
     /// Wall-clock time (production).
@@ -62,23 +66,22 @@ impl ClockMode {
             ClockMode::Virtual => Duration::from_nanos(VNOW.load(Ordering::Acquire)),
         }
     }
-
-    /// Watchdog poll sleep. Real mode really sleeps. Virtual mode
-    /// advances the counter by the requested duration (the watchdog is
-    /// its own pacemaker) and yields a sliver of real time so the poll
-    /// loop cannot monopolise a core between the state changes it polls.
-    pub(crate) fn sleep(self, d: Duration) {
-        match self {
-            ClockMode::Real => std::thread::sleep(d),
-            ClockMode::Virtual => {
-                VNOW.fetch_add(d.as_nanos() as u64, Ordering::AcqRel);
-                std::thread::sleep(Duration::from_micros(200));
-            }
-        }
-    }
 }
 
-/// The mode a watchdog arming right now should run on.
+/// The sliver of real time a watchdog thread sleeps between two polls of
+/// a virtual-mode region, so its sweep cannot monopolise a core between
+/// the state changes it polls.
+pub(crate) const VIRTUAL_YIELD: Duration = Duration::from_micros(200);
+
+/// Bring virtual time up to `t` (a no-op if it is already past): the
+/// watchdog thread is virtual time's pacemaker, and jumps to the next
+/// poll that is due instead of sleeping until it.
+pub(crate) fn advance_virtual_to(t: Duration) {
+    let nanos = u64::try_from(t.as_nanos()).unwrap_or(u64::MAX);
+    VNOW.fetch_max(nanos, Ordering::AcqRel);
+}
+
+/// The mode a region arming right now is watched on.
 pub(crate) fn mode() -> ClockMode {
     if VIRTUAL.load(Ordering::Acquire) {
         ClockMode::Virtual
@@ -95,15 +98,15 @@ pub struct VirtualClock {
 }
 
 impl VirtualClock {
-    /// Open a virtual-clock window: watchdogs armed until the guard
-    /// drops pace themselves on virtual time.
+    /// Open a virtual-clock window: regions that arm a stall deadline
+    /// until the guard drops are watched on virtual time.
     pub fn install() -> Self {
         let serial = SERIAL.lock();
         VIRTUAL.store(true, Ordering::Release);
         Self { _serial: serial }
     }
 
-    /// Advance virtual time by `d` (on top of the watchdogs'
+    /// Advance virtual time by `d` (on top of the watchdog's
     /// self-advancing polls).
     pub fn advance(&self, d: Duration) {
         VNOW.fetch_add(d.as_nanos() as u64, Ordering::AcqRel);
@@ -127,12 +130,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn virtual_sleeps_advance_without_real_time() {
+    fn virtual_time_advances_without_real_time() {
         let started = Instant::now();
         let clock = VirtualClock::install();
         assert_eq!(mode(), ClockMode::Virtual);
         let before = clock.now();
-        ClockMode::Virtual.sleep(Duration::from_secs(5));
+        advance_virtual_to(before + Duration::from_secs(5));
+        advance_virtual_to(before); // never backwards
         clock.advance(Duration::from_secs(5));
         assert!(clock.now() - before >= Duration::from_secs(10));
         assert!(started.elapsed() < Duration::from_secs(2));

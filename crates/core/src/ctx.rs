@@ -19,9 +19,10 @@
 //!
 //! The team also carries the *interrupt* state of the robustness layer:
 //! the poison flag (a member panicked), the cancel flag (OpenMP 4.0
-//! `cancel parallel`, see [`cancel_team`]) and — when a stall watchdog is
-//! armed — a per-member wait-site registry plus a team-wide progress
-//! counter that the watchdog reads to distinguish "slow" from "stuck".
+//! `cancel parallel`, see [`cancel_team`]) and — when the region carries
+//! a stall deadline — a per-member wait-site registry plus a team-wide
+//! progress counter that the runtime's watchdog reads to distinguish
+//! "slow" from "stuck".
 
 use parking_lot::Mutex;
 use std::any::Any;
@@ -60,8 +61,6 @@ pub(crate) struct WatchState {
     /// Set by the watchdog when it declares a stall; holds the blocked
     /// snapshot for [`RegionError::Stalled`](crate::error::RegionError).
     stalled: Mutex<Option<Vec<(usize, WaitSite)>>>,
-    /// Tells the watchdog thread the region has completed.
-    shutdown: AtomicBool,
 }
 
 impl WatchState {
@@ -70,7 +69,6 @@ impl WatchState {
             waiting: Mutex::new(vec![None; n]),
             progress: AtomicU64::new(0),
             stalled: Mutex::new(None),
-            shutdown: AtomicBool::new(false),
         }
     }
 }
@@ -312,20 +310,6 @@ impl TeamShared {
         self.watch
             .as_ref()
             .is_some_and(|w| w.stalled.lock().is_some())
-    }
-
-    /// Whether the watchdog (if any) was told the region completed.
-    pub fn watch_shutdown(&self) -> bool {
-        self.watch
-            .as_ref()
-            .is_some_and(|w| w.shutdown.load(Ordering::Acquire))
-    }
-
-    /// Tell the watchdog the region completed.
-    pub fn shutdown_watch(&self) {
-        if let Some(w) = &self.watch {
-            w.shutdown.store(true, Ordering::Release);
-        }
     }
 
     /// Team barrier entry with full interrupt handling: checked for

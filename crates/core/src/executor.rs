@@ -180,8 +180,14 @@ impl Executor {
                 Ok(h) => {
                     self.handles.lock().push(h);
                     self.enqueue(task);
-                    let g = self.inner.lock();
+                    let mut g = self.inner.lock();
                     self.pending.fetch_add(1, Ordering::Relaxed);
+                    // A worker that went idle during the spawn is whom
+                    // the notify below wakes for this task: promised, so
+                    // the next submission does not count it as spare.
+                    if g.idle > g.claims {
+                        g.claims += 1;
+                    }
                     drop(g);
                     self.cv.notify_one();
                     obs::count(Counter::TaskPooled);
@@ -392,6 +398,46 @@ mod tests {
         while done.load(Ordering::SeqCst) < 8 {
             assert!(t0.elapsed() < Duration::from_secs(30), "pool wedged");
             std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn every_admitted_task_gets_a_worker() {
+        // A worker that goes idle while the submitter is inside a thread
+        // spawn is woken for that submission's task; the next submission
+        // must not count it as spare capacity as well, or its task sits
+        // queued with every worker busy. Here a quick first task frees
+        // its worker in the middle of a burst of blocking tasks, each of
+        // which must start while the others still block.
+        const N: usize = 8;
+        for round in 0..1000 {
+            let ex = test_exec(N + 1);
+            ex.try_submit(Box::new(|| {}))
+                .ok()
+                .expect("the first worker");
+            let started = Arc::new(AtomicUsize::new(0));
+            let all_started = Arc::new(AtomicUsize::new(0));
+            for _ in 0..N {
+                let (started, all_started) = (Arc::clone(&started), Arc::clone(&all_started));
+                let admitted = ex.try_submit(Box::new(move || {
+                    started.fetch_add(1, Ordering::SeqCst);
+                    let t0 = std::time::Instant::now();
+                    while t0.elapsed() < Duration::from_secs(2) {
+                        if started.load(Ordering::SeqCst) == N {
+                            all_started.fetch_add(1, Ordering::SeqCst);
+                            return;
+                        }
+                        std::thread::sleep(Duration::from_micros(100));
+                    }
+                }));
+                assert!(admitted.is_ok(), "the pool may still grow");
+            }
+            ex.shutdown_and_join();
+            assert_eq!(
+                all_started.load(Ordering::SeqCst),
+                N,
+                "round {round}: a task waited for a busy worker"
+            );
         }
     }
 

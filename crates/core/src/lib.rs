@@ -94,6 +94,7 @@ pub mod sync;
 pub mod task;
 pub mod threadlocal;
 pub(crate) mod wait;
+pub(crate) mod watchdog;
 pub mod workshare;
 
 pub use crate::runtime::{Runtime, RuntimeBuilder, RuntimeGuard};

@@ -254,6 +254,9 @@ counters! {
     ExecUnparks => "exec_unparks",
     /// Team cancellations requested.
     CancelsRequested => "cancels_requested",
+    /// Regions a runtime's stall watchdog declared stalled and
+    /// force-cancelled (one tick per verdict).
+    RegionStalled => "region_stalled",
     /// Team waits (barrier, dispatch, join, broadcast, ordered) that the
     /// spin phase caught before the thread parked.
     WaitSpinHit => "wait_spin_hit",

@@ -8,13 +8,14 @@
 //! annotation (crate `aomp-macros`) both dispatch into.
 //!
 //! **One protocol, three team sources, two join policies.** Every region
-//! runs the same master sequence (`run_region` → `master_sequence`): arm
-//! the watchdog, wake the team (a [`pool`](crate::pool) hot-team
-//! dispatch), run the body as member 0, classify the exit, join the
-//! workers at a registered [`WaitSite::Join`], stop the watchdog. Team
-//! threads only ever execute a body through the hot-team worker loop, so
-//! context guards, hook events, cancellation points, wait sites and panic
-//! classification are the same code whatever the team's provenance:
+//! runs the same master sequence (`run_region` → `master_sequence`):
+//! register the stall deadline (if any) with the runtime's watchdog,
+//! wake the team (a [`pool`](crate::pool) hot-team dispatch), run the
+//! body as member 0, classify the exit, join the workers at a registered
+//! [`WaitSite::Join`], deregister. Team threads only ever execute a body
+//! through the hot-team worker loop, so context guards, hook events,
+//! cancellation points, wait sites and panic classification are the same
+//! code whatever the team's provenance:
 //!
 //! * **none** — a team of one (`threads(1)`, the parallel kill switch,
 //!   `only_if(false)`, `nested(false)` inside a region);
@@ -63,11 +64,14 @@
 //! broadcasts, task joins, explicit
 //! [`cancellation_point`](crate::ctx::cancellation_point)).
 //!
-//! [`RegionConfig::stall_deadline`] arms a watchdog thread that
-//! force-cancels the team when it stops making progress while members sit
-//! blocked in synchronisation primitives — converting a deadlock or a
-//! hung worker into a diagnosable [`RegionError::Stalled`] naming each
-//! blocked thread's wait site.
+//! [`RegionConfig::stall_deadline`] registers the region with its
+//! runtime's watchdog — one long-lived thread per
+//! [`Runtime`](crate::runtime::Runtime), so a watched region's entry
+//! costs a registry push, not a thread — which force-cancels the team
+//! when it stops making progress while members sit blocked in
+//! synchronisation primitives, converting a deadlock or a hung worker
+//! into a diagnosable [`RegionError::Stalled`] naming each blocked
+//! thread's wait site.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
@@ -484,7 +488,7 @@ fn run_region(cfg: RegionConfig, work: Work<'_>) -> RawOutcome {
         obs::count_always(counter);
     }
     rt.scope().bump(counter);
-    master_sequence(workers, &shared, deadline, &work);
+    master_sequence(workers, &shared, &rt, deadline, &work);
     drop(team);
     obs::region_done(t0, lat);
 
@@ -517,12 +521,15 @@ const STALL_GRACE: Duration = Duration::from_millis(100);
 fn master_sequence(
     workers: Option<&HotTeam>,
     shared: &Arc<TeamShared>,
+    rt: &runtime::Runtime,
     deadline: Option<Duration>,
     work: &Work<'_>,
 ) {
-    // Armed *before* dispatch so no panic (e.g. watchdog spawn failure)
-    // can unwind this frame between dispatch and join.
-    let _watchdog = deadline.map(|d| spawn_watchdog(Arc::clone(shared), d));
+    // Registered with the runtime's watchdog *before* dispatch, so no
+    // panic (the first arm starts the watchdog thread, which can fail)
+    // can unwind this frame between dispatch and join. The guard
+    // deregisters on every way out of this function.
+    let _armed = deadline.map(|d| rt.watchdog().arm(shared, d));
     if let Some(team) = workers {
         debug_assert_eq!(team.size(), shared.n);
         team.dispatch(shared, work);
@@ -554,63 +561,6 @@ fn master_sequence(
             }
         }
     }
-    shared.shutdown_watch(); // watchdog (if any) exits on its next tick
-}
-
-fn spawn_watchdog(shared: Arc<TeamShared>, deadline: Duration) -> std::thread::JoinHandle<()> {
-    // The time base is pinned here, before the thread starts: a watchdog
-    // armed outside a test's virtual-clock window stays on wall-clock
-    // time even if a window opens while it runs (see `clock`).
-    let clock = crate::clock::mode();
-    std::thread::Builder::new()
-        .name("aomp-watchdog".into())
-        .spawn(move || {
-            // Poll a few times per deadline. Real mode slices each poll
-            // so region completion ends the thread promptly; in virtual
-            // mode every sleep is already a ~200us real yield, so the
-            // slice is the whole poll interval (short virtual slices
-            // would just multiply yields without improving shutdown
-            // latency).
-            let poll = (deadline / 8).max(Duration::from_millis(1));
-            let slice = match clock {
-                crate::clock::ClockMode::Real => poll.min(Duration::from_millis(10)),
-                crate::clock::ClockMode::Virtual => poll,
-            };
-            let mut last_progress = shared.progress();
-            let mut last_change = clock.now();
-            loop {
-                let mut slept = Duration::ZERO;
-                while slept < poll {
-                    if shared.watch_shutdown() {
-                        return;
-                    }
-                    clock.sleep(slice);
-                    slept += slice;
-                }
-                if shared.watch_shutdown() {
-                    return;
-                }
-                let p = shared.progress();
-                if p != last_progress {
-                    last_progress = p;
-                    last_change = clock.now();
-                    continue;
-                }
-                if clock.now().saturating_sub(last_change) < deadline {
-                    continue;
-                }
-                let blocked = shared.blocked_snapshot();
-                if blocked.is_empty() {
-                    // No member parked in a library primitive: threads
-                    // are (presumably) computing. Not a stall we can
-                    // adjudicate — keep watching.
-                    continue;
-                }
-                shared.declare_stalled(blocked);
-                return;
-            }
-        })
-        .expect("failed to spawn aomp watchdog")
 }
 
 #[cfg(test)]

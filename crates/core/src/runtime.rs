@@ -30,10 +30,11 @@
 //! 3. the default runtime.
 //!
 //! Dropping the last handle to a runtime tears it down: the hot-team
-//! cache is closed (idle teams joined) and the executor workers are
-//! woken, drained and joined. In-flight regions keep their runtime alive
-//! through the master's frame, so teardown can only begin after they
-//! return.
+//! cache is closed (idle teams joined), the executor workers are woken,
+//! drained and joined, and the stall-watchdog thread (if a region ever
+//! armed a deadline) is joined. In-flight regions keep their runtime
+//! alive through the master's frame, so teardown can only begin after
+//! they return.
 //!
 //! ## Environment capture
 //!
@@ -60,6 +61,7 @@ use crate::executor::{self, Executor};
 use crate::obs;
 use crate::pool::{HotCache, HotLease, HotTeamStats};
 use crate::region::RegionConfig;
+use crate::watchdog::Watchdog;
 
 /// Environment variable controlling the default runtime's team size.
 /// Captured once at default-runtime construction; explicitly built
@@ -87,6 +89,9 @@ struct RuntimeInner {
     scope: Arc<obs::Scope>,
     cache: Arc<HotCache>,
     executor: Arc<Executor>,
+    /// Registry of this runtime's watched regions; its thread starts
+    /// with the first region that arms a stall deadline.
+    watchdog: Arc<Watchdog>,
 }
 
 impl Drop for RuntimeInner {
@@ -95,13 +100,16 @@ impl Drop for RuntimeInner {
         // (idle teams are parked, their join is prompt), then drain and
         // join the executor workers. A task blocked indefinitely in user
         // code delays this join — same contract as joining any pool.
+        // The watchdog goes last: no region is in flight (each keeps a
+        // handle), so its registry is empty and its thread parked.
         self.cache.close();
         self.executor.shutdown_and_join();
+        self.watchdog.shutdown_and_join();
     }
 }
 
 /// An isolated runtime instance: defaults, kill switches, hot-team
-/// cache, task executor and a metrics scope of its own.
+/// cache, task executor, stall watchdog and a metrics scope of its own.
 ///
 /// Cheap to clone (an `Arc` handle); equality is identity. Most programs
 /// never construct one — the free functions in this module and the
@@ -320,6 +328,10 @@ impl Runtime {
         self.inner.cache.lease(size)
     }
 
+    pub(crate) fn watchdog(&self) -> &Arc<Watchdog> {
+        &self.inner.watchdog
+    }
+
     pub(crate) fn downgrade(&self) -> WeakRuntime {
         WeakRuntime(Arc::downgrade(&self.inner))
     }
@@ -455,6 +467,7 @@ impl RuntimeBuilder {
                 stall_nanos: AtomicU64::new(stall_nanos),
                 cache: HotCache::new(Arc::clone(&scope)),
                 executor: Executor::new(task_workers, Arc::clone(&scope)),
+                watchdog: Watchdog::new(Arc::clone(&scope)),
                 scope,
             }),
         }

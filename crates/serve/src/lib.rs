@@ -54,6 +54,14 @@ use std::time::{Duration, Instant};
 /// deadline, covering watchdog diagnosis and unwind time.
 const WAIT_GRACE: Duration = Duration::from_secs(5);
 
+/// `at + budget`, saturating a century out where `Instant + Duration`
+/// would panic on overflow: an unbounded budget (`Duration::MAX`) is a
+/// legitimate way to say "no deadline".
+pub(crate) fn deadline_after(at: Instant, budget: Duration) -> Instant {
+    const NEVER: Duration = Duration::from_secs(100 * 365 * 24 * 3600);
+    at.checked_add(budget).unwrap_or_else(|| at + NEVER)
+}
+
 /// One tenant's capacity and policy knobs.
 #[derive(Debug, Clone)]
 pub struct TenantSpec {
@@ -293,7 +301,7 @@ impl ResponseHandle {
     /// fixed grace period (the deadline itself is enforced server-side;
     /// the grace only covers watchdog diagnosis and unwind time).
     pub fn wait(self) -> Result<Output, ServeError> {
-        let bound = self.submitted + self.budget + WAIT_GRACE;
+        let bound = deadline_after(self.submitted, self.budget.saturating_add(WAIT_GRACE));
         match self.fut.get_by(bound) {
             Ok(outcome) => outcome,
             Err(WaitTimedOut { .. }) => Err(ServeError::Lost),
@@ -500,7 +508,7 @@ impl Server {
     /// drain, per-tenant counters satisfy
     /// `accepted == completed + deadline_missed + faulted`.
     pub fn drain(&self, timeout: Duration) -> bool {
-        let give_up = Instant::now() + timeout;
+        let give_up = deadline_after(Instant::now(), timeout);
         loop {
             if self
                 .inner
@@ -683,6 +691,32 @@ mod tests {
         assert!(srv.drain(Duration::from_secs(5)));
         let snap = srv.tenant_runtime(0).metrics_snapshot();
         assert_eq!(snap.counter(Counter::ServeDeadlineMissed), 1);
+    }
+
+    #[test]
+    fn unbounded_deadline_completes_with_balanced_books() {
+        // `Instant + Duration::MAX` overflows: the client-side wait bound
+        // and the executor-side join deadline both have to saturate, or
+        // the worker unwinds past `finish` and the books never balance.
+        let srv = small_server(4);
+        let work = [
+            Workload::SumRange { n: 50_000 },
+            Workload::Fanout {
+                parts: 4,
+                n: 50_000,
+            },
+        ];
+        for w in work {
+            let req = Request::new(w).deadline(Duration::MAX);
+            let out = srv.submit(0, req).expect("admitted").wait();
+            assert_eq!(out, Ok(srv.expected_output(w)));
+        }
+        assert!(srv.drain(Duration::MAX));
+        let snap = srv.tenant_runtime(0).metrics_snapshot();
+        assert_eq!(snap.counter(Counter::ServeAccepted), 2);
+        assert_eq!(snap.counter(Counter::ServeCompleted), 2);
+        assert_eq!(snap.counter(Counter::ServeDeadlineMissed), 0);
+        assert_eq!(snap.counter(Counter::ServeFaulted), 0);
     }
 
     #[test]

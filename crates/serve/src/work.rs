@@ -116,7 +116,7 @@ pub(crate) fn execute(
         .runtime(rt)
         .cancellable(true)
         .stall_deadline(remaining.max(Duration::from_millis(5)));
-    let deadline = Instant::now() + remaining;
+    let deadline = crate::deadline_after(Instant::now(), remaining);
     let result = region::try_parallel_with(cfg, || {
         if apply_fault(fault, remaining) {
             return;
@@ -209,7 +209,8 @@ fn apply_fault(fault: Option<Fault>, remaining: Duration) -> bool {
         // diagnosis. Bounded by wall clock so the region unwinds even if
         // the watchdog path is unavailable.
         Some(Fault::Stall) if thread_id() == team_size() - 1 => {
-            let give_up = Instant::now() + remaining + Duration::from_millis(100);
+            let slack = remaining.saturating_add(Duration::from_millis(100));
+            let give_up = crate::deadline_after(Instant::now(), slack);
             while Instant::now() < give_up {
                 if cancellation_point().is_err() {
                     break;

@@ -7,7 +7,9 @@
 //! seeded, so every run replays the same per-request fault decisions.
 
 use aomp_check as check;
-use aomp_serve::{loadgen, Backoff, FaultPlan, Request, ServeError, Server, TenantSpec, Workload};
+use aomp_serve::{
+    loadgen, Backoff, DeadlineCause, FaultPlan, Request, ServeError, Server, TenantSpec, Workload,
+};
 use aomplib::runtime::obs::Counter;
 use std::time::{Duration, Instant};
 
@@ -288,6 +290,85 @@ fn fault_storm_leaves_server_live_and_books_balanced() {
         assert_eq!(v, srv.expected_output(w));
     }
     assert!(srv.drain(LONG));
+}
+
+/// A stall storm: 16 requests of one tenant wedge at once, so its one
+/// watchdog thread holds 16 deadlines that fall due together, while the
+/// neighbour serves clean traffic. Every verdict must arrive on time (one
+/// thread sweeping 16 entries must not serialise them — a late verdict
+/// lets the wedged member time out on its own and the request reads
+/// `FinishedLate`), the neighbour must not feel it, and the verdicts are
+/// attributed to the tenant whose watchdog gave them.
+#[test]
+fn stall_storm_in_one_tenant_is_diagnosed_on_time_and_stays_there() {
+    const STORM: usize = 16;
+    let deadline = Duration::from_millis(80);
+    let srv = Server::config()
+        .graph(512, 6, 8)
+        .tenant(
+            TenantSpec::new("stormy")
+                .threads(2)
+                .queue_capacity(STORM)
+                .default_deadline(deadline)
+                .faults(FaultPlan::none().seed(0x57A11).stall_fraction(1.0)),
+        )
+        .tenant(
+            TenantSpec::new("calm")
+                .threads(2)
+                .queue_capacity(4)
+                .default_deadline(LONG),
+        )
+        .build();
+    let before_calm = srv.tenant_runtime(1).metrics_snapshot();
+    let small = Workload::SumRange { n: 20_000 };
+    let started = Instant::now();
+    let storm: Vec<_> = (0..STORM)
+        .map(|_| srv.submit(0, Request::new(small)).expect("capacity 16"))
+        .collect();
+    let resolved = std::thread::scope(|s| {
+        let waiter = s.spawn(|| {
+            storm
+                .into_iter()
+                .map(|h| (h.wait(), started.elapsed()))
+                .collect::<Vec<_>>()
+        });
+        for _ in 0..200 {
+            let out = srv.submit(1, Request::new(small)).expect("admitted").wait();
+            assert_eq!(out, Ok(srv.expected_output(small)));
+        }
+        waiter.join().expect("storm waiter")
+    });
+    for (outcome, after) in resolved {
+        let stalled = ServeError::DeadlineExceeded {
+            budget: deadline,
+            cause: DeadlineCause::Stalled,
+        };
+        assert_eq!(outcome, Err(stalled));
+        assert!(after < 3 * deadline, "verdict after {after:?}");
+    }
+    assert!(srv.drain(LONG));
+    let stormy = srv.tenant_runtime(0).metrics_snapshot();
+    assert_eq!(stormy.counter(Counter::RegionStalled), STORM as u64);
+    assert_eq!(stormy.counter(Counter::ServeAccepted), STORM as u64);
+    assert_eq!(stormy.counter(Counter::ServeDeadlineMissed), STORM as u64);
+    assert_eq!(stormy.counter(Counter::ServeCompleted), 0);
+    assert_eq!(stormy.counter(Counter::ServeFaulted), 0);
+    check::oracle::check_tenant_isolation(
+        &before_calm,
+        &srv.tenant_runtime(1).metrics_snapshot(),
+        &[
+            (Counter::ServeAccepted, 200),
+            (Counter::ServeCompleted, 200),
+        ],
+        &[
+            Counter::ServeShed,
+            Counter::ServeFaulted,
+            Counter::ServeDeadlineMissed,
+            Counter::ServeFaultInjected,
+            Counter::RegionStalled,
+        ],
+    )
+    .expect("calm tenant perturbed by its neighbour's stall storm");
 }
 
 /// The closed-loop load generator against a two-tenant server: both
