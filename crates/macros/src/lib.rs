@@ -11,7 +11,7 @@
 //! | Paper annotation | Attribute |
 //! |---|---|
 //! | `@Parallel[(threads=n)]` | `#[parallel]`, `#[parallel(threads = 4)]`, `#[parallel(cancellable, stall_deadline_ms = 200)]` |
-//! | `@For[(schedule=…)]` | `#[for_loop]`, `#[for_loop(schedule = "staticCyclic")]`, `#[for_loop(schedule = "dynamic", chunk = 8)]` |
+//! | `@For[(schedule=…)]` | `#[for_loop]`, `#[for_loop(schedule = "staticCyclic")]`, `#[for_loop(schedule = "dynamic", chunk = 8)]` (see the schedule table below) |
 //! | `@Critical[(id=name)]` | `#[critical]`, `#[critical(id = "lockname")]` |
 //! | `@Critical` via flat combining | `#[replicated]`, `#[replicated(id = "name")]` |
 //! | `@BarrierBefore` / `@BarrierAfter` | `#[barrier_before]` / `#[barrier_after]` |
@@ -24,6 +24,26 @@
 //! `@ThreadLocalField`, `@Reduce`, `@Ordered`, `@Reader`/`@Writer` are
 //! data- or scope-coupled constructs: use the `aomp` runtime API or the
 //! pointcut style (`aomp-weaver`) for those.
+//!
+//! ## Schedules
+//!
+//! `#[for_loop]`'s `schedule`, `chunk` and `min_chunk` arguments are
+//! checked at expansion time by `aomp::schedule::Schedule::parse` — the
+//! one schedule grammar, shared with `AOMP_SCHEDULE` — so the spellings
+//! and aliases are exactly the ones it documents. Each schedule takes at
+//! most one numeric argument, under the name of the `Schedule` field it
+//! sets; a zero, a missing `chunk` on `blockCyclic`, or an argument the
+//! schedule does not take is a compile error that lists these forms:
+//!
+//! | `schedule =` | `chunk = n` | `min_chunk = n` |
+//! |---|---|---|
+//! | `"staticBlock"` (default; `"static_block"`, `"static"`) | error | error |
+//! | `"staticCyclic"` (`"static_cyclic"`, `"cyclic"`) | error | error |
+//! | `"dynamic"` | optional, default 1 | error |
+//! | `"guided"` | error | optional, default 1 |
+//! | `"blockCyclic"` (`"block_cyclic"`) | required | error |
+//! | `"adaptive"` | error | optional, default 1 |
+//! | `"runtime"` (`Schedule::from_env()` at first call) | error | error |
 //!
 //! ## Composition
 //!
@@ -58,56 +78,127 @@
 //! plain functions with simple identifier parameters — exactly the shape
 //! the paper's annotated *for methods* and activities take.
 
+use aomp::schedule::Schedule;
 use proc_macro::{Delimiter, Group, TokenStream, TokenTree};
 
-/// Emit a `compile_error!` with the given message.
-fn compile_err(msg: &str) -> TokenStream {
-    format!("compile_error!({msg:?});")
-        .parse()
-        .expect("compile_error parses")
+/// A function item split for rewriting: its header (attrs, visibility,
+/// signature) and its brace-delimited body — the last token of any `fn`
+/// item.
+struct FnItem {
+    header: Vec<TokenTree>,
+    /// Index in `header` of the parameter list: the first parenthesis
+    /// group after the `fn` keyword.
+    params_idx: usize,
+    body: Group,
 }
 
-/// Split a function item into its header (attrs, visibility, signature)
-/// and its brace-delimited body — the last token of any `fn` item.
-fn split_fn(item: TokenStream) -> Result<(Vec<TokenTree>, Group), String> {
-    let tokens: Vec<TokenTree> = item.into_iter().collect();
-    match tokens.split_last() {
-        Some((TokenTree::Group(g), rest)) if g.delimiter() == Delimiter::Brace => {
-            Ok((rest.to_vec(), g.clone()))
-        }
-        _ => Err("aomp attribute macros apply to functions with a body".to_owned()),
-    }
-}
-
-/// Index of the parameter-list group: the first parenthesis group after
-/// the `fn` keyword.
-fn param_group_index(header: &[TokenTree]) -> Result<usize, String> {
-    let mut seen_fn = false;
-    for (i, t) in header.iter().enumerate() {
-        match t {
-            TokenTree::Ident(id) if id.to_string() == "fn" => seen_fn = true,
-            TokenTree::Group(g) if seen_fn && g.delimiter() == Delimiter::Parenthesis => {
-                return Ok(i)
+impl FnItem {
+    fn parse(item: TokenStream) -> Result<Self, String> {
+        let mut header: Vec<TokenTree> = item.into_iter().collect();
+        let body = match header.pop() {
+            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => g,
+            _ => return Err("aomp attribute macros apply to functions with a body".to_owned()),
+        };
+        let mut seen_fn = false;
+        let params_idx = header.iter().position(|t| match t {
+            TokenTree::Ident(id) if id.to_string() == "fn" => {
+                seen_fn = true;
+                false
             }
-            _ => {}
-        }
+            TokenTree::Group(g) => seen_fn && g.delimiter() == Delimiter::Parenthesis,
+            _ => false,
+        });
+        let params_idx = params_idx.ok_or("aomp: could not find the function parameter list")?;
+        Ok(Self {
+            header,
+            params_idx,
+            body,
+        })
     }
-    Err("aomp: could not find the function parameter list".to_owned())
-}
 
-/// The `-> Type` return tokens after the parameter list, if any, as
-/// `(arrow_index, type_string)`.
-fn return_type(header: &[TokenTree], params_idx: usize) -> Option<(usize, String)> {
-    let rest = &header[params_idx + 1..];
-    for (off, pair) in rest.windows(2).enumerate() {
-        if let (TokenTree::Punct(a), TokenTree::Punct(b)) = (&pair[0], &pair[1]) {
-            if a.as_char() == '-' && b.as_char() == '>' {
-                let ty: TokenStream = rest[off + 2..].iter().cloned().collect();
-                return Some((params_idx + 1 + off, ty.to_string()));
+    /// The `-> Type` return tokens after the parameter list, if any, as
+    /// `(arrow_index, type_string)`.
+    fn return_type(&self) -> Option<(usize, String)> {
+        let rest = &self.header[self.params_idx + 1..];
+        for (off, pair) in rest.windows(2).enumerate() {
+            if let (TokenTree::Punct(a), TokenTree::Punct(b)) = (&pair[0], &pair[1]) {
+                if a.as_char() == '-' && b.as_char() == '>' {
+                    let ty: TokenStream = rest[off + 2..].iter().cloned().collect();
+                    return Some((self.params_idx + 1 + off, ty.to_string()));
+                }
             }
         }
+        None
     }
-    None
+
+    /// Fail with `why` if the function returns a value.
+    fn require_unit(&self, why: &str) -> Result<(), String> {
+        match self.return_type() {
+            Some(_) => Err(why.to_owned()),
+            None => Ok(()),
+        }
+    }
+
+    /// Names of the first three non-receiver parameters — a for method's
+    /// `(start, end, step)` — the identifier before each top-level `:`.
+    fn loop_params(&self) -> Result<[String; 3], String> {
+        let TokenTree::Group(params) = &self.header[self.params_idx] else {
+            unreachable!("params_idx indexes a group");
+        };
+        let tokens: Vec<TokenTree> = params.stream().into_iter().collect();
+        let mut names = Vec::new();
+        for seg in split_top_commas(&tokens) {
+            let colon = seg.iter().position(
+                |t| matches!(t, TokenTree::Punct(p) if p.as_char() == ':' && p.spacing() == proc_macro::Spacing::Alone),
+            );
+            let Some(colon) = colon else {
+                continue; // receiver (`self`, `&self`, …)
+            };
+            match &seg[..colon] {
+                [TokenTree::Ident(id)] => names.push(id.to_string()),
+                [TokenTree::Ident(m), TokenTree::Ident(id)] if m.to_string() == "mut" => {
+                    names.push(id.to_string())
+                }
+                _ => return Err("aomp for methods need simple identifier parameters".to_owned()),
+            }
+            if names.len() == 3 {
+                break; // later parameters may be any pattern
+            }
+        }
+        names.try_into().map_err(|_| {
+            "aomp: expected at least 3 loop-bound parameters (start, end, step)".to_owned()
+        })
+    }
+}
+
+/// One attribute expansion: split the function, let `new_body` write the
+/// statements of its new body (and adjust the header if it must), and
+/// re-emit it. Any `Err` becomes the `compile_error!` the user sees.
+fn expand(
+    item: TokenStream,
+    new_body: impl FnOnce(&mut FnItem) -> Result<String, String>,
+) -> TokenStream {
+    let expanded = FnItem::parse(item).and_then(|mut f| {
+        let body = new_body(&mut f)?;
+        let header: TokenStream = f.header.into_iter().collect();
+        format!("{header} {{ {body} }}")
+            .parse()
+            .map_err(|e| format!("aomp: generated code failed to parse: {e}"))
+    });
+    expanded.unwrap_or_else(|e| {
+        format!("compile_error!({e:?});")
+            .parse()
+            .expect("compile_error parses")
+    })
+}
+
+/// Statements binding `__aomp_site` to this call site's construct of
+/// type `ty`, built by `init` on first use.
+fn call_site(ty: &str, init: &str) -> String {
+    format!(
+        "static __AOMP_SITE: ::std::sync::OnceLock<{ty}> = ::std::sync::OnceLock::new();\n\
+         let __aomp_site = __AOMP_SITE.get_or_init(|| {init});\n"
+    )
 }
 
 /// Split a token slice on top-level commas. Commas inside groups are
@@ -137,34 +228,6 @@ fn split_top_commas(tokens: &[TokenTree]) -> Vec<Vec<TokenTree>> {
     out
 }
 
-/// Names of the first `n` non-receiver parameters (the identifier before
-/// each top-level `:`).
-fn leading_param_names(params: &Group, n: usize) -> Result<Vec<String>, String> {
-    let tokens: Vec<TokenTree> = params.stream().into_iter().collect();
-    let mut names = Vec::new();
-    for seg in split_top_commas(&tokens) {
-        let colon = seg.iter().position(
-            |t| matches!(t, TokenTree::Punct(p) if p.as_char() == ':' && p.spacing() == proc_macro::Spacing::Alone),
-        );
-        let Some(colon) = colon else {
-            continue; // receiver (`self`, `&self`, …)
-        };
-        match &seg[..colon] {
-            [TokenTree::Ident(id)] => names.push(id.to_string()),
-            [TokenTree::Ident(m), TokenTree::Ident(id)] if m.to_string() == "mut" => {
-                names.push(id.to_string())
-            }
-            _ => return Err("aomp for methods need simple identifier parameters".to_owned()),
-        }
-        if names.len() == n {
-            return Ok(names);
-        }
-    }
-    Err(format!(
-        "aomp: expected at least {n} loop-bound parameters (start, end, step)"
-    ))
-}
-
 /// One parsed attribute argument: `name` or `name = <tokens>` (the value
 /// kept as raw source text, so arbitrary expressions pass through).
 struct AttrArg {
@@ -175,9 +238,6 @@ struct AttrArg {
 fn parse_attr_args(attr: TokenStream) -> Result<Vec<AttrArg>, String> {
     let tokens: Vec<TokenTree> = attr.into_iter().collect();
     let mut out = Vec::new();
-    if tokens.is_empty() {
-        return Ok(out);
-    }
     for seg in split_top_commas(&tokens) {
         let mut it = seg.into_iter();
         let name = match it.next() {
@@ -201,47 +261,44 @@ fn parse_attr_args(attr: TokenStream) -> Result<Vec<AttrArg>, String> {
     Ok(out)
 }
 
-fn int_value(arg: &AttrArg) -> Result<u64, String> {
-    let v = arg
-        .value
-        .as_deref()
-        .ok_or_else(|| format!("aomp: `{}` needs an integer value", arg.name))?;
-    v.replace('_', "")
-        .parse::<u64>()
-        .map_err(|_| format!("aomp: `{}` expects an integer, got `{v}`", arg.name))
+fn unknown_arg(attr: &str, arg: &str, expected: &str) -> String {
+    format!("aomp: unknown #[{attr}] argument `{arg}` (expected {expected})")
 }
 
-fn bool_value(arg: &AttrArg) -> Result<bool, String> {
-    match arg.value.as_deref() {
-        None => Ok(true),
-        Some("true") => Ok(true),
-        Some("false") => Ok(false),
-        Some(v) => Err(format!("aomp: `{}` expects a bool, got `{v}`", arg.name)),
+impl AttrArg {
+    /// The value as raw source text — an arbitrary expression.
+    fn expr(&self, what: &str) -> Result<&str, String> {
+        self.value
+            .as_deref()
+            .ok_or_else(|| format!("aomp: `{}` needs {what}", self.name))
     }
-}
 
-fn str_value(arg: &AttrArg) -> Result<String, String> {
-    let v = arg
-        .value
-        .as_deref()
-        .ok_or_else(|| format!("aomp: `{}` needs a string value", arg.name))?;
-    let v = v.trim();
-    if v.len() >= 2 && v.starts_with('"') && v.ends_with('"') {
-        Ok(v[1..v.len() - 1].to_owned())
-    } else {
-        Err(format!(
-            "aomp: `{}` expects a string literal, got `{v}`",
-            arg.name
-        ))
+    fn int(&self) -> Result<u64, String> {
+        let v = self.expr("an integer value")?;
+        v.replace('_', "")
+            .parse::<u64>()
+            .map_err(|_| format!("aomp: `{}` expects an integer, got `{v}`", self.name))
     }
-}
 
-/// Re-emit the function with `new_body` (statement text) as its body.
-fn rewrap(header: Vec<TokenTree>, new_body: &str) -> TokenStream {
-    let header_ts: TokenStream = header.into_iter().collect();
-    let src = format!("{header_ts} {{ {new_body} }}");
-    src.parse()
-        .unwrap_or_else(|e| compile_err(&format!("aomp: generated code failed to parse: {e}")))
+    fn bool(&self) -> Result<bool, String> {
+        match self.value.as_deref() {
+            None | Some("true") => Ok(true),
+            Some("false") => Ok(false),
+            Some(v) => Err(format!("aomp: `{}` expects a bool, got `{v}`", self.name)),
+        }
+    }
+
+    fn str(&self) -> Result<String, String> {
+        let v = self.expr("a string value")?.trim();
+        if v.len() >= 2 && v.starts_with('"') && v.ends_with('"') {
+            Ok(v[1..v.len() - 1].to_owned())
+        } else {
+            Err(format!(
+                "aomp: `{}` expects a string literal, got `{v}`",
+                self.name
+            ))
+        }
+    }
 }
 
 /// `@Parallel` — the function execution becomes a parallel region: a team
@@ -259,67 +316,106 @@ fn rewrap(header: Vec<TokenTree>, new_body: &str) -> TokenStream {
 /// expression is evaluated at call time and borrowed).
 #[proc_macro_attribute]
 pub fn parallel(attr: TokenStream, item: TokenStream) -> TokenStream {
-    let (header, body) = match split_fn(item) {
-        Ok(v) => v,
-        Err(e) => return compile_err(&e),
-    };
-    let args = match parse_attr_args(attr) {
-        Ok(v) => v,
-        Err(e) => return compile_err(&e),
-    };
-    let params_idx = match param_group_index(&header) {
-        Ok(i) => i,
-        Err(e) => return compile_err(&e),
-    };
-    if return_type(&header, params_idx).is_some() {
-        return compile_err(
+    expand(item, |f| {
+        f.require_unit(
             "#[parallel] regions cannot return a value (the paper's parallel regions are void)",
-        );
-    }
-    let mut cfg = String::new();
-    for arg in &args {
-        match arg.name.as_str() {
-            "threads" => match int_value(arg) {
-                Ok(t) => cfg.push_str(&format!("__aomp_cfg = __aomp_cfg.threads({t}usize);")),
-                Err(e) => return compile_err(&e),
-            },
-            "nested" => match bool_value(arg) {
-                Ok(n) => cfg.push_str(&format!("__aomp_cfg = __aomp_cfg.nested({n});")),
-                Err(e) => return compile_err(&e),
-            },
-            "only_if" => match &arg.value {
-                Some(e) => cfg.push_str(&format!("__aomp_cfg = __aomp_cfg.only_if({e});")),
-                None => return compile_err("aomp: `only_if` needs a value"),
-            },
-            "cancellable" => match bool_value(arg) {
-                Ok(c) => cfg.push_str(&format!("__aomp_cfg = __aomp_cfg.cancellable({c});")),
-                Err(e) => return compile_err(&e),
-            },
-            "stall_deadline_ms" => match int_value(arg) {
-                Ok(ms) => cfg.push_str(&format!(
-                    "__aomp_cfg = __aomp_cfg.stall_deadline(::std::time::Duration::from_millis({ms}u64));"
-                )),
-                Err(e) => return compile_err(&e),
-            },
-            "runtime" => match &arg.value {
-                Some(e) => {
-                    cfg.push_str(&format!("__aomp_cfg = __aomp_cfg.runtime(&({e}));"))
+        )?;
+        let mut cfg = "::aomp::region::RegionConfig::new()".to_owned();
+        for arg in parse_attr_args(attr)? {
+            let setter = match arg.name.as_str() {
+                "threads" => format!("threads({}usize)", arg.int()?),
+                "nested" => format!("nested({})", arg.bool()?),
+                "only_if" => format!("only_if({})", arg.expr("a value")?),
+                "cancellable" => format!("cancellable({})", arg.bool()?),
+                "stall_deadline_ms" => format!(
+                    "stall_deadline(::std::time::Duration::from_millis({}u64))",
+                    arg.int()?
+                ),
+                "runtime" => format!("runtime(&({}))", arg.expr("a value")?),
+                other => {
+                    let expected = "threads/nested/only_if/cancellable/stall_deadline_ms/runtime";
+                    return Err(unknown_arg("parallel", other, expected));
                 }
-                None => return compile_err("aomp: `runtime` needs a value"),
-            },
-            other => {
-                return compile_err(&format!(
-                    "aomp: unknown #[parallel] argument `{other}` (expected threads/nested/only_if/cancellable/stall_deadline_ms/runtime)"
-                ))
-            }
+            };
+            cfg.push_str(&format!(".{setter}"));
         }
+        Ok(format!(
+            "::aomp::region::parallel_with({cfg}, || {});",
+            f.body
+        ))
+    })
+}
+
+/// The name `#[for_loop]` gives the numeric argument of a schedule's
+/// spec — the name of the `Schedule` field it sets.
+fn numeric_arg(schedule: &Schedule) -> Option<&'static str> {
+    match schedule {
+        Schedule::StaticBlock | Schedule::StaticCyclic => None,
+        Schedule::Dynamic { .. } | Schedule::BlockCyclic { .. } => Some("chunk"),
+        Schedule::Guided { .. } | Schedule::Adaptive { .. } => Some("min_chunk"),
     }
-    let new_body = format!(
-        "#[allow(unused_mut)] let mut __aomp_cfg = ::aomp::region::RegionConfig::new();\n\
-         {cfg}\n\
-         ::aomp::region::parallel_with(__aomp_cfg, || {body});"
-    );
-    rewrap(header, &new_body)
+}
+
+/// `#[for_loop]`'s `schedule`/`chunk`/`min_chunk` arguments as the
+/// `Schedule` expression the expansion constructs. The arguments are
+/// lowered to the `"kind[,n]"` spec [`Schedule::parse`] reads — the only
+/// schedule grammar — so what it rejects fails here, at expansion time.
+fn schedule_expr(kind: &str, chunk: Option<u64>, min_chunk: Option<u64>) -> Result<String, String> {
+    let given: Vec<(&str, u64)> = [("chunk", chunk), ("min_chunk", min_chunk)]
+        .into_iter()
+        .filter_map(|(name, n)| Some((name, n?)))
+        .collect();
+    let schedule = match given[..] {
+        // OpenMP's `schedule(runtime)`: not a schedule but where to read one.
+        [] if kind == "runtime" => return Ok("::aomp::schedule::Schedule::from_env()".to_owned()),
+        [] => Schedule::parse(kind),
+        [(name, n)] => {
+            Schedule::parse(&format!("{kind},{n}")).filter(|s| numeric_arg(s) == Some(name))
+        }
+        _ => None,
+    };
+    // `schedule` names the kind alone: a whole spec in it is not a spelling.
+    if let Some(schedule) = schedule.filter(|_| !kind.contains(',')) {
+        return Ok(format!("::aomp::schedule::Schedule::{schedule:?}"));
+    }
+    let spelled: String = given
+        .iter()
+        .map(|(name, n)| format!(", {name} = {n}"))
+        .collect();
+    let forms: Vec<String> = [
+        Schedule::StaticBlock,
+        Schedule::StaticCyclic,
+        Schedule::DYNAMIC,
+        Schedule::GUIDED,
+        Schedule::BlockCyclic { chunk: 1 },
+        Schedule::ADAPTIVE,
+    ]
+    .iter()
+    .map(|s| match (s.name(), numeric_arg(s)) {
+        (name, None) => format!("{name:?}"),
+        (name, Some(arg)) if Schedule::parse(name).is_some() => format!("{name:?}[, {arg} = n]"),
+        (name, Some(arg)) => format!("{name:?}, {arg} = n"),
+    })
+    .collect();
+    Err(format!(
+        "aomp: `#[for_loop(schedule = {kind:?}{spelled})]` is not a schedule (expected schedule = {} | \"runtime\", with n >= 1)",
+        forms.join(" | ")
+    ))
+}
+
+/// The body of a *for method* (`#[for_loop]`, `#[taskloop]`): its first
+/// three parameters become the range the call site's construct — a `ty`
+/// built by `ctor` — hands out, and the original body the closure it
+/// runs over each piece.
+fn for_method(f: &FnItem, attr: &str, ty: &str, ctor: &str) -> Result<String, String> {
+    f.require_unit(&format!("#[{attr}] for methods cannot return a value"))?;
+    let [p0, p1, p2] = f.loop_params()?;
+    Ok(format!(
+        "{}let __aomp_range = ::aomp::range::LoopRange::new({p0} as i64, {p1} as i64, {p2} as i64);\n\
+         __aomp_site.execute(__aomp_range, |{p0}, {p1}, {p2}| {});",
+        call_site(ty, ctor),
+        f.body
+    ))
 }
 
 /// `@For` — the function is a *for method*: its first three `i64`
@@ -328,85 +424,60 @@ pub fn parallel(attr: TokenStream, item: TokenStream) -> TokenStream {
 ///
 /// Arguments: `schedule = "staticBlock" | "staticCyclic" | "dynamic" |
 /// "guided" | "blockCyclic" | "adaptive" | "runtime"` (default
-/// `staticBlock`), `chunk = <int>` (dynamic/blockCyclic),
-/// `min_chunk = <int>` (guided/adaptive), `nowait`.
+/// `staticBlock`), `chunk = <int>` (dynamic; required by blockCyclic),
+/// `min_chunk = <int>` (guided/adaptive), `nowait`. The schedule
+/// arguments are validated at expansion time by
+/// `aomp::schedule::Schedule::parse`: a zero, a missing required `chunk`
+/// or an argument the schedule does not take is a compile error (see the
+/// crate-level schedule table).
 #[proc_macro_attribute]
 pub fn for_loop(attr: TokenStream, item: TokenStream) -> TokenStream {
-    let (header, body) = match split_fn(item) {
-        Ok(v) => v,
-        Err(e) => return compile_err(&e),
-    };
-    let args = match parse_attr_args(attr) {
-        Ok(v) => v,
-        Err(e) => return compile_err(&e),
-    };
-    let mut schedule = String::from("staticBlock");
-    let mut chunk: u64 = 1;
-    let mut min_chunk: u64 = 1;
-    let mut nowait = false;
-    for arg in &args {
-        match arg.name.as_str() {
-            "schedule" => match str_value(arg) {
-                Ok(s) => schedule = s,
-                Err(e) => return compile_err(&e),
-            },
-            "chunk" => match int_value(arg) {
-                Ok(c) => chunk = c,
-                Err(e) => return compile_err(&e),
-            },
-            "min_chunk" => match int_value(arg) {
-                Ok(c) => min_chunk = c,
-                Err(e) => return compile_err(&e),
-            },
-            "nowait" => nowait = true,
-            other => return compile_err(&format!("aomp: unknown #[for_loop] argument `{other}`")),
+    expand(item, |f| {
+        let mut kind = Schedule::StaticBlock.name().to_owned();
+        let (mut chunk, mut min_chunk, mut nowait) = (None, None, "");
+        for arg in parse_attr_args(attr)? {
+            match arg.name.as_str() {
+                "schedule" => kind = arg.str()?,
+                "chunk" => chunk = Some(arg.int()?),
+                "min_chunk" => min_chunk = Some(arg.int()?),
+                "nowait" => nowait = ".nowait()",
+                other => {
+                    let expected = "schedule/chunk/min_chunk/nowait";
+                    return Err(unknown_arg("for_loop", other, expected));
+                }
+            }
         }
-    }
-    let sched_expr = match schedule.as_str() {
-        "staticBlock" | "static_block" | "static" => "::aomp::schedule::Schedule::StaticBlock".to_owned(),
-        "staticCyclic" | "static_cyclic" | "cyclic" => "::aomp::schedule::Schedule::StaticCyclic".to_owned(),
-        "dynamic" => format!("::aomp::schedule::Schedule::Dynamic {{ chunk: {chunk}u64 }}"),
-        "guided" => format!("::aomp::schedule::Schedule::Guided {{ min_chunk: {min_chunk}u64 }}"),
-        "blockCyclic" | "block_cyclic" => {
-            format!("::aomp::schedule::Schedule::BlockCyclic {{ chunk: {chunk}u64 }}")
+        let schedule = schedule_expr(&kind, chunk, min_chunk)?;
+        let ctor = format!("::aomp::workshare::ForConstruct::new({schedule}){nowait}");
+        for_method(f, "for_loop", "::aomp::workshare::ForConstruct", &ctor)
+    })
+}
+
+/// `#[critical]` and `#[replicated]`: the body is a section of the call
+/// site's own `ty` (`private`), or with `id = "name"` of the process-wide
+/// one `named` looks up.
+fn section(
+    attr: TokenStream,
+    item: TokenStream,
+    what: &str,
+    ty: &str,
+    private: &str,
+    named: &str,
+) -> TokenStream {
+    expand(item, |f| {
+        let mut init = private.to_owned();
+        for arg in parse_attr_args(attr)? {
+            match arg.name.as_str() {
+                "id" => init = format!("{named}({:?})", arg.str()?),
+                other => return Err(unknown_arg(what, other, "`id = \"name\"`")),
+            }
         }
-        "adaptive" => {
-            format!("::aomp::schedule::Schedule::Adaptive {{ min_chunk: {min_chunk}u64 }}")
-        }
-        "runtime" => "::aomp::schedule::Schedule::from_env()".to_owned(),
-        other => {
-            return compile_err(&format!(
-                "unknown schedule `{other}` (expected staticBlock/staticCyclic/dynamic/guided/blockCyclic/adaptive/runtime)"
-            ))
-        }
-    };
-    let params_idx = match param_group_index(&header) {
-        Ok(i) => i,
-        Err(e) => return compile_err(&e),
-    };
-    if return_type(&header, params_idx).is_some() {
-        return compile_err("#[for_loop] for methods cannot return a value");
-    }
-    let params = match &header[params_idx] {
-        TokenTree::Group(g) => g.clone(),
-        _ => unreachable!("param_group_index returns a group index"),
-    };
-    let names = match leading_param_names(&params, 3) {
-        Ok(v) => v,
-        Err(e) => return compile_err(&e),
-    };
-    let (p0, p1, p2) = (&names[0], &names[1], &names[2]);
-    let ctor = if nowait {
-        format!("::aomp::workshare::ForConstruct::new({sched_expr}).nowait()")
-    } else {
-        format!("::aomp::workshare::ForConstruct::new({sched_expr})")
-    };
-    let new_body = format!(
-        "static __AOMP_FOR: ::std::sync::OnceLock<::aomp::workshare::ForConstruct> = ::std::sync::OnceLock::new();\n\
-         let __aomp_range = ::aomp::range::LoopRange::new({p0} as i64, {p1} as i64, {p2} as i64);\n\
-         __AOMP_FOR.get_or_init(|| {ctor}).execute(__aomp_range, |{p0}, {p1}, {p2}| {body});"
-    );
-    rewrap(header, &new_body)
+        Ok(format!(
+            "{}__aomp_site.run(|| {})",
+            call_site(ty, &init),
+            f.body
+        ))
+    })
 }
 
 /// `@Critical` — the body executes in mutual exclusion. With
@@ -415,37 +486,14 @@ pub fn for_loop(attr: TokenStream, item: TokenStream) -> TokenStream {
 /// without an id, a lock private to this function.
 #[proc_macro_attribute]
 pub fn critical(attr: TokenStream, item: TokenStream) -> TokenStream {
-    let (header, body) = match split_fn(item) {
-        Ok(v) => v,
-        Err(e) => return compile_err(&e),
-    };
-    let args = match parse_attr_args(attr) {
-        Ok(v) => v,
-        Err(e) => return compile_err(&e),
-    };
-    let mut id: Option<String> = None;
-    for arg in &args {
-        match arg.name.as_str() {
-            "id" => match str_value(arg) {
-                Ok(s) => id = Some(s),
-                Err(e) => return compile_err(&e),
-            },
-            other => {
-                return compile_err(&format!(
-                    "aomp: unknown #[critical] argument `{other}` (expected `id = \"name\"`)"
-                ))
-            }
-        }
-    }
-    let handle = match &id {
-        Some(name) => format!("::aomp::critical::CriticalHandle::named({name:?})"),
-        None => "::aomp::critical::CriticalHandle::new()".to_owned(),
-    };
-    let new_body = format!(
-        "static __AOMP_CRIT: ::std::sync::OnceLock<::aomp::critical::CriticalHandle> = ::std::sync::OnceLock::new();\n\
-         __AOMP_CRIT.get_or_init(|| {handle}).run(|| {body})"
-    );
-    rewrap(header, &new_body)
+    section(
+        attr,
+        item,
+        "critical",
+        "::aomp::critical::CriticalHandle",
+        "::aomp::critical::CriticalHandle::new()",
+        "::aomp::critical::CriticalHandle::named",
+    )
 }
 
 /// `@Critical` served by flat combining — a scalable drop-in for
@@ -464,60 +512,31 @@ pub fn critical(attr: TokenStream, item: TokenStream) -> TokenStream {
 /// anyway. Bodies needing thread affinity should stay on `#[critical]`.
 #[proc_macro_attribute]
 pub fn replicated(attr: TokenStream, item: TokenStream) -> TokenStream {
-    let (header, body) = match split_fn(item) {
-        Ok(v) => v,
-        Err(e) => return compile_err(&e),
-    };
-    let args = match parse_attr_args(attr) {
-        Ok(v) => v,
-        Err(e) => return compile_err(&e),
-    };
-    let mut id: Option<String> = None;
-    for arg in &args {
-        match arg.name.as_str() {
-            "id" => match str_value(arg) {
-                Ok(s) => id = Some(s),
-                Err(e) => return compile_err(&e),
-            },
-            other => {
-                return compile_err(&format!(
-                    "aomp: unknown #[replicated] argument `{other}` (expected `id = \"name\"`)"
-                ))
-            }
-        }
-    }
-    let combiner = match &id {
-        Some(name) => format!("::aomp::nr::Combiner::named({name:?})"),
-        None => "::std::sync::Arc::new(::aomp::nr::Combiner::new())".to_owned(),
-    };
-    let new_body = format!(
-        "static __AOMP_REPL: ::std::sync::OnceLock<::std::sync::Arc<::aomp::nr::Combiner>> = ::std::sync::OnceLock::new();\n\
-         __AOMP_REPL.get_or_init(|| {combiner}).run(|| {body})"
-    );
-    rewrap(header, &new_body)
+    section(
+        attr,
+        item,
+        "replicated",
+        "::std::sync::Arc<::aomp::nr::Combiner>",
+        "::std::sync::Arc::new(::aomp::nr::Combiner::new())",
+        "::aomp::nr::Combiner::named",
+    )
 }
 
 /// `@BarrierBefore` — team barrier before the body executes.
 #[proc_macro_attribute]
 pub fn barrier_before(_attr: TokenStream, item: TokenStream) -> TokenStream {
-    let (header, body) = match split_fn(item) {
-        Ok(v) => v,
-        Err(e) => return compile_err(&e),
-    };
-    rewrap(header, &format!("::aomp::ctx::barrier();\n{body}"))
+    expand(item, |f| Ok(format!("::aomp::ctx::barrier();\n{}", f.body)))
 }
 
 /// `@BarrierAfter` — team barrier after the body completes.
 #[proc_macro_attribute]
 pub fn barrier_after(_attr: TokenStream, item: TokenStream) -> TokenStream {
-    let (header, body) = match split_fn(item) {
-        Ok(v) => v,
-        Err(e) => return compile_err(&e),
-    };
-    rewrap(
-        header,
-        &format!("let __aomp_result = {body};\n::aomp::ctx::barrier();\n__aomp_result"),
-    )
+    expand(item, |f| {
+        Ok(format!(
+            "let __aomp_result = {};\n::aomp::ctx::barrier();\n__aomp_result",
+            f.body
+        ))
+    })
 }
 
 /// `@Master` — only the team master executes the body. If the function
@@ -525,38 +544,25 @@ pub fn barrier_after(_attr: TokenStream, item: TokenStream) -> TokenStream {
 /// the return type must then be `Clone + Send + 'static`.
 #[proc_macro_attribute]
 pub fn master(_attr: TokenStream, item: TokenStream) -> TokenStream {
-    gate_macro(item, "::aomp::sync::Master")
+    gate(item, "::aomp::sync::Master")
 }
 
 /// `@Single` — the first-arriving team thread executes the body; a return
 /// value is broadcast to the team.
 #[proc_macro_attribute]
 pub fn single(_attr: TokenStream, item: TokenStream) -> TokenStream {
-    gate_macro(item, "::aomp::sync::Single")
+    gate(item, "::aomp::sync::Single")
 }
 
-fn gate_macro(item: TokenStream, construct: &str) -> TokenStream {
-    let (header, body) = match split_fn(item) {
-        Ok(v) => v,
-        Err(e) => return compile_err(&e),
-    };
-    let params_idx = match param_group_index(&header) {
-        Ok(i) => i,
-        Err(e) => return compile_err(&e),
-    };
-    let is_unit = return_type(&header, params_idx).is_none();
-    let new_body = if is_unit {
-        format!(
-            "static __AOMP_GATE: ::std::sync::OnceLock<{construct}> = ::std::sync::OnceLock::new();\n\
-             __AOMP_GATE.get_or_init(<{construct}>::new).run_nowait(|| {body});"
-        )
-    } else {
-        format!(
-            "static __AOMP_GATE: ::std::sync::OnceLock<{construct}> = ::std::sync::OnceLock::new();\n\
-             __AOMP_GATE.get_or_init(<{construct}>::new).run(|| {body})"
-        )
-    };
-    rewrap(header, &new_body)
+fn gate(item: TokenStream, construct: &str) -> TokenStream {
+    expand(item, |f| {
+        // Only a value needs the broadcast, and the barrier it implies.
+        let run = match f.return_type() {
+            None => format!("__aomp_site.run_nowait(|| {});", f.body),
+            Some(_) => format!("__aomp_site.run(|| {})", f.body),
+        };
+        Ok(call_site(construct, &format!("<{construct}>::new()")) + &run)
+    })
 }
 
 /// Parse `depend(in = EXPR, out = EXPR, inout = EXPR)` attribute tokens
@@ -565,31 +571,20 @@ fn gate_macro(item: TokenStream, construct: &str) -> TokenStream {
 /// str` name, `Tag::of(&x)`, `Tag::part("name", i)`, …).
 fn parse_depend_args(attr: TokenStream) -> Result<Vec<String>, String> {
     let tokens: Vec<TokenTree> = attr.into_iter().collect();
-    if tokens.is_empty() {
-        return Ok(Vec::new());
-    }
     let mut deps = Vec::new();
     for seg in split_top_commas(&tokens) {
         let [TokenTree::Ident(kw), TokenTree::Group(g)] = &seg[..] else {
             return Err("aomp: #[task] expects `depend(in = …, out = …, inout = …)`".to_owned());
         };
         if kw.to_string() != "depend" || g.delimiter() != Delimiter::Parenthesis {
-            return Err(format!(
-                "aomp: unknown #[task] argument `{kw}` (expected `depend(…)`)"
-            ));
+            return Err(unknown_arg("task", &kw.to_string(), "`depend(…)`"));
         }
-        let inner: Vec<TokenTree> = g.stream().into_iter().collect();
-        for clause in split_top_commas(&inner) {
-            let mut it = clause.into_iter();
-            let mode = match it.next() {
-                Some(TokenTree::Ident(id)) => id.to_string(),
-                other => {
-                    return Err(format!(
-                        "aomp: expected `in`/`out`/`inout` in depend(…), found {other:?}"
-                    ))
-                }
-            };
-            let ctor = match mode.as_str() {
+        let clauses = parse_attr_args(g.stream())?;
+        if clauses.is_empty() {
+            return Err("aomp: `depend(…)` lists at least one clause".to_owned());
+        }
+        for clause in clauses {
+            let ctor = match clause.name.as_str() {
                 "in" => "input",
                 "out" => "output",
                 "inout" => "inout",
@@ -599,24 +594,9 @@ fn parse_depend_args(attr: TokenStream) -> Result<Vec<String>, String> {
                     ))
                 }
             };
-            match it.next() {
-                Some(TokenTree::Punct(p)) if p.as_char() == '=' => {}
-                other => {
-                    return Err(format!(
-                        "aomp: expected `=` after depend mode `{mode}`, found {other:?}"
-                    ))
-                }
-            }
-            let expr: TokenStream = it.collect();
-            let expr = expr.to_string();
-            if expr.is_empty() {
-                return Err(format!("aomp: `depend({mode} = )` needs a tag expression"));
-            }
-            deps.push(format!("::aomp::deps::Dep::{ctor}({expr})"));
+            let tag = clause.expr("a tag expression")?;
+            deps.push(format!("::aomp::deps::Dep::{ctor}({tag})"));
         }
-    }
-    if deps.is_empty() {
-        return Err("aomp: `depend(…)` lists at least one clause".to_owned());
     }
     Ok(deps)
 }
@@ -634,29 +614,19 @@ fn parse_depend_args(attr: TokenStream) -> Result<Vec<String>, String> {
 /// `Tag::of(&x)`, `Tag::part("name", i)`.
 #[proc_macro_attribute]
 pub fn task(attr: TokenStream, item: TokenStream) -> TokenStream {
-    let (header, body) = match split_fn(item) {
-        Ok(v) => v,
-        Err(e) => return compile_err(&e),
-    };
-    let params_idx = match param_group_index(&header) {
-        Ok(i) => i,
-        Err(e) => return compile_err(&e),
-    };
-    if return_type(&header, params_idx).is_some() {
-        return compile_err("#[task] functions cannot return a value; use #[future_task]");
-    }
-    let deps = match parse_depend_args(attr) {
-        Ok(v) => v,
-        Err(e) => return compile_err(&e),
-    };
-    if deps.is_empty() {
-        return rewrap(header, &format!("::aomp::task::spawn(move || {body});"));
-    }
-    let list = deps.join(", ");
-    rewrap(
-        header,
-        &format!("::aomp::deps::spawn_depend(::std::vec![{list}], move || {body});"),
-    )
+    expand(item, |f| {
+        f.require_unit("#[task] functions cannot return a value; use #[future_task]")?;
+        let deps = parse_depend_args(attr)?;
+        Ok(if deps.is_empty() {
+            format!("::aomp::task::spawn(move || {});", f.body)
+        } else {
+            format!(
+                "::aomp::deps::spawn_depend(::std::vec![{}], move || {});",
+                deps.join(", "),
+                f.body
+            )
+        })
+    })
 }
 
 /// `taskloop` — the function is a *for method* (first three `i64`
@@ -670,50 +640,20 @@ pub fn task(attr: TokenStream, item: TokenStream) -> TokenStream {
 /// `grainsize`); defaults to the adaptive schedule's floor.
 #[proc_macro_attribute]
 pub fn taskloop(attr: TokenStream, item: TokenStream) -> TokenStream {
-    let (header, body) = match split_fn(item) {
-        Ok(v) => v,
-        Err(e) => return compile_err(&e),
-    };
-    let args = match parse_attr_args(attr) {
-        Ok(v) => v,
-        Err(e) => return compile_err(&e),
-    };
-    let mut ctor = "::aomp::deps::TaskloopConstruct::new()".to_owned();
-    for arg in &args {
-        match arg.name.as_str() {
-            "min_chunk" => match int_value(arg) {
-                Ok(c) => ctor.push_str(&format!(".min_chunk({c}u64)")),
-                Err(e) => return compile_err(&e),
-            },
-            other => {
-                return compile_err(&format!(
+    expand(item, |f| {
+        let mut ctor = "::aomp::deps::TaskloopConstruct::new()".to_owned();
+        for arg in parse_attr_args(attr)? {
+            match arg.name.as_str() {
+                "min_chunk" => ctor.push_str(&format!(".min_chunk({}u64)", arg.int()?)),
+                other => {
+                    return Err(format!(
                     "aomp: unknown #[taskloop] argument `{other}` (expected `min_chunk = <int>`)"
                 ))
+                }
             }
         }
-    }
-    let params_idx = match param_group_index(&header) {
-        Ok(i) => i,
-        Err(e) => return compile_err(&e),
-    };
-    if return_type(&header, params_idx).is_some() {
-        return compile_err("#[taskloop] for methods cannot return a value");
-    }
-    let params = match &header[params_idx] {
-        TokenTree::Group(g) => g.clone(),
-        _ => unreachable!("param_group_index returns a group index"),
-    };
-    let names = match leading_param_names(&params, 3) {
-        Ok(v) => v,
-        Err(e) => return compile_err(&e),
-    };
-    let (p0, p1, p2) = (&names[0], &names[1], &names[2]);
-    let new_body = format!(
-        "static __AOMP_TL: ::std::sync::OnceLock<::aomp::deps::TaskloopConstruct> = ::std::sync::OnceLock::new();\n\
-         let __aomp_range = ::aomp::range::LoopRange::new({p0} as i64, {p1} as i64, {p2} as i64);\n\
-         __AOMP_TL.get_or_init(|| {ctor}).execute(__aomp_range, |{p0}, {p1}, {p2}| {body});"
-    );
-    rewrap(header, &new_body)
+        for_method(f, "taskloop", "::aomp::deps::TaskloopConstruct", &ctor)
+    })
 }
 
 /// `@FutureTask` — calling the function spawns an activity computing the
@@ -723,23 +663,21 @@ pub fn taskloop(attr: TokenStream, item: TokenStream) -> TokenStream {
 /// `FutureTask<T>` in the rewritten signature.
 #[proc_macro_attribute]
 pub fn future_task(_attr: TokenStream, item: TokenStream) -> TokenStream {
-    let (header, body) = match split_fn(item) {
-        Ok(v) => v,
-        Err(e) => return compile_err(&e),
-    };
-    let params_idx = match param_group_index(&header) {
-        Ok(i) => i,
-        Err(e) => return compile_err(&e),
-    };
-    let Some((arrow_idx, ret_ty)) = return_type(&header, params_idx) else {
-        return compile_err(
-            "#[future_task] requires a return type; use #[task] for void activities",
-        );
-    };
-    let prefix: TokenStream = header[..arrow_idx].iter().cloned().collect();
-    let src = format!(
-        "{prefix} -> ::aomp::task::FutureTask<{ret_ty}> {{ ::aomp::task::spawn_future(move || -> {ret_ty} {body}) }}"
-    );
-    src.parse()
-        .unwrap_or_else(|e| compile_err(&format!("aomp: generated code failed to parse: {e}")))
+    expand(item, |f| {
+        let (arrow_idx, ret_ty) = f
+            .return_type()
+            .ok_or("#[future_task] requires a return type; use #[task] for void activities")?;
+        let future: TokenStream = format!("-> ::aomp::task::FutureTask<{ret_ty}>")
+            .parse()
+            .map_err(|e| format!("aomp: generated code failed to parse: {e}"))?;
+        f.header.truncate(arrow_idx);
+        f.header.extend(future);
+        Ok(format!(
+            "::aomp::task::spawn_future(move || -> {ret_ty} {})",
+            f.body
+        ))
+    })
 }
+
+#[cfg(test)]
+mod tests;

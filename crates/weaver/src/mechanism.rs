@@ -55,49 +55,20 @@ pub struct Mechanism {
 }
 
 pub(crate) enum MechanismKind {
-    Parallel {
-        threads: Option<usize>,
-        nested: Option<bool>,
-        cancellable: bool,
-        stall_deadline: Option<std::time::Duration>,
-        runtime: Option<aomp::Runtime>,
-    },
-    For {
-        construct: ForConstruct,
-    },
+    Parallel(RegionConfig),
+    For { construct: ForConstruct },
     BarrierBefore,
     BarrierAfter,
-    MasterGate {
-        construct: Master,
-    },
-    SingleGate {
-        construct: Single,
-    },
-    Critical {
-        handle: CriticalHandle,
-    },
-    Replicated {
-        combiner: Arc<Combiner>,
-    },
-    Reader {
-        rw: Arc<RwConstruct>,
-    },
-    Writer {
-        rw: Arc<RwConstruct>,
-    },
-    ReduceAfter {
-        action: Arc<dyn Fn() + Send + Sync>,
-    },
-    Custom {
-        advice: Arc<dyn CustomAdvice>,
-    },
-    Task {
-        group: DepGroup,
-        deps: Vec<Dep>,
-    },
-    Taskloop {
-        construct: TaskloopConstruct,
-    },
+    MasterGate { construct: Master },
+    SingleGate { construct: Single },
+    Critical { handle: CriticalHandle },
+    Replicated { combiner: Arc<Combiner> },
+    Reader { rw: Arc<RwConstruct> },
+    Writer { rw: Arc<RwConstruct> },
+    ReduceAfter { action: Arc<dyn Fn() + Send + Sync> },
+    Custom { advice: Arc<dyn CustomAdvice> },
+    Task { group: DepGroup, deps: Vec<Dep> },
+    Taskloop { construct: TaskloopConstruct },
 }
 
 impl std::fmt::Debug for Mechanism {
@@ -113,53 +84,42 @@ impl Mechanism {
     /// [`stall_deadline`](Self::stall_deadline).
     pub fn parallel() -> Self {
         Self {
-            kind: MechanismKind::Parallel {
-                threads: None,
-                nested: None,
-                cancellable: false,
-                stall_deadline: None,
-                runtime: None,
+            kind: MechanismKind::Parallel(RegionConfig::new()),
+        }
+    }
+
+    /// Apply `set` to the [`RegionConfig`] a [`parallel`](Self::parallel)
+    /// mechanism enters its regions with.
+    fn region(self, setter: &str, set: impl FnOnce(RegionConfig) -> RegionConfig) -> Self {
+        match self.kind {
+            MechanismKind::Parallel(cfg) => Self {
+                kind: MechanismKind::Parallel(set(cfg)),
             },
+            _ => panic!("{setter}() only applies to Mechanism::parallel()"),
         }
     }
 
     /// Set the team size of a [`parallel`](Self::parallel) mechanism —
     /// `@Parallel(threads = n)` / overriding `numThreads()`.
-    pub fn threads(mut self, n: usize) -> Self {
-        match &mut self.kind {
-            MechanismKind::Parallel { threads, .. } => *threads = Some(n),
-            _ => panic!("threads() only applies to Mechanism::parallel()"),
-        }
-        self
+    pub fn threads(self, n: usize) -> Self {
+        self.region("threads", |cfg| cfg.threads(n))
     }
 
     /// Control nesting of a [`parallel`](Self::parallel) mechanism.
-    pub fn nested(mut self, nested: bool) -> Self {
-        match &mut self.kind {
-            MechanismKind::Parallel { nested: n, .. } => *n = Some(nested),
-            _ => panic!("nested() only applies to Mechanism::parallel()"),
-        }
-        self
+    pub fn nested(self, nested: bool) -> Self {
+        self.region("nested", |cfg| cfg.nested(nested))
     }
 
     /// Allow [`aomp::ctx::cancel_team`] inside regions woven by this
     /// mechanism — OpenMP 4.0 requires cancellation to be activated.
-    pub fn cancellable(mut self) -> Self {
-        match &mut self.kind {
-            MechanismKind::Parallel { cancellable, .. } => *cancellable = true,
-            _ => panic!("cancellable() only applies to Mechanism::parallel()"),
-        }
-        self
+    pub fn cancellable(self) -> Self {
+        self.region("cancellable", |cfg| cfg.cancellable(true))
     }
 
     /// Arm the stall watchdog for regions woven by this mechanism — see
     /// [`RegionConfig::stall_deadline`].
-    pub fn stall_deadline(mut self, deadline: std::time::Duration) -> Self {
-        match &mut self.kind {
-            MechanismKind::Parallel { stall_deadline, .. } => *stall_deadline = Some(deadline),
-            _ => panic!("stall_deadline() only applies to Mechanism::parallel()"),
-        }
-        self
+    pub fn stall_deadline(self, deadline: std::time::Duration) -> Self {
+        self.region("stall_deadline", |cfg| cfg.stall_deadline(deadline))
     }
 
     /// Pin regions woven by this [`parallel`](Self::parallel) mechanism
@@ -167,12 +127,8 @@ impl Mechanism {
     /// [`RegionConfig::runtime`]. The handle is cheap to clone; the
     /// mechanism keeps the runtime alive for as long as the aspect is
     /// woven.
-    pub fn runtime(mut self, rt: &aomp::Runtime) -> Self {
-        match &mut self.kind {
-            MechanismKind::Parallel { runtime, .. } => *runtime = Some(rt.clone()),
-            _ => panic!("runtime() only applies to Mechanism::parallel()"),
-        }
-        self
+    pub fn runtime(self, rt: &aomp::Runtime) -> Self {
+        self.region("runtime", |cfg| cfg.runtime(rt))
     }
 
     /// `@For(schedule = …)` — work-share a for method across the team.
@@ -383,29 +339,31 @@ impl Mechanism {
         }
     }
 
-    /// Wrapping layer: lower layers are applied further out. Used by the
-    /// weaver to order composed mechanisms deterministically.
+    /// Wrapping layer (see [`layer`]): lower layers are applied further
+    /// out. The weaver sorts a join point's matched mechanisms by it,
+    /// stably, so bindings that tie keep their binding order.
     pub(crate) fn layer(&self) -> u8 {
         match self.kind {
-            MechanismKind::BarrierBefore => 0,
-            MechanismKind::Parallel { .. } => 1,
-            MechanismKind::MasterGate { .. } | MechanismKind::SingleGate { .. } => 2,
+            MechanismKind::BarrierBefore => layer::BARRIER_BEFORE,
+            MechanismKind::Parallel(_) => layer::PARALLEL,
+            MechanismKind::MasterGate { .. } | MechanismKind::SingleGate { .. } => layer::GATE,
             MechanismKind::Critical { .. }
             | MechanismKind::Replicated { .. }
             | MechanismKind::Reader { .. }
             | MechanismKind::Writer { .. }
-            | MechanismKind::Task { .. } => 3,
-            MechanismKind::Custom { .. } => 4,
-            MechanismKind::For { .. } | MechanismKind::Taskloop { .. } => 5,
-            MechanismKind::ReduceAfter { .. } => 6,
-            MechanismKind::BarrierAfter => 7,
+            | MechanismKind::Task { .. } => layer::LOCK,
+            MechanismKind::Custom { .. } => layer::CUSTOM,
+            MechanismKind::For { .. } => layer::FOR,
+            MechanismKind::Taskloop { .. } => layer::TASKLOOP,
+            MechanismKind::ReduceAfter { .. } => layer::REDUCE,
+            MechanismKind::BarrierAfter => layer::BARRIER_AFTER,
         }
     }
 
     /// Mechanism name for diagnostics and the Table-2 metadata.
     pub fn kind_name(&self) -> &'static str {
         match &self.kind {
-            MechanismKind::Parallel { .. } => "parallel",
+            MechanismKind::Parallel(_) => "parallel",
             MechanismKind::For { construct } => match construct.schedule() {
                 Schedule::StaticBlock => "for(staticBlock)",
                 Schedule::StaticCyclic => "for(staticCyclic)",
@@ -429,36 +387,29 @@ impl Mechanism {
         }
     }
 
+    /// The region configuration of a [`parallel`](Self::parallel)
+    /// mechanism.
     pub(crate) fn region_config(&self) -> Option<RegionConfig> {
         match &self.kind {
-            MechanismKind::Parallel {
-                threads,
-                nested,
-                cancellable,
-                stall_deadline,
-                runtime,
-            } => {
-                let mut cfg = RegionConfig::new();
-                if let Some(t) = threads {
-                    cfg = cfg.threads(*t);
-                }
-                if let Some(n) = nested {
-                    cfg = cfg.nested(*n);
-                }
-                if *cancellable {
-                    cfg = cfg.cancellable(true);
-                }
-                if let Some(d) = stall_deadline {
-                    cfg = cfg.stall_deadline(*d);
-                }
-                if let Some(rt) = runtime {
-                    cfg = cfg.runtime(rt);
-                }
-                Some(cfg)
-            }
+            MechanismKind::Parallel(cfg) => Some(cfg.clone()),
             _ => None,
         }
     }
+}
+
+/// The composition order, outermost first. `@For` sorts before
+/// `@Taskloop` because only the first work-share of a join point applies
+/// and the static schedule is the safer default.
+pub(crate) mod layer {
+    pub const BARRIER_BEFORE: u8 = 0;
+    pub const PARALLEL: u8 = 1;
+    pub const GATE: u8 = 2;
+    pub const LOCK: u8 = 3;
+    pub const CUSTOM: u8 = 4;
+    pub const FOR: u8 = 5;
+    pub const TASKLOOP: u8 = 6;
+    pub const REDUCE: u8 = 7;
+    pub const BARRIER_AFTER: u8 = 8;
 }
 
 #[cfg(test)]

@@ -11,25 +11,42 @@
 //! ## Composition order
 //!
 //! When several mechanisms match one join point they wrap it in a fixed,
-//! deterministic order (outermost first): barriers-before → parallel
-//! region → master/single gate → critical/reader/writer/task → custom
-//! advice → for/taskloop work-sharing → body; then reduce points (team barrier, master
-//! merges, team barrier) and barriers-after. Barriers bind to the team
-//! that is current where they execute: a `@BarrierBefore` on a parallel
-//! method synchronises the *enclosing* team (no-op outside any region).
+//! deterministic order, and this module says that order once. The four
+//! shims differ only in their leaf; each hands it to `dispatch`, which
+//! sorts the matched mechanisms by `Mechanism::layer` (stably, so ties
+//! keep binding order), drops the ones the mechanism × shape table
+//! (`applies`) calls inert, and runs what happens outside the team:
+//!
+//! 1. `@BarrierBefore`s — on the team current at the call, the
+//!    *enclosing* one (a no-op outside any region);
+//! 2. the `@Parallel` region, if any (the later binding wins);
+//! 3. per team member, `weave`, outermost first: the first
+//!    `@Master`/`@Single` gate (a second is inert) → `@Critical`/
+//!    `@Replicated`/`@Reader`/`@Writer`/`@Task` in binding order → custom
+//!    advice in binding order, each handing its (possibly rewritten)
+//!    range inward → the first work-share (`@For` before `@Taskloop`) →
+//!    the body;
+//! 4. per team member, the `@Reduce` points — outside the gate, inside
+//!    the region: team barrier, the master merges, team barrier;
+//! 5. `@BarrierAfter`s, on the enclosing team again.
+//!
+//! DESIGN.md carries the mechanism × join-point-shape table.
 
 use parking_lot::{Mutex, RwLock};
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use aomp::ctx;
 use aomp::range::LoopRange;
-use aomp::region::{parallel_with, RegionConfig};
+use aomp::region::parallel_with;
+use aomp::schedule::Schedule;
+use aomp::workshare::{ForConstruct, ForScope};
 
 use crate::aspect::AspectModule;
 use crate::joinpoint::{JoinPoint, JoinPointKind};
-use crate::mechanism::{Mechanism, MechanismKind};
+use crate::mechanism::{layer, Mechanism, MechanismKind};
 
 /// Identifies one deployment, for later [`Weaver::undeploy`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -127,7 +144,14 @@ impl Weaver {
     }
 
     fn record(&self, name: &str) {
-        *self.stats.lock().entry(name.to_owned()).or_insert(0) += 1;
+        let mut stats = self.stats.lock();
+        // Every matched dispatch on every team thread lands here:
+        // allocate the key on first sight only.
+        if let Some(count) = stats.get_mut(name) {
+            *count += 1;
+        } else {
+            stats.insert(name.to_owned(), 1);
+        }
     }
 
     /// Undeploy (unplug) a module. Returns it if it was deployed.
@@ -170,203 +194,221 @@ impl Weaver {
         f()
     }
 
-    /// Snapshot the mechanisms matching `jp`, sorted stably by layer.
-    /// Returns the owning module Arcs (kept alive for the dispatch) plus
-    /// `(module index, binding index)` pairs.
-    fn matched(&self, jp: &JoinPoint<'_>) -> (Vec<Arc<AspectModule>>, Vec<(usize, usize)>) {
+    /// Snapshot the bindings matching `jp` as `(module, binding index)`,
+    /// sorted stably by their mechanism's layer. Each pick keeps its
+    /// module alive for the dispatch.
+    fn matched(&self, jp: &JoinPoint<'_>) -> Vec<(Arc<AspectModule>, usize)> {
         let dep = self.deployed.read();
-        let mut modules = Vec::new();
-        let mut picks: Vec<(usize, usize)> = Vec::new();
-        for d in dep.iter() {
-            if !d.enabled.load(Ordering::Acquire) {
-                continue;
-            }
-            let mut used = false;
+        let mut picks = Vec::new();
+        for d in dep.iter().filter(|d| d.enabled.load(Ordering::Acquire)) {
             for (bi, b) in d.module.bindings().iter().enumerate() {
                 if b.pointcut.matches(jp) {
-                    if !used {
-                        modules.push(Arc::clone(&d.module));
-                        used = true;
-                    }
-                    picks.push((modules.len() - 1, bi));
+                    picks.push((Arc::clone(&d.module), bi));
                 }
             }
         }
-        picks.sort_by_key(|&(mi, bi)| modules[mi].bindings()[bi].mechanism.layer());
-        (modules, picks)
+        picks.sort_by_key(|(module, bi)| module.bindings()[*bi].mechanism.layer());
+        picks
     }
 }
 
-/// Phase-grouped view of the matched mechanisms.
-struct Plan<'a> {
-    pre_barriers: usize,
-    region: Option<RegionConfig>,
-    gate: Option<&'a MechanismKind>,
-    locks: Vec<&'a MechanismKind>,
-    customs: Vec<&'a MechanismKind>,
-    for_mech: Option<&'a aomp::workshare::ForConstruct>,
-    taskloop_mech: Option<&'a aomp::deps::TaskloopConstruct>,
-    reduces: Vec<&'a MechanismKind>,
-    post_barriers: usize,
+/// The mechanism × shape table. A join point's shape is its
+/// [`JoinPointKind`] plus, for a for method, whether its body is `scoped`
+/// (needs a [`ForScope`]). `true` when a mechanism bound to a join point
+/// of this shape applies, `false` when it is inert there; a binding that
+/// can mean nothing panics naming the join point. Every pair not listed
+/// applies.
+fn applies(mechanism: &Mechanism, jp: &JoinPoint<'_>, scoped: bool) -> bool {
+    match (&mechanism.kind, jp.kind) {
+        (MechanismKind::Parallel(_), JoinPointKind::Value) => panic!(
+            "@Parallel cannot apply to value-returning join point `{}` \
+             (parallel regions are void-like)",
+            jp.name
+        ),
+        (MechanismKind::Taskloop { .. }, JoinPointKind::ForMethod) if scoped => panic!(
+            "@Taskloop cannot apply to scoped for join point `{}` \
+             (a range task has no ForScope for its ordered sections; bind a @For)",
+            jp.name
+        ),
+        (
+            MechanismKind::For { .. } | MechanismKind::Taskloop { .. },
+            JoinPointKind::Plain | JoinPointKind::Value,
+        ) => false,
+        _ => true,
+    }
 }
 
-impl<'a> Plan<'a> {
-    fn build(mechs: impl Iterator<Item = &'a Mechanism>, jp: &JoinPoint<'_>) -> Self {
-        let mut plan = Plan {
-            pre_barriers: 0,
-            region: None,
-            gate: None,
-            locks: Vec::new(),
-            customs: Vec::new(),
-            for_mech: None,
-            taskloop_mech: None,
-            reduces: Vec::new(),
-            post_barriers: 0,
-        };
-        for m in mechs {
-            match &m.kind {
-                MechanismKind::BarrierBefore => plan.pre_barriers += 1,
-                MechanismKind::Parallel { .. } => {
-                    plan.region = m.region_config();
-                }
-                MechanismKind::MasterGate { .. } | MechanismKind::SingleGate { .. } => {
-                    if plan.gate.is_none() {
-                        plan.gate = Some(&m.kind);
-                    }
-                }
-                MechanismKind::Critical { .. }
-                | MechanismKind::Replicated { .. }
-                | MechanismKind::Reader { .. }
-                | MechanismKind::Writer { .. }
-                | MechanismKind::Task { .. } => {
-                    plan.locks.push(&m.kind);
-                }
-                MechanismKind::Custom { .. } => plan.customs.push(&m.kind),
-                MechanismKind::For { construct } => {
-                    if jp.kind == JoinPointKind::ForMethod && plan.for_mech.is_none() {
-                        plan.for_mech = Some(construct);
-                    }
-                    // A @For binding on a non-for join point is inert.
-                }
-                MechanismKind::Taskloop { construct } => {
-                    if jp.kind == JoinPointKind::ForMethod && plan.taskloop_mech.is_none() {
-                        plan.taskloop_mech = Some(construct);
-                    }
-                    // Inert off for methods, like @For. When both @For
-                    // and @Taskloop match, @For wins (it was bound at
-                    // the same layer; the static schedule is the safer
-                    // default) — see the dispatch in `call_for`.
-                }
-                MechanismKind::ReduceAfter { .. } => plan.reduces.push(&m.kind),
-                MechanismKind::BarrierAfter => plan.post_barriers += 1,
-            }
-        }
-        plan
-    }
+/// A gate step: run `inner` on the thread the `@Master`/`@Single` gate
+/// elects.
+type Gate<'a> = &'a dyn Fn(&MechanismKind, &mut dyn FnMut());
 
-    fn run_reduces_and_postbarriers(&self) {
-        for r in &self.reduces {
-            if let MechanismKind::ReduceAfter { action } = r {
-                ctx::barrier();
-                if ctx::thread_id() == 0 {
-                    action();
-                }
-                ctx::barrier();
-            }
+/// What a shim hands [`dispatch`]: its body as a leaf taking the
+/// (possibly rewritten) range and the work-share's scope, plus what only
+/// its shape can say about running it.
+#[derive(Clone, Copy)]
+enum Leaf<'a> {
+    /// `Fn + Sync`: any member of a team may run it. Gates elect without
+    /// a broadcast and `@Replicated` sections combine.
+    Team(&'a (dyn Fn(LoopRange, Option<&ForScope<'_>>) + Sync)),
+    /// Confined to the calling thread (a `FnOnce` whose result need not
+    /// be `Send`): `@Replicated` runs inline, and the shim supplies the
+    /// gate step because only it can name the broadcast type.
+    Caller {
+        gate: Gate<'a>,
+        leaf: &'a dyn Fn(LoopRange, Option<&ForScope<'_>>),
+    },
+}
+
+impl Leaf<'_> {
+    fn run(&self, range: LoopRange, scope: Option<&ForScope<'_>>) {
+        match self {
+            Leaf::Team(leaf) => leaf(range, scope),
+            Leaf::Caller { leaf, .. } => leaf(range, scope),
         }
     }
 }
 
-/// Recursively wrap `f` in the lock mechanisms, preserving binding order.
-///
-/// `combine` controls the `Replicated` mechanism: `true` lets a combiner
-/// batch the section onto another team thread (sound for the plain/for
-/// join-point paths, whose bodies are `Fn + Sync` and whose wrappers
-/// close only over `&`s to `Sync` weaver state), `false` forces inline
-/// execution on the calling thread (the value path, whose `FnOnce` and
-/// result need not be `Send`).
-fn wrap_locks<R>(locks: &[&MechanismKind], combine: bool, f: &mut dyn FnMut() -> R) -> R {
-    match locks.split_first() {
-        None => f(),
-        Some((l, rest)) => match l {
-            MechanismKind::Critical { handle } => handle.run(|| wrap_locks(rest, combine, f)),
-            MechanismKind::Replicated { combiner } => {
-                if combine {
-                    // SAFETY: everything reachable from `f` on these
-                    // paths is shared weaver state (`&`s to `Sync`
-                    // mechanisms, the join point, and the `Fn + Sync`
-                    // body) plus stack closures composed of the same —
-                    // all safe to run from the combining team thread
-                    // while this one parks. `R` is `()` on these paths.
-                    unsafe { combiner.run_unchecked(|| wrap_locks(rest, combine, f)) }
-                } else {
-                    combiner.run_inline(|| wrap_locks(rest, combine, f))
-                }
-            }
-            MechanismKind::Reader { rw } => rw.read(|| wrap_locks(rest, combine, f)),
-            MechanismKind::Writer { rw } => rw.write(|| wrap_locks(rest, combine, f)),
-            MechanismKind::Task { group, deps } => {
-                // The execution becomes an *undeferred* dependence node:
-                // wait for the predecessors the clauses imply, run the
-                // rest of the stack inline, release successors. Inline
-                // execution keeps this sound on every path (including
-                // the non-`Send` value path).
-                group.run_undeferred(deps.iter().copied(), || wrap_locks(rest, combine, f))
-            }
-            _ => unreachable!("non-lock mechanism in lock phase"),
-        },
-    }
-}
-
-/// Recursively wrap a plain body in custom advice.
-fn wrap_customs(customs: &[&MechanismKind], jp: &JoinPoint<'_>, f: &mut dyn FnMut()) {
-    match customs.split_first() {
-        None => f(),
-        Some((c, rest)) => match c {
-            MechanismKind::Custom { advice } => {
-                advice.around(jp, &mut || wrap_customs(rest, jp, f))
-            }
-            _ => unreachable!("non-custom mechanism in custom phase"),
-        },
-    }
-}
-
-/// Recursively wrap a for body in custom for-advice, threading the
-/// (possibly rewritten) range inward.
-fn wrap_customs_for(
-    customs: &[&MechanismKind],
-    jp: &JoinPoint<'_>,
-    range: LoopRange,
-    f: &mut dyn FnMut(i64, i64, i64),
-) {
-    match customs.split_first() {
-        None => f(range.start, range.end, range.step),
-        Some((c, rest)) => match c {
-            MechanismKind::Custom { advice } => advice.around_for(jp, range, &mut |lo, hi, st| {
-                wrap_customs_for(rest, jp, LoopRange::new(lo, hi, st), f)
-            }),
-            _ => unreachable!("non-custom mechanism in custom phase"),
-        },
-    }
-}
-
-fn run_gated(plan: &Plan<'_>, jp: &JoinPoint<'_>, body: &(dyn Fn() + Sync)) {
-    let gated = || {
-        wrap_locks(&plan.locks, true, &mut || {
-            wrap_customs(&plan.customs, jp, &mut || body());
-        })
+/// The gate step of the team shapes: no result, so no broadcast.
+fn gate_nowait(gate: &MechanismKind, inner: &mut dyn FnMut()) {
+    match gate {
+        MechanismKind::MasterGate { construct } => construct.run_nowait(inner),
+        MechanismKind::SingleGate { construct } => construct.run_nowait(inner),
+        _ => unreachable!("non-gate mechanism in the gate layer"),
     };
-    match plan.gate {
-        None => gated(),
-        Some(MechanismKind::MasterGate { construct }) => {
-            construct.run_nowait(gated);
+}
+
+/// One member's view of the join point being woven.
+struct Member<'a> {
+    jp: &'a JoinPoint<'a>,
+    scoped: bool,
+    leaf: Leaf<'a>,
+}
+
+/// Run `stack` — the join point's gate, lock, custom-advice and
+/// work-share mechanisms in layer order — around the leaf, outermost
+/// first, on the calling team member. `range` is what the enclosing
+/// custom advice proceeded with.
+fn weave(stack: &[&Mechanism], range: LoopRange, member: &Member<'_>) {
+    let workshare = |construct: &ForConstruct| {
+        construct.execute_scoped(range, |sub, scope| member.leaf.run(sub, Some(scope)))
+    };
+    let Some((mechanism, rest)) = stack.split_first() else {
+        if !member.scoped {
+            return member.leaf.run(range, None);
         }
-        Some(MechanismKind::SingleGate { construct }) => {
-            construct.run_nowait(gated);
+        // A scoped body always gets a scope: with no @For to share one
+        // across a team, the sequential one.
+        assert!(
+            !ctx::in_parallel(),
+            "call_for_scoped(`{}`) inside a parallel region needs a woven @For mechanism \
+             (per-thread ordered state would otherwise deadlock)",
+            member.jp.name
+        );
+        return workshare(&ForConstruct::new(Schedule::StaticBlock));
+    };
+    let inner = |range| weave(rest, range, member);
+    match &mechanism.kind {
+        gate @ (MechanismKind::MasterGate { .. } | MechanismKind::SingleGate { .. }) => {
+            // Only the first gate applies: a second one is inert.
+            let gates = rest.iter().take_while(|m| m.layer() == layer::GATE).count();
+            let mut inner = || weave(&rest[gates..], range, member);
+            match member.leaf {
+                Leaf::Team(_) => gate_nowait(gate, &mut inner),
+                Leaf::Caller {
+                    gate: broadcast, ..
+                } => broadcast(gate, &mut inner),
+            }
         }
-        Some(_) => unreachable!("non-gate mechanism in gate phase"),
+        MechanismKind::Critical { handle } => handle.run(|| inner(range)),
+        MechanismKind::Replicated { combiner } => match member.leaf {
+            // SAFETY: the section is the rest of this weave. All it can
+            // reach is `member` — a `Leaf::Team`, so a `Sync` leaf, plus
+            // the join point — and `rest`, `&`s to `Sync` mechanisms, so
+            // the combining team thread may run it while this one parks.
+            // It returns `()`.
+            Leaf::Team(_) => unsafe { combiner.run_unchecked(|| inner(range)) },
+            Leaf::Caller { .. } => combiner.run_inline(|| inner(range)),
+        },
+        MechanismKind::Reader { rw } => rw.read(|| inner(range)),
+        MechanismKind::Writer { rw } => rw.write(|| inner(range)),
+        // An *undeferred* dependence node: wait for the predecessors the
+        // clauses imply, run the rest inline, release the successors.
+        MechanismKind::Task { group, deps } => {
+            group.run_undeferred(deps.iter().copied(), || inner(range))
+        }
+        MechanismKind::Custom { advice } => match member.jp.kind {
+            JoinPointKind::ForMethod => advice.around_for(member.jp, range, &mut |lo, hi, step| {
+                inner(LoopRange::new(lo, hi, step))
+            }),
+            _ => advice.around(member.jp, &mut || inner(range)),
+        },
+        // Only the first work-share applies; `rest` can hold nothing else.
+        MechanismKind::For { construct } => workshare(construct),
+        MechanismKind::Taskloop { construct } => match member.leaf {
+            Leaf::Team(leaf) => construct.execute(range, |lo, hi, step| {
+                leaf(LoopRange::new(lo, hi, step), None)
+            }),
+            Leaf::Caller { .. } => unreachable!("@Taskloop is inert on value join points"),
+        },
+        MechanismKind::BarrierBefore
+        | MechanismKind::Parallel(_)
+        | MechanismKind::ReduceAfter { .. }
+        | MechanismKind::BarrierAfter => unreachable!("dispatch keeps this layer out of the weave"),
     }
-    plan.run_reduces_and_postbarriers();
+}
+
+/// Let the deployed aspects act on one execution of the join point
+/// `name`. Everything outside the team happens here, once; what each
+/// team member runs is [`weave`].
+fn dispatch(jp: &JoinPoint<'_>, scoped: bool, leaf: Leaf<'_>) {
+    let range = jp.range.unwrap_or(LoopRange::upto(0, 0));
+    let weaver = Weaver::global();
+    // A snapshot: the read lock is released before anything runs, so a
+    // body may deploy, undeploy or dispatch again.
+    let picks = weaver.matched(jp);
+    if picks.is_empty() {
+        return weave(&[], range, &Member { jp, scoped, leaf });
+    }
+    weaver.record(jp.name);
+    let matched: Vec<&Mechanism> = picks
+        .iter()
+        .map(|(module, bi)| &module.bindings()[*bi].mechanism)
+        .filter(|m| applies(m, jp, scoped))
+        .collect();
+    let from = |layer| matched.partition_point(|m| m.layer() < layer);
+    let pre_barriers = from(layer::PARALLEL);
+    // The later @Parallel binding wins.
+    let region = matched[pre_barriers..from(layer::GATE)].last();
+    let stack = &matched[from(layer::GATE)..from(layer::REDUCE)];
+    let reduces = &matched[from(layer::REDUCE)..from(layer::BARRIER_AFTER)];
+    let post_barriers = matched.len() - from(layer::BARRIER_AFTER);
+    let run_member = |leaf| {
+        weave(stack, range, &Member { jp, scoped, leaf });
+        // Reduce points: every member arrives, the master merges, every
+        // member sees the merged value.
+        for reduce in reduces {
+            let MechanismKind::ReduceAfter { action } = &reduce.kind else {
+                unreachable!("non-reduce mechanism in the reduce layer");
+            };
+            ctx::barrier();
+            if ctx::thread_id() == 0 {
+                action();
+            }
+            ctx::barrier();
+        }
+    };
+    // Barriers bind to the team current here — the *enclosing* one.
+    for _ in 0..pre_barriers {
+        ctx::barrier();
+    }
+    match (region.and_then(|m| m.region_config()), leaf) {
+        (Some(cfg), Leaf::Team(team)) => parallel_with(cfg, || run_member(Leaf::Team(team))),
+        (Some(_), Leaf::Caller { .. }) => unreachable!("@Parallel panics on value join points"),
+        (None, leaf) => run_member(leaf),
+    }
+    for _ in 0..post_barriers {
+        ctx::barrier();
+    }
 }
 
 /// Expose a plain method execution as a join point (`Type.method` name
@@ -379,28 +421,7 @@ pub fn call<F>(name: &str, body: F)
 where
     F: Fn() + Sync,
 {
-    let jp = JoinPoint::plain(name);
-    let (modules, picks) = Weaver::global().matched(&jp);
-    if picks.is_empty() {
-        return body();
-    }
-    Weaver::global().record(name);
-    let plan = Plan::build(
-        picks
-            .iter()
-            .map(|&(mi, bi)| &modules[mi].bindings()[bi].mechanism),
-        &jp,
-    );
-    for _ in 0..plan.pre_barriers {
-        ctx::barrier();
-    }
-    match plan.region.clone() {
-        Some(cfg) => parallel_with(cfg, || run_gated(&plan, &jp, &body)),
-        None => run_gated(&plan, &jp, &body),
-    }
-    for _ in 0..plan.post_barriers {
-        ctx::barrier();
-    }
+    dispatch(&JoinPoint::plain(name), false, Leaf::Team(&|_, _| body()));
 }
 
 /// Expose a *for method* as a join point: `body(lo, hi, step)` receives
@@ -411,181 +432,68 @@ pub fn call_for<F>(name: &str, range: LoopRange, body: F)
 where
     F: Fn(i64, i64, i64) + Sync,
 {
+    let leaf = |sub: LoopRange, _: Option<&ForScope<'_>>| body(sub.start, sub.end, sub.step);
     let jp = JoinPoint::for_method(name, range);
-    let (modules, picks) = Weaver::global().matched(&jp);
-    if picks.is_empty() {
-        return body(range.start, range.end, range.step);
-    }
-    Weaver::global().record(name);
-    let plan = Plan::build(
-        picks
-            .iter()
-            .map(|&(mi, bi)| &modules[mi].bindings()[bi].mechanism),
-        &jp,
-    );
-    for _ in 0..plan.pre_barriers {
-        ctx::barrier();
-    }
-    let inner = || {
-        let run_loop =
-            || {
-                wrap_locks(&plan.locks, true, &mut || {
-                    wrap_customs_for(&plan.customs, &jp, range, &mut |lo, hi, st| match plan
-                        .for_mech
-                    {
-                        Some(fc) => fc.execute(LoopRange::new(lo, hi, st), &body),
-                        None => match plan.taskloop_mech {
-                            Some(tl) => tl.execute(LoopRange::new(lo, hi, st), &body),
-                            None => body(lo, hi, st),
-                        },
-                    });
-                })
-            };
-        match plan.gate {
-            None => run_loop(),
-            Some(MechanismKind::MasterGate { construct }) => {
-                construct.run_nowait(run_loop);
-            }
-            Some(MechanismKind::SingleGate { construct }) => {
-                construct.run_nowait(run_loop);
-            }
-            Some(_) => unreachable!(),
-        }
-        plan.run_reduces_and_postbarriers();
-    };
-    match plan.region.clone() {
-        Some(cfg) => parallel_with(cfg, inner),
-        None => inner(),
-    }
-    for _ in 0..plan.post_barriers {
-        ctx::barrier();
-    }
+    dispatch(&jp, false, Leaf::Team(&leaf));
 }
 
 /// Like [`call_for`] but the body also receives the
-/// [`ForScope`](aomp::workshare::ForScope), enabling `@Ordered` sections
-/// inside woven for methods (the paper supports `@Ordered` only within
-/// the calling context of a for method, §III-C).
+/// [`ForScope`], enabling `@Ordered` sections inside woven for methods
+/// (the paper supports `@Ordered` only within the calling context of a
+/// for method, §III-C). With no `@For` bound the body runs once over the
+/// full range with a scope that runs ordered sections inline — outside a
+/// team only; inside one it panics, because per-thread ordered state
+/// would deadlock.
 pub fn call_for_scoped<F>(name: &str, range: LoopRange, body: F)
 where
-    F: Fn(LoopRange, &aomp::workshare::ForScope<'_>) + Sync,
+    F: Fn(LoopRange, &ForScope<'_>) + Sync,
 {
-    let jp = JoinPoint::for_method(name, range);
-    let (modules, picks) = Weaver::global().matched(&jp);
-    if picks.is_empty() {
-        assert!(
-            !ctx::in_parallel(),
-            "call_for_scoped(`{name}`) inside a parallel region requires a woven @For mechanism \
-             (per-thread ordered state would otherwise deadlock)"
-        );
-        // Sequential semantics: one pass over the full range with a
-        // scope that runs ordered sections inline.
-        let fallback = aomp::workshare::ForConstruct::new(aomp::schedule::Schedule::StaticBlock);
-        return fallback.execute_scoped(range, |r, scope| body(r, scope));
-    }
-    Weaver::global().record(name);
-    let plan = Plan::build(
-        picks
-            .iter()
-            .map(|&(mi, bi)| &modules[mi].bindings()[bi].mechanism),
-        &jp,
-    );
-    for _ in 0..plan.pre_barriers {
-        ctx::barrier();
-    }
-    let inner = || {
-        let run_loop = || {
-            wrap_locks(&plan.locks, true, &mut || {
-                wrap_customs_for(&plan.customs, &jp, range, &mut |lo, hi, st| {
-                    let sub = LoopRange::new(lo, hi, st);
-                    match plan.for_mech {
-                        Some(fc) => fc.execute_scoped(sub, |r, scope| body(r, scope)),
-                        None => {
-                            assert!(
-                                !ctx::in_parallel(),
-                                "call_for_scoped(`{name}`) woven into a team needs a @For \
-                                 mechanism for its ordered state"
-                            );
-                            let fallback = aomp::workshare::ForConstruct::new(
-                                aomp::schedule::Schedule::StaticBlock,
-                            );
-                            fallback.execute_scoped(sub, |r, scope| body(r, scope));
-                        }
-                    }
-                });
-            })
-        };
-        match plan.gate {
-            None => run_loop(),
-            Some(MechanismKind::MasterGate { construct }) => {
-                construct.run_nowait(run_loop);
-            }
-            Some(MechanismKind::SingleGate { construct }) => {
-                construct.run_nowait(run_loop);
-            }
-            Some(_) => unreachable!(),
-        }
-        plan.run_reduces_and_postbarriers();
+    let leaf = |sub: LoopRange, scope: Option<&ForScope<'_>>| {
+        body(sub, scope.expect("a scoped weave supplies a scope"))
     };
-    match plan.region.clone() {
-        Some(cfg) => parallel_with(cfg, inner),
-        None => inner(),
-    }
-    for _ in 0..plan.post_barriers {
-        ctx::barrier();
-    }
+    let jp = JoinPoint::for_method(name, range);
+    dispatch(&jp, true, Leaf::Team(&leaf));
 }
 
 /// Expose a value-returning method execution as a join point. Supports
 /// gating (`@Master`/`@Single` with result broadcast to the team — paper
-/// §III-C), locks and barriers; `@Parallel` and `@For` do not apply to
-/// value join points and cause a panic, matching the paper's model where
-/// parallel regions and for methods are `void`-like.
+/// §III-C), locks, custom advice (which must `proceed` exactly once),
+/// reduce points and barriers. `@Parallel` panics, matching the paper's
+/// model where parallel regions are `void`-like; `@For`/`@Taskloop` are
+/// inert, as on every join point that is not a for method.
 pub fn call_value<T, F>(name: &str, f: F) -> T
 where
     T: Clone + Send + 'static,
     F: FnOnce() -> T,
 {
-    let jp = JoinPoint::value(name);
-    let (modules, picks) = Weaver::global().matched(&jp);
-    if picks.is_empty() {
-        return f();
-    }
-    Weaver::global().record(name);
-    let plan = Plan::build(
-        picks
-            .iter()
-            .map(|&(mi, bi)| &modules[mi].bindings()[bi].mechanism),
-        &jp,
-    );
-    assert!(
-        plan.region.is_none() && plan.for_mech.is_none() && plan.taskloop_mech.is_none(),
-        "@Parallel/@For/@Taskloop cannot apply to value-returning join point `{name}`"
-    );
-    for _ in 0..plan.pre_barriers {
-        ctx::barrier();
-    }
-    let mut f = Some(f);
-    let mut locked = || {
-        let f = f.take().expect("value body invoked once");
-        // `false`: the value body is `FnOnce() -> T` with no `Send`
-        // bound, so it must run inline on the calling thread.
-        wrap_locks(&plan.locks, false, &mut {
-            let mut f = Some(f);
-            move || (f.take().expect("value body invoked once"))()
-        })
+    let (f, value) = (Cell::new(Some(f)), Cell::new(None));
+    let proceeded = |times: &str| -> ! {
+        panic!("custom advice on value join point `{name}` must proceed exactly once, not {times}")
     };
-    let value = match plan.gate {
-        None => locked(),
-        Some(MechanismKind::MasterGate { construct }) => construct.run(locked),
-        Some(MechanismKind::SingleGate { construct }) => construct.run(locked),
-        Some(_) => unreachable!(),
+    let leaf = |_: LoopRange, _: Option<&ForScope<'_>>| match f.take() {
+        Some(f) => value.set(Some(f())),
+        None => proceeded("twice"),
     };
-    plan.run_reduces_and_postbarriers();
-    for _ in 0..plan.post_barriers {
-        ctx::barrier();
-    }
-    value
+    let result = || value.take().unwrap_or_else(|| proceeded("never"));
+    // The elected thread runs the rest of the weave and its result is
+    // broadcast to the team.
+    let broadcast = |gate: &MechanismKind, inner: &mut dyn FnMut()| {
+        let elected = || {
+            inner();
+            result()
+        };
+        value.set(Some(match gate {
+            MechanismKind::MasterGate { construct } => construct.run(elected),
+            MechanismKind::SingleGate { construct } => construct.run(elected),
+            _ => unreachable!("non-gate mechanism in the gate layer"),
+        }));
+    };
+    let caller = Leaf::Caller {
+        gate: &broadcast,
+        leaf: &leaf,
+    };
+    dispatch(&JoinPoint::value(name), false, caller);
+    result()
 }
 
 #[cfg(test)]

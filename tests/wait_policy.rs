@@ -234,6 +234,11 @@ fn nothing_spins_under_a_scheduler_hook() {
         native.counter(obs::Counter::WaitSpinHit) + native.counter(obs::Counter::WaitParked);
     assert!(waits > 0, "the counters tick at the one chokepoint");
 
+    // Let the cached team go quiet first: an idle worker still inside the
+    // 100 µs poll it began before the hook was registered would count a
+    // spin hit if the exploration's first dispatch reached it in time.
+    std::thread::sleep(Duration::from_millis(50));
+
     // Explored again, same seeds: no wait spins (every one parks through
     // the hook), so the interleavings are byte-for-byte the cold ones.
     let before = obs::snapshot();
