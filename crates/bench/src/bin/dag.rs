@@ -82,13 +82,13 @@ fn block_imbalance(gt: &CsrGraph, t: usize) -> f64 {
 fn critical_path_ops(costs: &[f64], srcparts: &[Vec<u64>], iters: usize) -> f64 {
     let parts = costs.len();
     let mut preds: Vec<Vec<usize>> = vec![Vec::new(); parts];
-    for p in 0..parts {
-        for &q in &srcparts[p] {
+    for (p, sources) in srcparts.iter().enumerate() {
+        for &q in sources {
             preds[p].push(q as usize); // RAW: p reads q's slice
         }
     }
-    for q in 0..parts {
-        for &p in &srcparts[q] {
+    for (q, sources) in srcparts.iter().enumerate() {
+        for &p in sources {
             let p = p as usize;
             if !preds[p].contains(&q) {
                 preds[p].push(q); // WAR: q read the slice p rewrites

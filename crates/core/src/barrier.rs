@@ -14,13 +14,15 @@
 //! barrier's last round outlasted the budget or a scheduler hook is
 //! registered.
 //!
-//! All parked waits are *bounded*: the park timeout caps how long a
-//! thread sleeps before re-checking the team's poison/cancel flags, so a
-//! panic, a [`cancel_team`](crate::ctx::cancel_team) or the stall
-//! watchdog can never leave siblings blocked forever (a polling waiter
-//! reaches the same check when its budget runs out). An explicit
-//! deadline variant ([`wait_timeout`](SenseBarrier::wait_timeout)) lets a
-//! caller give up on a round entirely.
+//! A team member's parked wait is *bounded*: the park timeout caps how
+//! long a thread sleeps before re-checking the team's poison/cancel
+//! flags, so a panic, a [`cancel_team`](crate::ctx::cancel_team) or the
+//! stall watchdog can never leave siblings blocked forever (a polling
+//! waiter reaches the same check when its budget runs out). Only the bare
+//! [`wait`](SenseBarrier::wait), which nothing but the round's release
+//! can end, parks until notified. An explicit deadline variant
+//! ([`wait_timeout`](SenseBarrier::wait_timeout)) lets a caller give up
+//! on a round entirely.
 //!
 //! With `AOMP_METRICS` on, every barrier entry through
 //! [`ctx::team_barrier`](crate::ctx) records its blocked time (spin
@@ -32,7 +34,7 @@
 
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::error::{self, WaitTimedOut};
 use crate::wait::{self, Site};
@@ -72,8 +74,7 @@ impl SenseBarrier {
     /// on exactly one thread per round (the last arriver), mirroring
     /// `std::sync::Barrier`'s leader token.
     pub fn wait(&self) -> bool {
-        self.wait_inner(&|| {}, &|| false, None)
-            .expect("unbounded barrier wait cannot time out")
+        self.wait_park(None, &|| false)
     }
 
     /// Like [`wait`](Self::wait) but aborts (by panicking with
@@ -81,28 +82,23 @@ impl SenseBarrier {
     /// waiting — used inside teams so a panicking sibling cannot deadlock
     /// the region.
     pub fn wait_poisonable(&self, poison: &AtomicBool) -> bool {
-        self.wait_checked(&|| {
+        let check = || {
             if poison.load(Ordering::Acquire) {
                 error::poisoned();
             }
-        })
+        };
+        self.wait_park(Some(&check), &|| false)
     }
 
-    /// Like [`wait`](Self::wait) but re-runs `check` before arrival and
-    /// on every park-timeout tick; `check` aborts the wait by panicking
-    /// (with `TeamPoisoned` or `Cancelled`). This is the hook team
-    /// primitives use for poison *and* cancellation handling.
-    pub(crate) fn wait_checked(&self, check: &dyn Fn()) -> bool {
-        self.wait_inner(check, &|| false, None)
-            .expect("unbounded barrier wait cannot time out")
-    }
-
-    /// Like [`wait_checked`](Self::wait_checked) but offers each would-be
-    /// park to `park` first (the scheduler hook's blocked callback). When
-    /// `park` returns `true` the hook parked the thread itself and the
-    /// wait re-checks the sense immediately; `false` falls back to the
-    /// bounded condvar park.
-    pub(crate) fn wait_park(&self, check: &dyn Fn(), park: &dyn Fn() -> bool) -> bool {
+    /// [`wait`](Self::wait) for a registered member
+    /// ([`wait::registered`]): `check` runs before arrival and on every
+    /// park-timeout tick and aborts the wait by panicking (with
+    /// `TeamPoisoned` or `Cancelled`); each would-be park is offered to
+    /// `park` (the scheduler hook's blocked callback) first. When `park`
+    /// returns `true` the hook parked the thread itself and the wait
+    /// re-checks the sense immediately; `false` falls back to the condvar
+    /// park.
+    pub(crate) fn wait_park(&self, check: Option<&dyn Fn()>, park: &dyn Fn() -> bool) -> bool {
         self.wait_inner(check, park, None)
             .expect("unbounded barrier wait cannot time out")
     }
@@ -111,17 +107,18 @@ impl SenseBarrier {
     /// arrival so the barrier stays consistent) if the round does not
     /// complete within `timeout`. Returns the leader token on success.
     pub fn wait_timeout(&self, timeout: Duration) -> Result<bool, WaitTimedOut> {
-        self.wait_inner(&|| {}, &|| false, Some(timeout))
+        // Nothing announces the deadline: tick.
+        self.wait_inner(Some(&|| {}), &|| false, Some(timeout))
     }
 
     fn wait_inner(
         &self,
-        check: &dyn Fn(),
+        check: Option<&dyn Fn()>,
         park: &dyn Fn() -> bool,
         timeout: Option<Duration>,
     ) -> Result<bool, WaitTimedOut> {
-        check();
-        let deadline = timeout.map(|t| Instant::now() + t);
+        check.inspect(|check| check());
+        let expired = wait::expiry(timeout);
         let local = !self.sense.load(Ordering::Acquire);
         let prev = self.count.fetch_add(1, Ordering::AcqRel);
         debug_assert!(
@@ -142,28 +139,24 @@ impl SenseBarrier {
             Ok(true)
         } else {
             let released = || self.sense.load(Ordering::Acquire) == local;
-            let expired = || deadline.is_some_and(|d| Instant::now() >= d);
             wait::wait_until(
                 Some(&self.site),
                 (&self.lock, &self.cv),
-                || released() || expired(),
+                || released() || expired().is_some(),
                 |_| {
                     if released() {
-                        Some(Ok(false))
-                    } else if expired() {
-                        // Retract our arrival: the release path flips the
-                        // sense under the lock we hold, so the round
-                        // provably has not been released and the counter
-                        // still includes us.
-                        self.count.fetch_sub(1, Ordering::AcqRel);
-                        Some(Err(WaitTimedOut {
-                            timeout: timeout.expect("a deadline implies a timeout"),
-                        }))
-                    } else {
-                        None
+                        return Some(Ok(false));
                     }
+                    // Expired: retract our arrival. The release path flips
+                    // the sense under the lock we hold, so the round
+                    // provably has not been released and the counter still
+                    // includes us.
+                    expired().map(|e| {
+                        self.count.fetch_sub(1, Ordering::AcqRel);
+                        Err(e)
+                    })
                 },
-                Some(check),
+                check,
                 park,
             )
         }
@@ -184,6 +177,7 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
     use std::sync::Arc;
+    use std::time::Instant;
 
     #[test]
     fn single_thread_barrier_is_noop() {

@@ -35,6 +35,7 @@ use std::sync::Arc;
 use crate::barrier::SenseBarrier;
 use crate::error::{self, Cancelled, WaitSite};
 use crate::hook::{self, HookEvent};
+use crate::wait;
 
 /// Allocate a process-unique construct key. Every construct handle
 /// (`Single`, `Master`, `ForConstruct`, `Ordered`, …) calls this once at
@@ -316,13 +317,12 @@ impl TeamShared {
     /// poison/cancel before and during the wait, registered as a
     /// [`WaitSite::Barrier`] for the stall watchdog.
     pub fn team_barrier(&self, tid: usize) -> bool {
-        self.check_interrupt();
-        let leader = {
-            let _w = self.begin_wait(tid, WaitSite::Barrier);
-            self.barrier.wait_park(&|| self.check_interrupt(), &|| {
-                hook::yield_blocked(self.token(), tid, WaitSite::Barrier)
-            })
-        };
+        let leader = wait::registered(
+            Some((self, tid)),
+            WaitSite::Barrier,
+            false,
+            |check, park| self.barrier.wait_park(check, park),
+        );
         hook::emit(|| HookEvent::BarrierExit {
             team: self.token(),
             tid,
@@ -408,7 +408,7 @@ impl CtxGuard {
             stack.len() == 1
         });
         if outermost {
-            crate::wait::member_entered();
+            wait::member_entered();
         }
         // Make the team's runtime the enclosing one for everything this
         // member starts (nested regions, tasks) — on every member thread,
@@ -445,7 +445,7 @@ impl Drop for CtxGuard {
             stack.is_empty()
         });
         if outermost {
-            crate::wait::member_left();
+            wait::member_left();
         }
         // Also fires during unwinds; the hook contract forbids panicking
         // from `event`, so this cannot double-panic.

@@ -29,6 +29,17 @@
 //! popped (or the join counter observed), so a serialized explorer can
 //! never see the acquire first.
 //!
+//! A member with nothing to run — no ready task in [`DepGroup::run`] /
+//! [`DepGroup::wait`], unfinished predecessors in
+//! [`DepGroup::run_undeferred`], no window in a taskloop — first tries
+//! its condition under the lock, and only when that fails becomes one
+//! registered [`WaitSite::TaskWait`] wait (`wait::member_wait`) for as
+//! long as it sleeps: a member that finds work never looks blocked, and
+//! one that sleeps is not progress, so the stall watchdog diagnoses a
+//! team deadlocked on its graph. None of these conditions has a
+//! lock-free probe (the ready queue, a node's `preds` and the window
+//! stack live under their mutex), so these waits park without polling.
+//!
 //! [`TaskloopConstruct`] is the `#[taskloop]` backend: the encountering
 //! member seeds the whole iteration range as a *single* task and splits
 //! it lazily — only when another member is observed waiting at a
@@ -47,7 +58,7 @@ use crate::error::WaitSite;
 use crate::hook::{self, HookEvent};
 use crate::obs;
 use crate::range::LoopRange;
-use crate::wait::PARK_TIMEOUT;
+use crate::wait;
 
 // ---------------------------------------------------------------------------
 // Tags and dependence clauses
@@ -245,6 +256,19 @@ impl Inner {
     #[inline]
     fn deferred(&self) -> bool {
         self.held && !self.released
+    }
+
+    /// What a member pulling on the group finds: the latched error,
+    /// `Ok(None)` once `stop` holds, else the next ready task — or
+    /// nothing yet.
+    fn pull(&mut self, stop: &dyn Fn(&Inner) -> bool) -> Option<Result<Option<usize>, DepError>> {
+        if let Some(e) = &self.error {
+            return Some(Err(e.clone()));
+        }
+        if stop(self) {
+            return Some(Ok(None));
+        }
+        self.ready.pop_front().map(|idx| Ok(Some(idx)))
     }
 }
 
@@ -597,50 +621,28 @@ impl DepGroup {
         }
     }
 
-    /// Pull-execute ready tasks until `stop` holds. Parks through the
-    /// team wait-site machinery (watchdog-visible, checker-serializable)
-    /// when there is nothing to do yet.
+    /// `take` under the group lock: at once if it can, else as a
+    /// registered [`WaitSite::TaskWait`] — a member that finds its task
+    /// (or its stop condition) there does not look blocked. The ready
+    /// queue has no lock-free probe, so the wait parks.
+    fn take_or_wait<R>(&self, mut take: impl FnMut(&mut Inner) -> Option<R>) -> R {
+        let first = take(&mut self.shared.inner.lock());
+        first.unwrap_or_else(|| {
+            let sync = (&self.shared.inner, &self.shared.cv);
+            wait::member_wait(WaitSite::TaskWait, None, sync, || true, take, false)
+        })
+    }
+
+    /// Pull-execute ready tasks until `stop` holds.
     fn work(&self, stop: &dyn Fn(&Inner) -> bool) -> Result<(), DepError> {
-        let team = ctx::with_current(|c| c.map(|c| (Arc::clone(&c.shared), c.tid)));
-        loop {
-            let job = {
-                let mut g = self.shared.inner.lock();
-                if let Some(e) = &g.error {
-                    return Err(e.clone());
+        while let Some(idx) = self.take_or_wait(|g| g.pull(stop))? {
+            ctx::with_current(|c| {
+                if let Some(c) = c {
+                    c.shared.check_interrupt();
+                    c.shared.bump_progress();
                 }
-                if stop(&g) {
-                    break;
-                }
-                g.ready.pop_front()
-            };
-            match job {
-                Some(idx) => {
-                    if let Some((shared, _)) = &team {
-                        shared.check_interrupt();
-                        shared.bump_progress();
-                    }
-                    self.execute(idx);
-                }
-                None => match &team {
-                    Some((shared, tid)) => {
-                        shared.check_interrupt();
-                        let token = shared.token();
-                        let _w = shared.begin_wait(*tid, WaitSite::TaskWait);
-                        if !hook::yield_blocked(token, *tid, WaitSite::TaskWait) {
-                            let mut g = self.shared.inner.lock();
-                            if g.error.is_none() && !stop(&g) && g.ready.is_empty() {
-                                self.shared.cv.wait_for(&mut g, PARK_TIMEOUT);
-                            }
-                        }
-                    }
-                    None => {
-                        let mut g = self.shared.inner.lock();
-                        if g.error.is_none() && !stop(&g) && g.ready.is_empty() {
-                            self.shared.cv.wait_for(&mut g, PARK_TIMEOUT);
-                        }
-                    }
-                },
-            }
+            });
+            self.execute(idx);
         }
         Ok(())
     }
@@ -710,34 +712,7 @@ impl DepGroup {
         for a in acquires {
             hook::emit_team(|team, tid| HookEvent::TaskDepReady { team, tid, node: a });
         }
-        let team = ctx::with_current(|c| c.map(|c| (Arc::clone(&c.shared), c.tid)));
-        loop {
-            {
-                let g = self.shared.inner.lock();
-                if g.nodes[idx].preds == 0 {
-                    break;
-                }
-            }
-            match &team {
-                Some((shared, tid)) => {
-                    shared.check_interrupt();
-                    let token = shared.token();
-                    let _w = shared.begin_wait(*tid, WaitSite::TaskWait);
-                    if !hook::yield_blocked(token, *tid, WaitSite::TaskWait) {
-                        let mut g = self.shared.inner.lock();
-                        if g.nodes[idx].preds != 0 {
-                            self.shared.cv.wait_for(&mut g, PARK_TIMEOUT);
-                        }
-                    }
-                }
-                None => {
-                    let mut g = self.shared.inner.lock();
-                    if g.nodes[idx].preds != 0 {
-                        self.shared.cv.wait_for(&mut g, PARK_TIMEOUT);
-                    }
-                }
-            }
-        }
+        self.take_or_wait(|g| (g.nodes[idx].preds == 0).then_some(()));
         hook::emit_team(|team, tid| HookEvent::TaskDepReady {
             team,
             tid,
@@ -884,40 +859,30 @@ impl TaskloopConstruct {
             }
         }
         let token = shared.token();
+        // A window to walk, or `None` once every iteration ran.
+        let window = |g: &mut TlInner| {
+            if g.done >= g.total {
+                Some(None)
+            } else {
+                g.queue.pop().map(Some)
+            }
+        };
         loop {
-            let win = {
+            let first = {
                 let mut g = slot.inner.lock();
-                if g.done >= g.total {
-                    None
-                } else {
-                    g.queue.pop()
-                }
+                let first = window(&mut g);
+                // Nothing to take yet: count as a waiter — the lazy-split
+                // signal — until the registered wait below takes.
+                g.waiters += usize::from(first.is_none());
+                first
             };
+            let win = first.unwrap_or_else(|| {
+                let take = |g: &mut TlInner| window(g).inspect(|_| g.waiters -= 1);
+                let sync = (&slot.inner, &slot.cv);
+                wait::member_wait(WaitSite::TaskWait, None, sync, || true, take, false)
+            });
             let Some((mut lo, mut hi)) = win else {
-                let parked = {
-                    let mut g = slot.inner.lock();
-                    if g.done >= g.total {
-                        break;
-                    }
-                    if !g.queue.is_empty() {
-                        continue;
-                    }
-                    g.waiters += 1;
-                    true
-                };
-                debug_assert!(parked);
-                shared.check_interrupt();
-                {
-                    let _w = shared.begin_wait(tid, WaitSite::TaskWait);
-                    if !hook::yield_blocked(token, tid, WaitSite::TaskWait) {
-                        let mut g = slot.inner.lock();
-                        if g.queue.is_empty() && g.done < g.total {
-                            slot.cv.wait_for(&mut g, PARK_TIMEOUT);
-                        }
-                    }
-                }
-                slot.inner.lock().waiters -= 1;
-                continue;
+                break;
             };
             while lo < hi {
                 shared.check_interrupt();
@@ -1134,6 +1099,111 @@ mod tests {
         g.spawn([Dep::output("x")], move || o1.lock().push(1));
         g.run_undeferred([Dep::input("x")], || order.lock().push(2));
         assert_eq!(*order.lock(), vec![1, 2]);
+    }
+
+    /// Run `members[tid]` as a watched team, one thread each. Once
+    /// `parked` of them sit at [`WaitSite::TaskWait`], the team's progress
+    /// counter must stand still for as long as they sleep — the stall
+    /// watchdog reads a moving counter as a live team. `release` then
+    /// lets everyone finish.
+    fn parked_members_make_no_progress(
+        members: Vec<Box<dyn FnOnce() + Send>>,
+        parked: usize,
+        release: impl FnOnce(),
+    ) {
+        use std::time::{Duration, Instant};
+        let n = members.len();
+        let team = Arc::new(ctx::TeamShared::with_robustness(n, 1, false, true));
+        let threads: Vec<_> = members
+            .into_iter()
+            .enumerate()
+            .map(|(tid, member)| {
+                let team = Arc::clone(&team);
+                std::thread::spawn(move || {
+                    let _g = ctx::CtxGuard::enter(team, tid);
+                    member()
+                })
+            })
+            .collect();
+        let t0 = Instant::now();
+        while team.blocked_snapshot().len() < parked {
+            assert!(t0.elapsed() < Duration::from_secs(10), "nobody parked");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // Registering bumps the counter just after it fills the slot.
+        std::thread::sleep(Duration::from_millis(5));
+        let before = team.progress();
+        std::thread::sleep(Duration::from_millis(50));
+        let blocked = team.blocked_snapshot();
+        assert_eq!(blocked.len(), parked, "{blocked:?}");
+        assert!(blocked.iter().all(|&(_, site)| site == WaitSite::TaskWait));
+        assert_eq!(team.progress(), before, "a sleeping member is not progress");
+        release();
+        for t in threads {
+            t.join().expect("member panicked");
+        }
+        assert!(team.blocked_snapshot().is_empty());
+    }
+
+    #[test]
+    fn member_parked_in_run_makes_no_progress() {
+        let g = DepGroup::new();
+        let g2 = g.clone();
+        parked_members_make_no_progress(vec![Box::new(move || g2.run().unwrap())], 1, || g.close());
+    }
+
+    #[test]
+    fn member_parked_in_wait_makes_no_progress() {
+        // Held: the one task cannot become ready, so the joiner cannot
+        // help itself to it.
+        let g = DepGroup::held();
+        g.spawn([], || {});
+        let g2 = g.clone();
+        parked_members_make_no_progress(vec![Box::new(move || g2.wait().unwrap())], 1, || {
+            g.release().unwrap()
+        });
+    }
+
+    #[test]
+    fn member_parked_in_run_undeferred_makes_no_progress() {
+        let g = DepGroup::new();
+        let go = Arc::new(AtomicBool::new(false));
+        let go2 = Arc::clone(&go);
+        g.spawn([Dep::output("x")], move || {
+            while !go2.load(Ordering::Acquire) {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+        });
+        let g2 = g.clone();
+        parked_members_make_no_progress(
+            vec![Box::new(move || {
+                g2.run_undeferred([Dep::input("x")], || {})
+            })],
+            1,
+            || go.store(true, Ordering::Release),
+        );
+        g.wait().unwrap();
+    }
+
+    #[test]
+    fn member_parked_in_taskloop_makes_no_progress() {
+        // One window of one bite: whoever takes it sits in the body, the
+        // other member waits for a split that never comes.
+        let tl = Arc::new(TaskloopConstruct::new().min_chunk(8));
+        let go = Arc::new(AtomicBool::new(false));
+        let member = || -> Box<dyn FnOnce() + Send> {
+            let (tl, go) = (Arc::clone(&tl), Arc::clone(&go));
+            Box::new(move || {
+                tl.execute(LoopRange::upto(0, 4), |_, _, _| {
+                    while !go.load(Ordering::Acquire) {
+                        std::thread::sleep(std::time::Duration::from_millis(1));
+                    }
+                })
+            })
+        };
+        parked_members_make_no_progress(vec![member(), member()], 1, || {
+            go.store(true, Ordering::Release)
+        });
     }
 
     #[test]

@@ -32,7 +32,7 @@
 //! waiting on another future, a task sleeping on an external event), so
 //! unbounded queueing behind a fixed worker count could deadlock a
 //! program that was correct under thread-per-task. [`Executor::try_submit`]
-//! therefore only *enqueues* when a parked worker is available to claim
+//! therefore only *enqueues* when an idle worker is available to claim
 //! the task or the pool may still grow; otherwise it hands the task back
 //! and the caller falls back to a dedicated thread — and, if even that
 //! spawn fails (thread exhaustion), to inline execution on the caller
@@ -45,9 +45,22 @@
 //! future whose producer is suspended *below it on the same stack* — the
 //! buried frame can only resume after the thief's frame returns, and the
 //! thief waits on the buried frame. Liveness without helping holds
-//! because a queued task always has a claimed parked worker to pop it
-//! (workers re-check `pending` before parking, and parks are bounded),
-//! and tasks refused by admission control run on dedicated threads.
+//! because a queued task always has a claimed idle worker to pop it, and
+//! tasks refused by admission control run on dedicated threads.
+//!
+//! ## The idle wait
+//!
+//! A worker with nothing to pop waits through the one
+//! [`wait`](crate::wait): it polls `pending` and `shutdown` for the spin
+//! budget — a `spawn` → `wait` round trip ends well inside it, and a
+//! parked worker costs tens of microseconds to wake — then parks, with
+//! no timeout: `pending` is only incremented, and `shutdown` only set,
+//! under the lock the park re-checks them under, so there is no wake-up
+//! to lose and an idle executor costs nothing. The worker counts in
+//! `Ctl::idle` from before its first probe until it leaves the wait, so
+//! admission control sees a polling worker exactly as it sees a parked
+//! one. Like every site the workers share one history bit: after a wait
+//! that outlasted the budget the next one parks at once.
 //!
 //! Disabled together with the hot-team cache (`AOMP_NO_POOL=1` /
 //! [`RuntimeBuilder::pooled(false)`](crate::runtime::RuntimeBuilder::pooled)):
@@ -61,10 +74,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use crate::obs::{self, Counter};
 use crate::schedule;
+use crate::wait::{self, Site};
 
 /// Environment variable capping the *default runtime's* worker count.
 /// Captured once when the default runtime is constructed
@@ -74,10 +87,6 @@ pub const TASK_WORKERS_ENV: &str = "AOMP_TASK_WORKERS";
 /// A queued task: the spawn surfaces wrap panic capture / completion
 /// signalling into the closure, so the executor itself only runs it.
 pub(crate) type Task = Box<dyn FnOnce() + Send + 'static>;
-
-/// Bounds a parked worker's sleep so a (theoretical) lost wakeup costs a
-/// rescan, never liveness.
-const IDLE_PARK: Duration = Duration::from_millis(50);
 
 /// Worker-count fallback when no cap is configured: enough oversubscription
 /// to absorb blocked tasks, bounded so a task storm cannot exhaust the
@@ -90,12 +99,13 @@ pub(crate) fn default_max_workers() -> usize {
 }
 
 struct Ctl {
-    /// Workers currently parked on the condvar.
+    /// Workers inside their idle wait, polling or parked: a submission
+    /// may claim either.
     idle: usize,
-    /// Parked workers already promised to a submitted task but not yet
-    /// woken. `idle - claims` is the spare capacity admission control
-    /// checks; claiming under the same lock closes the race where two
-    /// submitters count one parked worker twice.
+    /// Idle workers already promised to a submitted task but not yet out
+    /// of their wait. `idle - claims` is the spare capacity admission
+    /// control checks; claiming under the same lock closes the race
+    /// where two submitters count one idle worker twice.
     claims: usize,
     /// Workers ever started (also the next worker id). They exit only at
     /// executor shutdown.
@@ -109,9 +119,12 @@ pub(crate) struct Executor {
     steal_order: Vec<Vec<usize>>,
     inner: Mutex<Ctl>,
     cv: Condvar,
-    /// Tasks enqueued but not yet popped. Incremented under `inner` (so
-    /// the park-side recheck is loss-free), decremented lock-free on pop.
+    /// Tasks enqueued but not yet popped — with `shutdown`, all an idle
+    /// worker polls. Incremented under `inner` (so the park-side recheck
+    /// is loss-free), decremented lock-free on pop.
     pending: AtomicUsize,
+    /// The idle wait's history, shared by the workers.
+    idle: Site,
     /// Round-robin enqueue cursor.
     next: AtomicUsize,
     max_workers: usize,
@@ -140,6 +153,7 @@ impl Executor {
             }),
             cv: Condvar::new(),
             pending: AtomicUsize::new(0),
+            idle: Site::default(),
             next: AtomicUsize::new(0),
             max_workers: max,
             shutdown: AtomicBool::new(false),
@@ -149,7 +163,7 @@ impl Executor {
     }
 
     /// Try to run `task` on the pool. `Err` hands the task back when the
-    /// pool is saturated (no parked worker to claim and no room to
+    /// pool is saturated (no idle worker to claim and no room to
     /// grow), shutting down, or a needed worker could not be spawned —
     /// the caller decides the fallback.
     pub(crate) fn try_submit(self: &Arc<Self>, task: Task) -> Result<(), Task> {
@@ -158,6 +172,10 @@ impl Executor {
             return Err(task);
         }
         let mut g = self.inner.lock();
+        // A promise lasts while its task is queued: once a busy worker
+        // has popped that task, the idle worker it was promised to stays
+        // in its wait, spare again.
+        g.claims = g.claims.min(self.pending.load(Ordering::Relaxed));
         if g.idle > g.claims {
             g.claims += 1;
             self.enqueue(task);
@@ -285,29 +303,43 @@ fn run_task(task: Task) {
 /// Owns its `Arc` (not `&'static`) so the executor — and with it the
 /// runtime that owns it — is droppable once every worker has exited.
 fn worker_loop(ex: Arc<Executor>, id: usize) {
+    // Checked under `inner`, where the flag is flipped and `pending`
+    // incremented, so a park cannot miss either.
+    let wanted = || ex.pending.load(Ordering::Relaxed) > 0 || ex.shutdown.load(Ordering::Acquire);
     loop {
         while let Some(t) = ex.pop_any(id) {
             run_task(t);
         }
-        let mut g = ex.inner.lock();
-        // Queues drained and shutdown requested: exit. Checked under
-        // `inner` (where the flag is flipped) so this cannot miss a
-        // shutdown and park unwoken.
-        if ex.shutdown.load(Ordering::Acquire) {
-            return;
+        {
+            let mut g = ex.inner.lock();
+            // Queues drained and shutdown requested: exit.
+            if ex.shutdown.load(Ordering::Acquire) {
+                return;
+            }
+            // A task enqueued since the scan above.
+            if wanted() {
+                continue;
+            }
+            // Idle from here — before the first probe, not the park — so
+            // a submission claims a worker that is one probe away from
+            // its task instead of growing the pool.
+            g.idle += 1;
         }
-        // Loss-free park: `pending` is only incremented under `inner`,
-        // so a task enqueued since the scan above is visible here.
-        if ex.pending.load(Ordering::Relaxed) > 0 {
-            drop(g);
-            continue;
-        }
-        g.idle += 1;
         obs::count(Counter::ExecParks);
         ex.scope.bump(Counter::ExecParks);
-        ex.cv.wait_for(&mut g, IDLE_PARK);
-        g.idle -= 1;
-        g.claims = g.claims.saturating_sub(1);
+        wait::wait_until(
+            Some(&ex.idle),
+            (&ex.inner, &ex.cv),
+            wanted,
+            |g| {
+                wanted().then(|| {
+                    g.idle -= 1;
+                    g.claims = g.claims.saturating_sub(1);
+                })
+            },
+            None,
+            || false,
+        );
         obs::count(Counter::ExecUnparks);
         ex.scope.bump(Counter::ExecUnparks);
     }
@@ -349,6 +381,7 @@ pub(crate) fn fallback_dispatch(name: &'static str, task: Task) {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+    use std::time::Duration;
 
     fn test_exec(max: usize) -> Arc<Executor> {
         Executor::new(max, Arc::new(obs::Scope::new(true)))
@@ -439,6 +472,97 @@ mod tests {
                 "round {round}: a task waited for a busy worker"
             );
         }
+    }
+
+    #[test]
+    fn worker_in_its_idle_wait_is_claimable() {
+        // A worker counts as idle from before its first probe, so a task
+        // resubmitted the moment it is back in its wait — polling, the
+        // waits here being quick ones — claims it: the pool never grows
+        // past that one worker and no submission is refused.
+        let ex = test_exec(4);
+        let done = Arc::new(AtomicUsize::new(0));
+        for i in 0..1000 {
+            let d = Arc::clone(&done);
+            let admitted = ex.try_submit(Box::new(move || {
+                d.fetch_add(1, Ordering::SeqCst);
+            }));
+            assert!(admitted.is_ok(), "submission {i} refused");
+            let t0 = std::time::Instant::now();
+            while done.load(Ordering::SeqCst) <= i || ex.inner.lock().idle == 0 {
+                assert!(t0.elapsed() < Duration::from_secs(30), "task {i} stuck");
+                std::hint::spin_loop();
+            }
+            assert_eq!(ex.inner.lock().live, 1, "submission {i} grew the pool");
+        }
+        assert_eq!(ex.scope.counter(Counter::TaskPooled), 1000);
+        ex.shutdown_and_join();
+    }
+
+    #[test]
+    fn promise_is_void_once_its_task_was_popped() {
+        // Deterministic: the state is set by hand, no worker thread runs.
+        // An idle worker was promised a task that a busy worker popped
+        // before the wake-up landed; it stays in its wait, and the next
+        // submission must claim it again rather than grow the pool.
+        let ex = test_exec(2);
+        *ex.inner.lock() = Ctl {
+            idle: 1,
+            claims: 1,
+            live: 1,
+        };
+        assert!(ex.try_submit(Box::new(|| {})).is_ok());
+        let g = ex.inner.lock();
+        assert_eq!((g.idle, g.claims, g.live), (1, 1, 1), "claimed, not grown");
+        assert_eq!(ex.pending.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn idle_workers_burn_no_cpu() {
+        // `utime + stime`, in clock ticks, of the thread behind a
+        // `/proc/<pid>/task/<tid>` directory.
+        fn busy_ticks(task: &std::path::Path) -> u64 {
+            let stat = std::fs::read_to_string(task.join("stat")).expect("worker is alive");
+            // Fields after the parenthesised comm: state is the 1st,
+            // utime and stime the 12th and 13th.
+            let rest = &stat[stat.rfind(')').expect("comm in parentheses") + 2..];
+            let fields: Vec<&str> = rest.split(' ').collect();
+            fields[11].parse::<u64>().unwrap() + fields[12].parse::<u64>().unwrap()
+        }
+        const N: usize = 2;
+        let ex = test_exec(N);
+        // Each task holds its worker until all have started, so they run
+        // on N different workers, and leaves that worker's task directory.
+        let workers = Arc::new(Mutex::new(Vec::new()));
+        let started = Arc::new(AtomicUsize::new(0));
+        for _ in 0..N {
+            let (workers, started) = (Arc::clone(&workers), Arc::clone(&started));
+            let admitted = ex.try_submit(Box::new(move || {
+                let me = std::fs::read_link("/proc/thread-self").expect("procfs");
+                workers.lock().push(std::path::Path::new("/proc").join(me));
+                started.fetch_add(1, Ordering::SeqCst);
+                while started.load(Ordering::SeqCst) < N {
+                    std::thread::sleep(Duration::from_micros(100));
+                }
+            }));
+            assert!(admitted.is_ok(), "the pool may still grow");
+        }
+        let t0 = std::time::Instant::now();
+        while ex.inner.lock().idle < N {
+            assert!(t0.elapsed() < Duration::from_secs(30), "workers stuck");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // Past the spin budget: both are parked, with no tick to wake for.
+        std::thread::sleep(Duration::from_millis(5));
+        let workers = workers.lock().clone();
+        assert_eq!(workers.len(), N);
+        let before: Vec<u64> = workers.iter().map(|w| busy_ticks(w)).collect();
+        std::thread::sleep(Duration::from_millis(50));
+        let after: Vec<u64> = workers.iter().map(|w| busy_ticks(w)).collect();
+        // USER_HZ is 100 on every Linux ABI: a tick is 10 ms.
+        assert_eq!(after, before, "an idle worker ran");
+        ex.shutdown_and_join();
     }
 
     #[test]

@@ -248,20 +248,20 @@ counters! {
     TaskRefusedDisabled => "task_refused_disabled",
     /// Admission refusals because the executor was saturated.
     TaskRefusedSaturated => "task_refused_saturated",
-    /// Executor workers entering a timed idle park.
+    /// Executor workers entering their idle wait (polled or parked).
     ExecParks => "exec_parks",
-    /// Executor workers returning from an idle park.
+    /// Executor workers leaving their idle wait.
     ExecUnparks => "exec_unparks",
     /// Team cancellations requested.
     CancelsRequested => "cancels_requested",
     /// Regions a runtime's stall watchdog declared stalled and
     /// force-cancelled (one tick per verdict).
     RegionStalled => "region_stalled",
-    /// Team waits (barrier, dispatch, join, broadcast, ordered) that the
-    /// spin phase caught before the thread parked.
+    /// Waits (barrier, dispatch, join, broadcast, ordered, task join,
+    /// executor idle) that the spin phase caught before the thread parked.
     WaitSpinHit => "wait_spin_hit",
-    /// Team waits that went on to park (spin budget spent, or no spin:
-    /// slow site, scheduler hook).
+    /// Waits that went on to park (spin budget spent, or no spin: no
+    /// lock-free probe, slow site, scheduler hook).
     WaitParked => "wait_parked",
     /// Trace events dropped because a per-thread buffer filled up.
     TraceDropped => "trace_dropped",

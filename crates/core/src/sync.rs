@@ -49,19 +49,21 @@ impl<T: Clone> BroadcastCell<T> {
         self.cv.notify_all();
     }
 
-    /// Block until the value is published. `check` runs on every park
-    /// tick and aborts the wait by unwinding (poison/cancel), so a
-    /// broadcast whose executing thread died cannot strand the team;
-    /// `park` is the scheduler hook's blocked callback.
-    fn await_value(&self, check: impl Fn(), park: impl Fn() -> bool) -> T {
-        wait::wait_until(
+    /// Block until the value is published, as a registered wait at `site`
+    /// — a broadcast whose executing thread died cannot strand the team —
+    /// then report the receive: this member is now ordered after the
+    /// publish (the HB edge the race checker uses).
+    fn await_value(&self, site: WaitSite) -> T {
+        let v = wait::member_wait(
+            site,
             Some(&self.site),
             (&self.value, &self.cv),
             || self.ready.load(Ordering::Acquire),
             |value| value.clone(),
-            Some(&check),
-            park,
-        )
+            false,
+        );
+        hook::emit_team(|team, tid| HookEvent::BroadcastReceive { team, tid, site });
+        v
     }
 }
 
@@ -104,21 +106,7 @@ impl Single {
                     });
                     v
                 } else {
-                    let team = c.shared.token();
-                    let tid = c.tid;
-                    let _w = c.shared.begin_wait(tid, WaitSite::SingleBroadcast);
-                    let v = cell.await_value(
-                        || c.shared.check_interrupt(),
-                        || hook::yield_blocked(team, tid, WaitSite::SingleBroadcast),
-                    );
-                    // The value is in hand: this member is now ordered
-                    // after the publish (the HB edge the race checker uses).
-                    hook::emit(|| HookEvent::BroadcastReceive {
-                        team,
-                        tid,
-                        site: WaitSite::SingleBroadcast,
-                    });
-                    v
+                    cell.await_value(WaitSite::SingleBroadcast)
                 };
                 c.shared.detach_slot(self.key, round);
                 result
@@ -193,19 +181,7 @@ impl Master {
                     });
                     v
                 } else {
-                    let team = c.shared.token();
-                    let tid = c.tid;
-                    let _w = c.shared.begin_wait(tid, WaitSite::MasterBroadcast);
-                    let v = cell.await_value(
-                        || c.shared.check_interrupt(),
-                        || hook::yield_blocked(team, tid, WaitSite::MasterBroadcast),
-                    );
-                    hook::emit(|| HookEvent::BroadcastReceive {
-                        team,
-                        tid,
-                        site: WaitSite::MasterBroadcast,
-                    });
-                    v
+                    cell.await_value(WaitSite::MasterBroadcast)
                 };
                 c.shared.detach_slot(self.key, round);
                 result

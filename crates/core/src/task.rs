@@ -31,10 +31,17 @@
 //! the original payload*, which [`FutureTask::get`] re-raises
 //! (`resume_unwind`) and [`FutureTask::try_get`] reports as a value.
 //! Called inside a team, [`FutureTask::get`], [`TaskGroup::wait`] and
-//! [`TaskGroup::spawn`] are cancellation points, and the two waits
-//! register [`WaitSite::FutureGet`] / [`WaitSite::TaskWait`] for the
-//! stall watchdog. [`FutureTask::get_timeout`] and
-//! [`TaskGroup::wait_timeout`] bound the waits explicitly.
+//! [`TaskGroup::spawn`] are cancellation points.
+//!
+//! The two joins are the paper's "synchronisation points", and wait the
+//! way its barriers do: each is one `wait::member_wait` — registered
+//! once, at [`WaitSite::FutureGet`] / [`WaitSite::TaskWait`], for the
+//! stall watchdog, the scheduler hook and the wait histograms. A group's
+//! join polls its lock-free `outstanding` count before it parks (the
+//! group holds the history bit); a future's cell has no lock-free probe
+//! and parks at once. [`FutureTask::get_timeout`] and
+//! [`TaskGroup::wait_timeout`] bound the waits explicitly: the deadline
+//! rides in the wait's condition.
 
 use parking_lot::{Condvar, Mutex};
 use std::any::Any;
@@ -46,7 +53,7 @@ use std::time::{Duration, Instant};
 use crate::ctx;
 use crate::error::{self, TaskPanicked, WaitSite, WaitTimedOut};
 use crate::hook::{self, HookEvent};
-use crate::wait::PARK_TIMEOUT;
+use crate::wait::{self, Site};
 
 /// One-shot rendezvous cell: written once by the producer, consumed once
 /// by `get`.
@@ -56,15 +63,11 @@ enum ShotState<T> {
     Taken,
     /// Producer panicked before publishing; carries the panic payload
     /// when one was captured (a dropped unfulfilled promise has none).
-    Poisoned(Option<Box<dyn Any + Send>>),
+    Poisoned(Payload),
 }
 
-/// How a [`OneShot::take_inner`] ended.
-enum TakeOutcome<T> {
-    Value(T),
-    Failed(Option<Box<dyn Any + Send>>),
-    TimedOut(WaitTimedOut),
-}
+/// What a failed producer left behind: its panic payload, if it had one.
+type Payload = Option<Box<dyn Any + Send>>;
 
 struct OneShot<T> {
     state: Mutex<ShotState<T>>,
@@ -87,7 +90,7 @@ impl<T> OneShot<T> {
         self.cv.notify_all();
     }
 
-    fn poison(&self, payload: Option<Box<dyn Any + Send>>) {
+    fn poison(&self, payload: Payload) {
         let mut s = self.state.lock();
         if matches!(*s, ShotState::Empty) {
             *s = ShotState::Poisoned(payload);
@@ -96,45 +99,30 @@ impl<T> OneShot<T> {
         self.cv.notify_all();
     }
 
-    /// Consume the cell. `check` runs on every park tick (it aborts by
-    /// unwinding — poison/cancel); `park` (the scheduler hook's blocked
-    /// callback) is offered each would-be park first; `timeout` bounds
-    /// the wait. Both callbacks run with the cell unlocked so they may
-    /// block or unwind freely.
+    /// Consume the cell — the registered [`WaitSite::FutureGet`] wait —
+    /// for the value or the failed producer's payload; `Err` once
+    /// `timeout` passed with the cell still empty. The cell has no
+    /// lock-free probe, so the wait parks.
     ///
     /// Panics only on double consumption (a programming error).
-    fn take_inner(
-        &self,
-        timeout: Option<Duration>,
-        check: &dyn Fn(),
-        park: &dyn Fn() -> bool,
-    ) -> TakeOutcome<T> {
-        let deadline = timeout.map(|t| Instant::now() + t);
-        loop {
-            {
-                let mut s = self.state.lock();
-                match std::mem::replace(&mut *s, ShotState::Taken) {
-                    ShotState::Ready(v) => return TakeOutcome::Value(v),
-                    ShotState::Poisoned(p) => return TakeOutcome::Failed(p),
-                    ShotState::Taken => panic!("aomp future result consumed twice"),
-                    ShotState::Empty => *s = ShotState::Empty,
+    fn take(&self, timeout: Option<Duration>) -> Result<Result<T, Payload>, WaitTimedOut> {
+        let expired = wait::expiry(timeout);
+        wait::member_wait(
+            WaitSite::FutureGet,
+            None,
+            (&self.state, &self.cv),
+            || true,
+            |s| match std::mem::replace(s, ShotState::Taken) {
+                ShotState::Ready(v) => Some(Ok(Ok(v))),
+                ShotState::Poisoned(p) => Some(Ok(Err(p))),
+                ShotState::Taken => panic!("aomp future result consumed twice"),
+                ShotState::Empty => {
+                    *s = ShotState::Empty;
+                    expired().map(Err)
                 }
-            }
-            check();
-            if let Some(d) = deadline {
-                if Instant::now() >= d {
-                    return TakeOutcome::TimedOut(WaitTimedOut {
-                        timeout: timeout.unwrap(),
-                    });
-                }
-            }
-            if !park() {
-                let mut s = self.state.lock();
-                if matches!(*s, ShotState::Empty) {
-                    self.cv.wait_for(&mut s, PARK_TIMEOUT);
-                }
-            }
-        }
+            },
+            timeout.is_some(),
+        )
     }
 
     fn is_ready(&self) -> bool {
@@ -219,6 +207,14 @@ where
     })
 }
 
+/// Re-raise a failed producer's panic in the consumer.
+fn raise(payload: Payload) -> ! {
+    match payload {
+        Some(p) => resume_unwind(p),
+        None => panic!("aomp future task panicked before producing a result"),
+    }
+}
+
 /// Handle to a value being computed by a spawned activity
 /// (`@FutureTask`). [`get`](Self::get) blocks until the value is set —
 /// the `@FutureResult` getter synchronisation point.
@@ -245,30 +241,23 @@ impl<T> FutureTask<T> {
     /// payload. A cancellation point (and a [`WaitSite::FutureGet`] for
     /// the stall watchdog) when called inside a team.
     pub fn get(self) -> T {
-        match self.take(None) {
-            TakeOutcome::Value(v) => v,
-            TakeOutcome::Failed(Some(p)) => resume_unwind(p),
-            TakeOutcome::Failed(None) => {
-                panic!("aomp future task panicked before producing a result")
-            }
-            TakeOutcome::TimedOut(_) => unreachable!("unbounded future get cannot time out"),
-        }
+        self.try_take(None)
+            .expect("unbounded future get cannot time out")
+            .unwrap_or_else(|p| raise(p))
     }
 
     /// Non-panicking variant of [`get`](Self::get): a producer panic is
     /// reported as [`TaskPanicked`] (with the payload summarised as a
     /// message) instead of unwinding the consumer.
     pub fn try_get(self) -> Result<T, TaskPanicked> {
-        match self.take(None) {
-            TakeOutcome::Value(v) => Ok(v),
-            TakeOutcome::Failed(p) => Err(TaskPanicked {
+        self.try_take(None)
+            .expect("unbounded future get cannot time out")
+            .map_err(|p| TaskPanicked {
                 payload_msg: p.map_or_else(
                     || "producer dropped without publishing".to_owned(),
                     |p| error::payload_msg(p.as_ref()),
                 ),
-            }),
-            TakeOutcome::TimedOut(_) => unreachable!("unbounded future get cannot time out"),
-        }
+            })
     }
 
     /// Bounded variant of [`get`](Self::get): gives up after `timeout`.
@@ -276,14 +265,7 @@ impl<T> FutureTask<T> {
     /// eventual value is discarded. Producer panics re-raise as in
     /// [`get`](Self::get).
     pub fn get_timeout(self, timeout: Duration) -> Result<T, WaitTimedOut> {
-        match self.take(Some(timeout)) {
-            TakeOutcome::Value(v) => Ok(v),
-            TakeOutcome::Failed(Some(p)) => resume_unwind(p),
-            TakeOutcome::Failed(None) => {
-                panic!("aomp future task panicked before producing a result")
-            }
-            TakeOutcome::TimedOut(e) => Err(e),
-        }
+        Ok(self.try_take(Some(timeout))?.unwrap_or_else(|p| raise(p)))
     }
 
     /// Deadline form of [`get_timeout`](Self::get_timeout): waits until
@@ -297,27 +279,15 @@ impl<T> FutureTask<T> {
         self.get_timeout(remaining)
     }
 
-    fn take(self, timeout: Option<Duration>) -> TakeOutcome<T> {
-        ctx::with_current(|c| match c {
-            None => self.shot.take_inner(timeout, &|| {}, &|| false),
-            Some(c) => {
-                let team = c.shared.token();
-                let tid = c.tid;
-                let r = {
-                    let _w = c.shared.begin_wait(tid, WaitSite::FutureGet);
-                    self.shot
-                        .take_inner(timeout, &|| c.shared.check_interrupt(), &|| {
-                            hook::yield_blocked(team, tid, WaitSite::FutureGet)
-                        })
-                };
-                hook::emit(|| HookEvent::TaskJoin {
-                    team,
-                    tid,
-                    site: WaitSite::FutureGet,
-                });
-                r
-            }
-        })
+    /// The `@FutureResult` getter proper; a team member's is a task join.
+    fn try_take(self, timeout: Option<Duration>) -> Result<Result<T, Payload>, WaitTimedOut> {
+        let taken = self.shot.take(timeout);
+        hook::emit_team(|team, tid| HookEvent::TaskJoin {
+            team,
+            tid,
+            site: WaitSite::FutureGet,
+        });
+        taken
     }
 
     /// True when the value is available (or the producer failed) and
@@ -364,10 +334,14 @@ impl<T> Drop for FuturePromise<T> {
 /// Inner state of a [`TaskGroup`].
 #[derive(Default)]
 struct GroupState {
+    /// Decremented lock-free by finishing tasks: what a joiner polls.
     outstanding: AtomicUsize,
     failed: AtomicBool,
+    /// Only makes the park loss-free: the task that drains the group
+    /// passes through it before it notifies.
     lock: Mutex<()>,
     cv: Condvar,
+    site: Site,
 }
 
 /// A join point between spawning and spawned activities — `@TaskWait`.
@@ -471,53 +445,31 @@ impl TaskGroup {
             }
             return Ok(());
         }
-        let deadline = timeout.map(|t| Instant::now() + t);
-        ctx::with_current(|c| {
-            let ids = c.map(|c| (c.shared.token(), c.tid));
-            {
-                let _w = c.map(|c| c.shared.begin_wait(c.tid, WaitSite::TaskWait));
-                // Completion is an atomic decrement; the lock is only
-                // taken to make the condvar park loss-free (finishing
-                // tasks notify under it), so checks and the hook park
-                // run with it released.
-                loop {
-                    if self.state.outstanding.load(Ordering::Acquire) == 0 {
-                        break;
-                    }
-                    if let Some(c) = c {
-                        c.shared.check_interrupt();
-                    }
-                    if let Some(d) = deadline {
-                        if Instant::now() >= d {
-                            return Err(WaitTimedOut {
-                                timeout: timeout.unwrap(),
-                            });
-                        }
-                    }
-                    let hooked = match ids {
-                        Some((team, tid)) => hook::yield_blocked(team, tid, WaitSite::TaskWait),
-                        None => false,
-                    };
-                    if !hooked {
-                        let mut g = self.state.lock.lock();
-                        if self.state.outstanding.load(Ordering::Acquire) != 0 {
-                            self.state.cv.wait_for(&mut g, PARK_TIMEOUT);
-                        }
-                    }
+        let drained = || self.state.outstanding.load(Ordering::Acquire) == 0;
+        let expired = wait::expiry(timeout);
+        wait::member_wait(
+            WaitSite::TaskWait,
+            Some(&self.state.site),
+            (&self.state.lock, &self.state.cv),
+            || drained() || expired().is_some(),
+            |_| {
+                if drained() {
+                    Some(Ok(()))
+                } else {
+                    expired().map(Err)
                 }
-            }
-            if self.state.failed.swap(false, Ordering::AcqRel) {
-                panic!("aomp task group: a task panicked");
-            }
-            if let Some((team, tid)) = ids {
-                hook::emit(|| HookEvent::TaskJoin {
-                    team,
-                    tid,
-                    site: WaitSite::TaskWait,
-                });
-            }
-            Ok(())
-        })
+            },
+            timeout.is_some(),
+        )?;
+        if self.state.failed.swap(false, Ordering::AcqRel) {
+            panic!("aomp task group: a task panicked");
+        }
+        hook::emit_team(|team, tid| HookEvent::TaskJoin {
+            team,
+            tid,
+            site: WaitSite::TaskWait,
+        });
+        Ok(())
     }
 }
 

@@ -1,16 +1,26 @@
-//! The team wait: spin briefly, then park — written once.
+//! The one wait: spin briefly, then park — written once.
 //!
-//! Every wait a team thread performs on another team thread (a barrier
-//! round, an idle worker's next dispatch, the master's join, a broadcast
-//! value, an ordered turn) goes through [`wait_until`]. Waking a parked
-//! thread costs ~20 µs on a loaded host while most such waits end within
-//! a microsecond or two, so the wait first polls its condition for
-//! [`SPIN_BUDGET`] and only then takes the loss-free bounded park.
+//! Every wait a runtime thread performs on another goes through
+//! [`wait_until`]: a barrier round, an idle team worker's next dispatch,
+//! the master's join, a broadcast value, an ordered turn, a task join, a
+//! future's value, a dependence group's next ready task, a taskloop
+//! window, an idle executor worker's next task (`critical`, a mutex, and
+//! `nr`, a combiner slot with retraction, are no condvar waits and keep
+//! their own). Waking a parked thread costs ~20 µs on a loaded host while
+//! most such waits end within a microsecond or two, so the wait first
+//! polls its condition for [`SPIN_BUDGET`] and only then takes the
+//! loss-free park.
+//!
+//! A wait made by a team *member* at a [`WaitSite`] is a [`member_wait`]:
+//! the same call, registered — once per wait — with the member's team, so
+//! the stall watchdog, the scheduler hook and the wait histograms see one
+//! blocked member for as long as it stays blocked.
 //!
 //! How a wait spins follows from what the code can observe, never from a
-//! setting (DESIGN.md "Waiting policy"): a site whose last wait outlasted
-//! the budget parks at once ([`Site`]); a process running more team
-//! threads than it has CPUs yields between probes from the first one on
+//! setting (DESIGN.md "Waiting policy"): only a site whose condition has
+//! a lock-free probe polls at all; a site whose last wait outlasted the
+//! budget parks at once ([`Site`]); a process running more team threads
+//! than it has CPUs yields between probes from the first one on
 //! (libgomp's managed-threads rule), because the thread waited for may
 //! need this very CPU; a registered scheduler hook disables polling, so
 //! a checker's decision trace is a function of the schedule alone.
@@ -20,6 +30,9 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
+use crate::ctx::TeamShared;
+use crate::error::{WaitSite, WaitTimedOut};
+use crate::hook;
 use crate::obs::{self, Counter};
 
 /// Park timeout: bounds how long a thread sleeps before re-running its
@@ -93,7 +106,7 @@ pub(crate) fn wait_until<S, R>(
         return r;
     }
     let t0 = Instant::now();
-    if site.is_some_and(|s| !s.0.load(Ordering::Relaxed)) && !crate::hook::active() {
+    if site.is_some_and(|s| !s.0.load(Ordering::Relaxed)) && !hook::active() {
         let mut probes = if cpu_to_spare() { 0 } else { PURE_SPINS };
         while probes < PURE_SPINS || t0.elapsed() < SPIN_BUDGET {
             if probes < PURE_SPINS {
@@ -129,4 +142,55 @@ pub(crate) fn wait_until<S, R>(
         site.0.store(t0.elapsed() >= SPIN_BUDGET, Ordering::Relaxed);
     }
     r
+}
+
+/// A bounded wait's deadline, `timeout` from now, as a test for its
+/// `probe` and `take`: the error to report once it has passed. Nothing
+/// announces a deadline, so the wait that polls it must tick.
+pub(crate) fn expiry(timeout: Option<Duration>) -> impl Fn() -> Option<WaitTimedOut> {
+    let deadline = timeout.map(|t| (Instant::now() + t, WaitTimedOut { timeout: t }));
+    move || deadline.and_then(|(at, e)| (Instant::now() >= at).then_some(e))
+}
+
+/// [`wait_until`] as one registered wait of the calling team member at
+/// `site`: a cancellation point, visible to the stall watchdog, its park
+/// offered to the scheduler hook. Outside a team it is the bare wait,
+/// which only a notification ends — unless `timed` says the condition
+/// includes a deadline, which nothing announces, so the park ticks. It
+/// registers even when the condition already holds; a caller that must
+/// not look blocked then tries its condition first.
+pub(crate) fn member_wait<S, R>(
+    site: WaitSite,
+    spin: Option<&Site>,
+    sync: (&Mutex<S>, &Condvar),
+    probe: impl Fn() -> bool,
+    take: impl FnMut(&mut S) -> Option<R>,
+    timed: bool,
+) -> R {
+    crate::ctx::with_current(|c| {
+        let member = c.map(|c| (&*c.shared, c.tid));
+        registered(member, site, timed, |check, park| {
+            wait_until(spin, sync, probe, take, check, park)
+        })
+    })
+}
+
+/// The registration itself — all [`member_wait`] adds to [`wait_until`]
+/// — around a `wait` handed the `check` and `park` to wait with: the
+/// barrier's member arrives between registering and waiting.
+pub(crate) fn registered<R>(
+    member: Option<(&TeamShared, usize)>,
+    site: WaitSite,
+    timed: bool,
+    wait: impl FnOnce(Option<&dyn Fn()>, &dyn Fn() -> bool) -> R,
+) -> R {
+    let Some((team, tid)) = member else {
+        let tick: &dyn Fn() = &|| {};
+        return wait(timed.then_some(tick), &|| false);
+    };
+    team.check_interrupt();
+    let _w = team.begin_wait(tid, site);
+    wait(Some(&|| team.check_interrupt()), &|| {
+        hook::yield_blocked(team.token(), tid, site)
+    })
 }

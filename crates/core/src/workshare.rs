@@ -186,28 +186,29 @@ struct OrderedState {
 }
 
 impl OrderedState {
-    /// Block until it is `ticket`'s turn. `check` runs on every park
-    /// tick and aborts by unwinding (poison/cancel); `park` is the
-    /// scheduler hook's blocked callback.
-    fn enter(&self, ticket: u64, check: impl Fn(), park: impl Fn() -> bool) {
+    /// Run `f` as section `ticket`: wait (registered, a cancellation
+    /// point inside a team) until every lower ticket completed, run,
+    /// pass the turn on.
+    fn run<R>(&self, ticket: u64, f: impl FnOnce() -> R) -> R {
         let my_turn = || self.next.load(AtomicOrdering::Acquire) == ticket;
-        wait::wait_until(
+        wait::member_wait(
+            WaitSite::Ordered,
             Some(&self.site),
             (&self.lock, &self.cv),
             my_turn,
             |_| my_turn().then_some(()),
-            Some(&check),
-            park,
-        )
-    }
-
-    fn exit(&self, ticket: u64) {
+            false,
+        );
+        hook::emit_team(|team, tid| HookEvent::OrderedEnter { team, tid, ticket });
+        let r = f();
         {
             let _g = self.lock.lock();
             debug_assert_eq!(self.next.load(AtomicOrdering::Relaxed), ticket);
             self.next.store(ticket + 1, AtomicOrdering::Release);
         }
         self.cv.notify_all();
+        hook::emit_team(|team, tid| HookEvent::OrderedExit { team, tid, ticket });
+        r
     }
 }
 
@@ -272,7 +273,7 @@ impl ForConstruct {
             None => {
                 let scope = ForScope {
                     full: range,
-                    shared: None,
+                    ordered: None,
                 };
                 body(range, &scope);
             }
@@ -284,10 +285,7 @@ impl ForConstruct {
                     let ordered = c.shared.slot::<OrderedState>(self.key, round);
                     let scope = ForScope {
                         full: range,
-                        shared: Some(ScopeShared {
-                            team: c,
-                            ordered: &ordered,
-                        }),
+                        ordered: Some(&ordered),
                     };
                     body(range, &scope);
                     c.shared.detach_slot(self.key, round);
@@ -297,10 +295,6 @@ impl ForConstruct {
                 let count = range.count();
                 // Ordered sequencing state is shared by every schedule.
                 let ordered = c.shared.slot::<OrderedState>(self.key, round);
-                let scope_shared = ScopeShared {
-                    team: c,
-                    ordered: &ordered,
-                };
 
                 match self.schedule {
                     Schedule::StaticBlock => {
@@ -313,7 +307,7 @@ impl ForConstruct {
                         let sub = range.slice_iters(ilo, ihi);
                         let scope = ForScope {
                             full: range,
-                            shared: Some(scope_shared),
+                            ordered: Some(&ordered),
                         };
                         if !sub.is_empty() {
                             hook::emit(|| HookEvent::ChunkHandout {
@@ -331,7 +325,7 @@ impl ForConstruct {
                         let sub = schedule::static_cyclic_range(range, tid, n);
                         let scope = ForScope {
                             full: range,
-                            shared: Some(scope_shared),
+                            ordered: Some(&ordered),
                         };
                         if !sub.is_empty() {
                             // The cyclic assignment {tid, tid+n, ...} is
@@ -367,7 +361,7 @@ impl ForConstruct {
                         let dyn_state = c.shared.slot::<DynState>(self.key ^ DYN_KEY_SALT, round);
                         let scope = ForScope {
                             full: range,
-                            shared: Some(scope_shared),
+                            ordered: Some(&ordered),
                         };
                         // Chunk coalescing: grab a *batch* of consecutive
                         // chunks per shared-counter fetch so fine-grained
@@ -418,7 +412,7 @@ impl ForConstruct {
                         let chunk = chunk.max(1);
                         let scope = ForScope {
                             full: range,
-                            shared: Some(scope_shared),
+                            ordered: Some(&ordered),
                         };
                         for (lo, hi) in schedule::block_cyclic_iters(count, chunk, tid, n) {
                             c.shared.check_interrupt();
@@ -437,7 +431,7 @@ impl ForConstruct {
                         let gstate = c.shared.slot::<GuidedState>(self.key ^ DYN_KEY_SALT, round);
                         let scope = ForScope {
                             full: range,
-                            shared: Some(scope_shared),
+                            ordered: Some(&ordered),
                         };
                         loop {
                             c.shared.check_interrupt();
@@ -467,7 +461,7 @@ impl ForConstruct {
                         let sh = astate.shared.get_or_init(|| AdaptiveShared::seed(count, n));
                         let scope = ForScope {
                             full: range,
-                            shared: Some(scope_shared),
+                            ordered: Some(&ordered),
                         };
                         // Under the checker, skip wall-clock sampling
                         // entirely: every thread stays cold, so the
@@ -539,16 +533,12 @@ impl Default for ForConstruct {
 /// same construct occurrence.
 const DYN_KEY_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
 
-struct ScopeShared<'a> {
-    team: &'a std::rc::Rc<crate::ctx::TeamCtx>,
-    ordered: &'a OrderedState,
-}
-
 /// Per-encounter handle passed to [`ForConstruct::execute_scoped`]
 /// bodies: ordered sections and iteration bookkeeping.
 pub struct ForScope<'a> {
     full: LoopRange,
-    shared: Option<ScopeShared<'a>>,
+    /// The encounter's sequencing state; `None` outside a team.
+    ordered: Option<&'a OrderedState>,
 }
 
 impl ForScope<'_> {
@@ -584,25 +574,9 @@ impl ForScope<'_> {
     /// section (OpenMP's rule, which the paper inherits).
     pub fn ordered<R>(&self, i: i64, f: impl FnOnce() -> R) -> R {
         let ticket = self.iteration_of(i);
-        match &self.shared {
+        match self.ordered {
             None => f(),
-            Some(s) => {
-                let team = s.team.shared.token();
-                let tid = s.team.tid;
-                {
-                    let _w = s.team.shared.begin_wait(tid, WaitSite::Ordered);
-                    s.ordered.enter(
-                        ticket,
-                        || s.team.shared.check_interrupt(),
-                        || hook::yield_blocked(team, tid, WaitSite::Ordered),
-                    );
-                }
-                hook::emit(|| HookEvent::OrderedEnter { team, tid, ticket });
-                let r = f();
-                s.ordered.exit(ticket);
-                hook::emit(|| HookEvent::OrderedExit { team, tid, ticket });
-                r
-            }
+            Some(ordered) => ordered.run(ticket, f),
         }
     }
 }
@@ -625,24 +599,7 @@ impl Ordered {
     /// then release `ticket + 1`. A cancellation point when called inside
     /// a team.
     pub fn run<R>(&self, ticket: u64, f: impl FnOnce() -> R) -> R {
-        ctx::with_current(|c| match c {
-            None => self.state.enter(ticket, || {}, || false),
-            Some(c) => {
-                let team = c.shared.token();
-                let tid = c.tid;
-                let _w = c.shared.begin_wait(tid, WaitSite::Ordered);
-                self.state.enter(
-                    ticket,
-                    || c.shared.check_interrupt(),
-                    || hook::yield_blocked(team, tid, WaitSite::Ordered),
-                );
-            }
-        });
-        hook::emit_team(|team, tid| HookEvent::OrderedEnter { team, tid, ticket });
-        let r = f();
-        self.state.exit(ticket);
-        hook::emit_team(|team, tid| HookEvent::OrderedExit { team, tid, ticket });
-        r
+        self.state.run(ticket, f)
     }
 }
 

@@ -180,8 +180,8 @@ mod tests {
     #[test]
     fn knapsack_rewards_value_penalises_overweight() {
         let k = Knapsack::instance(10);
-        let none = k.evaluate(&vec![0.0; 10]);
-        let all = k.evaluate(&vec![1.0; 10]);
+        let none = k.evaluate(&[0.0; 10]);
+        let all = k.evaluate(&[1.0; 10]);
         assert_eq!(none, 0.0);
         assert!(all > none, "taking everything busts the capacity");
     }

@@ -403,12 +403,12 @@ mod tests {
         let n = g.vertices();
         let sp = source_partitions(&gt, parts);
         let part_of = |v: usize| (v * parts / n).min(parts - 1);
-        for p in 0..parts {
+        for (p, sources) in sp.iter().enumerate() {
             let (lo, hi) = partition_bounds(n, parts, p);
             for v in lo..hi {
                 for &u in gt.neighbours(v) {
                     assert!(
-                        sp[p].contains(&(part_of(u as usize) as u64)),
+                        sources.contains(&(part_of(u as usize) as u64)),
                         "partition {p} reads {u} but lacks its partition tag"
                     );
                 }

@@ -198,6 +198,6 @@ mod tests {
     fn any_and_none() {
         assert!(Pointcut::Any.matches(&jp("x")));
         assert!(!Pointcut::None.matches(&jp("x")));
-        assert!(Pointcut::calls(Vec::<String>::new()).matches(&jp("x")) == false);
+        assert!(!Pointcut::calls(Vec::<String>::new()).matches(&jp("x")));
     }
 }

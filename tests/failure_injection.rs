@@ -246,6 +246,42 @@ fn hung_worker_is_diagnosed_as_stall_not_deadlock() {
 }
 
 #[test]
+fn team_deadlocked_on_a_dependence_graph_is_diagnosed_at_task_wait() {
+    // Real time on purpose: both members sleep in `DepGroup::run` on a
+    // group nobody closes. A parked member makes no progress, so the
+    // watchdog must see the team stand still — a wait that re-registered
+    // on every park tick kept bumping the progress counter and was never
+    // diagnosed.
+    let g = DepGroup::new();
+    // On a thread of its own, so an undiagnosed deadlock fails the test
+    // instead of hanging it.
+    let (verdict, region) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let r = region::try_parallel_with(
+            RegionConfig::new()
+                .threads(2)
+                .stall_deadline(Duration::from_millis(100)),
+            || g.run().expect("no cycle"),
+        );
+        let _ = verdict.send(r);
+    });
+    let r = region
+        .recv_timeout(Duration::from_secs(1))
+        .expect("a 100 ms stall deadline fires within the second");
+    match r {
+        Err(RegionError::Stalled { mut blocked }) => {
+            blocked.sort_unstable_by_key(|&(tid, _)| tid);
+            assert_eq!(
+                blocked,
+                vec![(0, WaitSite::TaskWait), (1, WaitSite::TaskWait)]
+            );
+        }
+        other => panic!("expected RegionError::Stalled, got {other:?}"),
+    }
+    runtime_still_works();
+}
+
+#[test]
 fn annotation_stall_deadline_converts_hang_to_panic() {
     // A synchronisation-level hang (the worker waits at a second barrier
     // round the master never joins): the cooperative watchdog cancels the

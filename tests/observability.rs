@@ -231,3 +231,55 @@ fn wait_histograms_grow_under_contention() {
             || delta.hist(Lat::WaitCritical).count() >= 1
     );
 }
+
+#[test]
+fn one_dependence_wait_is_one_sample_and_one_slice() {
+    // A member that sleeps ~30 ms in `DepGroup::wait` waited once: one
+    // histogram sample of that length and one trace slice, not one
+    // park-tick-sized sample per tick.
+    let _g = serialize();
+    let waiting = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let g = DepGroup::new();
+    // Spawned outside a team: the task runs on the executor, so the
+    // joining member cannot help itself to it.
+    let w = std::sync::Arc::clone(&waiting);
+    g.spawn([], move || {
+        while !w.load(Ordering::Acquire) {
+            std::thread::sleep(std::time::Duration::from_micros(100));
+        }
+        std::thread::sleep(std::time::Duration::from_millis(30));
+    });
+    obs::set_metrics(true);
+    obs::trace::start();
+    let before = obs::snapshot();
+    region::parallel_with(RegionConfig::new().threads(2), || {
+        if thread_id() == 0 {
+            waiting.store(true, Ordering::Release);
+            g.wait().expect("no cycle");
+        }
+    });
+    let delta = obs::snapshot().since(&before);
+    obs::set_metrics(false);
+    let path = std::env::temp_dir().join("aomp-obs-dep-wait-test.json");
+    let path = path.to_str().expect("utf-8 temp path");
+    obs::trace::stop_to_file(path).expect("trace written");
+
+    let waits = delta.hist(Lat::WaitTaskWait);
+    assert_eq!(waits.count(), 1, "one wait, one sample");
+    assert!(
+        waits.sum_ns() >= 25_000_000,
+        "the sample is the whole wait: {} ns",
+        waits.sum_ns()
+    );
+    let text = std::fs::read_to_string(path).expect("trace readable");
+    let doc = Json::parse(&text).expect("trace is valid JSON");
+    let slices = doc
+        .get("traceEvents")
+        .and_then(Json::as_array)
+        .expect("traceEvents array")
+        .iter()
+        .filter(|ev| ev.get("name").and_then(Json::as_str) == Some("wait:task-wait"))
+        .count();
+    assert_eq!(slices, 1, "one wait, one slice");
+    let _ = std::fs::remove_file(path);
+}

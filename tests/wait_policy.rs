@@ -1,10 +1,11 @@
-//! The waiting policy (DESIGN.md "Waiting policy"): every team wait polls
-//! for a bounded budget before it parks — yielding between probes when
-//! the process is oversubscribed — unless the site's last wait was long
-//! or a scheduler hook is registered. These tests pin the edges of that policy: oversubscribed
+//! The waiting policy (DESIGN.md "Waiting policy"): every wait polls for
+//! a bounded budget before it parks — yielding between probes when the
+//! process is oversubscribed — unless its condition has no lock-free
+//! probe, the site's last wait was long or a scheduler hook is
+//! registered. These tests pin the edges of that policy: oversubscribed
 //! teams stay live and cheap, an idle team goes quiet, interrupts that
-//! land on a spinning member are observed, and nothing spins under a
-//! hook.
+//! land on a spinning member are observed, and nothing — team wait, task
+//! join or idle executor worker — spins under a hook.
 
 use aomp_check as check;
 use aomplib::prelude::*;
@@ -205,25 +206,18 @@ fn interrupts_landing_on_a_spinning_member_are_observed() {
     assert_eq!(hits.load(Ordering::SeqCst), 2);
 }
 
-#[test]
-fn nothing_spins_under_a_scheduler_hook() {
-    let _s = serial();
-    let master = Master::new();
-    let program = || {
-        region::parallel_with(RegionConfig::new().threads(2), || {
-            for round in 0..4 {
-                assert_eq!(master.run(|| round), round);
-                barrier();
-            }
-        })
-    };
+/// Explore `program`, run it natively until every site it waits at has a
+/// history of quick waits, then explore it again on the same seeds: under
+/// the hook no wait may poll — every one parks through it.
+fn explored_cold_then_warm(program: impl Fn()) -> (check::Report, check::Report) {
     let seeds = check::seeds_from_env(16);
-    let explore = || check::Explorer::new().random(seeds, 0x5917, program);
+    let explore = || check::Explorer::new().random(seeds, 0x5917, &program);
     let cold = explore();
     cold.assert_ok();
 
     // Native runs: every site that survives a region (the cached team's
-    // dispatch and join) now remembers quick waits.
+    // dispatch and join, a task group's join, the executor's idle wait)
+    // now remembers quick waits.
     obs::set_metrics(true);
     let before = obs::snapshot();
     for _ in 0..200 {
@@ -234,13 +228,12 @@ fn nothing_spins_under_a_scheduler_hook() {
         native.counter(obs::Counter::WaitSpinHit) + native.counter(obs::Counter::WaitParked);
     assert!(waits > 0, "the counters tick at the one chokepoint");
 
-    // Let the cached team go quiet first: an idle worker still inside the
-    // 100 µs poll it began before the hook was registered would count a
-    // spin hit if the exploration's first dispatch reached it in time.
+    // Let the cached team and the executor go quiet first: an idle worker
+    // still inside the 100 µs poll it began before the hook was
+    // registered would count a spin hit if the exploration's first
+    // dispatch reached it in time.
     std::thread::sleep(Duration::from_millis(50));
 
-    // Explored again, same seeds: no wait spins (every one parks through
-    // the hook), so the interleavings are byte-for-byte the cold ones.
     let before = obs::snapshot();
     let warm = explore();
     let explored = obs::snapshot().since(&before);
@@ -248,6 +241,84 @@ fn nothing_spins_under_a_scheduler_hook() {
     warm.assert_ok();
     assert_eq!(explored.counter(obs::Counter::WaitSpinHit), 0);
     assert!(explored.counter(obs::Counter::WaitParked) > 0);
+    (cold, warm)
+}
+
+#[test]
+fn nothing_spins_under_a_scheduler_hook() {
+    let _s = serial();
+    let master = Master::new();
+    let (cold, warm) = explored_cold_then_warm(|| {
+        region::parallel_with(RegionConfig::new().threads(2), || {
+            for round in 0..4 {
+                assert_eq!(master.run(|| round), round);
+                barrier();
+            }
+        })
+    });
+    // No wait spun, so the interleavings are byte-for-byte the cold ones.
     assert_eq!(warm.digests(), cold.digests());
     assert!(cold.distinct_schedules() > 1);
+}
+
+#[aomplib::annotations::taskloop(min_chunk = 4)]
+fn taskloop_count(start: i64, end: i64, step: i64, hits: &AtomicUsize) {
+    hits.fetch_add(
+        LoopRange::new(start, end, step).count() as usize,
+        Ordering::Relaxed,
+    );
+}
+
+#[test]
+fn no_task_side_wait_spins_under_a_scheduler_hook() {
+    let _s = serial();
+    // A dependence graph pulled by the team and a taskloop: every wait is
+    // on a team-mate, so a trace is a function of the schedule alone.
+    let (cold, warm) = explored_cold_then_warm(|| {
+        let g = DepGroup::new();
+        let chain = std::sync::Arc::new(Mutex::new(Vec::new()));
+        let hits = AtomicUsize::new(0);
+        region::parallel_with(RegionConfig::new().threads(2), || {
+            if thread_id() == 0 {
+                for step in 0..3 {
+                    let chain = std::sync::Arc::clone(&chain);
+                    g.spawn([Dep::inout("chain")], move || {
+                        chain.lock().unwrap().push(step)
+                    });
+                }
+                g.close();
+            }
+            g.run().expect("no cycle");
+            taskloop_count(0, 32, 1, &hits);
+        });
+        assert_eq!(*chain.lock().unwrap(), vec![0, 1, 2]);
+        assert_eq!(hits.load(Ordering::Relaxed), 32);
+    });
+    assert_eq!(warm.digests(), cold.digests());
+    assert!(cold.distinct_schedules() > 1);
+
+    // Fork-join tasks and a future, joined inside the team: they run on
+    // the executor, outside the explored team, so how often a joiner is
+    // probed before they finish is real time's say and digests may
+    // differ. Still nothing polls — not the group's join, not the
+    // executor's idle workers.
+    explored_cold_then_warm(|| {
+        let ran = std::sync::Arc::new(AtomicUsize::new(0));
+        region::parallel_with(RegionConfig::new().threads(2), || {
+            if thread_id() == 0 {
+                let group = TaskGroup::new();
+                for _ in 0..2 {
+                    let ran = std::sync::Arc::clone(&ran);
+                    group.spawn(move || {
+                        ran.fetch_add(1, Ordering::SeqCst);
+                    });
+                }
+                let fut = task::spawn_future(|| 7usize);
+                group.wait();
+                assert_eq!(fut.get(), 7);
+            }
+            barrier();
+        });
+        assert_eq!(ran.load(Ordering::SeqCst), 2);
+    });
 }
