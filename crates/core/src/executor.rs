@@ -168,7 +168,7 @@ impl Executor {
     /// the caller decides the fallback.
     pub(crate) fn try_submit(self: &Arc<Self>, task: Task) -> Result<(), Task> {
         if self.shutdown.load(Ordering::Acquire) {
-            obs::count(Counter::TaskRefusedSaturated);
+            self.scope.record(Counter::TaskRefusedSaturated);
             return Err(task);
         }
         let mut g = self.inner.lock();
@@ -182,8 +182,7 @@ impl Executor {
             self.pending.fetch_add(1, Ordering::Relaxed);
             drop(g);
             self.cv.notify_one();
-            obs::count(Counter::TaskPooled);
-            self.scope.bump(Counter::TaskPooled);
+            self.scope.record(Counter::TaskPooled);
             return Ok(());
         }
         if g.live < self.max_workers {
@@ -208,19 +207,18 @@ impl Executor {
                     }
                     drop(g);
                     self.cv.notify_one();
-                    obs::count(Counter::TaskPooled);
-                    self.scope.bump(Counter::TaskPooled);
+                    self.scope.record(Counter::TaskPooled);
                     Ok(())
                 }
                 Err(_) => {
                     self.inner.lock().live -= 1;
-                    obs::count(Counter::TaskRefusedSaturated);
+                    self.scope.record(Counter::TaskRefusedSaturated);
                     Err(task)
                 }
             }
         } else {
             drop(g);
-            obs::count(Counter::TaskRefusedSaturated);
+            self.scope.record(Counter::TaskRefusedSaturated);
             Err(task)
         }
     }
@@ -283,8 +281,7 @@ impl Executor {
             if !batch.is_empty() {
                 self.queues[own].lock().append(&mut batch);
             }
-            obs::count(Counter::TaskStolen);
-            self.scope.bump(Counter::TaskStolen);
+            self.scope.record(Counter::TaskStolen);
             return Some(t);
         }
         None
@@ -325,8 +322,7 @@ fn worker_loop(ex: Arc<Executor>, id: usize) {
             // its task instead of growing the pool.
             g.idle += 1;
         }
-        obs::count(Counter::ExecParks);
-        ex.scope.bump(Counter::ExecParks);
+        ex.scope.record(Counter::ExecParks);
         wait::wait_until(
             Some(&ex.idle),
             (&ex.inner, &ex.cv),
@@ -340,8 +336,7 @@ fn worker_loop(ex: Arc<Executor>, id: usize) {
             None,
             || false,
         );
-        obs::count(Counter::ExecUnparks);
-        ex.scope.bump(Counter::ExecUnparks);
+        ex.scope.record(Counter::ExecUnparks);
     }
 }
 
@@ -351,8 +346,9 @@ fn worker_loop(ex: Arc<Executor>, id: usize) {
 /// the caller. Inline degradation is the sequential semantics the paper
 /// guarantees for unplugged annotations, and strictly better than the
 /// panic it replaces: the task still runs, completion counters still
-/// reach zero, futures still get their value.
-pub(crate) fn fallback_dispatch(name: &'static str, task: Task) {
+/// reach zero, futures still get their value. The outcome is recorded in
+/// `scope`, the dispatching runtime's.
+pub(crate) fn fallback_dispatch(name: &'static str, task: Task, scope: &obs::Scope) {
     // `Builder::spawn` consumes the closure even on error, so park the
     // task in a shared slot the caller can reclaim if the spawn fails.
     let slot = Arc::new(Mutex::new(Some(task)));
@@ -366,11 +362,11 @@ pub(crate) fn fallback_dispatch(name: &'static str, task: Task) {
             }
         });
     match spawned {
-        Ok(_) => obs::count(Counter::TaskDedicated),
+        Ok(_) => scope.record(Counter::TaskDedicated),
         Err(_) => {
             let t = slot.lock().take();
             if let Some(t) = t {
-                obs::count(Counter::TaskInline);
+                scope.record(Counter::TaskInline);
                 t();
             }
         }
@@ -389,7 +385,7 @@ mod tests {
 
     fn submit_or_fallback(ex: &Arc<Executor>, task: Task) {
         if let Err(t) = ex.try_submit(task) {
-            fallback_dispatch("aomp-task", t);
+            fallback_dispatch("aomp-task", t, &ex.scope);
         }
     }
 

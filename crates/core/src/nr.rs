@@ -24,17 +24,44 @@
 //! Writers on different replicas contend only on the log tail (one CAS
 //! per *batch*); readers on different replicas do not contend at all.
 //!
-//! Two front ends share the machinery:
+//! Two front ends post through one flat-combining slot array:
 //!
 //! * [`Replicated<T>`] — the typed API: implement [`Dispatch`] for a
 //!   plain single-threaded structure (an enum of read/write ops mapped to
-//!   responses) and `Replicated` makes it concurrent.
+//!   responses) and `Replicated` makes it concurrent. A replica is a slot
+//!   array carrying `WriteOp`s and responses, plus its data and the log
+//!   prefix it has applied; the operation log is `Replicated`'s own.
 //! * [`Combiner`] — an untyped flat-combining *section* lock for closure
 //!   bodies: `combiner.run(|| ...)` is a scalability upgrade for
 //!   [`critical_named`](crate::critical::critical_named), used by the
-//!   weaver's `replicated` mechanism and the `#[replicated]` macro. It
-//!   has a single "replica" (the section body runs once), so it provides
-//!   flat combining without replication.
+//!   weaver's `replicated` mechanism and the `#[replicated]` macro. Its
+//!   one slot array carries type-erased sections and it has no log (the
+//!   section body runs once), so it provides flat combining without
+//!   replication.
+//!
+//! The slot array is the protocol, written once. A thread gets one slot
+//! per structure on first use (one per-thread registry; a
+//! [`ReplicatedHandle`] holds a slot and returns it when dropped;
+//! threads past the 64th take the combiner lock and run their op inline).
+//! A poster publishes its op (`EMPTY → PENDING`) and waits: it picks up
+//! its answer (`DONE → EMPTY`), or, whenever the combiner lock is free,
+//! takes it and combines with its own op still published. A combiner
+//! claims every published op in one pass (`PENDING → TAKEN`), runs them,
+//! and answers them in one pass (`TAKEN → DONE`) before it releases the
+//! lock. Two rules cover the ways out:
+//!
+//! * **Retract.** A poster whose team is poisoned or cancelled does not
+//!   return. It withdraws an op that is still `PENDING` (`PENDING →
+//!   EMPTY`) and unwinds; once the op is claimed it waits for `DONE` and
+//!   unwinds after it, so the op ran exactly once and the slot is free
+//!   for its next use.
+//! * **Panic.** Every op runs under `catch_unwind`. A panicking op's
+//!   payload is its poster's answer, re-raised on the poster once the
+//!   combiner lock is released and its `NrSync` edge emitted; the rest of
+//!   the batch gets its responses, and replicas replaying the op for
+//!   other posters drop the payload and go on. So a claimed op always
+//!   reaches `DONE`, and a panic breaks neither the batch nor the
+//!   structure.
 //!
 //! # Configuration
 //!
@@ -57,10 +84,6 @@
 //!
 //! # Limitations
 //!
-//! * [`Dispatch::dispatch_mut`] must not panic: a panic mid-batch unwinds
-//!   the combiner with responses undelivered. Inside a team the panic
-//!   poisons the team and blocked posters unwind too; outside a team
-//!   they would wait forever.
 //! * A [`Combiner`] section body runs on *some* combining thread, not
 //!   necessarily the posting thread — thread-identity-dependent bodies
 //!   (thread-locals, [`thread_id`](crate::ctx::thread_id)) see the
@@ -73,6 +96,7 @@ use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
+use std::thread;
 use std::time::Duration;
 
 use crate::ctx;
@@ -101,8 +125,9 @@ pub trait Dispatch {
     /// Execute a read-only operation against the current state.
     fn dispatch(&self, op: &Self::ReadOp) -> Self::Response;
 
-    /// Execute a mutating operation. Must be deterministic and must not
-    /// panic (see module docs).
+    /// Execute a mutating operation. Must be deterministic. A panic is
+    /// re-raised on the op's own poster (see module docs); each replica
+    /// keeps the state the op left it in and goes on.
     fn dispatch_mut(&mut self, op: &Self::WriteOp) -> Self::Response;
 }
 
@@ -111,17 +136,17 @@ pub trait Dispatch {
 // --------------------------------------------------------------------
 
 /// Flat-combining slot states. EMPTY → PENDING (poster publishes) →
-/// TAKEN (combiner claimed the op) → DONE (response ready) → EMPTY
-/// (poster consumed). The PENDING→EMPTY retract transition lets a
-/// poster withdraw an op no combiner has claimed yet (cancellation).
+/// TAKEN (combiner claimed the op) → DONE (answer ready) → EMPTY
+/// (poster consumed). PENDING → EMPTY is the retract: a poster
+/// withdrawing an op no combiner has claimed.
 const EMPTY: u8 = 0;
 const PENDING: u8 = 1;
 const TAKEN: u8 = 2;
 const DONE: u8 = 3;
 
-/// Combining slots per replica. Threads beyond this fall back to a
-/// slotless path (acquire the combiner lock, self-execute) — correct,
-/// just without the batching win.
+/// Slots per slot array. Threads beyond this fall back to a slotless
+/// path (acquire the combiner lock, run their op inline) — correct, just
+/// without the batching win.
 const NR_SLOTS: usize = 64;
 /// Sentinel assignment for threads that did not get a combining slot.
 const SLOTLESS: usize = usize::MAX;
@@ -170,9 +195,8 @@ pub fn default_log_size() -> usize {
 /// Inside a team: register at [`WaitSite::Replicated`] for the stall
 /// watchdog, offer every park to a registered scheduler hook, and when
 /// the team is poisoned/cancelled ask `retract` whether it is safe to
-/// unwind (a poster must first withdraw its published op — or, for a
-/// [`Combiner`] task that points into the poster's stack frame, may only
-/// unwind once the op can no longer be claimed).
+/// unwind (the poster wait withdraws a still-`PENDING` op first; see
+/// [`Slots::post`]).
 fn block_on<R>(mut ready: impl FnMut() -> Option<R>, mut retract: impl FnMut() -> bool) -> R {
     if let Some(r) = ready() {
         return r;
@@ -227,6 +251,55 @@ fn thread_token() -> usize {
     TOKEN.with(|t| t as *const u8 as usize)
 }
 
+thread_local! {
+    /// This thread's `(replica, slot)` assignment per structure id (a
+    /// [`Combiner`] has the one replica 0), made on first use. Entries
+    /// for dropped structures linger (ids are never reused, so they are
+    /// merely unused); a thread's slots are not returned when the thread
+    /// exits — slot exhaustion degrades to the slotless path, never to an
+    /// error.
+    static REG: RefCell<HashMap<usize, (usize, usize)>> = RefCell::new(HashMap::new());
+}
+
+/// This thread's assignment on structure `id`, made by `assign` on first
+/// use.
+fn assignment(id: usize, assign: impl FnOnce() -> (usize, usize)) -> (usize, usize) {
+    REG.with(|m| *m.borrow_mut().entry(id).or_insert_with(assign))
+}
+
+// The protocol's happens-before edges (see the module's checker section).
+
+fn append_edge(nr: usize, lo: u64, hi: u64) {
+    hook::emit_team(|team, tid| HookEvent::NrAppend {
+        team,
+        tid,
+        nr,
+        lo,
+        hi,
+    });
+}
+
+fn combine_edge(nr: usize, replica: usize, lo: u64, hi: u64) {
+    hook::emit_team(|team, tid| HookEvent::NrCombine {
+        team,
+        tid,
+        nr,
+        replica,
+        lo,
+        hi,
+    });
+}
+
+fn sync_edge(nr: usize, replica: usize, upto: u64) {
+    hook::emit_team(|team, tid| HookEvent::NrSync {
+        team,
+        tid,
+        nr,
+        replica,
+        upto,
+    });
+}
+
 // --------------------------------------------------------------------
 // Operation log
 // --------------------------------------------------------------------
@@ -276,41 +349,160 @@ impl<O> Log<O> {
 }
 
 // --------------------------------------------------------------------
-// Replicated<T>
+// Flat combining: the slot array both front ends post through
 // --------------------------------------------------------------------
 
-struct OpCell<T: Dispatch> {
-    op: Option<T::WriteOp>,
-    resp: Option<T::Response>,
-}
-
-/// A typed flat-combining slot: one writer thread publishes here, the
-/// replica's combiner claims, executes and answers.
-struct OpSlot<T: Dispatch> {
+/// One poster's slot: its op travels in (`.0`), its answer out (`.1`).
+struct Cell<I, O> {
     state: AtomicU8,
-    cell: UnsafeCell<OpCell<T>>,
+    io: UnsafeCell<(Option<I>, Option<O>)>,
 }
 
-// SAFETY: `cell` ownership follows `state` (see the state constants):
-// the poster owns it at EMPTY/DONE, the combiner between a successful
-// PENDING→TAKEN claim and its DONE store. `WriteOp`/`Response` are
-// `Send`, so handing the contents across that protocol is sound.
-unsafe impl<T: Dispatch> Sync for OpSlot<T> {}
+// SAFETY: `io` ownership follows `state` (see the state constants): the
+// poster owns it at EMPTY and DONE, the combiner between a successful
+// PENDING→TAKEN claim and its DONE store. `I` and `O` are `Send`, so
+// handing them across that protocol is sound.
+unsafe impl<I: Send, O: Send> Sync for Cell<I, O> {}
+
+/// A flat-combining slot array behind one combiner lock, generic over
+/// what a slot carries: a [`Replicated`] replica's `WriteOp` and its
+/// response, or a [`Combiner`]'s type-erased section.
+struct Slots<I, O> {
+    /// Combiner election: whoever holds this claims and answers every
+    /// published op.
+    lock: Mutex<()>,
+    cells: Box<[Cell<I, O>]>,
+    /// High-water mark of assigned slots (the claim pass's bound).
+    registered: AtomicUsize,
+    /// Slots returned by dropped [`ReplicatedHandle`]s.
+    free: Mutex<Vec<usize>>,
+}
+
+impl<I, O> Slots<I, O> {
+    fn new() -> Self {
+        Self {
+            lock: Mutex::new(()),
+            cells: (0..NR_SLOTS)
+                .map(|_| Cell {
+                    state: AtomicU8::new(EMPTY),
+                    io: UnsafeCell::new((None, None)),
+                })
+                .collect(),
+            registered: AtomicUsize::new(0),
+            free: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// A slot for a new poster: a returned one, else a fresh one, else
+    /// [`SLOTLESS`].
+    fn assign(&self) -> usize {
+        self.free.lock().pop().unwrap_or_else(|| {
+            let i = self.registered.fetch_add(1, Ordering::Relaxed);
+            if i < NR_SLOTS {
+                i
+            } else {
+                SLOTLESS
+            }
+        })
+    }
+
+    /// The poster wait: publish `input` in the caller's slot `si` and
+    /// return its answer, running `combine` (with `lock` held) whenever
+    /// the lock is free. The caller emits the `NrAppend` edge first.
+    ///
+    /// A poster whose team is poisoned or cancelled never returns: it
+    /// withdraws a still-`PENDING` op and unwinds, or waits for a claimed
+    /// one's `DONE` and unwinds after consuming it. Either way the slot
+    /// is `EMPTY` when the poster leaves.
+    fn post(&self, si: usize, input: I, combine: impl Fn()) -> O {
+        let cell = &self.cells[si];
+        // SAFETY: an EMPTY slot assigned to the caller is the caller's.
+        unsafe { (*cell.io.get()).0 = Some(input) };
+        cell.state.store(PENDING, Ordering::Release);
+        let out = block_on(
+            || loop {
+                if cell.state.load(Ordering::Acquire) == DONE {
+                    // SAFETY: DONE hands the cell back to its poster.
+                    let out = unsafe { (*cell.io.get()).1.take() };
+                    cell.state.store(EMPTY, Ordering::Release);
+                    return Some(out.expect("answered slot without an answer"));
+                }
+                // A combiner answers every op it claimed before it
+                // releases the lock, so after our own pass we are DONE.
+                let _g = self.lock.try_lock()?;
+                combine();
+            },
+            || {
+                let withdrawn = cell
+                    .state
+                    .compare_exchange(PENDING, EMPTY, Ordering::AcqRel, Ordering::Relaxed)
+                    .is_ok();
+                if withdrawn {
+                    // SAFETY: the CAS took the cell back from the combiners.
+                    unsafe { (*cell.io.get()).0 = None };
+                }
+                withdrawn
+            },
+        );
+        ctx::with_current(|c| {
+            if let Some(c) = c {
+                c.shared.check_interrupt();
+            }
+        });
+        out
+    }
+
+    /// The claim pass: every published op, by slot. Caller holds `lock`.
+    fn claim(&self) -> Vec<(usize, I)> {
+        let bound = self.registered.load(Ordering::Acquire).min(NR_SLOTS);
+        let mut batch = Vec::new();
+        for (i, cell) in self.cells[..bound].iter().enumerate() {
+            if cell.state.load(Ordering::Relaxed) == PENDING
+                && cell
+                    .state
+                    .compare_exchange(PENDING, TAKEN, Ordering::AcqRel, Ordering::Relaxed)
+                    .is_ok()
+            {
+                // SAFETY: the CAS claimed the cell from its poster (and
+                // beat any retract).
+                let op = unsafe { (*cell.io.get()).0.take() };
+                batch.push((i, op.expect("published slot without an op")));
+            }
+        }
+        batch
+    }
+
+    /// The answer pass: hand each claimed slot its answer and wake its
+    /// poster. Caller holds `lock`; `own` is the combining poster's slot
+    /// and `ops` the ops the pass ran (a slotless caller's own included).
+    fn answer(&self, answers: impl IntoIterator<Item = (usize, O)>, own: Option<usize>, ops: u64) {
+        for (i, out) in answers {
+            let cell = &self.cells[i];
+            // SAFETY: TAKEN — the combiner owns the cell until DONE.
+            unsafe { (*cell.io.get()).1 = Some(out) };
+            cell.state.store(DONE, Ordering::Release);
+            if Some(i) != own {
+                obs::count(obs::Counter::NrCombinedOps);
+            }
+        }
+        obs::count(obs::Counter::NrCombines);
+        obs::nr_combine_batch(ops);
+    }
+}
+
+// --------------------------------------------------------------------
+// Replicated<T>
+// --------------------------------------------------------------------
 
 struct Replica<T: Dispatch> {
     data: RwLock<T>,
     /// Log prefix replayed into `data`; mutated only by the thread
-    /// holding `combiner`.
+    /// holding `fc.lock`.
     applied: AtomicU64,
-    /// Combiner election: whoever try-locks this batches the replica's
-    /// pending ops. Never blocked on while holding another replica's
-    /// combiner lock (helpers use `try_lock`), so no lock-order cycles.
-    combiner: Mutex<()>,
-    slots: Box<[OpSlot<T>]>,
-    /// High-water mark of assigned slots (scan bound).
-    registered: AtomicUsize,
-    /// Slot indices returned by dropped [`ReplicatedHandle`]s.
-    free: Mutex<Vec<usize>>,
+    /// This replica's posters. Its lock is never blocked on while holding
+    /// another replica's (helpers use `try_lock`), so no lock-order
+    /// cycles.
+    fc: Slots<T::WriteOp, thread::Result<T::Response>>,
 }
 
 /// A single-threaded [`Dispatch`] structure replicated per contention
@@ -350,15 +542,6 @@ pub struct Replicated<T: Dispatch> {
     next_replica: AtomicUsize,
 }
 
-thread_local! {
-    /// This thread's `(replica, slot)` assignment per structure id, made
-    /// on first use. Entries for dropped structures linger (ids are
-    /// never reused, so they are merely unused); a thread's slots are
-    /// not returned when the thread exits — slot exhaustion degrades to
-    /// the slotless path, never to an error.
-    static NR_REG: RefCell<HashMap<usize, (usize, usize)>> = RefCell::new(HashMap::new());
-}
-
 impl<T: Dispatch + Clone> Replicated<T> {
     /// Replicate `initial` with the [configured](crate::nr#configuration)
     /// replica count and log size.
@@ -374,18 +557,7 @@ impl<T: Dispatch + Clone> Replicated<T> {
             .map(|_| Replica {
                 data: RwLock::new(initial.clone()),
                 applied: AtomicU64::new(0),
-                combiner: Mutex::new(()),
-                slots: (0..NR_SLOTS)
-                    .map(|_| OpSlot {
-                        state: AtomicU8::new(EMPTY),
-                        cell: UnsafeCell::new(OpCell {
-                            op: None,
-                            resp: None,
-                        }),
-                    })
-                    .collect(),
-                registered: AtomicUsize::new(0),
-                free: Mutex::new(Vec::new()),
+                fc: Slots::new(),
             })
             .collect();
         Self {
@@ -439,7 +611,9 @@ impl<T: Dispatch> Replicated<T> {
     /// Apply a mutating op: publish it for this thread's replica
     /// combiner, combining ourselves if the combiner lock is free, and
     /// return its response once some combiner has replayed it. A
-    /// cancellation point inside a team.
+    /// cancellation point inside a team: an op no combiner has claimed is
+    /// withdrawn, a claimed one is applied first. A panic in
+    /// [`Dispatch::dispatch_mut`] unwinds here.
     pub fn execute(&self, op: T::WriteOp) -> T::Response {
         let (r, s) = self.thread_assignment();
         self.write_at(r, s, op)
@@ -469,161 +643,38 @@ impl<T: Dispatch> Replicated<T> {
     pub fn read_direct<R>(&self, f: impl FnOnce(&T) -> R) -> R {
         let (r, _) = self.thread_assignment();
         let data = block_on(|| self.replicas[r].data.try_read(), || true);
-        hook::emit_team(|team, tid| HookEvent::NrSync {
-            team,
-            tid,
-            nr: self.id,
-            replica: r,
-            upto: self.replicas[r].applied.load(Ordering::Relaxed),
-        });
+        sync_edge(self.id, r, self.replicas[r].applied.load(Ordering::Relaxed));
         f(&data)
     }
 
     fn thread_assignment(&self) -> (usize, usize) {
-        NR_REG.with(|m| {
-            *m.borrow_mut()
-                .entry(self.id)
-                .or_insert_with(|| self.assign())
-        })
+        assignment(self.id, || self.assign())
     }
 
     fn assign(&self) -> (usize, usize) {
         let r = self.next_replica.fetch_add(1, Ordering::Relaxed) % self.replicas.len();
-        let rep = &self.replicas[r];
-        let slot = rep.free.lock().pop().unwrap_or_else(|| {
-            let i = rep.registered.fetch_add(1, Ordering::Relaxed);
-            if i < NR_SLOTS {
-                i
-            } else {
-                SLOTLESS
-            }
-        });
-        (r, slot)
+        (r, self.replicas[r].fc.assign())
     }
 
     fn write_at(&self, r: usize, si: usize, op: T::WriteOp) -> T::Response {
-        if si == SLOTLESS {
-            return self.write_slotless(r, op);
-        }
         let rep = &self.replicas[r];
-        let slot = &rep.slots[si];
-        // Quiesce a slot a cancelled predecessor on this thread left
-        // mid-flight: consume a stale DONE, and wait out a TAKEN op the
-        // active combiner is still committed to answering.
-        if slot.state.load(Ordering::Acquire) != EMPTY {
-            block_on(
-                || match slot.state.load(Ordering::Acquire) {
-                    EMPTY => Some(()),
-                    DONE => {
-                        // SAFETY: DONE hands the cell back to the poster
-                        // side, and the slot is assigned to us.
-                        unsafe { (*slot.cell.get()).resp = None };
-                        slot.state.store(EMPTY, Ordering::Release);
-                        Some(())
-                    }
-                    _ => None,
-                },
-                || true, // nothing published yet: unwinding is safe
-            );
-        }
-        // SAFETY: EMPTY slot assigned to this thread — we own the cell.
-        unsafe {
-            let cell = &mut *slot.cell.get();
-            cell.op = Some(op);
-            cell.resp = None;
-        }
-        // Publish. The NrAppend release edge is recorded before the
-        // PENDING store so no combiner can claim the op first.
-        hook::emit_team(|team, tid| {
-            let t = self.log.tail.load(Ordering::Relaxed);
-            HookEvent::NrAppend {
-                team,
-                tid,
-                nr: self.id,
-                lo: t,
-                hi: t,
-            }
-        });
-        slot.state.store(PENDING, Ordering::Release);
-        let resp = block_on(
-            || loop {
-                match slot.state.load(Ordering::Acquire) {
-                    DONE => {
-                        // SAFETY: DONE hands the cell back to us.
-                        let resp = unsafe { (*slot.cell.get()).resp.take() };
-                        slot.state.store(EMPTY, Ordering::Release);
-                        break Some(resp.expect("replicated op completed without a response"));
-                    }
-                    st => {
-                        if let Some(_g) = rep.combiner.try_lock() {
-                            self.combine_locked(r, Some(si), None);
-                            // Our own op was part of the batch (it was
-                            // PENDING): re-check. A slot still TAKEN with
-                            // the lock free is orphaned — a dispatch
-                            // panic unwound its combiner — so park
-                            // rather than spin.
-                            if st == PENDING || slot.state.load(Ordering::Acquire) != TAKEN {
-                                continue;
-                            }
-                        }
-                        break None;
-                    }
-                }
-            },
-            || {
-                // Withdraw the op if no combiner claimed it; either way
-                // unwinding is safe (the op is owned by the slot, not
-                // borrowed from our stack) — a late DONE is reclaimed by
-                // this thread's next write.
-                if slot
-                    .state
-                    .compare_exchange(PENDING, EMPTY, Ordering::AcqRel, Ordering::Relaxed)
-                    .is_ok()
-                {
-                    // SAFETY: the CAS re-acquired cell ownership.
-                    unsafe { (*slot.cell.get()).op = None };
-                }
-                true
-            },
-        );
-        hook::emit_team(|team, tid| HookEvent::NrSync {
-            team,
-            tid,
-            nr: self.id,
-            replica: r,
-            upto: rep.applied.load(Ordering::Relaxed),
-        });
+        // The NrAppend release edge is recorded before the op is
+        // published, so no combiner can claim it first.
+        let t = self.log.tail.load(Ordering::Relaxed);
+        append_edge(self.id, t, t);
+        let out = if si == SLOTLESS {
+            // No slot: serialise on the combiner lock and self-append.
+            let _g = block_on(|| rep.fc.lock.try_lock(), || true);
+            self.combine_locked(r, None, Some(op))
+                .expect("inline replicated op executed without a response")
+        } else {
+            rep.fc.post(si, op, || {
+                self.combine_locked(r, Some(si), None);
+            })
+        };
+        sync_edge(self.id, r, rep.applied.load(Ordering::Relaxed));
         obs::count(obs::Counter::NrWrites);
-        resp
-    }
-
-    /// No combining slot: serialise on the combiner lock and self-append.
-    fn write_slotless(&self, r: usize, op: T::WriteOp) -> T::Response {
-        let rep = &self.replicas[r];
-        hook::emit_team(|team, tid| {
-            let t = self.log.tail.load(Ordering::Relaxed);
-            HookEvent::NrAppend {
-                team,
-                tid,
-                nr: self.id,
-                lo: t,
-                hi: t,
-            }
-        });
-        let g = block_on(|| rep.combiner.try_lock(), || true);
-        let resp = self
-            .combine_locked(r, None, Some(op))
-            .expect("inline replicated op executed without a response");
-        drop(g);
-        hook::emit_team(|team, tid| HookEvent::NrSync {
-            team,
-            tid,
-            nr: self.id,
-            replica: r,
-            upto: rep.applied.load(Ordering::Relaxed),
-        });
-        obs::count(obs::Counter::NrWrites);
-        resp
+        out.unwrap_or_else(|p| resume_unwind(p))
     }
 
     fn read_at(&self, r: usize, op: &T::ReadOp) -> T::Response {
@@ -636,13 +687,7 @@ impl<T: Dispatch> Replicated<T> {
         // Join the replica's release history *before* reading: holding
         // the read lock excludes combiners, so no apply intervenes
         // between this edge and the dispatch below.
-        hook::emit_team(|team, tid| HookEvent::NrSync {
-            team,
-            tid,
-            nr: self.id,
-            replica: r,
-            upto: rep.applied.load(Ordering::Relaxed),
-        });
+        sync_edge(self.id, r, rep.applied.load(Ordering::Relaxed));
         let resp = data.dispatch(op);
         obs::count(obs::Counter::NrReads);
         resp
@@ -655,7 +700,7 @@ impl<T: Dispatch> Replicated<T> {
                 if rep.applied.load(Ordering::Acquire) >= t {
                     return Some(());
                 }
-                if let Some(_g) = rep.combiner.try_lock() {
+                if let Some(_g) = rep.fc.lock.try_lock() {
                     // Reader-turned-combiner: also batches any pending
                     // writes on this replica (flat combining).
                     self.combine_locked(r, None, None);
@@ -667,98 +712,68 @@ impl<T: Dispatch> Replicated<T> {
         );
     }
 
-    /// The combining pass. Caller holds `replicas[r].combiner`.
+    /// The combining pass. Caller holds `replicas[r].fc.lock`.
     ///
     /// Claims every published op on `r`, appends the batch (plus an
     /// optional `inline` op from a slotless caller) to the log with one
     /// tail reservation, replays the log through the replica up to at
     /// least the batch end, answers the batched posters and returns the
-    /// inline op's response.
+    /// inline op's outcome.
     fn combine_locked(
         &self,
         r: usize,
-        own_slot: Option<usize>,
+        own: Option<usize>,
         inline: Option<T::WriteOp>,
-    ) -> Option<T::Response> {
+    ) -> Option<thread::Result<T::Response>> {
         let rep = &self.replicas[r];
-        let mut idxs: Vec<usize> = Vec::new();
-        let mut ops: Vec<T::WriteOp> = Vec::new();
-        let bound = rep.registered.load(Ordering::Acquire).min(NR_SLOTS);
-        for i in 0..bound {
-            let s = &rep.slots[i];
-            if s.state.load(Ordering::Relaxed) == PENDING
-                && s.state
-                    .compare_exchange(PENDING, TAKEN, Ordering::AcqRel, Ordering::Relaxed)
-                    .is_ok()
-            {
-                // SAFETY: the CAS claimed the cell from the poster (and
-                // beat any concurrent retract).
-                let op = unsafe { (*s.cell.get()).op.take() };
-                idxs.push(i);
-                ops.push(op.expect("PENDING slot without an op"));
-            }
-        }
-        let inline_pos_rel = inline.is_some().then_some(ops.len());
-        ops.extend(inline);
-        let k = ops.len() as u64;
-        let mut inline_resp = None;
+        let batch = rep.fc.claim();
+        let k = batch.len() + usize::from(inline.is_some());
         if k == 0 {
             // Nothing to append — just bring the replica up to date (the
             // reader catch-up path).
-            let t = self.log.tail.load(Ordering::Acquire);
-            self.apply_locked(r, t, u64::MAX, &[], None, &mut inline_resp);
+            self.apply_locked(r, self.log.tail.load(Ordering::Acquire), 0, &mut []);
             return None;
         }
-        let (lo, hi) = self.reserve(r, k);
-        for (j, op) in ops.into_iter().enumerate() {
-            let pos = lo + j as u64;
+        let (lo, hi) = self.reserve(r, k as u64);
+        // Each batched op's slot beside its outcome; the slotless
+        // caller's op goes last.
+        let mut answers = Vec::with_capacity(k);
+        let ops = batch.into_iter().chain(inline.map(|op| (SLOTLESS, op)));
+        for (pos, (si, op)) in (lo..).zip(ops) {
             let ls = self.log.slot(pos);
             // SAFETY: position `pos` was reserved to us by the tail CAS
             // and its ring slot is past every replica's applied prefix
             // (the reserve space check), so no replayer is reading it.
             unsafe { *ls.op.get() = Some(op) };
             ls.seq.store(pos + 1, Ordering::Release);
+            answers.push((si, None));
         }
-        hook::emit_team(|team, tid| HookEvent::NrAppend {
-            team,
-            tid,
-            nr: self.id,
-            lo,
-            hi,
-        });
+        append_edge(self.id, lo, hi);
         let target = self.log.tail.load(Ordering::Acquire).max(hi);
-        let inline_pos = inline_pos_rel.map(|o| lo + o as u64);
-        self.apply_locked(r, target, lo, &idxs, inline_pos, &mut inline_resp);
+        self.apply_locked(r, target, lo, &mut answers);
+        let inline = answers
+            .pop_if(|(si, _)| *si == SLOTLESS)
+            .and_then(|(_, out)| out);
         // Wake the batched posters — after the apply pass recorded its
         // NrSync release edge, so a poster's own sync joins this pass.
-        for &i in &idxs {
-            rep.slots[i].state.store(DONE, Ordering::Release);
-        }
-        if obs::metrics_enabled() {
-            obs::count(obs::Counter::NrCombines);
-            obs::nr_combine_batch((idxs.len() + usize::from(inline_pos.is_some())) as u64);
-            for &i in &idxs {
-                if Some(i) != own_slot {
-                    obs::count(obs::Counter::NrCombinedOps);
-                }
-            }
-        }
-        inline_resp
+        let answers = answers
+            .into_iter()
+            .map(|(si, out)| (si, out.expect("batched op was not replayed")));
+        rep.fc.answer(answers, own, hi - lo);
+        inline
     }
 
     /// Replay the log into replica `r` up to `target`. Caller holds the
-    /// replica's combiner lock. Positions `lo + j` (for `j <
-    /// slot_of.len()`) answer slot `slot_of[j]`; `inline_pos` answers
-    /// into `inline_resp`; responses of foreign ops are dropped (their
-    /// posters are answered by their own replica's combiner).
+    /// replica's combiner lock. Each op runs under `catch_unwind`; the
+    /// outcome of position `lo + j` goes to `answers[j]` (beside its
+    /// slot), any other's is dropped (a foreign op's poster hears from
+    /// its own replica).
     fn apply_locked(
         &self,
         r: usize,
         target: u64,
         lo: u64,
-        slot_of: &[usize],
-        inline_pos: Option<u64>,
-        inline_resp: &mut Option<T::Response>,
+        answers: &mut [(usize, Option<thread::Result<T::Response>>)],
     ) {
         let rep = &self.replicas[r];
         let from = rep.applied.load(Ordering::Acquire);
@@ -774,16 +789,8 @@ impl<T: Dispatch> Replicated<T> {
         // write lock, so it also orders this pass after every reader
         // that released the lock (and merged with the replica clock)
         // before us.
-        hook::emit_team(|team, tid| HookEvent::NrCombine {
-            team,
-            tid,
-            nr: self.id,
-            replica: r,
-            lo: from,
-            hi: target,
-        });
-        let mut pos = from;
-        while pos < target {
+        combine_edge(self.id, r, from, target);
+        for pos in from..target {
             let ls = self.log.slot(pos);
             // The appender that reserved `pos` fills it with no blocking
             // operation in between, so this wait is always serviceable.
@@ -794,30 +801,19 @@ impl<T: Dispatch> Replicated<T> {
             // SAFETY: the seq stamp (Acquire) publishes the op, and the
             // slot cannot be reused for `pos + size` until our `applied`
             // (≥ min_applied) passes `pos`.
-            let resp = data.dispatch_mut(unsafe {
-                (*ls.op.get())
-                    .as_ref()
-                    .expect("stamped log slot without an op")
-            });
-            if inline_pos == Some(pos) {
-                *inline_resp = Some(resp);
-            } else if pos >= lo && ((pos - lo) as usize) < slot_of.len() {
-                let si = slot_of[(pos - lo) as usize];
-                // SAFETY: slot `si` is TAKEN — the combiner owns its cell.
-                unsafe { (*rep.slots[si].cell.get()).resp = Some(resp) };
+            let op = unsafe { (*ls.op.get()).as_ref() }.expect("stamped log slot without an op");
+            let out = catch_unwind(AssertUnwindSafe(|| data.dispatch_mut(op)));
+            if let Some(a) = pos
+                .checked_sub(lo)
+                .and_then(|j| answers.get_mut(j as usize))
+            {
+                a.1 = Some(out);
             }
-            pos += 1;
-            rep.applied.store(pos, Ordering::Release);
+            rep.applied.store(pos + 1, Ordering::Release);
         }
         // Release edge for everything this pass executed; recorded while
         // the write lock still excludes readers.
-        hook::emit_team(|team, tid| HookEvent::NrSync {
-            team,
-            tid,
-            nr: self.id,
-            replica: r,
-            upto: pos,
-        });
+        sync_edge(self.id, r, target);
         drop(data);
     }
 
@@ -841,8 +837,7 @@ impl<T: Dispatch> Replicated<T> {
                 // Ring full: our own replica may be the laggard (we hold
                 // its lock, nobody else can advance it), and stalled
                 // replicas with no active combiner need a helping hand.
-                let mut none = None;
-                self.apply_locked(r, t, u64::MAX, &[], None, &mut none);
+                self.apply_locked(r, t, 0, &mut []);
                 self.help(t, r);
                 None
             },
@@ -863,9 +858,8 @@ impl<T: Dispatch> Replicated<T> {
     fn help(&self, target: u64, me: usize) {
         for (i, rep) in self.replicas.iter().enumerate() {
             if i != me && rep.applied.load(Ordering::Acquire) < target {
-                if let Some(_g) = rep.combiner.try_lock() {
-                    let mut none = None;
-                    self.apply_locked(i, target, u64::MAX, &[], None, &mut none);
+                if let Some(_g) = rep.fc.lock.try_lock() {
+                    self.apply_locked(i, target, 0, &mut []);
                     obs::count(obs::Counter::NrHelps);
                 }
             }
@@ -904,13 +898,14 @@ impl<T: Dispatch> ReplicatedHandle<'_, T> {
 
 impl<T: Dispatch> Drop for ReplicatedHandle<'_, T> {
     fn drop(&mut self) {
+        // A poster leaves its slot EMPTY on every way out, unwinding
+        // included, so the slot is always reusable.
         if self.slot != SLOTLESS {
-            let rep = &self.nr.replicas[self.replica];
-            // Only a quiescent slot is reusable; an in-flight one (the
-            // owner unwound mid-protocol) stays retired.
-            if rep.slots[self.slot].state.load(Ordering::Acquire) == EMPTY {
-                rep.free.lock().push(self.slot);
-            }
+            self.nr.replicas[self.replica]
+                .fc
+                .free
+                .lock()
+                .push(self.slot);
         }
     }
 }
@@ -920,8 +915,8 @@ impl<T: Dispatch> Drop for ReplicatedHandle<'_, T> {
 // --------------------------------------------------------------------
 
 /// Type-erased pointer to a poster's stack-held task. The combiner
-/// dereferences it on another thread; the poster's wait protocol (never
-/// unwind while the task is claimable) keeps the frame alive.
+/// dereferences it on another thread; the poster wait (never unwind
+/// while the task is claimed) keeps the frame alive.
 struct FcTask {
     run: unsafe fn(*mut ()),
     data: *mut (),
@@ -932,17 +927,9 @@ struct FcTask {
 // caller contract.
 unsafe impl Send for FcTask {}
 
-struct FcSlot {
-    state: AtomicU8,
-    task: UnsafeCell<Option<FcTask>>,
-}
-
-// SAFETY: `task` ownership follows `state` exactly like [`OpSlot`].
-unsafe impl Sync for FcSlot {}
-
-/// Clears [`Combiner::owner`] on drop — including on unwind out of an
-/// inline section — so a panicking body never leaves the combiner
-/// looking owned by a thread that no longer holds the lock.
+/// Clears [`Combiner::owner`] on drop, on every way out of a combining
+/// pass, so the combiner never looks owned by a thread that no longer
+/// holds the lock.
 struct OwnerReset<'a>(&'a AtomicUsize);
 
 impl Drop for OwnerReset<'_> {
@@ -953,7 +940,7 @@ impl Drop for OwnerReset<'_> {
 
 struct TaskData<F, R> {
     f: Option<F>,
-    result: Option<std::thread::Result<R>>,
+    result: Option<thread::Result<R>>,
 }
 
 /// Run the poster's closure, capturing panics so they unwind on the
@@ -979,20 +966,15 @@ unsafe fn run_task<F: FnOnce() -> R, R>(p: *mut ()) {
 /// has been claimed cannot be cancelled until it executes.
 pub struct Combiner {
     id: usize,
-    lock: Mutex<()>,
+    /// The posters; a slot carries a type-erased section, whose result
+    /// the combiner writes into the poster's [`TaskData`].
+    fc: Slots<FcTask, ()>,
     /// [`thread_token`] of the thread currently combining (0 = none);
     /// lets a section body re-enter sections on the same `Combiner`
     /// inline, matching re-entrant `@Critical`.
     owner: AtomicUsize,
     /// Sections executed — the log-tail analogue for hook events.
     ops: AtomicU64,
-    slots: Box<[FcSlot]>,
-    registered: AtomicUsize,
-}
-
-thread_local! {
-    /// This thread's slot per combiner id (see [`NR_REG`]).
-    static FC_REG: RefCell<HashMap<usize, usize>> = RefCell::new(HashMap::new());
 }
 
 impl Default for Combiner {
@@ -1006,16 +988,9 @@ impl Combiner {
     pub fn new() -> Self {
         Self {
             id: next_nr_id(),
-            lock: Mutex::new(()),
+            fc: Slots::new(),
             owner: AtomicUsize::new(0),
             ops: AtomicU64::new(0),
-            slots: (0..NR_SLOTS)
-                .map(|_| FcSlot {
-                    state: AtomicU8::new(EMPTY),
-                    task: UnsafeCell::new(None),
-                })
-                .collect(),
-            registered: AtomicUsize::new(0),
         }
     }
 
@@ -1047,8 +1022,8 @@ impl Combiner {
     /// Run `f` in mutual exclusion with all other sections on this
     /// combiner. `f` may execute on another (combining) thread; the
     /// `Send` bounds make that sound. Panics in `f` unwind on the
-    /// calling thread. A cancellation point inside a team *until* the
-    /// section is claimed by a combiner.
+    /// calling thread. A cancellation point inside a team: a section no
+    /// combiner has claimed is withdrawn, a claimed one runs first.
     pub fn run<R: Send>(&self, f: impl FnOnce() -> R + Send) -> R {
         // SAFETY: `F: Send` and `R: Send` — the closure and its result
         // may cross to the combining thread.
@@ -1060,35 +1035,26 @@ impl Combiner {
     /// section, so no `Send` bounds. Other threads' published sections
     /// are batched first while we hold the lock, keeping them from
     /// starving behind inline sections. Used by the weaver for value
-    /// join points, whose closures may not be `Send`.
+    /// join points, whose closures may not be `Send`, and by posters
+    /// that got no slot.
     pub fn run_inline<R>(&self, f: impl FnOnce() -> R) -> R {
         let token = thread_token();
         if self.owner.load(Ordering::Relaxed) == token {
             return f();
         }
-        let _g = block_on(|| self.lock.try_lock(), || true);
-        self.owner.store(token, Ordering::Relaxed);
-        let _reset = OwnerReset(&self.owner);
-        self.fc_combine(None);
-        let lo = self.ops.load(Ordering::Relaxed);
-        hook::emit_team(|team, tid| HookEvent::NrCombine {
-            team,
-            tid,
-            nr: self.id,
-            replica: 0,
-            lo,
-            hi: lo + 1,
-        });
-        let r = f();
-        self.ops.store(lo + 1, Ordering::Release);
-        hook::emit_team(|team, tid| HookEvent::NrSync {
-            team,
-            tid,
-            nr: self.id,
-            replica: 0,
-            upto: lo + 1,
-        });
-        r
+        let out = {
+            let _g = block_on(|| self.fc.lock.try_lock(), || true);
+            self.owner.store(token, Ordering::Relaxed);
+            let _reset = OwnerReset(&self.owner);
+            self.combine(None);
+            let lo = self.ops.load(Ordering::Relaxed);
+            combine_edge(self.id, 0, lo, lo + 1);
+            let out = catch_unwind(AssertUnwindSafe(f));
+            self.ops.store(lo + 1, Ordering::Release);
+            sync_edge(self.id, 0, lo + 1);
+            out
+        };
+        out.unwrap_or_else(|p| resume_unwind(p))
     }
 
     /// [`run`](Self::run) without the `Send` bounds.
@@ -1110,107 +1076,26 @@ impl Combiner {
             // Re-entrant: we *are* the combiner; the lock is ours.
             return f();
         }
+        let (_, si) = assignment(self.id, || (0, self.fc.assign()));
+        if si == SLOTLESS {
+            return self.run_inline(f);
+        }
         let mut data = TaskData {
             f: Some(f),
             result: None,
         };
-        match self.slot_for_thread() {
-            None => {
-                // Slotless overflow path: plain lock + inline execution.
-                let _g = block_on(|| self.lock.try_lock(), || true);
-                self.owner.store(token, Ordering::Relaxed);
-                let _reset = OwnerReset(&self.owner);
-                let lo = self.ops.load(Ordering::Relaxed);
-                hook::emit_team(|team, tid| HookEvent::NrCombine {
-                    team,
-                    tid,
-                    nr: self.id,
-                    replica: 0,
-                    lo,
-                    hi: lo + 1,
-                });
-                // SAFETY: `data` is alive on this very stack frame.
-                unsafe { run_task::<F, R>(&mut data as *mut TaskData<F, R> as *mut ()) };
-                self.ops.store(lo + 1, Ordering::Release);
-                hook::emit_team(|team, tid| HookEvent::NrSync {
-                    team,
-                    tid,
-                    nr: self.id,
-                    replica: 0,
-                    upto: lo + 1,
-                });
-            }
-            Some(si) => {
-                let slot = &self.slots[si];
-                // A poster leaves its slot EMPTY on every exit path: a
-                // retract empties it, and the no-retract path always
-                // consumes the DONE before unwinding.
-                debug_assert_eq!(slot.state.load(Ordering::Acquire), EMPTY);
-                // SAFETY: EMPTY slot assigned to this thread — we own
-                // the cell.
-                unsafe {
-                    *slot.task.get() = Some(FcTask {
-                        run: run_task::<F, R>,
-                        data: &mut data as *mut TaskData<F, R> as *mut (),
-                    })
-                };
-                hook::emit_team(|team, tid| {
-                    let t = self.ops.load(Ordering::Relaxed);
-                    HookEvent::NrAppend {
-                        team,
-                        tid,
-                        nr: self.id,
-                        lo: t,
-                        hi: t,
-                    }
-                });
-                slot.state.store(PENDING, Ordering::Release);
-                block_on(
-                    || loop {
-                        match slot.state.load(Ordering::Acquire) {
-                            DONE => {
-                                slot.state.store(EMPTY, Ordering::Release);
-                                break Some(());
-                            }
-                            _ => {
-                                if let Some(_g) = self.lock.try_lock() {
-                                    self.owner.store(token, Ordering::Relaxed);
-                                    let _reset = OwnerReset(&self.owner);
-                                    self.fc_combine(Some(si));
-                                    // Our own task was in the batch.
-                                    continue;
-                                }
-                                break None;
-                            }
-                        }
-                    },
-                    || {
-                        // The combiner dereferences our stack frame: we
-                        // may unwind only while the task is still ours
-                        // to withdraw. Once TAKEN, the active combiner
-                        // is committed to finishing it — keep waiting.
-                        if slot
-                            .state
-                            .compare_exchange(PENDING, EMPTY, Ordering::AcqRel, Ordering::Relaxed)
-                            .is_ok()
-                        {
-                            // SAFETY: the CAS re-acquired cell ownership.
-                            unsafe { (*slot.task.get()).take() };
-                            true
-                        } else {
-                            false
-                        }
-                    },
-                );
-                hook::emit_team(|team, tid| HookEvent::NrSync {
-                    team,
-                    tid,
-                    nr: self.id,
-                    replica: 0,
-                    upto: self.ops.load(Ordering::Relaxed),
-                });
-            }
-        }
+        let task = FcTask {
+            run: run_task::<F, R>,
+            data: &mut data as *mut TaskData<F, R> as *mut (),
+        };
+        let t = self.ops.load(Ordering::Relaxed);
+        append_edge(self.id, t, t);
+        self.fc.post(si, task, || {
+            self.owner.store(token, Ordering::Relaxed);
+            let _reset = OwnerReset(&self.owner);
+            self.combine(Some(si));
+        });
+        sync_edge(self.id, 0, self.ops.load(Ordering::Relaxed));
         match data
             .result
             .take()
@@ -1221,81 +1106,27 @@ impl Combiner {
         }
     }
 
-    /// The batching pass. Caller holds `lock` and has set `owner`.
-    fn fc_combine(&self, own: Option<usize>) {
-        let bound = self
-            .registered
-            .load(Ordering::Acquire)
-            .min(self.slots.len());
-        let mut batch: Vec<(usize, FcTask)> = Vec::new();
-        for i in 0..bound {
-            let s = &self.slots[i];
-            if s.state.load(Ordering::Relaxed) == PENDING
-                && s.state
-                    .compare_exchange(PENDING, TAKEN, Ordering::AcqRel, Ordering::Relaxed)
-                    .is_ok()
-            {
-                // SAFETY: the CAS claimed the cell from the poster.
-                let t = unsafe { (*s.task.get()).take() };
-                batch.push((i, t.expect("PENDING fc slot without a task")));
-            }
-        }
+    /// The batching pass. Caller holds `fc.lock` and has set `owner`.
+    fn combine(&self, own: Option<usize>) {
+        let batch = self.fc.claim();
         if batch.is_empty() {
             return;
         }
         let lo = self.ops.load(Ordering::Relaxed);
         let hi = lo + batch.len() as u64;
-        hook::emit_team(|team, tid| HookEvent::NrCombine {
-            team,
-            tid,
-            nr: self.id,
-            replica: 0,
-            lo,
-            hi,
-        });
+        combine_edge(self.id, 0, lo, hi);
         for (_, t) in &batch {
-            // SAFETY: the poster is parked until we mark its slot DONE;
-            // its stack frame (holding the task state) is pinned, and
+            // SAFETY: the poster waits until we mark its slot DONE; its
+            // stack frame (holding the task state) is pinned, and
             // `run_task` confines panics to the poster.
             unsafe { (t.run)(t.data) };
         }
         self.ops.store(hi, Ordering::Release);
-        // Release edge before DONE wake-ups, so every poster's follow-up
-        // sync joins this pass (same order as `combine_locked`).
-        hook::emit_team(|team, tid| HookEvent::NrSync {
-            team,
-            tid,
-            nr: self.id,
-            replica: 0,
-            upto: hi,
-        });
-        for (i, _) in &batch {
-            self.slots[*i].state.store(DONE, Ordering::Release);
-        }
-        if obs::metrics_enabled() {
-            obs::count(obs::Counter::NrCombines);
-            obs::nr_combine_batch(batch.len() as u64);
-            for (i, _) in &batch {
-                if Some(*i) != own {
-                    obs::count(obs::Counter::NrCombinedOps);
-                }
-            }
-        }
-    }
-
-    fn slot_for_thread(&self) -> Option<usize> {
-        FC_REG.with(|m| {
-            let mut m = m.borrow_mut();
-            let e = m.entry(self.id).or_insert_with(|| {
-                let i = self.registered.fetch_add(1, Ordering::Relaxed);
-                if i < self.slots.len() {
-                    i
-                } else {
-                    SLOTLESS
-                }
-            });
-            (*e != SLOTLESS).then_some(*e)
-        })
+        // Release edge before the DONE wake-ups, so every poster's
+        // follow-up sync joins this pass.
+        sync_edge(self.id, 0, hi);
+        self.fc
+            .answer(batch.iter().map(|&(i, _)| (i, ())), own, hi - lo);
     }
 }
 
@@ -1311,7 +1142,9 @@ pub fn replicated_named<R: Send>(id: &str, f: impl FnOnce() -> R + Send) -> R {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::region::{parallel_with, RegionConfig};
+    use crate::error::RegionError;
+    use crate::region::{parallel_with, try_parallel_with, RegionConfig};
+    use std::sync::atomic::AtomicBool;
 
     #[derive(Clone)]
     struct Counter(u64);
@@ -1420,7 +1253,7 @@ mod tests {
         }
         // 1000 handles on 64 slots: without recycling most would be
         // slotless; with it the high-water mark stays tiny.
-        assert!(c.replicas[0].registered.load(Ordering::Relaxed) <= 2);
+        assert!(c.replicas[0].fc.registered.load(Ordering::Relaxed) <= 2);
         assert_eq!(c.execute_ro(&CRead::Get), 1000);
     }
 
@@ -1474,6 +1307,212 @@ mod tests {
         assert!(r.is_err());
         // The combiner survives for later sections.
         assert_eq!(fc.run(|| 7), 7);
+    }
+
+    /// A counter with the two ops the failure tests need: `Fail` panics
+    /// with [`FAIL`], and `CancelTeam` cancels the combining member's
+    /// team before it adds one. It lingers so that its poster most
+    /// likely sees the cancellation while the op is claimed; the tests'
+    /// assertions hold whichever it sees first.
+    #[derive(Clone)]
+    struct Fragile(u64);
+    #[derive(Clone)]
+    enum FWrite {
+        Add(u64),
+        Fail,
+        CancelTeam,
+    }
+    const FAIL: &str = "failing op";
+    impl Dispatch for Fragile {
+        type ReadOp = ();
+        type WriteOp = FWrite;
+        type Response = u64;
+        fn dispatch(&self, _: &()) -> u64 {
+            self.0
+        }
+        fn dispatch_mut(&mut self, op: &FWrite) -> u64 {
+            match op {
+                FWrite::Add(n) => self.0 += n,
+                FWrite::Fail => std::panic::panic_any(FAIL),
+                FWrite::CancelTeam => {
+                    crate::ctx::cancel_team();
+                    std::thread::sleep(Duration::from_millis(20));
+                    self.0 += 1;
+                }
+            }
+            self.0
+        }
+    }
+
+    fn spin_until(cond: impl Fn() -> bool) {
+        let t0 = std::time::Instant::now();
+        while !cond() {
+            assert!(
+                t0.elapsed() < Duration::from_secs(10),
+                "condition never held"
+            );
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn panicking_op_unwinds_its_poster_and_leaves_the_replicas_usable() {
+        let c = Replicated::with_config(Fragile(0), 2, 128);
+        let p = catch_unwind(AssertUnwindSafe(|| c.execute(FWrite::Fail)))
+            .expect_err("the op's panic reaches its poster");
+        assert_eq!(p.downcast_ref::<&str>(), Some(&FAIL));
+        assert_eq!(c.execute(FWrite::Add(1)), 1);
+        assert_eq!(c.execute_ro(&()), 1);
+        c.sync();
+        for r in 0..c.num_replicas() {
+            c.catch_up(r, c.tail());
+            assert_eq!(c.applied(r), 2, "replica {r} replayed both ops");
+            assert_eq!(c.replicas[r].data.read().0, 1, "replica {r}");
+        }
+    }
+
+    #[test]
+    fn panicking_op_in_a_batch_unwinds_only_its_own_poster() {
+        let c = Arc::new(Replicated::with_config(Fragile(0), 1, 128));
+        let fc = &c.replicas[0].fc;
+        let held = fc.lock.lock();
+        let (tx, rx) = std::sync::mpsc::channel();
+        // Joined only once both have answered: a poster that never hears
+        // back must fail the test below, not hang it.
+        let posters: Vec<_> = [FWrite::Add(1), FWrite::Fail]
+            .into_iter()
+            .map(|op| {
+                let (c, tx) = (Arc::clone(&c), tx.clone());
+                std::thread::spawn(move || {
+                    let fails = matches!(op, FWrite::Fail);
+                    let out = catch_unwind(AssertUnwindSafe(|| c.execute(op)));
+                    let _ = tx.send((fails, out.map_err(|p| p.downcast_ref::<&str>().copied())));
+                })
+            })
+            .collect();
+        // Both ops published before anyone may combine: one batch.
+        spin_until(|| {
+            fc.cells[..2]
+                .iter()
+                .all(|cell| cell.state.load(Ordering::Acquire) == PENDING)
+        });
+        drop(held);
+        let mut outcomes: Vec<_> = (0..2)
+            .map(|_| {
+                rx.recv_timeout(Duration::from_secs(10))
+                    .expect("both posters hear back")
+            })
+            .collect();
+        outcomes.sort_by_key(|&(fails, _)| fails);
+        assert_eq!(outcomes, vec![(false, Ok(1)), (true, Err(Some(FAIL)))]);
+        for p in posters {
+            p.join().expect("a poster catches its own panic");
+        }
+        assert_eq!(c.execute_ro(&()), 1);
+    }
+
+    /// Member 0 of a cancellable 2-thread team runs `post`; member 1
+    /// holds `fc`'s combiner lock from before that post until `then`,
+    /// which it calls once slot 0 is published, has returned.
+    fn with_slot_published<I: Send, O: Send>(
+        fc: &Slots<I, O>,
+        post: impl Fn() + Sync,
+        then: impl Fn() + Sync,
+    ) -> Result<(), RegionError> {
+        let locked = AtomicBool::new(false);
+        try_parallel_with(RegionConfig::new().threads(2).cancellable(true), || {
+            if crate::ctx::thread_id() == 0 {
+                spin_until(|| locked.load(Ordering::SeqCst));
+                post();
+            } else {
+                let _g = fc.lock.lock();
+                locked.store(true, Ordering::SeqCst);
+                spin_until(|| fc.cells[0].state.load(Ordering::Acquire) == PENDING);
+                then();
+            }
+        })
+    }
+
+    #[test]
+    fn pending_poster_withdraws_its_op_on_cancel() {
+        fn withdraw<I, O>(fc: &Slots<I, O>) {
+            crate::ctx::cancel_team();
+            spin_until(|| fc.cells[0].state.load(Ordering::Acquire) == EMPTY);
+        }
+        let c = Replicated::with_config(Fragile(0), 1, 128);
+        let fc = &c.replicas[0].fc;
+        let r = with_slot_published(
+            fc,
+            || {
+                c.execute(FWrite::Add(1));
+                panic!("a withdrawn poster returned");
+            },
+            || withdraw(fc),
+        );
+        assert_eq!(r, Err(RegionError::Cancelled));
+        assert_eq!(c.tail(), 0, "the withdrawn op never ran");
+
+        let s = Combiner::new();
+        let ran = AtomicBool::new(false);
+        let r = with_slot_published(
+            &s.fc,
+            || {
+                s.run(|| ran.store(true, Ordering::SeqCst));
+                panic!("a withdrawn poster returned");
+            },
+            || withdraw(&s.fc),
+        );
+        assert_eq!(r, Err(RegionError::Cancelled));
+        assert_eq!(s.sections(), 0);
+        assert!(
+            !ran.load(Ordering::SeqCst),
+            "the withdrawn section never ran"
+        );
+    }
+
+    #[test]
+    fn claimed_poster_unwinds_after_its_answer() {
+        // The op cancels the team once claimed: its poster must wait for
+        // DONE, consume it, and only then unwind.
+        let c = Replicated::with_config(Fragile(0), 1, 128);
+        let returned = AtomicBool::new(false);
+        let r = with_slot_published(
+            &c.replicas[0].fc,
+            || {
+                c.handle().execute(FWrite::CancelTeam);
+                returned.store(true, Ordering::SeqCst);
+            },
+            || {
+                c.combine_locked(0, None, None);
+            },
+        );
+        assert_eq!(r, Err(RegionError::Cancelled));
+        assert!(!returned.load(Ordering::SeqCst), "the poster unwinds");
+        assert_eq!(c.tail(), 1, "the claimed op ran exactly once");
+        // The unwound handle's slot went back to the free list.
+        let h = c.handle();
+        assert_eq!(c.replicas[0].fc.registered.load(Ordering::Relaxed), 1);
+        assert_eq!(h.execute_ro(&()), 1);
+
+        let s = Combiner::new();
+        let runs = AtomicUsize::new(0);
+        let returned = AtomicBool::new(false);
+        let r = with_slot_published(
+            &s.fc,
+            || {
+                s.run(|| {
+                    crate::ctx::cancel_team();
+                    std::thread::sleep(Duration::from_millis(20));
+                    runs.fetch_add(1, Ordering::SeqCst);
+                });
+                returned.store(true, Ordering::SeqCst);
+            },
+            || s.combine(None),
+        );
+        assert_eq!(r, Err(RegionError::Cancelled));
+        assert!(!returned.load(Ordering::SeqCst), "the poster unwinds");
+        assert_eq!((runs.load(Ordering::SeqCst), s.sections()), (1, 1));
+        assert_eq!(s.fc.cells[0].state.load(Ordering::Acquire), EMPTY);
     }
 
     #[test]

@@ -539,6 +539,14 @@ impl Scope {
         }
     }
 
+    /// Record one event of this scope's runtime: in the scope and, when
+    /// metrics are armed, in the process-global registry.
+    #[inline]
+    pub(crate) fn record(&self, c: Counter) {
+        count(c);
+        self.bump(c);
+    }
+
     /// Value of one counter in this scope.
     pub(crate) fn counter(&self, c: Counter) -> u64 {
         if self.enabled {

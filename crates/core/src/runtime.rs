@@ -308,8 +308,7 @@ impl Runtime {
     /// runtime built with `.metrics(false)` (scope side; the global
     /// registry still ticks when `AOMP_METRICS` is on).
     pub fn record_counter(&self, c: obs::Counter) {
-        obs::counter_inc(c);
-        self.inner.scope.bump(c);
+        self.inner.scope.record(c);
     }
 
     fn apply_to(&self, cfg: RegionConfig) -> RegionConfig {
@@ -340,18 +339,17 @@ impl Runtime {
     /// and admission control accepts, else a dedicated thread, else
     /// inline (see [`executor::fallback_dispatch`]).
     pub(crate) fn dispatch_task(&self, name: &'static str, task: executor::Task) {
-        obs::count(obs::Counter::TaskSpawned);
-        self.inner.scope.bump(obs::Counter::TaskSpawned);
+        self.inner.scope.record(obs::Counter::TaskSpawned);
         let task = if self.pool_enabled() {
             match self.inner.executor.try_submit(task) {
                 Ok(()) => return,
                 Err(t) => t,
             }
         } else {
-            obs::count(obs::Counter::TaskRefusedDisabled);
+            self.inner.scope.record(obs::Counter::TaskRefusedDisabled);
             task
         };
-        executor::fallback_dispatch(name, task);
+        executor::fallback_dispatch(name, task, &self.inner.scope);
     }
 }
 

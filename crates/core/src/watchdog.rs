@@ -196,8 +196,7 @@ impl Watchdog {
                 drop(s);
                 for (team, blocked) in verdicts {
                     team.declare_stalled(blocked);
-                    obs::count(Counter::RegionStalled);
-                    self.scope.bump(Counter::RegionStalled);
+                    self.scope.record(Counter::RegionStalled);
                 }
                 s = self.state.lock();
             }

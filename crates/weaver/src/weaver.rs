@@ -31,11 +31,20 @@
 //! 5. `@BarrierAfter`s, on the enclosing team again.
 //!
 //! DESIGN.md carries the mechanism × join-point-shape table.
+//!
+//! ## One registry view per region
+//!
+//! The members of a woven `@Parallel` region dispatch the join points
+//! inside it against the registry as it was when the region was entered.
+//! A deploy, undeploy or enable toggle made meanwhile (by the region
+//! itself or by another thread) reaches the next dispatch outside any
+//! woven region, and the regions entered after it; so every member of a
+//! team meets the same gates and barriers at every join point.
 
 use parking_lot::{Mutex, RwLock};
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use aomp::ctx;
@@ -52,17 +61,44 @@ use crate::mechanism::{layer, Mechanism, MechanismKind};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AspectHandle(u64);
 
+#[derive(Clone)]
 struct Deployed {
     id: u64,
     module: Arc<AspectModule>,
     /// Disabled modules stay deployed but match nothing — a cheaper
     /// toggle than undeploy/redeploy for A/B experiments.
-    enabled: AtomicBool,
+    enabled: bool,
+}
+
+/// One immutable view of the registry, in deployment order. Every change
+/// publishes a new one, so a view pinned by a region never moves.
+type View = Arc<Vec<Deployed>>;
+
+thread_local! {
+    /// The view of the woven `@Parallel` region this thread is a member
+    /// of, if any (see the module docs).
+    static PINNED: RefCell<Option<View>> = const { RefCell::new(None) };
+}
+
+/// Pins a view for one region member; restores the enclosing one on
+/// every way out.
+struct Pin(Option<View>);
+
+impl Pin {
+    fn new(view: &View) -> Self {
+        Pin(PINNED.with_borrow_mut(|p| p.replace(Arc::clone(view))))
+    }
+}
+
+impl Drop for Pin {
+    fn drop(&mut self) {
+        PINNED.with_borrow_mut(|p| *p = self.0.take());
+    }
 }
 
 /// The aspect registry. Usually accessed through [`Weaver::global`].
 pub struct Weaver {
-    deployed: RwLock<Vec<Deployed>>,
+    deployed: RwLock<View>,
     next_id: AtomicU64,
     /// Dispatch counters per join-point name (matched dispatches only;
     /// the unmatched fast path stays counter-free).
@@ -79,10 +115,16 @@ impl Weaver {
     /// A fresh, empty weaver (tests; embedded registries).
     pub fn new() -> Self {
         Self {
-            deployed: RwLock::new(Vec::new()),
+            deployed: RwLock::new(Arc::new(Vec::new())),
             next_id: AtomicU64::new(1),
             stats: Mutex::new(HashMap::new()),
         }
+    }
+
+    /// Change the registry by publishing a new view (the current one is
+    /// copied only if a region still holds it).
+    fn update<R>(&self, f: impl FnOnce(&mut Vec<Deployed>) -> R) -> R {
+        f(Arc::make_mut(&mut self.deployed.write()))
     }
 
     /// The process-wide weaver that the [`call`]/[`call_for`]/
@@ -96,10 +138,12 @@ impl Weaver {
     /// Later deployments wrap *inside* earlier ones when layers tie.
     pub fn deploy(&self, module: AspectModule) -> AspectHandle {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.deployed.write().push(Deployed {
-            id,
-            module: Arc::new(module),
-            enabled: AtomicBool::new(true),
+        self.update(|dep| {
+            dep.push(Deployed {
+                id,
+                module: Arc::new(module),
+                enabled: true,
+            })
         });
         AspectHandle(id)
     }
@@ -107,14 +151,13 @@ impl Weaver {
     /// Enable or disable a deployed module without undeploying it.
     /// Returns `false` if the handle is unknown.
     pub fn set_enabled(&self, handle: AspectHandle, enabled: bool) -> bool {
-        let dep = self.deployed.read();
-        match dep.iter().find(|d| d.id == handle.0) {
+        self.update(|dep| match dep.iter_mut().find(|d| d.id == handle.0) {
             Some(d) => {
-                d.enabled.store(enabled, Ordering::Release);
+                d.enabled = enabled;
                 true
             }
             None => false,
-        }
+        })
     }
 
     /// Is the module deployed *and* enabled?
@@ -122,7 +165,7 @@ impl Weaver {
         self.deployed
             .read()
             .iter()
-            .any(|d| d.id == handle.0 && d.enabled.load(Ordering::Acquire))
+            .any(|d| d.id == handle.0 && d.enabled)
     }
 
     /// Snapshot of matched-dispatch counts per join-point name (a
@@ -156,14 +199,15 @@ impl Weaver {
 
     /// Undeploy (unplug) a module. Returns it if it was deployed.
     pub fn undeploy(&self, handle: AspectHandle) -> Option<Arc<AspectModule>> {
-        let mut dep = self.deployed.write();
-        let idx = dep.iter().position(|d| d.id == handle.0)?;
-        Some(dep.remove(idx).module)
+        self.update(|dep| {
+            let idx = dep.iter().position(|d| d.id == handle.0)?;
+            Some(dep.remove(idx).module)
+        })
     }
 
     /// Remove every deployed module — back to the sequential program.
     pub fn undeploy_all(&self) {
-        self.deployed.write().clear();
+        self.update(Vec::clear);
     }
 
     /// Names of currently deployed modules, in deployment order.
@@ -194,21 +238,27 @@ impl Weaver {
         f()
     }
 
-    /// Snapshot the bindings matching `jp` as `(module, binding index)`,
-    /// sorted stably by their mechanism's layer. Each pick keeps its
-    /// module alive for the dispatch.
-    fn matched(&self, jp: &JoinPoint<'_>) -> Vec<(Arc<AspectModule>, usize)> {
-        let dep = self.deployed.read();
-        let mut picks = Vec::new();
-        for d in dep.iter().filter(|d| d.enabled.load(Ordering::Acquire)) {
-            for (bi, b) in d.module.bindings().iter().enumerate() {
-                if b.pointcut.matches(jp) {
-                    picks.push((Arc::clone(&d.module), bi));
+    /// The view `jp` dispatches against — the calling member's pinned one,
+    /// else the current one — with its bindings matching `jp` as
+    /// `(module index, binding index)`, sorted stably by their mechanism's
+    /// layer; `None` when nothing matches.
+    fn matched(&self, jp: &JoinPoint<'_>) -> Option<(View, Vec<(usize, usize)>)> {
+        let pick = |view: &View| {
+            let mut picks = Vec::new();
+            for (di, d) in view.iter().enumerate().filter(|(_, d)| d.enabled) {
+                for (bi, b) in d.module.bindings().iter().enumerate() {
+                    if b.pointcut.matches(jp) {
+                        picks.push((di, bi));
+                    }
                 }
             }
-        }
-        picks.sort_by_key(|(module, bi)| module.bindings()[*bi].mechanism.layer());
-        picks
+            picks.sort_by_key(|&(di, bi)| view[di].module.bindings()[bi].mechanism.layer());
+            (!picks.is_empty()).then(|| (Arc::clone(view), picks))
+        };
+        PINNED.with_borrow(|pinned| match pinned {
+            Some(view) => pick(view),
+            None => pick(&self.deployed.read()),
+        })
     }
 }
 
@@ -363,16 +413,15 @@ fn weave(stack: &[&Mechanism], range: LoopRange, member: &Member<'_>) {
 fn dispatch(jp: &JoinPoint<'_>, scoped: bool, leaf: Leaf<'_>) {
     let range = jp.range.unwrap_or(LoopRange::upto(0, 0));
     let weaver = Weaver::global();
-    // A snapshot: the read lock is released before anything runs, so a
-    // body may deploy, undeploy or dispatch again.
-    let picks = weaver.matched(jp);
-    if picks.is_empty() {
+    // A view: the read lock is released before anything runs, so a body
+    // may deploy, undeploy or dispatch again.
+    let Some((view, picks)) = weaver.matched(jp) else {
         return weave(&[], range, &Member { jp, scoped, leaf });
-    }
+    };
     weaver.record(jp.name);
     let matched: Vec<&Mechanism> = picks
         .iter()
-        .map(|(module, bi)| &module.bindings()[*bi].mechanism)
+        .map(|&(di, bi)| &view[di].module.bindings()[bi].mechanism)
         .filter(|m| applies(m, jp, scoped))
         .collect();
     let from = |layer| matched.partition_point(|m| m.layer() < layer);
@@ -402,7 +451,10 @@ fn dispatch(jp: &JoinPoint<'_>, scoped: bool, leaf: Leaf<'_>) {
         ctx::barrier();
     }
     match (region.and_then(|m| m.region_config()), leaf) {
-        (Some(cfg), Leaf::Team(team)) => parallel_with(cfg, || run_member(Leaf::Team(team))),
+        (Some(cfg), Leaf::Team(team)) => parallel_with(cfg, || {
+            let _pin = Pin::new(&view);
+            run_member(Leaf::Team(team))
+        }),
         (Some(_), Leaf::Caller { .. }) => unreachable!("@Parallel panics on value join points"),
         (None, leaf) => run_member(leaf),
     }
@@ -882,6 +934,52 @@ mod tests {
         assert_eq!(hits.load(AO::SeqCst), 7);
         w.undeploy(h);
         assert!(!w.set_enabled(h, true), "unknown handles are rejected");
+    }
+
+    #[test]
+    fn region_members_dispatch_against_the_view_at_entry() {
+        let hits = AtomicUsize::new(0);
+        let w = Weaver::global();
+        let late = parking_lot::Mutex::new(None);
+        let region = AspectModule::builder("pin-test")
+            .bind(
+                Pointcut::call("weaver.test.pinwrap"),
+                Mechanism::parallel().threads(2),
+            )
+            .build();
+        let hit = || {
+            call("weaver.test.pinned", || {
+                hits.fetch_add(1, AO::SeqCst);
+            })
+        };
+        w.with_deployed(region, || {
+            call("weaver.test.pinwrap", || {
+                if ctx::thread_id() == 0 {
+                    *late.lock() = Some(
+                        w.deploy(
+                            AspectModule::builder("pin-late")
+                                .bind(Pointcut::call("weaver.test.pinned"), Mechanism::master())
+                                .build(),
+                        ),
+                    );
+                }
+                ctx::barrier();
+                hit();
+            });
+        });
+        assert_eq!(
+            hits.load(AO::SeqCst),
+            2,
+            "both members run it ungated: the deploy waits for the next region"
+        );
+        let late = late.into_inner().expect("deployed in the region");
+        hit();
+        assert_eq!(
+            hits.load(AO::SeqCst),
+            3,
+            "outside a region it applies at once"
+        );
+        w.undeploy(late);
     }
 
     #[test]

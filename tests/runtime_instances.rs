@@ -124,6 +124,37 @@ fn spawned_tasks_inherit_the_spawning_runtime() {
     );
 }
 
+#[test]
+fn unpooled_task_outcomes_are_attributed_to_their_runtime() {
+    let _s = serial();
+    let neighbour = Runtime::builder().threads(2).build();
+    let outcomes = [
+        Counter::TaskRefusedDisabled,
+        Counter::TaskRefusedSaturated,
+        Counter::TaskDedicated,
+        Counter::TaskInline,
+    ];
+    let read = |rt: &Runtime| outcomes.map(|c| rt.metrics_snapshot().counter(c));
+
+    // Pool disabled: the executor is never offered the task, which runs
+    // on a dedicated thread.
+    let unpooled = Runtime::builder().threads(2).pooled(false).build();
+    assert_eq!(unpooled.spawn_future(|| 7).get(), 7);
+    assert_eq!(read(&unpooled), [1, 0, 1, 0]);
+
+    // One worker, blocked: the second task is refused as saturated and
+    // falls back to a dedicated thread.
+    let saturated = Runtime::builder().threads(2).task_workers(1).build();
+    let (release, blocked) = std::sync::mpsc::channel::<()>();
+    let first = saturated.spawn_future(move || blocked.recv().ok());
+    assert_eq!(saturated.spawn_future(|| 8).get(), 8);
+    release.send(()).unwrap();
+    assert_eq!(first.get(), Some(()));
+    assert_eq!(read(&saturated), [0, 1, 1, 0]);
+
+    assert_eq!(read(&neighbour), [0; 4], "a neighbour's scope stays clean");
+}
+
 /// Thread ids (`/proc/self/task`) present right now, for the bounded
 /// join assertion below. Linux-only, which CI is.
 #[cfg(target_os = "linux")]
