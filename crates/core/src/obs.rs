@@ -7,7 +7,8 @@
 //! the same visibility the benchmarks have:
 //!
 //! * **Counters** ([`Counter`]) — monotonic event counts: regions by
-//!   executor (pooled / spawned / inline), hot-team cache hits and
+//!   executor (pooled / spawned / inline, and of the inline ones those an
+//!   adaptive `if` clause gated), hot-team cache hits and
 //!   misses, barrier rounds, critical acquisitions and contention,
 //!   ordered sections, chunk handouts per schedule kind, task dispatch
 //!   outcomes (shared pool / dedicated thread / inline fallback),
@@ -295,6 +296,11 @@ counters! {
     /// Replicated structures: help passes applying the log to a lagging
     /// replica so an appender could reclaim log space.
     NrHelps => "nr_helps",
+    /// The share of `region_inline` an adaptive `if` clause chose
+    /// ([`RegionConfig::adaptive`](crate::region::RegionConfig::adaptive)):
+    /// regions configured for a team that ran alone because the team
+    /// measured dearer.
+    RegionGated => "region_gated",
 }
 
 // ---------------------------------------------------------------------

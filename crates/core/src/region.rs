@@ -8,17 +8,19 @@
 //! annotation (crate `aomp-macros`) both dispatch into.
 //!
 //! **One protocol, three team sources, two join policies.** Every region
-//! runs the same master sequence (`run_region` → `master_sequence`):
-//! register the stall deadline (if any) with the runtime's watchdog,
-//! wake the team (a [`pool`](crate::pool) hot-team dispatch), run the
-//! body as member 0, classify the exit, join the workers at a registered
-//! [`WaitSite::Join`], deregister. Team threads only ever execute a body
-//! through the hot-team worker loop, so context guards, hook events,
-//! cancellation points, wait sites and panic classification are the same
-//! code whatever the team's provenance:
+//! runs the same master sequence (`run_region` → `run_team` →
+//! `master_sequence`): register the stall deadline (if any) with the
+//! runtime's watchdog, wake the team (a [`pool`](crate::pool) hot-team
+//! dispatch), run the body as member 0, classify the exit, join the
+//! workers at a registered [`WaitSite::Join`], deregister. Team threads
+//! only ever execute a body through the hot-team worker loop, so context
+//! guards, hook events, cancellation points, wait sites and panic
+//! classification are the same code whatever the team's provenance:
 //!
 //! * **none** — a team of one (`threads(1)`, the parallel kill switch,
-//!   `only_if(false)`, `nested(false)` inside a region);
+//!   `only_if(false)`, `nested(false)` inside a region, or an
+//!   [adaptive `if` clause](RegionConfig::adaptive) that measured the
+//!   team dearer than the caller alone);
 //! * **leased** from the resolved [`Runtime`](crate::runtime::Runtime)'s
 //!   size-keyed cache and returned on exit — the default for top-level
 //!   regions; thread creation is paid once per team, not per region;
@@ -74,7 +76,7 @@
 //! thread's wait site.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -98,8 +100,8 @@ pub struct RegionConfig {
     /// paper §III-D); disable to serialise inner regions like OpenMP with
     /// `OMP_NESTED=false`.
     nested: Option<bool>,
-    /// OpenMP `if` clause: when `false` the region runs with one thread.
-    only_if: Option<bool>,
+    /// OpenMP `if` clause: a fixed condition, or adaptive.
+    only_if: Option<IfClause>,
     /// Opt-in for [`cancel_team`](crate::ctx::cancel_team) (OpenMP 4.0
     /// requires cancellation to be activated).
     cancellable: Option<bool>,
@@ -133,9 +135,39 @@ impl RegionConfig {
 
     /// OpenMP's `if` clause: parallelise only when `cond` is true —
     /// typically a problem-size threshold (small inputs are not worth a
-    /// team spawn).
+    /// team spawn). Replaces an earlier [`adaptive`](Self::adaptive).
     pub fn only_if(mut self, cond: bool) -> Self {
-        self.only_if = Some(cond);
+        self.only_if = Some(IfClause::Fixed(cond));
+        self
+    }
+
+    /// OpenMP's `if` clause, decided by measurement: each entry runs
+    /// either on the configured team or on a team of one (the caller
+    /// alone, as `only_if(false)` would), and `gate` keeps an average of
+    /// the region's wall time on the caller for each. The two alternate
+    /// until each has two samples; after that every entry takes the
+    /// cheaper one, and every 32nd entry takes the other to re-measure it.
+    /// So a region whose body costs less than a team round trip stops
+    /// paying for the team, and one whose body grows gets it back.
+    ///
+    /// The clause never adds threads: it only acts when the team would
+    /// have more than one member anyway. While a scheduler
+    /// [hook](crate::hook) is registered the configured team always runs
+    /// and nothing is measured, so explored schedules depend on the seed
+    /// alone. Entries the gate ran alone count as
+    /// [`Counter::RegionGated`] as well as `RegionInline`.
+    ///
+    /// Opt in per region: team size is visible to the body
+    /// ([`ctx::team_size`](crate::ctx::team_size),
+    /// [`ctx::thread_id`](crate::ctx::thread_id)), so only a body whose
+    /// result does not depend on it — a work-shared loop, say — should
+    /// be gated. One [`Gate`] per region, shared by every entry of it:
+    /// `#[parallel(only_if = "auto")]` keeps one in a `static` per
+    /// function, `Mechanism::parallel().adaptive()` one per join point.
+    /// Two configs are equal when they share the gate. Replaces an earlier
+    /// [`only_if`](Self::only_if).
+    pub fn adaptive(mut self, gate: Arc<Gate>) -> Self {
+        self.only_if = Some(IfClause::Adaptive(gate));
         self
     }
 
@@ -220,13 +252,104 @@ impl RegionConfig {
 
     fn resolve_threads(&self, rt: &runtime::Runtime) -> usize {
         let n = self.threads.unwrap_or_else(|| rt.default_threads());
-        if !rt.parallel_enabled() || self.only_if == Some(false) {
+        if !rt.parallel_enabled() || self.only_if == Some(IfClause::Fixed(false)) {
             return 1;
         }
         if ctx::level() > 0 && !self.nested.unwrap_or(true) {
             return 1;
         }
         n
+    }
+}
+
+/// The two spellings of OpenMP's `if` clause; the last setter wins.
+#[derive(Debug, Clone)]
+enum IfClause {
+    /// [`RegionConfig::only_if`]: a team only when the condition holds.
+    Fixed(bool),
+    /// [`RegionConfig::adaptive`]: a team only when the gate measured it
+    /// cheaper.
+    Adaptive(Arc<Gate>),
+}
+
+impl PartialEq for IfClause {
+    fn eq(&self, other: &Self) -> bool {
+        match (self, other) {
+            (IfClause::Fixed(a), IfClause::Fixed(b)) => a == b,
+            (IfClause::Adaptive(a), IfClause::Adaptive(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
+}
+
+impl Eq for IfClause {}
+
+/// Entries that alternate the two modes before the gate decides: two
+/// samples of each.
+const GATE_WARMUP: u64 = 4;
+/// Every this many entries, the gate runs the mode it did not pick.
+const GATE_REPROBE: u64 = 32;
+/// The averages' weight is `1 / 2^GATE_SHIFT`: 1/8.
+const GATE_SHIFT: u32 = 3;
+/// After warm-up a sample counts for at most this multiple of its mode's
+/// average, so one preempted entry cannot flip the choice for hundreds of
+/// entries.
+const GATE_CLIP: u64 = 4;
+
+/// The state of an [adaptive `if` clause](RegionConfig::adaptive): an
+/// entry counter and, per mode (the configured team, a team of one), an
+/// exponentially weighted average of the region's wall time on the
+/// caller.
+///
+/// Safe to share between threads entering the same region concurrently;
+/// updates are relaxed, since an estimate that loses a sample to a race is
+/// still an estimate.
+#[derive(Debug, Default)]
+pub struct Gate {
+    entries: AtomicU64,
+    /// Average round trip in ns, indexed by "ran alone"; 0 until sampled.
+    cost_ns: [AtomicU64; 2],
+}
+
+impl Gate {
+    /// A gate with no samples.
+    pub const fn new() -> Self {
+        Self {
+            entries: AtomicU64::new(0),
+            cost_ns: [AtomicU64::new(0), AtomicU64::new(0)],
+        }
+    }
+
+    /// Decide one entry: `true` runs it on a team of one. A mode with no
+    /// sample yet reads cheapest, so it is the one tried.
+    fn pick(&self) -> bool {
+        let k = self.entries.fetch_add(1, Ordering::Relaxed);
+        if k < GATE_WARMUP {
+            return k % 2 == 1;
+        }
+        let alone_cheaper = self.cost(true) < self.cost(false);
+        alone_cheaper != k.is_multiple_of(GATE_REPROBE)
+    }
+
+    fn cost(&self, alone: bool) -> u64 {
+        self.cost_ns[usize::from(alone)].load(Ordering::Relaxed)
+    }
+
+    /// Fold one entry's round trip into its mode's average. The warm-up
+    /// samples seed it with their minimum, so a preempted first entry
+    /// does not set it either.
+    fn record(&self, alone: bool, took: Duration) {
+        let sample = u64::try_from(took.as_nanos()).unwrap_or(u64::MAX).max(1);
+        let avg = self.cost(alone);
+        let next = if avg == 0 {
+            sample
+        } else if self.entries.load(Ordering::Relaxed) <= GATE_WARMUP {
+            avg.min(sample)
+        } else {
+            let sample = sample.min(avg.saturating_mul(GATE_CLIP));
+            avg - (avg >> GATE_SHIFT) + (sample >> GATE_SHIFT)
+        };
+        self.cost_ns[usize::from(alone)].store(next, Ordering::Relaxed);
     }
 }
 
@@ -342,6 +465,7 @@ where
     F: Fn(usize) -> T + Sync,
     T: Send,
 {
+    // An upper bound: an adaptive `if` clause may still run a team of one.
     let n = cfg.resolve_threads(&cfg.resolve_runtime());
     let results: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
     {
@@ -353,10 +477,8 @@ where
             *results[tid].lock() = Some(v);
         });
     }
-    results
-        .into_iter()
-        .map(|m| m.into_inner().expect("every team thread stores a result"))
-        .collect()
+    // Thread ids are dense, so the team's results are a prefix.
+    results.into_iter().map_while(Mutex::into_inner).collect()
 }
 
 // ---------------------------------------------------------------------
@@ -435,13 +557,34 @@ enum Team {
     Fresh(HotTeam),
 }
 
-/// Every region: resolve the configuration, pick the team source, run
-/// the [`master_sequence`], classify.
+/// Every region: resolve the configuration and the team size, let an
+/// adaptive `if` clause pick between the team and a team of one, then
+/// [`run_team`].
 fn run_region(cfg: RegionConfig, work: Work<'_>) -> RawOutcome {
     // The master's `rt` binding keeps the runtime alive for the region's
     // duration — the team itself only holds a weak handle.
     let rt = cfg.resolve_runtime();
     let n = cfg.resolve_threads(&rt);
+    match &cfg.only_if {
+        // The gate acts only where a team would run, and never under a
+        // scheduler hook, whose schedules must not depend on a clock.
+        Some(IfClause::Adaptive(gate)) if n > 1 && !hook::active() => {
+            let alone = gate.pick();
+            if alone {
+                rt.scope().record(Counter::RegionGated);
+            }
+            let start = Instant::now();
+            let outcome = run_team(&cfg, &rt, if alone { 1 } else { n }, work);
+            gate.record(alone, start.elapsed());
+            outcome
+        }
+        _ => run_team(&cfg, &rt, n, work),
+    }
+}
+
+/// Run a region on `n` threads: pick the team source, run the
+/// [`master_sequence`], classify.
+fn run_team(cfg: &RegionConfig, rt: &runtime::Runtime, n: usize, work: Work<'_>) -> RawOutcome {
     let deadline = cfg.stall_deadline.or_else(|| rt.default_stall_deadline());
     let shared = Arc::new(TeamShared::for_runtime(
         n,
@@ -488,7 +631,7 @@ fn run_region(cfg: RegionConfig, work: Work<'_>) -> RawOutcome {
         obs::count_always(counter);
     }
     rt.scope().bump(counter);
-    master_sequence(workers, &shared, &rt, deadline, &work);
+    master_sequence(workers, &shared, rt, deadline, &work);
     drop(team);
     obs::region_done(t0, lat);
 
@@ -693,6 +836,103 @@ mod tests {
             count.fetch_add(1, Ordering::SeqCst);
         });
         assert_eq!(count.load(Ordering::SeqCst), 5);
+    }
+
+    /// Drive a gate with made-up wall times, no region involved:
+    /// `took(k, alone)` is entry `k`'s round trip in ns. Returns which
+    /// entries the gate ran alone.
+    fn picks(entries: u64, took: impl Fn(u64, bool) -> u64) -> Vec<bool> {
+        let gate = Gate::new();
+        (0..entries)
+            .map(|k| {
+                let alone = gate.pick();
+                gate.record(alone, Duration::from_nanos(took(k, alone)));
+                alone
+            })
+            .collect()
+    }
+
+    /// The entries after warm-up that did not run the cheaper mode
+    /// (alone, if `cheaper_alone`).
+    fn reprobes(picks: &[bool], cheaper_alone: bool) -> Vec<usize> {
+        (4..picks.len())
+            .filter(|&k| picks[k] != cheaper_alone)
+            .collect()
+    }
+
+    #[test]
+    fn gate_warms_up_then_keeps_the_cheaper_mode_and_reprobes_it() {
+        // An empty body: the team's round trip dwarfs the caller alone.
+        let empty = picks(100, |_, alone| if alone { 100 } else { 10_000 });
+        assert_eq!(empty[..4], [false, true, false, true], "team first");
+        assert_eq!(reprobes(&empty, true), [32, 64, 96]);
+        // A ~2 ms body the team halves: it keeps the team.
+        let split = picks(100, |_, alone| if alone { 2_000_000 } else { 1_000_000 });
+        assert_eq!(split[..4], [false, true, false, true]);
+        assert_eq!(reprobes(&split, false), [32, 64, 96]);
+    }
+
+    #[test]
+    fn gate_shrugs_off_one_slow_entry() {
+        // A cold first team entry: warm-up seeds each average with the
+        // faster of its two samples.
+        let cold = picks(40, |k, alone| match (k, alone) {
+            (0, _) => 1_000_000_000,
+            (_, true) => 5_000,
+            (_, false) => 1_000,
+        });
+        assert_eq!(reprobes(&cold, false), [32]);
+        // A preempted entry after warm-up counts for at most four times
+        // its mode's average.
+        let preempted = picks(100, |k, alone| match (k, alone) {
+            (10, _) => 1_000_000_000,
+            (_, true) => 100,
+            (_, false) => 10_000,
+        });
+        assert_eq!(reprobes(&preempted, true), [32, 64, 96]);
+    }
+
+    #[test]
+    fn adaptive_gate_runs_an_empty_body_alone() {
+        let rt = runtime::Runtime::builder().threads(2).build();
+        let cfg = RegionConfig::new()
+            .runtime(&rt)
+            .adaptive(Arc::new(Gate::new()));
+        for _ in 0..512 {
+            parallel_with(cfg.clone(), || {});
+        }
+        let gated = rt.metrics_snapshot().counter(Counter::RegionGated);
+        assert!(gated * 10 >= 512 * 9, "{gated} of 512 entries gated");
+    }
+
+    #[test]
+    fn parallel_map_returns_the_team_that_ran() {
+        let cfg = RegionConfig::new()
+            .threads(2)
+            .adaptive(Arc::new(Gate::new()));
+        // Warm-up runs the team, then the caller alone.
+        assert_eq!(parallel_map(cfg.clone(), |tid| tid), vec![0, 1]);
+        assert_eq!(parallel_map(cfg, |tid| tid), vec![0]);
+    }
+
+    #[test]
+    fn adaptive_and_only_if_set_one_clause() {
+        let gate = Arc::new(Gate::new());
+        let adaptive = RegionConfig::new().adaptive(Arc::clone(&gate));
+        assert_eq!(
+            adaptive,
+            RegionConfig::new()
+                .only_if(false)
+                .adaptive(Arc::clone(&gate))
+        );
+        assert_eq!(
+            adaptive.clone().only_if(true),
+            RegionConfig::new().only_if(true)
+        );
+        assert_ne!(
+            adaptive,
+            RegionConfig::new().adaptive(Arc::new(Gate::new()))
+        );
     }
 
     #[test]

@@ -9,6 +9,9 @@ use crate::aspects::eval::evaluate_population;
 use crate::problem::Problem;
 use crate::{Individual, RunResult};
 
+/// DE's fitness-evaluation join point.
+const EVALUATE: &str = "Evolib.DE.evaluate";
+
 /// DE parameters.
 #[derive(Debug, Clone)]
 pub struct DeConfig {
@@ -53,7 +56,7 @@ pub fn run(problem: &dyn Problem, cfg: &DeConfig) -> RunResult {
     let mut pop: Vec<Individual> = (0..cfg.pop_size)
         .map(|_| Individual::new((0..dims).map(|_| rng.gen_range(lo..hi)).collect()))
         .collect();
-    let mut evaluations = evaluate_population("DE", problem, &mut pop);
+    let mut evaluations = evaluate_population(EVALUATE, problem, &mut pop);
     let mut history = vec![best_of(&pop)];
 
     for generation in 1..=cfg.generations {
@@ -76,7 +79,7 @@ pub fn run(problem: &dyn Problem, cfg: &DeConfig) -> RunResult {
             trials.push(Individual::new(genes));
         }
         // ...evaluate them through the woven join point...
-        evaluations += evaluate_population("DE", problem, &mut trials);
+        evaluations += evaluate_population(EVALUATE, problem, &mut trials);
         // ...and select.
         for (target, trial) in pop.iter_mut().zip(trials) {
             if trial.fitness <= target.fitness {
@@ -125,7 +128,7 @@ fn distinct_three(n: usize, exclude: usize, rng: &mut StdRng) -> (usize, usize, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parallel_evaluation_aspect;
+    use crate::aspects::assert_gated_twin;
     use crate::problem::{Rosenbrock, Sphere};
 
     #[test]
@@ -164,15 +167,17 @@ mod tests {
     #[test]
     fn de_parallel_and_sequential_runs_are_bit_identical() {
         let p = Sphere { dims: 4 };
-        let cfg = DeConfig {
-            generations: 25,
-            ..DeConfig::default()
-        };
-        let seq = run(&p, &cfg);
-        let par = aomp_weaver::Weaver::global()
-            .with_deployed(parallel_evaluation_aspect(3), || run(&p, &cfg));
-        assert_eq!(seq.best, par.best);
-        assert_eq!(seq.history, par.history);
+        assert_gated_twin(3, |seed| {
+            let r = run(
+                &p,
+                &DeConfig {
+                    generations: 25,
+                    seed,
+                    ..DeConfig::default()
+                },
+            );
+            (r.best, r.history)
+        });
     }
 
     #[test]

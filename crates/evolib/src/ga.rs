@@ -13,6 +13,9 @@ use crate::aspects::eval::evaluate_population;
 use crate::problem::Problem;
 use crate::{Individual, RunResult};
 
+/// The GA's fitness-evaluation join point.
+const EVALUATE: &str = "Evolib.GA.evaluate";
+
 /// GA parameters.
 #[derive(Debug, Clone)]
 pub struct GaConfig {
@@ -109,7 +112,7 @@ pub fn run(problem: &dyn Problem, cfg: &GaConfig) -> RunResult {
     let mut pop: Vec<Individual> = (0..cfg.pop_size)
         .map(|_| random_individual(problem, &mut rng))
         .collect();
-    let mut evaluations = evaluate_population("GA", problem, &mut pop);
+    let mut evaluations = evaluate_population(EVALUATE, problem, &mut pop);
     pop.sort_by(|a, b| a.fitness.total_cmp(&b.fitness));
     let mut history = vec![pop[0].fitness];
 
@@ -127,7 +130,7 @@ pub fn run(problem: &dyn Problem, cfg: &GaConfig) -> RunResult {
             mutate(&mut genes, cfg, problem.bounds(), &mut rng);
             next.push(Individual::new(genes));
         }
-        evaluations += evaluate_population("GA", problem, &mut next[cfg.elitism..]);
+        evaluations += evaluate_population(EVALUATE, problem, &mut next[cfg.elitism..]);
         pop = next;
         pop.sort_by(|a, b| a.fitness.total_cmp(&b.fitness));
         history.push(pop[0].fitness);
@@ -142,7 +145,7 @@ pub fn run(problem: &dyn Problem, cfg: &GaConfig) -> RunResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parallel_evaluation_aspect;
+    use crate::aspects::assert_gated_twin;
     use crate::problem::{Rastrigin, Sphere};
 
     #[test]
@@ -169,16 +172,17 @@ mod tests {
     #[test]
     fn ga_parallel_and_sequential_runs_are_bit_identical() {
         let p = Sphere { dims: 5 };
-        let cfg = GaConfig {
-            generations: 20,
-            ..GaConfig::default()
-        };
-        let seq = run(&p, &cfg);
-        let par = aomp_weaver::Weaver::global()
-            .with_deployed(parallel_evaluation_aspect(4), || run(&p, &cfg));
-        assert_eq!(seq.best, par.best);
-        assert_eq!(seq.history, par.history);
-        assert_eq!(seq.evaluations, par.evaluations);
+        assert_gated_twin(4, |seed| {
+            let r = run(
+                &p,
+                &GaConfig {
+                    generations: 20,
+                    seed,
+                    ..GaConfig::default()
+                },
+            );
+            (r.best, r.history, r.evaluations)
+        });
     }
 
     #[test]

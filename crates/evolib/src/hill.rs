@@ -101,7 +101,7 @@ pub fn run(problem: &dyn Problem, cfg: &HillConfig) -> RunResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parallel_evaluation_aspect;
+    use crate::aspects::assert_gated_twin;
     use crate::problem::Sphere;
 
     #[test]
@@ -115,16 +115,19 @@ mod tests {
     #[test]
     fn hill_parallel_matches_sequential() {
         let p = Sphere { dims: 3 };
-        let cfg = HillConfig {
-            starts: 8,
-            steps: 100,
-            ..HillConfig::default()
-        };
-        let seq = run(&p, &cfg);
-        let par = aomp_weaver::Weaver::global()
-            .with_deployed(parallel_evaluation_aspect(4), || run(&p, &cfg));
-        assert_eq!(seq.best, par.best);
-        assert_eq!(seq.history, par.history);
+        // One `climb` per run: the eight runs are the gate's entries.
+        assert_gated_twin(4, |seed| {
+            let r = run(
+                &p,
+                &HillConfig {
+                    starts: 8,
+                    steps: 100,
+                    seed,
+                    ..HillConfig::default()
+                },
+            );
+            (r.best, r.history)
+        });
     }
 
     #[test]

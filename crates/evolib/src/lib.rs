@@ -23,7 +23,10 @@
 //! All randomness is counter-seeded per (generation, individual), so a
 //! run is bit-identical regardless of thread count or schedule — which
 //! the tests exploit to prove the aspect changes *performance structure*,
-//! never *results*.
+//! never *results*. That includes the aspect's adaptive `if` clause
+//! ([`aomp_weaver::Mechanism::adaptive`]), which runs a join point on the
+//! calling thread alone while its team round trip costs more than the
+//! team saves: a GA generation's evaluation is about a microsecond.
 
 #![warn(missing_docs)]
 

@@ -10,7 +10,7 @@
 //!
 //! | Paper annotation | Attribute |
 //! |---|---|
-//! | `@Parallel[(threads=n)]` | `#[parallel]`, `#[parallel(threads = 4)]`, `#[parallel(cancellable, stall_deadline_ms = 200)]` |
+//! | `@Parallel[(threads=n)]` | `#[parallel]`, `#[parallel(threads = 4)]`, `#[parallel(cancellable, stall_deadline_ms = 200)]`, `#[parallel(only_if = "auto")]` |
 //! | `@For[(schedule=…)]` | `#[for_loop]`, `#[for_loop(schedule = "staticCyclic")]`, `#[for_loop(schedule = "dynamic", chunk = 8)]` (see the schedule table below) |
 //! | `@Critical[(id=name)]` | `#[critical]`, `#[critical(id = "lockname")]` |
 //! | `@Critical` via flat combining | `#[replicated]`, `#[replicated(id = "name")]` |
@@ -306,7 +306,12 @@ impl AttrArg {
 /// Figure 9).
 ///
 /// Arguments: `threads = <int>` (team size), `nested = <bool>`,
-/// `only_if = <expr>` (OpenMP's `if` clause, evaluated at call time),
+/// `only_if = <expr>` (OpenMP's `if` clause, evaluated at call time) or
+/// `only_if = "auto"` (the adaptive `if` clause,
+/// `aomp::region::RegionConfig::adaptive`, over one `static` gate per
+/// annotated function: the region runs alone while its measured team
+/// round trip costs more than it saves — for bodies whose result does not
+/// depend on the team size),
 /// `cancellable` (honour `cancel_team()`, OpenMP 4.0 `cancel`),
 /// `stall_deadline_ms = <int>` (arm the stall watchdog; a team stuck in
 /// its synchronisation primitives is cancelled and diagnosed instead of
@@ -325,7 +330,7 @@ pub fn parallel(attr: TokenStream, item: TokenStream) -> TokenStream {
             let setter = match arg.name.as_str() {
                 "threads" => format!("threads({}usize)", arg.int()?),
                 "nested" => format!("nested({})", arg.bool()?),
-                "only_if" => format!("only_if({})", arg.expr("a value")?),
+                "only_if" => only_if_setter(arg.expr("a value")?)?,
                 "cancellable" => format!("cancellable({})", arg.bool()?),
                 "stall_deadline_ms" => format!(
                     "stall_deadline(::std::time::Duration::from_millis({}u64))",
@@ -344,6 +349,26 @@ pub fn parallel(attr: TokenStream, item: TokenStream) -> TokenStream {
             f.body
         ))
     })
+}
+
+/// `#[parallel]`'s `only_if` value as the `RegionConfig` setter it lowers
+/// to. A string literal can never be a bool expression, so `"auto"` is
+/// free to name the adaptive clause; its gate is a `static` in the
+/// setter's argument, one per expansion, and each call shares it.
+fn only_if_setter(value: &str) -> Result<String, String> {
+    if !value.starts_with('"') {
+        return Ok(format!("only_if({value})"));
+    }
+    if value == "\"auto\"" {
+        return Ok("adaptive({ \
+            static __AOMP_GATE: ::std::sync::LazyLock<::std::sync::Arc<::aomp::region::Gate>> = \
+                ::std::sync::LazyLock::new(::std::default::Default::default); \
+            ::std::sync::Arc::clone(&__AOMP_GATE) })"
+            .to_owned());
+    }
+    Err(format!(
+        "aomp: `#[parallel(only_if = {value})]` is not an if clause (expected only_if = <bool expression> | \"auto\")"
+    ))
 }
 
 /// The name `#[for_loop]` gives the numeric argument of a schedule's

@@ -1,9 +1,30 @@
 //! `#[for_loop]`'s schedule arguments against `Schedule::parse`, the
-//! grammar they are lowered to. Kept out of `lib.rs` so that file names
-//! no schedule spelling of its own (CI greps for it).
+//! grammar they are lowered to, and `#[parallel]`'s `only_if` forms. Kept
+//! out of `lib.rs` so that file names no schedule spelling of its own (CI
+//! greps for it).
 
-use super::schedule_expr;
+use super::{only_if_setter, schedule_expr};
 use aomp::schedule::Schedule;
+
+#[test]
+fn only_if_takes_an_expression_or_auto() {
+    assert_eq!(only_if_setter("n > 10").unwrap(), "only_if(n > 10)");
+    let auto = only_if_setter("\"auto\"").unwrap();
+    assert!(auto.starts_with("adaptive({"), "{auto}");
+    assert!(
+        auto.contains(
+            "static __AOMP_GATE: ::std::sync::LazyLock<::std::sync::Arc<::aomp::region::Gate>>"
+        ),
+        "one static gate per annotated function: {auto}"
+    );
+    assert!(
+        auto.contains("::std::sync::Arc::clone(&__AOMP_GATE)"),
+        "{auto}"
+    );
+    let err = only_if_setter("\"sometimes\"").expect_err("not a form");
+    assert!(err.contains("only_if = \"sometimes\""), "{err}");
+    assert!(err.contains("<bool expression> | \"auto\""), "{err}");
+}
 
 fn expr_of(schedule: Schedule) -> Result<String, String> {
     Ok(format!("::aomp::schedule::Schedule::{schedule:?}"))

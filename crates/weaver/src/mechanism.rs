@@ -6,13 +6,16 @@
 //! distinct state — the property the paper highlights for the pointcut
 //! style ("each aspect instance can use a different lock").
 
+use std::collections::HashMap;
 use std::sync::Arc;
+
+use parking_lot::RwLock;
 
 use aomp::critical::CriticalHandle;
 use aomp::deps::{Dep, DepGroup, TaskloopConstruct};
 use aomp::nr::Combiner;
 use aomp::range::LoopRange;
-use aomp::region::RegionConfig;
+use aomp::region::{Gate, RegionConfig};
 use aomp::schedule::Schedule;
 use aomp::sync::{Master, RwConstruct, Single};
 use aomp::workshare::ForConstruct;
@@ -55,7 +58,7 @@ pub struct Mechanism {
 }
 
 pub(crate) enum MechanismKind {
-    Parallel(RegionConfig),
+    Parallel(RegionConfig, Option<Gates>),
     For { construct: ForConstruct },
     BarrierBefore,
     BarrierAfter,
@@ -80,23 +83,23 @@ impl std::fmt::Debug for Mechanism {
 impl Mechanism {
     /// `@Parallel` — the matched method execution becomes a parallel
     /// region. Configure with [`threads`](Self::threads),
-    /// [`cancellable`](Self::cancellable) and
-    /// [`stall_deadline`](Self::stall_deadline).
+    /// [`cancellable`](Self::cancellable),
+    /// [`stall_deadline`](Self::stall_deadline) and
+    /// [`adaptive`](Self::adaptive).
     pub fn parallel() -> Self {
         Self {
-            kind: MechanismKind::Parallel(RegionConfig::new()),
+            kind: MechanismKind::Parallel(RegionConfig::new(), None),
         }
     }
 
     /// Apply `set` to the [`RegionConfig`] a [`parallel`](Self::parallel)
     /// mechanism enters its regions with.
-    fn region(self, setter: &str, set: impl FnOnce(RegionConfig) -> RegionConfig) -> Self {
-        match self.kind {
-            MechanismKind::Parallel(cfg) => Self {
-                kind: MechanismKind::Parallel(set(cfg)),
-            },
+    fn region(mut self, setter: &str, set: impl FnOnce(RegionConfig) -> RegionConfig) -> Self {
+        match &mut self.kind {
+            MechanismKind::Parallel(cfg, _) => *cfg = set(std::mem::take(cfg)),
             _ => panic!("{setter}() only applies to Mechanism::parallel()"),
         }
+        self
     }
 
     /// Set the team size of a [`parallel`](Self::parallel) mechanism —
@@ -129,6 +132,29 @@ impl Mechanism {
     /// woven.
     pub fn runtime(self, rt: &aomp::Runtime) -> Self {
         self.region("runtime", |cfg| cfg.runtime(rt))
+    }
+
+    /// OpenMP's `if` clause, decided by measurement, for regions woven by
+    /// this [`parallel`](Self::parallel) mechanism — see
+    /// [`RegionConfig::adaptive`]. A region whose body costs less than
+    /// its team round trip runs on the calling thread alone; one whose
+    /// body the team speeds up keeps its team.
+    ///
+    /// The binding keeps one [`Gate`] per join-point name it matches, so
+    /// a glob pointcut over `Evolib.*.evaluate` measures
+    /// `Evolib.GA.evaluate` and `Evolib.DE.evaluate` apart. The gates live
+    /// as long as the deployed module: undeploying drops them, and a new
+    /// deployment starts measuring afresh.
+    ///
+    /// Opt in only where the body's result does not depend on the team
+    /// size — a join point woven with a work-share, say — since a gated
+    /// entry runs with a team of one.
+    pub fn adaptive(mut self) -> Self {
+        match &mut self.kind {
+            MechanismKind::Parallel(_, gates) => *gates = Some(Gates::default()),
+            _ => panic!("adaptive() only applies to Mechanism::parallel()"),
+        }
+        self
     }
 
     /// `@For(schedule = …)` — work-share a for method across the team.
@@ -345,7 +371,7 @@ impl Mechanism {
     pub(crate) fn layer(&self) -> u8 {
         match self.kind {
             MechanismKind::BarrierBefore => layer::BARRIER_BEFORE,
-            MechanismKind::Parallel(_) => layer::PARALLEL,
+            MechanismKind::Parallel(..) => layer::PARALLEL,
             MechanismKind::MasterGate { .. } | MechanismKind::SingleGate { .. } => layer::GATE,
             MechanismKind::Critical { .. }
             | MechanismKind::Replicated { .. }
@@ -363,7 +389,7 @@ impl Mechanism {
     /// Mechanism name for diagnostics and the Table-2 metadata.
     pub fn kind_name(&self) -> &'static str {
         match &self.kind {
-            MechanismKind::Parallel(_) => "parallel",
+            MechanismKind::Parallel(..) => "parallel",
             MechanismKind::For { construct } => match construct.schedule() {
                 Schedule::StaticBlock => "for(staticBlock)",
                 Schedule::StaticCyclic => "for(staticCyclic)",
@@ -387,13 +413,28 @@ impl Mechanism {
         }
     }
 
-    /// The region configuration of a [`parallel`](Self::parallel)
-    /// mechanism.
-    pub(crate) fn region_config(&self) -> Option<RegionConfig> {
+    /// The region configuration a [`parallel`](Self::parallel) mechanism
+    /// enters join point `jp` with.
+    pub(crate) fn region_config(&self, jp: &str) -> Option<RegionConfig> {
         match &self.kind {
-            MechanismKind::Parallel(cfg) => Some(cfg.clone()),
+            MechanismKind::Parallel(cfg, None) => Some(cfg.clone()),
+            MechanismKind::Parallel(cfg, Some(gates)) => Some(cfg.clone().adaptive(gates.of(jp))),
             _ => None,
         }
+    }
+}
+
+/// The gates of an [`adaptive`](Mechanism::adaptive) `@Parallel`
+/// binding: one per join-point name, made on its first dispatch.
+#[derive(Default)]
+pub(crate) struct Gates(RwLock<HashMap<String, Arc<Gate>>>);
+
+impl Gates {
+    fn of(&self, jp: &str) -> Arc<Gate> {
+        if let Some(gate) = self.0.read().get(jp) {
+            return Arc::clone(gate);
+        }
+        Arc::clone(self.0.write().entry(jp.to_owned()).or_default())
     }
 }
 
@@ -454,9 +495,12 @@ mod tests {
 
     #[test]
     fn region_config_carries_threads() {
-        let cfg = Mechanism::parallel().threads(7).region_config().unwrap();
+        let cfg = Mechanism::parallel()
+            .threads(7)
+            .region_config("jp")
+            .unwrap();
         assert_eq!(cfg, RegionConfig::new().threads(7));
-        assert!(Mechanism::master().region_config().is_none());
+        assert!(Mechanism::master().region_config("jp").is_none());
     }
 
     #[test]
@@ -466,7 +510,7 @@ mod tests {
             .threads(2)
             .cancellable()
             .stall_deadline(d)
-            .region_config()
+            .region_config("jp")
             .unwrap();
         assert_eq!(
             cfg,
@@ -486,7 +530,10 @@ mod tests {
     #[test]
     fn region_config_carries_runtime() {
         let rt = aomp::Runtime::builder().threads(2).build();
-        let cfg = Mechanism::parallel().runtime(&rt).region_config().unwrap();
+        let cfg = Mechanism::parallel()
+            .runtime(&rt)
+            .region_config("jp")
+            .unwrap();
         assert_eq!(cfg, RegionConfig::new().runtime(&rt));
         let other = aomp::Runtime::builder().threads(2).build();
         assert_ne!(cfg, RegionConfig::new().runtime(&other));
@@ -497,5 +544,21 @@ mod tests {
     fn runtime_on_non_parallel_panics() {
         let rt = aomp::Runtime::builder().build();
         let _ = Mechanism::master().runtime(&rt);
+    }
+
+    #[test]
+    fn adaptive_keeps_one_gate_per_join_point() {
+        let m = Mechanism::parallel().threads(2).adaptive();
+        let ga = m.region_config("Evolib.GA.evaluate").unwrap();
+        assert_eq!(ga, m.region_config("Evolib.GA.evaluate").unwrap());
+        assert_ne!(ga, m.region_config("Evolib.DE.evaluate").unwrap());
+        let redeployed = Mechanism::parallel().threads(2).adaptive();
+        assert_ne!(ga, redeployed.region_config("Evolib.GA.evaluate").unwrap());
+    }
+
+    #[test]
+    #[should_panic(expected = "only applies")]
+    fn adaptive_on_non_parallel_panics() {
+        let _ = Mechanism::critical().adaptive();
     }
 }

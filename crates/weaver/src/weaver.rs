@@ -270,7 +270,7 @@ impl Weaver {
 /// applies.
 fn applies(mechanism: &Mechanism, jp: &JoinPoint<'_>, scoped: bool) -> bool {
     match (&mechanism.kind, jp.kind) {
-        (MechanismKind::Parallel(_), JoinPointKind::Value) => panic!(
+        (MechanismKind::Parallel(..), JoinPointKind::Value) => panic!(
             "@Parallel cannot apply to value-returning join point `{}` \
              (parallel regions are void-like)",
             jp.name
@@ -401,7 +401,7 @@ fn weave(stack: &[&Mechanism], range: LoopRange, member: &Member<'_>) {
             Leaf::Caller { .. } => unreachable!("@Taskloop is inert on value join points"),
         },
         MechanismKind::BarrierBefore
-        | MechanismKind::Parallel(_)
+        | MechanismKind::Parallel(..)
         | MechanismKind::ReduceAfter { .. }
         | MechanismKind::BarrierAfter => unreachable!("dispatch keeps this layer out of the weave"),
     }
@@ -450,7 +450,7 @@ fn dispatch(jp: &JoinPoint<'_>, scoped: bool, leaf: Leaf<'_>) {
     for _ in 0..pre_barriers {
         ctx::barrier();
     }
-    match (region.and_then(|m| m.region_config()), leaf) {
+    match (region.and_then(|m| m.region_config(jp.name)), leaf) {
         (Some(cfg), Leaf::Team(team)) => parallel_with(cfg, || {
             let _pin = Pin::new(&view);
             run_member(Leaf::Team(team))

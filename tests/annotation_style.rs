@@ -373,6 +373,28 @@ fn only_if_clause_gates_parallelism() {
     assert_eq!(IF_CLAUSE_HITS.load(Ordering::SeqCst), 14);
 }
 
+#[parallel(threads = 2, only_if = "auto", runtime = rt)]
+fn tiny_region(rt: &aomp::Runtime, hits: &AtomicUsize) {
+    hits.fetch_add(1, Ordering::Relaxed);
+}
+
+#[test]
+fn only_if_auto_runs_a_tiny_region_alone() {
+    // A body far cheaper than a team round trip: after the four warm-up
+    // entries the gate keeps it on the caller, bar a re-probe in 32.
+    let rt = aomp::Runtime::builder().build();
+    let hits = AtomicUsize::new(0);
+    for _ in 0..512 {
+        tiny_region(&rt, &hits);
+    }
+    let gated = rt
+        .metrics_snapshot()
+        .counter(aomp::obs::Counter::RegionGated) as usize;
+    assert!(gated * 10 >= (512 - 4) * 9, "{gated} of 512 entries gated");
+    // A gated entry runs the body once, a team entry once per member.
+    assert_eq!(hits.load(Ordering::Relaxed), gated + 2 * (512 - gated));
+}
+
 // ---------------------------------------------------------------------
 // Task dependences (`#[task(depend(...))]`) and `#[taskloop]`.
 

@@ -3,7 +3,8 @@
 //! barrier + critical + reduction combos, and PCT exploration of the
 //! cancellation/watchdog machinery (cancel racing a barrier entry, cancel
 //! racing a dynamic chunk handout, a stall deadline racing a normal
-//! join). Every test asserts the differential oracle (parallel result ==
+//! join), and the adaptive `if` clause standing aside under the checker.
+//! Every test asserts the differential oracle (parallel result ==
 //! sequential semantics) inside the explored closure; the invariant
 //! oracles (barrier lockstep, broadcast source, critical alternation) run
 //! automatically over every clean schedule's event log.
@@ -215,6 +216,32 @@ fn dfs_race_oracle_stays_quiet_on_barrier_separated_phases() {
     });
     report.assert_ok();
     assert!(report.schedules() > 1);
+}
+
+#[test]
+fn adaptive_if_clause_runs_the_configured_team_under_the_checker() {
+    // Explored schedules depend on the seed alone, so an adaptive `if`
+    // clause stands aside while the checker's hook is registered: every
+    // entry runs the full team, including the warm-up entries that would
+    // otherwise run alone.
+    use aomplib::runtime::region::Gate;
+    use std::sync::Arc;
+    let cfg = RegionConfig::new()
+        .threads(2)
+        .adaptive(Arc::new(Gate::new()));
+    check::Explorer::new()
+        .races(true)
+        .random(check::seeds_from_env(16), 0xADA97, || {
+            for entry in 0..6 {
+                let members = AtomicUsize::new(0);
+                region::parallel_with(cfg.clone(), || {
+                    members.fetch_add(1, Ordering::SeqCst);
+                    barrier();
+                });
+                assert_eq!(members.load(Ordering::SeqCst), 2, "entry {entry}");
+            }
+        })
+        .assert_ok();
 }
 
 #[test]
