@@ -200,8 +200,8 @@ impl Runtime {
     /// Whether pooled execution (cached hot teams for regions, the
     /// executor for tasks) is enabled on this runtime. Fixed at
     /// construction; with pooling disabled every region builds a fresh
-    /// team and every task runs on a dedicated thread — useful for
-    /// ablation measurements (see `crates/bench/src/bin/fig13.rs`).
+    /// team and every task runs on a dedicated thread — the fresh-team
+    /// path the benchmark's `region.entry_spawned_ns` row times.
     pub fn pool_enabled(&self) -> bool {
         self.inner.pool
     }

@@ -233,8 +233,8 @@ pub fn guided_chunk(remaining: u64, n: usize, min_chunk: u64) -> u64 {
 /// the `AOMP_SOCKETS` environment variable. Defaults to 1 (every peer is
 /// "near"); read once per process. Thread/worker ids are grouped into
 /// sockets contiguously — id `i` of `n` with `s` sockets lives on socket
-/// `i / ceil(n/s)` — matching the simcore machine model's compact
-/// placement (`Machine::sockets_spanned`).
+/// `i / ceil(n/s)` — the compact placement the simcore machine model
+/// assumes (`Machine::cores_per_socket` cores fill a socket first).
 pub fn configured_sockets() -> usize {
     static SOCKETS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *SOCKETS.get_or_init(|| {

@@ -1,5 +1,5 @@
 //! Common benchmark driver pieces: size presets, timing and result
-//! reporting, shared by the `aomp-bench` harness and the examples.
+//! comparison, shared by the kernels, `aomp-benchmark` and the examples.
 
 use std::time::{Duration, Instant};
 
@@ -17,53 +17,11 @@ pub enum Size {
     B,
 }
 
-impl Size {
-    /// All presets, small to large.
-    pub const ALL: [Size; 3] = [Size::Small, Size::A, Size::B];
-
-    /// Preset name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Size::Small => "small",
-            Size::A => "A",
-            Size::B => "B",
-        }
-    }
-}
-
-/// Outcome of one benchmark execution.
-#[derive(Debug, Clone)]
-pub struct BenchResult {
-    /// Benchmark name.
-    pub name: String,
-    /// Variant (`seq`, `jgf-mt`, `aomp`, `aomp-critical`, …).
-    pub variant: String,
-    /// Threads used (1 for `seq`).
-    pub threads: usize,
-    /// Wall-clock time of the timed section.
-    pub elapsed: Duration,
-    /// Did the JGF-style validation pass?
-    pub validated: bool,
-}
-
-impl BenchResult {
-    /// Wall time in seconds.
-    pub fn seconds(&self) -> f64 {
-        self.elapsed.as_secs_f64()
-    }
-}
-
 /// Time `f`, returning its value and the elapsed wall time.
 pub fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     let t0 = Instant::now();
     let v = f();
     (v, t0.elapsed())
-}
-
-/// Relative error |a-b| / max(|a|,|b|,1e-300): the JGF kernels validate
-/// floating point results within a small tolerance.
-pub fn rel_err(a: f64, b: f64) -> f64 {
-    (a - b).abs() / a.abs().max(b.abs()).max(1e-300)
 }
 
 /// True when `a` and `b` agree within relative tolerance `tol`.
@@ -86,24 +44,9 @@ mod tests {
     }
 
     #[test]
-    fn rel_err_basics() {
-        assert!(rel_err(1.0, 1.0) == 0.0);
-        assert!(rel_err(1.0, 1.01) < 0.011);
-        assert!(rel_err(0.0, 0.0) == 0.0);
-    }
-
-    #[test]
     fn approx_eq_tolerance() {
         assert!(approx_eq(100.0, 100.0001, 1e-5));
         assert!(!approx_eq(100.0, 101.0, 1e-5));
         assert!(approx_eq(0.0, 1e-9, 1e-8));
-    }
-
-    #[test]
-    fn size_names() {
-        assert_eq!(Size::Small.name(), "small");
-        assert_eq!(Size::A.name(), "A");
-        assert_eq!(Size::B.name(), "B");
-        assert_eq!(Size::ALL.len(), 3);
     }
 }

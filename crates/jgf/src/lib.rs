@@ -36,5 +36,5 @@ pub mod series;
 pub mod sor;
 pub mod sparse;
 
-pub use harness::{BenchResult, Size};
+pub use harness::Size;
 pub use meta::{all_benchmarks, Abstraction, BenchmarkMeta, ForKind, Refactoring};

@@ -83,13 +83,8 @@ impl EventSimulator {
                     }
                 }
                 // Contended steps keep the bulk-synchronous formulas (the
-                // serialisation already couples the threads), and so does
-                // the adaptive phase (stealing already couples them).
-                Step::Critical { .. }
-                | Step::NrCritical { .. }
-                | Step::Locked { .. }
-                | Step::AdaptiveChunk { .. }
-                | Step::TaskDag { .. } => {
+                // serialisation already couples the threads).
+                Step::Critical { .. } | Step::Locked { .. } => {
                     let dt = crate::exec::Simulator::new(self.machine.clone())
                         .run(&Program::new("step", vec![step.clone()]), t);
                     for c in clocks.iter_mut() {

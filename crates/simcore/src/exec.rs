@@ -75,99 +75,6 @@ impl Simulator {
                         own.max(serial_eff).max(memory)
                     }
                 }
-                Step::NrCritical {
-                    entries,
-                    ops_each,
-                    overlap_ops,
-                    bytes,
-                } => {
-                    let hold = ops_each / m.ops_per_us;
-                    if t == 1 {
-                        // Degenerate single-thread run: the caller
-                        // combines its own op inline, paying the slot
-                        // round-trip a plain lock does not.
-                        overlap_ops / per_thread_rate
-                            + entries * (hold + m.lock_entry_us + m.handoff_us)
-                    } else {
-                        let sockets = m.sockets_spanned(t) as f64;
-                        // Posters publish into a replica slot and read
-                        // back the response: the slot's cache line
-                        // migrates poster → combiner → poster.
-                        let publish = m.lock_entry_us + 2.0 * m.handoff_us;
-                        let compute =
-                            overlap_ops / t as f64 / per_thread_rate + entries / t as f64 * publish;
-                        // One combiner per socket replays the whole log
-                        // into its replica. Batch ≈ threads per socket;
-                        // the combiner-lock entry and the log's line
-                        // migrations are paid once per batch (log slots
-                        // are contiguous and stream), remote-socket
-                        // batches costing one extra handoff. Unlike
-                        // `Critical`, no team-wide queueing multiplier:
-                        // waiting posters park on their own slot.
-                        let batch = (t as f64 / sockets).max(1.0);
-                        let remote = (sockets - 1.0) / sockets;
-                        let serial_replica = entries * hold
-                            + entries / batch * (m.lock_entry_us + m.handoff_us * (1.0 + remote));
-                        let memory = bytes / m.bw_bytes_per_us;
-                        compute.max(serial_replica).max(memory)
-                    }
-                }
-                Step::AdaptiveChunk {
-                    ops,
-                    bytes,
-                    imbalance,
-                    chunks_per_thread,
-                } => {
-                    let chunks = chunks_per_thread.max(1.0);
-                    if t == 1 {
-                        // Sequential: nothing to refine or steal; the
-                        // dispenser still pays its per-chunk lock entry.
-                        (ops / m.ops_per_us + chunks * m.lock_entry_us)
-                            .max(bytes / m.bw_bytes_per_us)
-                    } else {
-                        let imb = imbalance.max(1.0);
-                        // Refinement smooths all but one chunk-grain of
-                        // the overload: residual imbalance shrinks with
-                        // the dispensed chunk count.
-                        let residual = 1.0 + (imb - 1.0) / chunks;
-                        let compute = ops / t as f64 * residual / per_thread_rate;
-                        // One range-lock entry per dispensed chunk, paid
-                        // by each thread on its own critical path.
-                        let dispense = chunks * m.lock_entry_us;
-                        // Steal-half adoptions migrate the adopted
-                        // range's working lines: the adoption count
-                        // scales with the overload being drained, and a
-                        // remote-socket fraction pays an extra handoff.
-                        let sockets = m.sockets_spanned(t) as f64;
-                        let remote = (sockets - 1.0) / sockets;
-                        let steals = (imb - 1.0) * t as f64;
-                        let steal = steals * m.handoff_us * (1.0 + remote) / t as f64;
-                        let memory = bytes / m.bw_bytes_per_us;
-                        (compute + dispense + steal).max(memory)
-                    }
-                }
-                Step::TaskDag {
-                    ops,
-                    bytes,
-                    crit_ops,
-                    tasks,
-                } => {
-                    // Wiring a task's tags holds the group lock once;
-                    // releasing its successors migrates the node's line.
-                    let task_over = m.lock_entry_us + m.handoff_us;
-                    if t == 1 {
-                        (ops / m.ops_per_us + tasks * task_over).max(bytes / m.bw_bytes_per_us)
-                    } else {
-                        // No barrier rounds: the lower envelope is the
-                        // even share or the critical path, whichever
-                        // dominates. The dependence bookkeeping is paid
-                        // across the team.
-                        let compute = (ops / t as f64).max(crit_ops) / per_thread_rate;
-                        let overhead = tasks / t as f64 * task_over;
-                        let memory = bytes / m.bw_bytes_per_us;
-                        (compute + overhead).max(memory)
-                    }
-                }
                 Step::Locked {
                     entries,
                     ops_each,
@@ -323,210 +230,6 @@ mod tests {
         let su8 = s.speedup(&p, 8);
         // Barrier overhead eats the gains as t grows.
         assert!(su8 < su2 * 3.0, "su2={su2} su8={su8}");
-    }
-
-    fn contended(step: fn(f64) -> Step) -> Program {
-        Program::new("contended", vec![step(2e5)])
-    }
-
-    fn crit(entries: f64) -> Step {
-        Step::Critical {
-            entries,
-            ops_each: 10.0,
-            overlap_ops: 0.0,
-            bytes: 0.0,
-        }
-    }
-
-    fn nrcrit(entries: f64) -> Step {
-        Step::NrCritical {
-            entries,
-            ops_each: 10.0,
-            overlap_ops: 0.0,
-            bytes: 0.0,
-        }
-    }
-
-    #[test]
-    fn nr_has_a_contention_crossover_against_one_lock() {
-        // The NR model must lose to the plain lock uncontended (protocol
-        // overhead) and win at scale (no team-wide queueing blow-up):
-        // the crossover the BENCH_nr sweep measures.
-        let s = Simulator::new(Machine::xeon());
-        let lock = contended(crit);
-        let nr = contended(nrcrit);
-        assert!(
-            s.run(&nr, 1) > s.run(&lock, 1),
-            "uncontended, one lock must be cheaper than the NR protocol"
-        );
-        let t_max = s.machine.hw_threads;
-        assert!(
-            s.run(&nr, t_max) < s.run(&lock, t_max),
-            "at full scale the lock's handoff storm must dominate"
-        );
-        // The flip happens at some intermediate team size and never
-        // flips back.
-        let mut crossed = false;
-        for t in 1..=t_max {
-            let nr_wins = s.run(&nr, t) < s.run(&lock, t);
-            if crossed {
-                assert!(nr_wins, "t={t}: the crossover must be monotone");
-            }
-            crossed = crossed || nr_wins;
-        }
-        assert!(crossed);
-    }
-
-    #[test]
-    fn nr_cross_socket_handoff_costs_show_on_the_numa_machine() {
-        // Spanning the second socket adds remote batch migrations: the
-        // per-entry serial cost at 12 threads (2 sockets) exceeds that
-        // at 6 (1 socket) — but stays far below the one-lock model's.
-        let s = Simulator::new(Machine::xeon());
-        let nr = contended(nrcrit);
-        let lock = contended(crit);
-        let one_socket = s.run(&nr, 6);
-        let two_sockets = s.run(&nr, 12);
-        assert!(
-            two_sockets < one_socket * 1.5,
-            "replication must absorb most of the cross-socket cost: {one_socket} → {two_sockets}"
-        );
-        assert!(s.run(&lock, 12) > two_sockets * 2.0);
-    }
-
-    fn skewed_parallel(imbalance: f64) -> Program {
-        Program::new(
-            "p",
-            vec![Step::Parallel {
-                ops: 1e9,
-                bytes: 0.0,
-                imbalance,
-            }],
-        )
-    }
-
-    fn adaptive(imbalance: f64, chunks: f64) -> Program {
-        Program::new(
-            "a",
-            vec![Step::AdaptiveChunk {
-                ops: 1e9,
-                bytes: 0.0,
-                imbalance,
-                chunks_per_thread: chunks,
-            }],
-        )
-    }
-
-    #[test]
-    fn adaptive_chunking_smooths_imbalance() {
-        // The residual imbalance after 16 refinements is 1 + 1/16: the
-        // adaptive phase must land close to the balanced wall time while
-        // the fixed block schedule eats the full 2x overload.
-        let s = sim();
-        let t = 4;
-        let block = s.run(&skewed_parallel(2.0), t);
-        let ad = s.run(&adaptive(2.0, 16.0), t);
-        let ideal = s.run(&skewed_parallel(1.0), t);
-        assert!(ad < block * 0.6, "adaptive {ad} vs block {block}");
-        assert!(ad < ideal * 1.15, "adaptive {ad} vs ideal {ideal}");
-    }
-
-    #[test]
-    fn adaptive_matches_static_block_when_balanced() {
-        // With nothing to refine, the only cost over a plain parallel
-        // phase is the per-chunk dispensing — a few percent, not more.
-        let s = sim();
-        let t = 4;
-        let block = s.run(&skewed_parallel(1.0), t);
-        let ad = s.run(&adaptive(1.0, 8.0), t);
-        assert!(ad >= block, "dispensing cannot be free");
-        assert!(ad < block * 1.05, "adaptive {ad} vs block {block}");
-    }
-
-    #[test]
-    fn adaptive_remote_steals_cost_more_on_the_numa_machine() {
-        // Same skewed program on the two-socket Xeon: spanning the
-        // second socket adds remote adoptions, but refinement must keep
-        // the phase well under the unrefined block time.
-        let s = Simulator::new(Machine::xeon());
-        let one_socket = s.run(&adaptive(2.0, 16.0), 6);
-        let two_sockets = s.run(&adaptive(2.0, 16.0), 12);
-        assert!(two_sockets < one_socket, "more threads must still help");
-        assert!(s.run(&skewed_parallel(2.0), 12) > two_sockets * 1.5);
-    }
-
-    fn barriered_rounds(ops: f64, rounds: usize, imbalance: f64) -> Program {
-        Program::repeat(
-            "rounds",
-            vec![
-                Step::Parallel {
-                    ops: ops / rounds as f64,
-                    bytes: 0.0,
-                    imbalance,
-                },
-                Step::Barrier,
-            ],
-            rounds,
-        )
-    }
-
-    #[test]
-    fn task_dag_beats_barriered_rounds_on_skewed_work() {
-        // Same total work, 20 rounds: the barriered twin pays each
-        // round's worst-thread overload plus a barrier; the dag's wall
-        // is bounded by its critical path, below that envelope on a
-        // skewed graph.
-        let s = sim();
-        let t = 4;
-        let ops = 1e9;
-        let dag = Program::new(
-            "dag",
-            vec![Step::TaskDag {
-                ops,
-                bytes: 0.0,
-                crit_ops: 1.2 * ops / t as f64,
-                tasks: 20.0 * 8.0,
-            }],
-        );
-        let phased = barriered_rounds(ops, 20, 2.0);
-        assert!(s.run(&dag, t) < s.run(&phased, t));
-    }
-
-    #[test]
-    fn task_dag_cannot_beat_its_critical_path() {
-        let s = sim();
-        let crit = 6e8;
-        let dag = Program::new(
-            "dag",
-            vec![Step::TaskDag {
-                ops: 1e9,
-                bytes: 0.0,
-                crit_ops: crit,
-                tasks: 64.0,
-            }],
-        );
-        let floor = crit / (s.machine.ops_per_us * s.machine.thread_speed(4));
-        assert!(s.run(&dag, 4) >= floor);
-        // More threads past the critical-path bound stop helping: the
-        // chain dominates at both t=2 and t=4.
-        assert!(s.run(&dag, 4) < s.run(&dag, 2) * 1.01);
-    }
-
-    #[test]
-    fn task_dag_over_decomposition_costs() {
-        let s = sim();
-        let mk = |tasks: f64| {
-            Program::new(
-                "dag",
-                vec![Step::TaskDag {
-                    ops: 1e7,
-                    bytes: 0.0,
-                    crit_ops: 2.5e6,
-                    tasks,
-                }],
-            )
-        };
-        assert!(s.run(&mk(100_000.0), 4) > s.run(&mk(100.0), 4) * 1.5);
     }
 
     #[test]

@@ -276,11 +276,13 @@ impl Parser<'_> {
                                 .src
                                 .get(self.pos..self.pos + 4)
                                 .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
+                            // Exactly four hex digits: `from_str_radix`
+                            // alone would also take a leading `+`.
+                            let code = std::str::from_utf8(hex)
+                                .ok()
+                                .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
+                                .and_then(|h| u32::from_str_radix(h, 16).ok())
+                                .ok_or("bad \\u escape")?;
                             self.pos += 4;
                             // Surrogate pairs are not needed for model
                             // names; map lone surrogates to U+FFFD.
@@ -302,19 +304,45 @@ impl Parser<'_> {
         }
     }
 
+    /// Consume a run of ASCII digits, returning how many there were.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        self.pos - start
+    }
+
+    /// Consume `b` if it is next.
+    fn eat(&mut self, b: u8) -> bool {
+        let hit = self.peek() == Some(b);
+        self.pos += usize::from(hit);
+        hit
+    }
+
+    /// RFC 8259's number grammar,
+    /// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`, whose
+    /// value must also be finite: `+1`, `.5`, `1.`, `01` and `1e400`
+    /// are errors, not numbers.
     fn number(&mut self) -> Result<Json, String> {
         let start = self.pos;
-        while let Some(b) = self.peek() {
-            if matches!(b, b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
+        self.eat(b'-');
+        let int = self.pos;
+        let int_ok = match self.digits() {
+            0 => false,
+            1 => true,
+            _ => self.src[int] != b'0',
+        };
+        let frac_ok = !self.eat(b'.') || self.digits() > 0;
+        let exp_ok = !(self.eat(b'e') || self.eat(b'E')) || {
+            let _ = self.eat(b'+') || self.eat(b'-');
+            self.digits() > 0
+        };
         let text = std::str::from_utf8(&self.src[start..self.pos]).map_err(|_| "invalid number")?;
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| format!("invalid number `{text}` at byte {start}"))
+        match text.parse::<f64>() {
+            Ok(n) if int_ok && frac_ok && exp_ok && n.is_finite() => Ok(Json::Num(n)),
+            _ => Err(format!("invalid number `{text}` at byte {start}")),
+        }
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -377,79 +405,6 @@ fn utf8_len(first: u8) -> usize {
     }
 }
 
-/// Conversion into a [`Json`] value — the stand-in for `serde::Serialize`
-/// used by the bench harness's `--json` outputs.
-pub trait ToJson {
-    /// Build the JSON representation.
-    fn to_json(&self) -> Json;
-}
-
-impl ToJson for Json {
-    fn to_json(&self) -> Json {
-        self.clone()
-    }
-}
-
-impl ToJson for f64 {
-    fn to_json(&self) -> Json {
-        Json::Num(*self)
-    }
-}
-
-impl ToJson for usize {
-    fn to_json(&self) -> Json {
-        Json::Num(*self as f64)
-    }
-}
-
-impl ToJson for bool {
-    fn to_json(&self) -> Json {
-        Json::Bool(*self)
-    }
-}
-
-impl ToJson for str {
-    fn to_json(&self) -> Json {
-        Json::Str(self.to_owned())
-    }
-}
-
-impl ToJson for String {
-    fn to_json(&self) -> Json {
-        Json::Str(self.clone())
-    }
-}
-
-impl<T: ToJson> ToJson for Vec<T> {
-    fn to_json(&self) -> Json {
-        Json::Arr(self.iter().map(ToJson::to_json).collect())
-    }
-}
-
-impl<T: ToJson> ToJson for [T] {
-    fn to_json(&self) -> Json {
-        Json::Arr(self.iter().map(ToJson::to_json).collect())
-    }
-}
-
-impl<A: ToJson, B: ToJson> ToJson for (A, B) {
-    fn to_json(&self) -> Json {
-        Json::Arr(vec![self.0.to_json(), self.1.to_json()])
-    }
-}
-
-impl<A: ToJson, B: ToJson, C: ToJson> ToJson for (A, B, C) {
-    fn to_json(&self) -> Json {
-        Json::Arr(vec![self.0.to_json(), self.1.to_json(), self.2.to_json()])
-    }
-}
-
-impl<T: ToJson + ?Sized> ToJson for &T {
-    fn to_json(&self) -> Json {
-        (**self).to_json()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -487,6 +442,20 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("12 34").is_err());
         assert!(Json::parse("nul").is_err());
+        // Numbers outside RFC 8259's grammar, or not finite.
+        for text in [
+            "+1", ".5", "1.", "01", "-", "1e", "1e+", "-.5", "[01]", "1e400", "-1e400",
+        ] {
+            assert!(Json::parse(text).is_err(), "{text} parsed");
+        }
+        // `\u` takes exactly four hex digits.
+        for text in [r#""\u+04a""#, r#""\u04g1""#, r#""\u 4a1""#] {
+            assert!(Json::parse(text).is_err(), "{text} parsed");
+        }
+        for (text, n) in [("-0", 0.0), ("0.5", 0.5), ("1E+2", 100.0), ("2e-1", 0.2)] {
+            assert_eq!(Json::parse(text), Ok(Json::Num(n)), "{text}");
+        }
+        assert_eq!(Json::parse(r#""\u00b5""#), Ok(Json::Str("µ".into())));
     }
 
     #[test]

@@ -2,22 +2,24 @@
 //!
 //! The AOmpLib paper evaluates on two machines we do not have (a 4-core /
 //! 8-thread Intel i7 and a dual-socket 12-core / 24-thread Xeon X5650);
-//! this reproduction runs in a **single-core** container, where real
-//! wall-clock speed-up is unobservable. Per the substitution rule in
-//! DESIGN.md, this crate models those machines analytically and replays
-//! each benchmark's parallel structure on them, reproducing the *shape*
-//! of the paper's Figures 13 and 15: who wins, by roughly what factor,
-//! and where the crossovers fall.
+//! the hosts this reproduction runs on have far fewer hardware threads,
+//! so their wall-clock speed-up cannot show the paper's 8- and 24-thread
+//! curves. Per the substitution rule in DESIGN.md, this crate models
+//! those machines analytically and replays each benchmark's parallel
+//! structure on them, reproducing the *shape* of the paper's Figures 13
+//! and 15: who wins, by roughly what factor, and where the crossovers
+//! fall. The curves are uncalibrated models, not measurements; the
+//! measured numbers come from `aomp-benchmark`.
 //!
 //! The model is deliberately simple and fully documented:
 //!
 //! * a [`machine::Machine`] has cores, SMT threads, per-core throughput,
 //!   a shared memory bandwidth, and synchronisation costs;
-//! * a program is a bulk-synchronous sequence of [`model::Step`]s —
-//!   work-shared parallel phases (roofline: max of compute time and
-//!   memory time), replicated phases, master-only phases, barriers,
-//!   critical sections (globally serialised, with cache-line handoff
-//!   costs) and fine-grained locked updates;
+//! * a program is a bulk-synchronous sequence of [`model::Step`]s:
+//!   `Parallel` (work-shared, roofline: max of compute time and memory
+//!   time), `Replicated`, `Serial` (master only), `Barrier`, `Critical`
+//!   (one lock, globally serialised, with cache-line handoff costs) and
+//!   `Locked` (fine-grained updates over many locks);
 //! * [`exec::Simulator`] advances virtual time step by step; speed-up is
 //!   the ratio of simulated 1-thread time to simulated t-thread time.
 //!
@@ -36,6 +38,6 @@ pub mod models;
 
 pub use event::EventSimulator;
 pub use exec::Simulator;
-pub use json::{Json, ToJson};
+pub use json::Json;
 pub use machine::Machine;
 pub use model::{Program, Step};

@@ -125,12 +125,6 @@ impl Machine {
         (self.cores / self.cores_per_socket).max(1)
     }
 
-    /// Sockets a team of `t` threads spans under compact placement
-    /// (fill one socket before spilling to the next).
-    pub fn sockets_spanned(&self, t: usize) -> usize {
-        t.max(1).div_ceil(self.cores_per_socket).min(self.sockets())
-    }
-
     /// Slowdown factor for single-node-allocated data touched by `t`
     /// threads: threads beyond the first socket pay remote accesses.
     pub fn numa_factor(&self, t: usize) -> f64 {

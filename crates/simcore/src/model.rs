@@ -53,65 +53,6 @@ pub enum Step {
         /// Memory traffic of the phase.
         bytes: f64,
     },
-    /// A parallel phase whose `entries` guarded updates are served by
-    /// flat-combining node replication (`aomp::nr`) instead of one
-    /// lock: posters publish ops into per-replica slots, one combiner
-    /// per socket batches them through a shared log onto its socket's
-    /// replica. The serial path is one replica's replay — per-op apply
-    /// cost plus per-*batch* lock and cache-line migration costs — and
-    /// does not inflate with team-wide queueing the way
-    /// [`Critical`](Step::Critical) does; the price is per-op publish
-    /// overhead that a plain lock does not pay, so one lock wins at low
-    /// thread counts (the measured crossover).
-    NrCritical {
-        /// Total guarded updates across the team.
-        entries: f64,
-        /// Operations per update (applied on every replica).
-        ops_each: f64,
-        /// Work-shared compute ops overlapping the updates.
-        overlap_ops: f64,
-        /// Memory traffic of the phase.
-        bytes: f64,
-    },
-    /// A work-shared phase run under the *adaptive* schedule
-    /// (`aomp::schedule::Schedule::Adaptive`): the dispenser refines hot
-    /// threads' remaining ranges into smaller chunks and idle threads
-    /// adopt half of a loaded peer's remainder, so only a chunk-grained
-    /// residual of the input imbalance survives. In exchange the phase
-    /// pays per-chunk dispensing (one range-lock entry each) and
-    /// per-adoption cache-line migrations, remote-socket adoptions
-    /// costing an extra handoff.
-    AdaptiveChunk {
-        /// Total operations in the phase.
-        ops: f64,
-        /// Total bytes moved through the shared memory system.
-        bytes: f64,
-        /// Input load imbalance the dispenser starts from (as in
-        /// [`Parallel`](Step::Parallel): most-loaded thread's share over
-        /// the even share).
-        imbalance: f64,
-        /// Chunks dispensed per thread — ≈ log2(block/min_chunk) while
-        /// cold, more where the latency signal forces refinement.
-        chunks_per_thread: f64,
-    },
-    /// A dependent task graph (`aomp::deps`) replacing a barrier-phased
-    /// loop nest: tasks release successors as their `depend` tags
-    /// resolve, so the wall time is bounded below by the *critical path*
-    /// (`crit_ops`, the ops-weighted longest dependence chain) rather
-    /// than by the sum of per-round maxima the barriered twin pays. Each
-    /// task pays dependence bookkeeping (wiring its tags under the group
-    /// lock plus the release cache-line handoff), so over-decomposing
-    /// has a measurable price.
-    TaskDag {
-        /// Total operations across all tasks.
-        ops: f64,
-        /// Total bytes moved through the shared memory system.
-        bytes: f64,
-        /// Operations along the longest dependence chain.
-        crit_ops: f64,
-        /// Number of tasks in the graph.
-        tasks: f64,
-    },
     /// A parallel phase with fine-grained locked updates spread over
     /// `nlocks` independent locks (the per-particle locks variant):
     /// lock costs parallelise, with a collision probability
@@ -173,48 +114,6 @@ impl Step {
                     ("bytes", bytes),
                 ],
             ),
-            Step::NrCritical {
-                entries,
-                ops_each,
-                overlap_ops,
-                bytes,
-            } => obj(
-                "NrCritical",
-                vec![
-                    ("entries", entries),
-                    ("ops_each", ops_each),
-                    ("overlap_ops", overlap_ops),
-                    ("bytes", bytes),
-                ],
-            ),
-            Step::AdaptiveChunk {
-                ops,
-                bytes,
-                imbalance,
-                chunks_per_thread,
-            } => obj(
-                "AdaptiveChunk",
-                vec![
-                    ("ops", ops),
-                    ("bytes", bytes),
-                    ("imbalance", imbalance),
-                    ("chunks_per_thread", chunks_per_thread),
-                ],
-            ),
-            Step::TaskDag {
-                ops,
-                bytes,
-                crit_ops,
-                tasks,
-            } => obj(
-                "TaskDag",
-                vec![
-                    ("ops", ops),
-                    ("bytes", bytes),
-                    ("crit_ops", crit_ops),
-                    ("tasks", tasks),
-                ],
-            ),
             Step::Locked {
                 entries,
                 ops_each,
@@ -263,24 +162,6 @@ impl Step {
                 overlap_ops: body.f64_field("overlap_ops")?,
                 bytes: body.f64_field("bytes")?,
             }),
-            "NrCritical" => Ok(Step::NrCritical {
-                entries: body.f64_field("entries")?,
-                ops_each: body.f64_field("ops_each")?,
-                overlap_ops: body.f64_field("overlap_ops")?,
-                bytes: body.f64_field("bytes")?,
-            }),
-            "AdaptiveChunk" => Ok(Step::AdaptiveChunk {
-                ops: body.f64_field("ops")?,
-                bytes: body.f64_field("bytes")?,
-                imbalance: body.f64_field("imbalance")?,
-                chunks_per_thread: body.f64_field("chunks_per_thread")?,
-            }),
-            "TaskDag" => Ok(Step::TaskDag {
-                ops: body.f64_field("ops")?,
-                bytes: body.f64_field("bytes")?,
-                crit_ops: body.f64_field("crit_ops")?,
-                tasks: body.f64_field("tasks")?,
-            }),
             "Locked" => Ok(Step::Locked {
                 entries: body.f64_field("entries")?,
                 ops_each: body.f64_field("ops_each")?,
@@ -319,15 +200,7 @@ impl Program {
                 Step::Parallel { ops, .. } => *ops,
                 Step::Replicated { ops, .. } => *ops,
                 Step::Serial { ops, .. } => *ops,
-                Step::AdaptiveChunk { ops, .. } => *ops,
-                Step::TaskDag { ops, .. } => *ops,
                 Step::Critical {
-                    entries,
-                    ops_each,
-                    overlap_ops,
-                    ..
-                } => entries * ops_each + overlap_ops,
-                Step::NrCritical {
                     entries,
                     ops_each,
                     overlap_ops,
@@ -420,75 +293,6 @@ mod tests {
             ],
         );
         assert_eq!(p.total_ops(), 100.0 + 10.0 + 5.0 + 8.0 + 7.0 + 3.0 + 2.0);
-    }
-
-    #[test]
-    fn nr_critical_round_trips_through_json() {
-        let step = Step::NrCritical {
-            entries: 4.0,
-            ops_each: 2.0,
-            overlap_ops: 7.0,
-            bytes: 64.0,
-        };
-        let back = Step::from_json(&step.to_json()).expect("round trip");
-        let Step::NrCritical {
-            entries,
-            ops_each,
-            overlap_ops,
-            bytes,
-        } = back
-        else {
-            panic!("wrong variant after round trip");
-        };
-        assert_eq!(
-            (entries, ops_each, overlap_ops, bytes),
-            (4.0, 2.0, 7.0, 64.0)
-        );
-    }
-
-    #[test]
-    fn adaptive_chunk_round_trips_through_json() {
-        let step = Step::AdaptiveChunk {
-            ops: 1e6,
-            bytes: 64.0,
-            imbalance: 2.5,
-            chunks_per_thread: 12.0,
-        };
-        let back = Step::from_json(&step.to_json()).expect("round trip");
-        let Step::AdaptiveChunk {
-            ops,
-            bytes,
-            imbalance,
-            chunks_per_thread,
-        } = back
-        else {
-            panic!("wrong variant after round trip");
-        };
-        assert_eq!(
-            (ops, bytes, imbalance, chunks_per_thread),
-            (1e6, 64.0, 2.5, 12.0)
-        );
-    }
-
-    #[test]
-    fn task_dag_round_trips_through_json() {
-        let step = Step::TaskDag {
-            ops: 1e9,
-            bytes: 128.0,
-            crit_ops: 3e8,
-            tasks: 160.0,
-        };
-        let back = Step::from_json(&step.to_json()).expect("round trip");
-        let Step::TaskDag {
-            ops,
-            bytes,
-            crit_ops,
-            tasks,
-        } = back
-        else {
-            panic!("wrong variant after round trip");
-        };
-        assert_eq!((ops, bytes, crit_ops, tasks), (1e9, 128.0, 3e8, 160.0));
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!   to their hot working set.
 //! * The AOmp version of a benchmark is the same structure with a small
 //!   constant dispatch overhead (`AOMP_OVERHEAD`) — the paper reports the
-//!   AOmp/JGF difference as below 1 %, which our direct measurement
-//!   (bench `overhead_fig13`) confirms independently.
+//!   AOmp/JGF difference as below 1 %; the measured counterpart is
+//!   `aomp-benchmark`'s `jgf_coarse` `overhead_vs_mt`.
 
 use crate::machine::Machine;
 use crate::model::{Program, Step};
@@ -300,6 +300,8 @@ mod tests {
             let su = s.speedup(&p, 24);
             assert!(su > 10.0, "{}: {su}", p.name);
         }
+        let su = s.speedup(&series(10_000, false), 24);
+        assert!(su > 12.0, "Series: {su}");
     }
 
     #[test]
@@ -312,6 +314,27 @@ mod tests {
             assert!(su < 6.0, "{}: {su}", p.name);
             assert!(su > 1.0, "{}: {su}", p.name);
         }
+        // ... and they are the two lowest of all eight kernels. MolDyn's
+        // model is thread-aware, so its speed-up is taken against the
+        // 1-thread model.
+        let m = &s.machine;
+        let md = |t| moldyn(8788, 50, t, MolDynStrategy::ThreadLocal, m, false);
+        let mut speedups = vec![("MolDyn", s.run(&md(1), 1) / s.run(&md(24), 24))];
+        for (name, p) in [
+            ("Crypt", crypt(20_000_000, false)),
+            ("LUFact", lufact(1000, false)),
+            ("Series", series(10_000, false)),
+            ("SOR", sor(1000, 100, false)),
+            ("Sparse", sparse(500_000, 200, false)),
+            ("MonteCarlo", montecarlo(60_000, false)),
+            ("RayTracer", raytracer(500, false)),
+        ] {
+            speedups.push((name, s.speedup(&p, 24)));
+        }
+        speedups.sort_by(|a, b| a.1.total_cmp(&b.1));
+        let mut lowest = [speedups[0].0, speedups[1].0];
+        lowest.sort_unstable();
+        assert_eq!(lowest, ["LUFact", "SOR"], "{speedups:?}");
     }
 
     #[test]
@@ -319,20 +342,33 @@ mod tests {
         // Paper Figure 13's headline claim.
         for t in [8usize, 24] {
             let s = if t == 8 { i7() } else { xeon() };
-            let pairs = [
-                (crypt(20_000_000, false), crypt(20_000_000, true)),
-                (lufact(1000, false), lufact(1000, true)),
-                (series(10_000, false), series(10_000, true)),
-                (sor(1000, 100, false), sor(1000, 100, true)),
-                (sparse(500_000, 200, false), sparse(500_000, 200, true)),
-                (montecarlo(60_000, false), montecarlo(60_000, true)),
-                (raytracer(500, false), raytracer(500, true)),
+            let m = &s.machine;
+            // Each kernel's model on `t` threads, JGF (`false`) or AOmp.
+            // MolDyn's model is thread-aware, so its speed-up is taken
+            // against the 1-thread model.
+            let kernels: [&dyn Fn(usize, bool) -> Program; 8] = [
+                &|_, a| crypt(20_000_000, a),
+                &|_, a| lufact(1000, a),
+                &|_, a| series(10_000, a),
+                &|_, a| sor(1000, 100, a),
+                &|_, a| sparse(500_000, 200, a),
+                &|t, a| moldyn(8788, 50, t, MolDynStrategy::ThreadLocal, m, a),
+                &|_, a| montecarlo(60_000, a),
+                &|_, a| raytracer(500, a),
             ];
-            for (jgf, aomp) in pairs {
+            for k in kernels {
+                let (jgf, aomp) = (k(t, false), k(t, true));
                 let a = s.run(&jgf, t);
                 let b = s.run(&aomp, t);
                 let diff = (b - a).abs() / a;
                 assert!(diff < 0.01, "{} vs {}: {diff}", jgf.name, aomp.name);
+                // Every kernel speeds up, and AOmp's speed-up stays
+                // within 2 % of JGF's.
+                let su_jgf = s.run(&k(1, false), 1) / a;
+                let su_aomp = s.run(&k(1, true), 1) / b;
+                assert!(su_jgf > 0.9, "{} at t={t}: {su_jgf}", jgf.name);
+                let diff = (su_aomp - su_jgf).abs() / su_jgf;
+                assert!(diff < 0.02, "{} speed-up at t={t}: {diff}", aomp.name);
             }
         }
     }
@@ -388,9 +424,10 @@ mod tests {
                 12,
             );
         let cr = base / s.run(&moldyn(n, 50, 12, MolDynStrategy::Critical, &m, false), 12);
+        let lk = base / s.run(&moldyn(n, 50, 12, MolDynStrategy::Locks, &m, false), 12);
         assert!(
-            cr < tl,
-            "critical {cr} should trail threadlocal {tl} at n=864"
+            cr < tl && cr < lk,
+            "critical {cr} should trail threadlocal {tl} and locks {lk} at n=864"
         );
     }
 
@@ -401,6 +438,21 @@ mod tests {
         let peak = m.total_rate(24) / m.total_rate(1) + 1e-9;
         for p in [series(10_000, false), crypt(20_000_000, false)] {
             assert!(s.speedup(&p, 24) <= peak);
+        }
+        // Figure 15's grid: every MolDyn strategy, at 4 and 12 threads,
+        // over the 1-thread thread-local run, stays in (0.1, 24).
+        for t in [4usize, 12] {
+            for n in [864usize, 2048, 8788, 19_652, 256_000, 500_000] {
+                let base = s.run(&moldyn(n, 50, 1, MolDynStrategy::ThreadLocal, &m, false), 1);
+                for strategy in [
+                    MolDynStrategy::ThreadLocal,
+                    MolDynStrategy::Critical,
+                    MolDynStrategy::Locks,
+                ] {
+                    let su = base / s.run(&moldyn(n, 50, t, strategy, &m, false), t);
+                    assert!(su > 0.1 && su < 24.0, "{strategy:?} n={n} t={t}: {su}");
+                }
+            }
         }
     }
 }

@@ -10,6 +10,7 @@ use aomplib::runtime::obs::{self, Counter, Lat};
 use aomplib::simcore::Json;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::time::{Duration, Instant};
 
 fn serialize() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
@@ -216,7 +217,7 @@ fn wait_histograms_grow_under_contention() {
         // other three must find it taken at least once.
         barrier();
         for _ in 0..20 {
-            h.run(|| std::thread::sleep(std::time::Duration::from_micros(200)));
+            h.run(|| std::thread::sleep(Duration::from_micros(200)));
         }
         barrier();
     });
@@ -233,6 +234,63 @@ fn wait_histograms_grow_under_contention() {
 }
 
 #[test]
+fn metrics_on_and_watched_entries_stay_near_the_plain_pooled_entry() {
+    // Wall-clock-sensitive; skipped where AOMP_CHECK_NO_WALLCLOCK is set
+    // (CI's schedule-check job, whose wall-clock leg clears it and runs
+    // this in release).
+    if std::env::var_os("AOMP_CHECK_NO_WALLCLOCK").is_some_and(|v| v != "0") {
+        eprintln!("metrics_on_and_watched_entries_stay_near_the_plain_pooled_entry: skipped (AOMP_CHECK_NO_WALLCLOCK)");
+        return;
+    }
+    let _g = serialize();
+    const ITERS: u32 = 200;
+    // Mean wall time of one empty region entry over a batch.
+    let per_entry = |enter: &dyn Fn()| {
+        let t0 = Instant::now();
+        for _ in 0..ITERS {
+            enter();
+        }
+        t0.elapsed() / ITERS
+    };
+    let plain = || region::parallel_with(RegionConfig::new().threads(2), || {});
+    // The entry a served request pays: cancellable, with a stall deadline
+    // registered with the runtime's watchdog.
+    let watched = || {
+        let cfg = RegionConfig::new()
+            .threads(2)
+            .cancellable(true)
+            .stall_deadline(Duration::from_millis(500));
+        region::try_parallel_with(cfg, || {}).expect("an empty region cannot fail");
+    };
+    // Best batch of five per configuration. The three alternate batch by
+    // batch, so a burst of host noise cannot land on one of them only;
+    // round 0 warms the hot-team cache and the watchdog thread.
+    let mut best = [Duration::MAX; 3];
+    for round in 0..6 {
+        let plain_t = per_entry(&plain);
+        obs::set_metrics(true);
+        let metrics_on_t = per_entry(&plain);
+        obs::set_metrics(false);
+        let watched_t = per_entry(&watched);
+        if round > 0 {
+            for (b, t) in best.iter_mut().zip([plain_t, metrics_on_t, watched_t]) {
+                *b = (*b).min(t);
+            }
+        }
+    }
+    let [plain, metrics_on, watched] = best;
+    eprintln!("pooled entry: plain {plain:?}, metrics on {metrics_on:?}, watched {watched:?}");
+    assert!(
+        metrics_on <= plain * 5,
+        "metrics-on pooled entry {metrics_on:?} vs metrics-off {plain:?}"
+    );
+    assert!(
+        watched <= plain * 3,
+        "watched pooled entry {watched:?} vs plain {plain:?}"
+    );
+}
+
+#[test]
 fn one_dependence_wait_is_one_sample_and_one_slice() {
     // A member that sleeps ~30 ms in `DepGroup::wait` waited once: one
     // histogram sample of that length and one trace slice, not one
@@ -245,9 +303,9 @@ fn one_dependence_wait_is_one_sample_and_one_slice() {
     let w = std::sync::Arc::clone(&waiting);
     g.spawn([], move || {
         while !w.load(Ordering::Acquire) {
-            std::thread::sleep(std::time::Duration::from_micros(100));
+            std::thread::sleep(Duration::from_micros(100));
         }
-        std::thread::sleep(std::time::Duration::from_millis(30));
+        std::thread::sleep(Duration::from_millis(30));
     });
     obs::set_metrics(true);
     obs::trace::start();
