@@ -1,5 +1,5 @@
 //! Task dependencies — OpenMP 4.x `depend(in/out/inout)` clauses and the
-//! `taskloop` construct (ROADMAP item 3(b)).
+//! `taskloop` construct.
 //!
 //! A [`DepGroup`] owns a per-team dependence graph. Spawns declare
 //! [`Dep`] clauses keyed by [`Tag`]s (an address, a static name, or a
@@ -26,8 +26,23 @@
 //! track *per-edge* ordering instead of the conservative whole-group
 //! `TaskSpawn`→`TaskJoin` edge. The emission protocol is ordered: a
 //! release toward a node is always emitted *before* the node can be
-//! popped (or the join counter observed), so a serialized explorer can
-//! never see the acquire first.
+//! popped (or the low-water mark observed), so a serialized explorer can
+//! never see the acquire first. Because a hook may block the emitting
+//! thread, releases go out with the group lock dropped.
+//!
+//! The bookkeeping is paid on the spawning and completing threads, so it
+//! is kept to one of each thing per task: a spawn hashes each clause's
+//! tag once (a non-cryptographic `TagHasher` over one per-tag entry
+//! holding both the last writer and the readers since), wires under one
+//! lock and queues its own readiness under a second, after the creation
+//! release; a completion snapshots its successors, publishes, then marks
+//! its node done, drops their `preds` and queues the ready ones in one
+//! locked pass; and a change under the lock notifies the condvar only
+//! when a member may sleep on it (`sleepers`, counted under the lock in
+//! the critical section where the member's condition failed, so no
+//! wake-up is lost).
+//! [`DepGroup::wait`] returns once every node spawned before it is done
+//! (a low-water mark over node indices), whatever runs after.
 //!
 //! A member with nothing to run — no ready task in [`DepGroup::run`] /
 //! [`DepGroup::wait`], unfinished predecessors in
@@ -47,6 +62,7 @@
 //! floor as the split granule.
 
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -96,6 +112,42 @@ impl From<&'static str> for Tag {
     #[inline]
     fn from(name: &'static str) -> Tag {
         Tag::Name(name)
+    }
+}
+
+/// The hasher of a group's tag map: FxHash's rotate-xor-multiply, one
+/// step per word. A tag is a few words the program chose, not hostile
+/// input, so SipHash's flooding resistance buys nothing — and it cost
+/// half of a spawn's wiring.
+#[derive(Default)]
+struct TagHasher(u64);
+
+impl TagHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for TagHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
@@ -228,22 +280,41 @@ struct NodeState {
     body: Option<Box<dyn FnOnce() + Send>>,
     /// Outstanding predecessors (incl. the spawn latch while spawning).
     preds: usize,
-    /// Local indices of wired successors.
+    /// Local indices of wired successors, in wiring order.
     succs: Vec<usize>,
     /// Completion flag, set under the group lock.
     done: bool,
 }
 
+/// One tag's OpenMP state: its last writer and the readers since.
+#[derive(Default)]
+struct TagState {
+    writer: Option<usize>,
+    readers: Vec<usize>,
+}
+
+/// A pred-free node's body, claimed for a runner.
+struct Runnable {
+    idx: usize,
+    id: usize,
+    body: Option<Box<dyn FnOnce() + Send>>,
+}
+
 struct Inner {
     nodes: Vec<NodeState>,
-    /// Per-tag last writer (local index), per the OpenMP rules.
-    last_writer: HashMap<Tag, usize>,
-    /// Per-tag readers since the last writer.
-    readers: HashMap<Tag, Vec<usize>>,
+    /// Per-tag dependence state: one lookup per clause.
+    tags: HashMap<Tag, TagState, BuildHasherDefault<TagHasher>>,
     /// Ready tasks awaiting a team member (team mode only).
     ready: VecDeque<usize>,
-    /// Completed node count.
-    done: usize,
+    /// Low-water mark: every node with a smaller index is done.
+    drained: usize,
+    /// Members whose last `take` failed, i.e. that may be parked on the
+    /// condvar. Counted under this lock in the critical section where
+    /// the take failed, so a change made under it needs a notify only
+    /// while this is non-zero. A wait that unwinds leaves its count
+    /// behind, which costs later changes a spurious notify and nothing
+    /// else.
+    sleepers: usize,
     closed: bool,
     /// `held()` groups defer readiness until `release()`.
     held: bool,
@@ -261,14 +332,104 @@ impl Inner {
     /// What a member pulling on the group finds: the latched error,
     /// `Ok(None)` once `stop` holds, else the next ready task — or
     /// nothing yet.
-    fn pull(&mut self, stop: &dyn Fn(&Inner) -> bool) -> Option<Result<Option<usize>, DepError>> {
+    fn pull(
+        &mut self,
+        stop: &dyn Fn(&Inner) -> bool,
+    ) -> Option<Result<Option<Runnable>, DepError>> {
         if let Some(e) = &self.error {
             return Some(Err(e.clone()));
         }
         if stop(self) {
             return Some(Ok(None));
         }
-        self.ready.pop_front().map(|idx| Ok(Some(idx)))
+        let idx = self.ready.pop_front()?;
+        Some(Ok(Some(self.claim(idx))))
+    }
+
+    fn claim(&mut self, idx: usize) -> Runnable {
+        let nd = &mut self.nodes[idx];
+        Runnable {
+            idx,
+            id: nd.id,
+            body: nd.body.take(),
+        }
+    }
+
+    /// Wire a new node's dependences. Returns `(local idx, id, ids of
+    /// completed preds to acquire)`.
+    fn wire(
+        &mut self,
+        deps: &[Dep],
+        body: Option<Box<dyn FnOnce() + Send>>,
+    ) -> (usize, usize, Vec<usize>) {
+        assert!(!self.closed, "aomp dep group: spawn after close()");
+        if self.mode == Mode::Unset {
+            self.mode = if ctx::level() > 0 {
+                Mode::Team
+            } else {
+                Mode::Executor
+            };
+        }
+        let id = fresh_node();
+        let idx = self.nodes.len();
+        self.nodes.push(NodeState {
+            id,
+            body,
+            preds: 0,
+            succs: Vec::new(),
+            done: false,
+        });
+        let mut pred_set: Vec<usize> = Vec::new();
+        for d in deps {
+            let t = self.tags.entry(d.tag).or_default();
+            pred_set.extend(t.writer);
+            if d.is_write() {
+                pred_set.append(&mut t.readers);
+                t.writer = Some(idx);
+            } else {
+                t.readers.push(idx);
+            }
+        }
+        pred_set.sort_unstable();
+        pred_set.dedup();
+        pred_set.retain(|&p| p != idx);
+        // A pred that already completed emitted its completion release
+        // before setting `done` under this lock, so the spawner can
+        // acquire it directly; live preds get a wired successor edge and
+        // release toward us when they complete.
+        let mut acquires = Vec::new();
+        let mut live = 0;
+        for p in pred_set {
+            if self.nodes[p].done {
+                acquires.push(self.nodes[p].id);
+            } else {
+                self.nodes[p].succs.push(idx);
+                live += 1;
+            }
+        }
+        self.nodes[idx].preds = live;
+        (idx, id, acquires)
+    }
+
+    /// Drop one of `idx`'s predecessors, handing it on once none is left.
+    fn settle(&mut self, idx: usize, run: &mut Vec<Runnable>) {
+        self.nodes[idx].preds -= 1;
+        if self.nodes[idx].preds == 0 {
+            self.hand_on(idx, run);
+        }
+    }
+
+    /// Hand a pred-free node to a CPU: queue it (team mode) or claim it
+    /// into `run` for the executor. An undeferred node has no body — its
+    /// owner polls, so the caller's wake suffices.
+    fn hand_on(&mut self, idx: usize, run: &mut Vec<Runnable>) {
+        if self.deferred() || self.nodes[idx].body.is_none() {
+            return;
+        }
+        match self.mode {
+            Mode::Executor => run.push(self.claim(idx)),
+            _ => self.ready.push_back(idx),
+        }
     }
 }
 
@@ -278,6 +439,31 @@ struct GroupShared {
     failed: AtomicBool,
     /// Join-sink node id: completions release toward it, joins acquire it.
     sink: usize,
+}
+
+impl GroupShared {
+    /// Wake the waiters after a change made under `g` — only if one may
+    /// be asleep (`g.sleepers`).
+    fn wake(&self, g: &Inner) {
+        if g.sleepers > 0 {
+            self.cv.notify_all();
+        }
+    }
+}
+
+/// Publish a release toward each of `nodes`. Never under the group lock:
+/// a scheduler hook may block the emitting thread.
+fn release_toward(nodes: impl IntoIterator<Item = usize>) {
+    for node in nodes {
+        hook::emit_team(|team, tid| HookEvent::TaskDepRelease { team, tid, node });
+    }
+}
+
+/// Acquire every release published toward each of `nodes`.
+fn acquire(nodes: impl IntoIterator<Item = usize>) {
+    for node in nodes {
+        hook::emit_team(|team, tid| HookEvent::TaskDepReady { team, tid, node });
+    }
 }
 
 /// A dependence-graph task group. Clones share the same graph.
@@ -324,10 +510,10 @@ impl DepGroup {
             shared: Arc::new(GroupShared {
                 inner: Mutex::new(Inner {
                     nodes: Vec::new(),
-                    last_writer: HashMap::new(),
-                    readers: HashMap::new(),
+                    tags: HashMap::default(),
                     ready: VecDeque::new(),
-                    done: 0,
+                    drained: 0,
+                    sleepers: 0,
                     closed: false,
                     held,
                     released: false,
@@ -339,72 +525,6 @@ impl DepGroup {
                 sink: fresh_node(),
             }),
         }
-    }
-
-    /// Wire the node's dependences under the lock. Returns
-    /// `(local idx, completed-pred ids to acquire)`.
-    fn wire(
-        &self,
-        g: &mut Inner,
-        deps: &[Dep],
-        body: Option<Box<dyn FnOnce() + Send>>,
-    ) -> (usize, usize, Vec<usize>) {
-        assert!(!g.closed, "aomp dep group: spawn after close()");
-        if g.mode == Mode::Unset {
-            g.mode = if ctx::level() > 0 {
-                Mode::Team
-            } else {
-                Mode::Executor
-            };
-        }
-        let id = fresh_node();
-        let idx = g.nodes.len();
-        g.nodes.push(NodeState {
-            id,
-            body,
-            preds: 0,
-            succs: Vec::new(),
-            done: false,
-        });
-        let mut pred_set: Vec<usize> = Vec::new();
-        for d in deps {
-            match d.mode {
-                DepMode::In => {
-                    if let Some(&w) = g.last_writer.get(&d.tag) {
-                        pred_set.push(w);
-                    }
-                    g.readers.entry(d.tag).or_default().push(idx);
-                }
-                DepMode::Out | DepMode::InOut => {
-                    if let Some(rs) = g.readers.remove(&d.tag) {
-                        pred_set.extend(rs);
-                    }
-                    if let Some(&w) = g.last_writer.get(&d.tag) {
-                        pred_set.push(w);
-                    }
-                    g.last_writer.insert(d.tag, idx);
-                }
-            }
-        }
-        pred_set.sort_unstable();
-        pred_set.dedup();
-        pred_set.retain(|&p| p != idx);
-        // A pred that already completed emitted its completion release
-        // before setting `done` under this lock, so the spawner can
-        // acquire it directly; live preds get a wired successor edge and
-        // release toward us when they complete.
-        let mut acquires = Vec::new();
-        let mut live = 0;
-        for p in pred_set {
-            if g.nodes[p].done {
-                acquires.push(g.nodes[p].id);
-            } else {
-                g.nodes[p].succs.push(idx);
-                live += 1;
-            }
-        }
-        g.nodes[idx].preds = live;
-        (idx, id, acquires)
     }
 
     /// Spawn a dependent task. Ordering is against *earlier spawns of the
@@ -423,29 +543,21 @@ impl DepGroup {
         let deps: Vec<Dep> = deps.into_iter().collect();
         let (idx, id, acquires) = {
             let mut g = self.shared.inner.lock();
-            let (idx, id, acquires) = self.wire(&mut g, &deps, Some(Box::new(f)));
+            let wired = g.wire(&deps, Some(Box::new(f)));
             // Spawn latch: hold the node back until the creation release
             // below has been published, so no runner can acquire first.
-            g.nodes[idx].preds += 1;
-            (idx, id, acquires)
+            g.nodes[wired.0].preds += 1;
+            wired
         };
-        for a in acquires {
-            hook::emit_team(|team, tid| HookEvent::TaskDepReady { team, tid, node: a });
-        }
+        acquire(acquires);
         // Creation edge: spawner → task body.
-        hook::emit_team(|team, tid| HookEvent::TaskDepRelease {
-            team,
-            tid,
-            node: id,
-        });
-        let ready = {
-            let mut g = self.shared.inner.lock();
-            g.nodes[idx].preds -= 1;
-            g.nodes[idx].preds == 0 && !g.deferred()
-        };
-        if ready {
-            self.make_ready(idx);
-        }
+        release_toward([id]);
+        let mut run = Vec::new();
+        let mut g = self.shared.inner.lock();
+        g.settle(idx, &mut run);
+        self.shared.wake(&g);
+        drop(g);
+        self.dispatch(run);
         TaskNode { idx, id }
     }
 
@@ -467,182 +579,173 @@ impl DepGroup {
     /// latched (so [`DepGroup::run`]/[`DepGroup::wait`] also fail), and
     /// `Err(DepError::Cycle)` is returned — no hang, no watchdog trip.
     pub fn release(&self) -> Result<(), DepError> {
-        let ready = {
-            let mut g = self.shared.inner.lock();
-            assert!(g.held, "aomp dep group: release() requires a held() group");
-            if g.released {
-                return match &g.error {
-                    Some(e) => Err(e.clone()),
-                    None => Ok(()),
-                };
-            }
-            g.released = true;
-            // Kahn's algorithm over the wired graph.
-            let n = g.nodes.len();
-            let mut indeg: Vec<usize> = g.nodes.iter().map(|nd| nd.preds).collect();
-            let mut q: VecDeque<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-            let mut seen = 0usize;
-            while let Some(i) = q.pop_front() {
-                seen += 1;
-                for s in 0..g.nodes[i].succs.len() {
-                    let s = g.nodes[i].succs[s];
-                    indeg[s] -= 1;
-                    if indeg[s] == 0 {
-                        q.push_back(s);
-                    }
-                }
-            }
-            if seen < n {
-                let nodes: Vec<usize> = (0..n)
-                    .filter(|&i| indeg[i] > 0)
-                    .map(|i| g.nodes[i].id)
-                    .collect();
-                let err = DepError::Cycle { nodes };
-                g.error = Some(err.clone());
-                for nd in g.nodes.iter_mut() {
-                    nd.body = None;
-                }
-                drop(g);
-                self.shared.cv.notify_all();
-                return Err(err);
-            }
-            (0..n)
-                .filter(|&i| g.nodes[i].preds == 0 && !g.nodes[i].done)
-                .collect::<Vec<_>>()
-        };
-        self.shared.cv.notify_all();
-        for idx in ready {
-            self.make_ready(idx);
+        let mut g = self.shared.inner.lock();
+        assert!(g.held, "aomp dep group: release() requires a held() group");
+        if g.released {
+            return match &g.error {
+                Some(e) => Err(e.clone()),
+                None => Ok(()),
+            };
         }
+        g.released = true;
+        // Kahn's algorithm over the wired graph.
+        let n = g.nodes.len();
+        let mut indeg: Vec<usize> = g.nodes.iter().map(|nd| nd.preds).collect();
+        let mut q: VecDeque<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
+        let mut seen = 0usize;
+        while let Some(i) = q.pop_front() {
+            seen += 1;
+            for &s in &g.nodes[i].succs {
+                indeg[s] -= 1;
+                if indeg[s] == 0 {
+                    q.push_back(s);
+                }
+            }
+        }
+        if seen < n {
+            let nodes: Vec<usize> = (0..n)
+                .filter(|&i| indeg[i] > 0)
+                .map(|i| g.nodes[i].id)
+                .collect();
+            let err = DepError::Cycle { nodes };
+            g.error = Some(err.clone());
+            for nd in g.nodes.iter_mut() {
+                nd.body = None;
+            }
+            self.shared.wake(&g);
+            return Err(err);
+        }
+        let mut run = Vec::new();
+        for i in 0..n {
+            if g.nodes[i].preds == 0 && !g.nodes[i].done {
+                g.hand_on(i, &mut run);
+            }
+        }
+        self.shared.wake(&g);
+        drop(g);
+        self.dispatch(run);
         Ok(())
     }
 
     /// No more spawns; lets [`DepGroup::run`] terminate once the graph
     /// drains.
     pub fn close(&self) {
-        self.shared.inner.lock().closed = true;
-        self.shared.cv.notify_all();
+        let mut g = self.shared.inner.lock();
+        g.closed = true;
+        self.shared.wake(&g);
     }
 
-    /// Hand a pred-free node to a CPU: queue it (team mode) or dispatch
-    /// it to the executor. Undeferred nodes have no body — their owning
-    /// thread polls, so a wake-up suffices.
-    fn make_ready(&self, idx: usize) {
-        let (mode, has_body) = {
-            let g = self.shared.inner.lock();
-            (g.mode, g.nodes[idx].body.is_some())
-        };
-        if !has_body {
-            self.shared.cv.notify_all();
+    /// Push claimed tasks to the executor (executor mode; team-mode
+    /// readiness is the queue).
+    fn dispatch(&self, run: Vec<Runnable>) {
+        if run.is_empty() {
             return;
         }
-        match mode {
-            Mode::Executor => {
-                let this = self.clone();
-                let rt = crate::runtime::current();
-                rt.dispatch_task(
-                    "aomp-dep-task",
-                    crate::task::in_runtime(&rt, move || this.execute(idx)),
-                );
-            }
-            _ => {
-                self.shared.inner.lock().ready.push_back(idx);
-                self.shared.cv.notify_all();
-            }
+        let rt = crate::runtime::current();
+        for task in run {
+            let this = self.clone();
+            rt.dispatch_task(
+                "aomp-dep-task",
+                crate::task::in_runtime(&rt, move || this.execute(task)),
+            );
         }
     }
 
-    /// Claim and run node `idx`'s body, then complete it.
-    fn execute(&self, idx: usize) {
-        let (id, body) = {
-            let mut g = self.shared.inner.lock();
-            (g.nodes[idx].id, g.nodes[idx].body.take())
-        };
+    /// Run a claimed body, then complete its node.
+    fn execute(&self, task: Runnable) {
         // Acquire every release published toward this node (creation edge
         // plus one per satisfied dependence).
-        hook::emit_team(|team, tid| HookEvent::TaskDepReady {
-            team,
-            tid,
-            node: id,
-        });
-        if let Some(body) = body {
+        acquire([task.id]);
+        if let Some(body) = task.body {
             if catch_unwind(AssertUnwindSafe(body)).is_err() {
                 self.shared.failed.store(true, Ordering::Release);
             }
         }
-        self.complete(idx);
+        self.complete(task.idx, task.id);
     }
 
-    /// Publish a node's completion. Emission order is load-bearing: the
-    /// self/sink releases go out *before* `done` is bumped (a joiner that
-    /// observes the count is ordered after them), and each successor's
-    /// release goes out *before* that successor's pred count drops (a
-    /// runner that pops it is ordered after).
-    fn complete(&self, idx: usize) {
-        let own = self.shared.inner.lock().nodes[idx].id;
-        hook::emit_team(|team, tid| HookEvent::TaskDepRelease {
-            team,
-            tid,
-            node: own,
-        });
-        let sink = self.shared.sink;
-        hook::emit_team(|team, tid| HookEvent::TaskDepRelease {
-            team,
-            tid,
-            node: sink,
-        });
-        let succs = {
+    /// Publish a node's completion: one locked pass marks it `done`,
+    /// takes its successors, drops their `preds` and hands on the ready
+    /// ones. Emission order is load-bearing, and the releases go out
+    /// before the pass: self/sink before `done` (a joiner that observes
+    /// it is ordered after them), each successor's before its `preds`
+    /// drops (a runner that pops it is ordered after). A successor
+    /// `wire` appends between that snapshot and the pass gets its
+    /// release afterwards, in a second pass — `done` stops the appends.
+    fn complete(&self, idx: usize, id: usize) {
+        let sids: Vec<usize> = {
+            let g = self.shared.inner.lock();
+            g.nodes[idx].succs.iter().map(|&s| g.nodes[s].id).collect()
+        };
+        release_toward(
+            [id, self.shared.sink]
+                .into_iter()
+                .chain(sids.iter().copied()),
+        );
+        let mut run = Vec::new();
+        let late = {
             let mut g = self.shared.inner.lock();
             g.nodes[idx].done = true;
-            g.done += 1;
-            std::mem::take(&mut g.nodes[idx].succs)
+            while g.drained < g.nodes.len() && g.nodes[g.drained].done {
+                g.drained += 1;
+            }
+            let mut succs = std::mem::take(&mut g.nodes[idx].succs);
+            let late = succs.split_off(sids.len());
+            for s in succs {
+                g.settle(s, &mut run);
+            }
+            self.shared.wake(&g);
+            late.into_iter()
+                .map(|s| (s, g.nodes[s].id))
+                .collect::<Vec<_>>()
         };
-        self.shared.cv.notify_all();
         ctx::with_current(|c| {
             if let Some(c) = c {
                 c.shared.bump_progress();
             }
         });
-        for s in succs {
-            let sid = self.shared.inner.lock().nodes[s].id;
-            hook::emit_team(|team, tid| HookEvent::TaskDepRelease {
-                team,
-                tid,
-                node: sid,
-            });
-            let now_ready = {
-                let mut g = self.shared.inner.lock();
-                g.nodes[s].preds -= 1;
-                g.nodes[s].preds == 0 && !g.deferred()
-            };
-            if now_ready {
-                self.make_ready(s);
+        if !late.is_empty() {
+            release_toward(late.iter().map(|&(_, sid)| sid));
+            let mut g = self.shared.inner.lock();
+            for (s, _) in late {
+                g.settle(s, &mut run);
             }
+            self.shared.wake(&g);
         }
+        self.dispatch(run);
     }
 
     /// `take` under the group lock: at once if it can, else as a
     /// registered [`WaitSite::TaskWait`] — a member that finds its task
     /// (or its stop condition) there does not look blocked. The ready
-    /// queue has no lock-free probe, so the wait parks.
+    /// queue has no lock-free probe, so the wait parks, counted in
+    /// `sleepers` from each failed take to the next.
     fn take_or_wait<R>(&self, mut take: impl FnMut(&mut Inner) -> Option<R>) -> R {
         let first = take(&mut self.shared.inner.lock());
         first.unwrap_or_else(|| {
+            let mut asleep = false;
+            let counted = |g: &mut Inner| {
+                g.sleepers -= usize::from(asleep);
+                let r = take(g);
+                asleep = r.is_none();
+                g.sleepers += usize::from(asleep);
+                r
+            };
             let sync = (&self.shared.inner, &self.shared.cv);
-            wait::member_wait(WaitSite::TaskWait, None, sync, || true, take, false)
+            wait::member_wait(WaitSite::TaskWait, None, sync, || true, counted, false)
         })
     }
 
     /// Pull-execute ready tasks until `stop` holds.
     fn work(&self, stop: &dyn Fn(&Inner) -> bool) -> Result<(), DepError> {
-        while let Some(idx) = self.take_or_wait(|g| g.pull(stop))? {
+        while let Some(task) = self.take_or_wait(|g| g.pull(stop))? {
             ctx::with_current(|c| {
                 if let Some(c) = c {
                     c.shared.check_interrupt();
                     c.shared.bump_progress();
                 }
             });
-            self.execute(idx);
+            self.execute(task);
         }
         Ok(())
     }
@@ -652,24 +755,29 @@ impl DepGroup {
     /// Panics if any task body panicked; returns the latched error if
     /// [`DepGroup::release`] found a cycle.
     pub fn run(&self) -> Result<(), DepError> {
-        self.work(&|g: &Inner| g.closed && g.done == g.nodes.len())?;
+        self.work(&|g: &Inner| g.closed && g.drained == g.nodes.len())?;
         let had_nodes = !self.shared.inner.lock().nodes.is_empty();
         self.finish_join(had_nodes);
         Ok(())
     }
 
     /// Wait for every task spawned *so far* (`taskwait`): helps execute
-    /// ready tasks in team mode, then blocks. An empty group returns
-    /// immediately — no wait site, no watchdog traffic.
+    /// ready tasks in team mode, then blocks until every node spawned
+    /// before the call is done — later spawns neither count toward it
+    /// nor hold it up. An empty group returns immediately — no wait
+    /// site, no watchdog traffic.
     pub fn wait(&self) -> Result<(), DepError> {
-        let target = self.shared.inner.lock().nodes.len();
-        if target == 0 {
-            return match &self.shared.inner.lock().error {
-                Some(e) => Err(e.clone()),
-                None => Ok(()),
-            };
-        }
-        self.work(&|g: &Inner| g.done >= target)?;
+        let target = {
+            let g = self.shared.inner.lock();
+            if g.nodes.is_empty() {
+                return match &g.error {
+                    Some(e) => Err(e.clone()),
+                    None => Ok(()),
+                };
+            }
+            g.nodes.len()
+        };
+        self.work(&|g: &Inner| g.drained >= target)?;
         self.finish_join(true);
         Ok(())
     }
@@ -677,12 +785,7 @@ impl DepGroup {
     /// Join-sink acquire + deferred panic propagation.
     fn finish_join(&self, had_nodes: bool) {
         if had_nodes {
-            let sink = self.shared.sink;
-            hook::emit_team(|team, tid| HookEvent::TaskDepReady {
-                team,
-                tid,
-                node: sink,
-            });
+            acquire([self.shared.sink]);
         }
         if self.shared.failed.swap(false, Ordering::AcqRel) {
             panic!("aomp dep group: a task panicked");
@@ -707,19 +810,13 @@ impl DepGroup {
                 !g.deferred(),
                 "aomp dep group: run_undeferred() on a held, unreleased group"
             );
-            self.wire(&mut g, &deps, None)
+            g.wire(&deps, None)
         };
-        for a in acquires {
-            hook::emit_team(|team, tid| HookEvent::TaskDepReady { team, tid, node: a });
-        }
+        acquire(acquires);
         self.take_or_wait(|g| (g.nodes[idx].preds == 0).then_some(()));
-        hook::emit_team(|team, tid| HookEvent::TaskDepReady {
-            team,
-            tid,
-            node: id,
-        });
+        acquire([id]);
         let r = f();
-        self.complete(idx);
+        self.complete(idx, id);
         r
     }
 }
@@ -1056,6 +1153,58 @@ mod tests {
         let g = DepGroup::new();
         g.close();
         g.run().unwrap();
+    }
+
+    /// `wait` joins the tasks spawned before it: completions of tasks
+    /// spawned after it started must not stand in for one still running.
+    #[test]
+    fn wait_is_not_satisfied_by_later_spawns() {
+        use std::time::Duration;
+        let g = DepGroup::new();
+        let go = Arc::new(AtomicBool::new(false));
+        let returned = Arc::new(AtomicBool::new(false));
+        let go2 = Arc::clone(&go);
+        g.spawn([], move || {
+            while !go2.load(Ordering::Acquire) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        });
+        g.spawn([], || {});
+        let waiter = {
+            let (g, returned) = (g.clone(), Arc::clone(&returned));
+            std::thread::spawn(move || {
+                g.wait().unwrap();
+                returned.store(true, Ordering::Release);
+            })
+        };
+        // The waiter fixed its target (the two tasks above) before its
+        // take failed.
+        while g.shared.inner.lock().sleepers == 0 {
+            std::thread::yield_now();
+        }
+        g.spawn([], || {});
+        let done = || {
+            g.shared
+                .inner
+                .lock()
+                .nodes
+                .iter()
+                .filter(|nd| nd.done)
+                .count()
+        };
+        while done() < 2 {
+            std::thread::yield_now();
+        }
+        // As many completions as the waiter's target, but not the first
+        // task's. Give a wrongly woken waiter time to return.
+        std::thread::sleep(Duration::from_millis(30));
+        assert!(
+            !returned.load(Ordering::Acquire),
+            "wait returned while a task spawned before it was still running"
+        );
+        go.store(true, Ordering::Release);
+        waiter.join().unwrap();
+        assert!(returned.load(Ordering::Acquire));
     }
 
     #[test]

@@ -7,14 +7,16 @@
 //! merge) without touching this file's logic.
 //!
 //! [`run_deps`] replaces the two barriers per level with a dependent
-//! task graph over (level, source partition, destination partition)
-//! triples: a task scans the frontier segment its source partition
-//! produced and claims the unreached neighbours falling in its
-//! destination partition. `in` tags on the scanned segment, `inout` tags
-//! on the destination partition's level array and next segment carry
-//! exactly the orderings level-synchronous BFS needs — and nothing more,
-//! so on skewed graphs light partitions race ahead into the next level
-//! while the hub partition is still expanding.
+//! task graph of two task kinds per level: a *scatter* task per source
+//! partition scans the frontier segment that partition produced, once,
+//! and buckets the neighbours by destination partition; a *claim* task
+//! per destination partition takes its bucket from every scatter of the
+//! level and claims the unreached vertices among them. `in` tags on the
+//! scanned segment and on the buckets, `inout` tags on the destination
+//! partition's level array and next segment carry exactly the orderings
+//! level-synchronous BFS needs — and nothing more, so on skewed graphs
+//! light partitions race ahead into the next level while the hub
+//! partition is still expanding. A level costs `2 × parts` tasks.
 
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
@@ -159,6 +161,17 @@ pub fn aspect_deps(threads: usize) -> AspectModule {
         .build()
 }
 
+/// Per-(level, partition) cells shared by [`run_deps`]'s tasks.
+type Grid<T> = Arc<Vec<Vec<Mutex<T>>>>;
+
+fn grid<T: Default>(levels: usize, parts: usize) -> Grid<T> {
+    Arc::new(
+        (0..levels)
+            .map(|_| (0..parts).map(|_| Mutex::default()).collect())
+            .collect(),
+    )
+}
+
 /// BFS as a dependent task graph. `max_levels` bounds the DAG depth
 /// (levels beyond it stay [`UNREACHED`]; pass `g.vertices()` for an
 /// exact answer); `parts` is the vertex partition count. Bitwise equal
@@ -170,60 +183,77 @@ pub fn run_deps(g: &CsrGraph, source: usize, max_levels: usize, parts: usize) ->
         return Vec::new();
     }
     let parts = parts.clamp(1, n);
-    let part_of = |v: usize| (v * parts / n).min(parts - 1);
+    let part_of = move |v: usize| (v * parts / n).min(parts - 1);
     let levels = Arc::new(SyncVec::tracked(vec![UNREACHED; n], "bfs.dag.levels"));
     // segs[l][p]: frontier vertices claimed *into* partition p at level l.
-    let segs: Arc<Vec<Vec<Mutex<Vec<u32>>>>> = Arc::new(
-        (0..=max_levels)
-            .map(|_| (0..parts).map(|_| Mutex::new(Vec::new())).collect())
-            .collect(),
-    );
+    // buckets[l][sp][dp]: neighbours of segs[l][sp] that fall in dp (empty
+    // until the scatter of (l, sp) has run).
+    let segs: Grid<Vec<u32>> = grid(max_levels + 1, parts);
+    let buckets: Grid<Vec<Vec<u32>>> = grid(max_levels, parts);
     // SAFETY: sole accessor — no tasks exist yet; the creation edges of
     // the spawns below order every task after this write.
     unsafe { levels.set(source, 0) };
     segs[0][part_of(source)].lock().push(source as u32);
     let graph = Arc::new(g.clone());
     let group = DepGroup::new();
+    let seg = |l: usize, p: usize| Tag::part("bfs.seg", (l * parts + p) as u64);
+    let bucket = |l: usize, p: usize| Tag::part("bfs.bucket", (l * parts + p) as u64);
     aomp_weaver::call("Graph.bfs.dag", || {
         if !in_parallel() || thread_id() == 0 {
             for l in 0..max_levels {
                 for sp in 0..parts {
-                    for dp in 0..parts {
-                        let deps = [
-                            // The segment this task scans: complete once
-                            // its level-(l-1) producers are done.
-                            Dep::input(Tag::part("bfs.seg", (l * parts + sp) as u64)),
-                            // Claims into dp: serialized per partition,
-                            // and after all level-l claims into dp.
-                            Dep::inout(Tag::part("bfs.levels", dp as u64)),
-                            // The segment this task appends to.
-                            Dep::inout(Tag::part("bfs.seg", ((l + 1) * parts + dp) as u64)),
-                        ];
-                        let levels = Arc::clone(&levels);
-                        let segs = Arc::clone(&segs);
-                        let graph = Arc::clone(&graph);
-                        group.spawn(deps, move || {
+                    // Scatter: one scan of segment (l, sp), after the
+                    // claim that wrote it. Touches no level entry.
+                    let (segs, buckets, graph) =
+                        (Arc::clone(&segs), Arc::clone(&buckets), Arc::clone(&graph));
+                    group.spawn(
+                        [Dep::input(seg(l, sp)), Dep::output(bucket(l, sp))],
+                        move || {
                             let frontier = segs[l][sp].lock();
-                            let lvl = (l + 1) as i64;
-                            let mut found = Vec::new();
+                            if frontier.is_empty() {
+                                return;
+                            }
+                            let mut out = vec![Vec::new(); parts];
                             for &v in frontier.iter() {
                                 for &w in graph.neighbours(v as usize) {
-                                    let w = w as usize;
-                                    let wp = (w * parts / n).min(parts - 1);
-                                    // SAFETY: the inout tag on dp's level
-                                    // partition makes this task its sole
-                                    // accessor right now.
-                                    if wp == dp && unsafe { levels.read(w) } == UNREACHED {
-                                        unsafe { levels.set(w, lvl) };
-                                        found.push(w as u32);
-                                    }
+                                    out[part_of(w as usize)].push(w);
                                 }
                             }
-                            if !found.is_empty() {
-                                segs[l + 1][dp].lock().extend(found);
+                            *buckets[l][sp].lock() = out;
+                        },
+                    );
+                }
+                for dp in 0..parts {
+                    // Claim into dp: after every scatter of level l, and
+                    // serialized per partition after all earlier claims.
+                    let deps = (0..parts).map(|sp| Dep::input(bucket(l, sp))).chain([
+                        Dep::inout(Tag::part("bfs.levels", dp as u64)),
+                        Dep::inout(seg(l + 1, dp)),
+                    ]);
+                    let (levels, segs, buckets) =
+                        (Arc::clone(&levels), Arc::clone(&segs), Arc::clone(&buckets));
+                    group.spawn(deps, move || {
+                        let lvl = (l + 1) as i64;
+                        let mut found = Vec::new();
+                        for from in buckets[l].iter() {
+                            // dp is this bucket's only reader.
+                            let Some(cands) = from.lock().get_mut(dp).map(std::mem::take) else {
+                                continue;
+                            };
+                            for w in cands {
+                                // SAFETY: the inout tag on dp's level
+                                // partition makes this task its sole
+                                // accessor right now.
+                                if unsafe { levels.read(w as usize) } == UNREACHED {
+                                    unsafe { levels.set(w as usize, lvl) };
+                                    found.push(w);
+                                }
                             }
-                        });
-                    }
+                        }
+                        if !found.is_empty() {
+                            *segs[l + 1][dp].lock() = found;
+                        }
+                    });
                 }
             }
             group.close();

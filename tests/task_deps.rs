@@ -1,7 +1,8 @@
 //! Schedule exploration of the task-dependence layer end to end: the
 //! dependent-task-graph kernels (`pagerank::run_deps`, `bfs::run_deps`)
 //! stay bitwise equal to their sequential references on *every* explored
-//! interleaving with the race oracle armed; an intentionally inverted
+//! interleaving with the race oracle armed; a successor wired while its
+//! predecessor completes still runs after it; an intentionally inverted
 //! `depend` pair (two tasks both claiming `in` on the tag one of them
 //! writes) is flagged as a data race; a dependence cycle is reported
 //! fallibly — no hang, stall watchdog silent — on every schedule; and a
@@ -24,6 +25,28 @@ fn tiny_graph() -> CsrGraph {
         vec![(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 0)],
     )
 }
+
+/// [`tiny_graph`] plus a vertex at depth 5, split into three uneven
+/// partitions (3, 2, 2 vertices) by `bfs::run_deps`.
+fn uneven_graph() -> CsrGraph {
+    CsrGraph::from_edges(
+        7,
+        vec![
+            (0, 1),
+            (0, 2),
+            (1, 3),
+            (2, 3),
+            (3, 4),
+            (4, 5),
+            (5, 0),
+            (5, 6),
+            (6, 3),
+        ],
+    )
+}
+
+/// Eccentricity of vertex 0 in [`uneven_graph`].
+const UNEVEN_DEPTH: usize = 5;
 
 // ---------------------------------------------------------------------------
 // Differential oracle under exploration: the dependent graphs match
@@ -82,6 +105,85 @@ fn pct_dep_bfs_is_bitwise_sequential() {
             assert_eq!(got, expect, "dep BFS diverged on an interleaving");
         })
         .assert_ok();
+}
+
+/// Three partitions of uneven size, and twice as many levels as the
+/// graph is deep: the trailing levels' scatter and claim tasks find
+/// empty segments and buckets, and must still leave every level alone.
+fn uneven_dep_bfs(expect: &[i64]) {
+    let g = uneven_graph();
+    let got = Weaver::global().with_deployed(bfs::aspect_deps(2), || {
+        bfs::run_deps(&g, 0, 2 * UNEVEN_DEPTH, 3)
+    });
+    assert_eq!(got, expect, "uneven dep BFS diverged on an interleaving");
+}
+
+#[test]
+fn dfs_uneven_dep_bfs_is_bitwise_sequential() {
+    let expect = bfs::reference(&uneven_graph(), 0);
+    assert_eq!(expect.iter().max(), Some(&(UNEVEN_DEPTH as i64)));
+    let report = check::Explorer::new()
+        .races(true)
+        .dfs(600, 48, || uneven_dep_bfs(&expect));
+    report.assert_ok();
+    assert!(report.schedules() > 1, "exploration too shallow");
+}
+
+#[test]
+fn pct_uneven_dep_bfs_is_bitwise_sequential() {
+    let expect = bfs::reference(&uneven_graph(), 0);
+    check::Explorer::new()
+        .races(true)
+        .pct(check::seeds_from_env(16), 0x3BF5, 3, || {
+            uneven_dep_bfs(&expect)
+        })
+        .assert_ok();
+}
+
+// ---------------------------------------------------------------------------
+// The completion window: a completing task publishes its releases with
+// the group lock dropped (a hook event may block it), then commits. A
+// successor wired in between must still get its release before it can
+// run — or its read of the predecessor's write races.
+// ---------------------------------------------------------------------------
+
+/// Member 1 spawns, so member 0 — first in the explorer's default
+/// order — runs the writer, and the decisions inside its completion are
+/// the ones the bounded DFS below varies.
+fn successor_wired_during_completion() {
+    let cell = Arc::new(Tracked::new("late.successor", 0u64));
+    let group = DepGroup::new();
+    region::parallel_with(RegionConfig::new().threads(2), move || {
+        if thread_id() == 1 {
+            let (w, rd) = (Arc::clone(&cell), Arc::clone(&cell));
+            group.spawn([Dep::output("late")], move || unsafe { w.set(7) });
+            // An unrelated spawn: its creation release is a scheduling
+            // point at which member 0 can start the writer before the
+            // reader below is wired.
+            group.spawn([], || {});
+            group.spawn([Dep::input("late")], move || {
+                assert_eq!(
+                    unsafe { rd.read() },
+                    7,
+                    "successor ran before its predecessor"
+                );
+            });
+            group.close();
+        }
+        group.run().expect("no cycles");
+    });
+}
+
+#[test]
+fn dfs_successor_wired_during_completion_sees_the_write() {
+    // Every interleaving that diverges within the first 10 decisions:
+    // enough to open the window, and a complete enumeration.
+    let report =
+        check::Explorer::new()
+            .races(true)
+            .dfs(2_000, 10, successor_wired_during_completion);
+    report.assert_ok();
+    assert!(!report.truncated, "the bounded enumeration must complete");
 }
 
 // ---------------------------------------------------------------------------
