@@ -4,7 +4,8 @@
 //! is a for method (`Graph.bfs.expand`) and the next-frontier collection
 //! is a master point — so a deployed aspect turns it into the classic
 //! parallel BFS (dynamic chunks over the frontier, barrier, master
-//! merge) without touching this file's logic.
+//! merge) without touching this file's logic. A chunk claims like the
+//! reference (a load before each CAS) and hands its finds on at once.
 //!
 //! [`run_deps`] replaces the two barriers per level with a dependent
 //! task graph of two task kinds per level: a *scatter* task per source
@@ -16,9 +17,14 @@
 //! partition's level array and next segment carry exactly the orderings
 //! level-synchronous BFS needs — and nothing more, so on skewed graphs
 //! light partitions race ahead into the next level while the hub
-//! partition is still expanding. A level costs `2 × parts` tasks.
+//! partition is still expanding. The graph grows while its levels find
+//! work: the master wires level 0, and the last claim of level `l` wires
+//! level `l + 2` (level 0's: 1 and 2) if `l` found a vertex, else closes
+//! the group. A level is `2 × parts` tasks; a search of eccentricity `e`
+//! wires `e + 2` levels, whatever `max_levels` allows.
 
-use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::atomic::Ordering::{AcqRel, Relaxed};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize};
 use std::sync::Arc;
 
 use aomp::cell::SyncVec;
@@ -59,7 +65,7 @@ struct BfsState<'a> {
     g: &'a CsrGraph,
     levels: Vec<AtomicI64>,
     discovered: ThreadLocalField<Vec<u32>>,
-    frontier: Mutex<Vec<u32>>,
+    frontier: Mutex<Arc<Vec<u32>>>,
 }
 
 /// BFS levels from `source`; `UNREACHED` for unreachable vertices.
@@ -71,9 +77,9 @@ pub fn run(g: &CsrGraph, source: usize) -> Vec<i64> {
         g,
         levels: (0..n).map(|_| AtomicI64::new(UNREACHED)).collect(),
         discovered: ThreadLocalField::new(Vec::new()),
-        frontier: Mutex::new(vec![source as u32]),
+        frontier: Mutex::new(Arc::new(vec![source as u32])),
     };
-    state.levels[source].store(0, Ordering::Relaxed);
+    state.levels[source].store(0, Relaxed);
 
     aomp_weaver::call("Graph.bfs.run", || {
         let mut level = 0i64;
@@ -87,25 +93,24 @@ pub fn run(g: &CsrGraph, source: usize) -> Vec<i64> {
                 "Graph.bfs.expand",
                 LoopRange::upto(0, frontier_len as i64),
                 |lo, hi, step| {
-                    let frontier = state.frontier.lock().clone();
-                    let mut i = lo;
-                    while i < hi {
-                        let v = frontier[i as usize] as usize;
-                        for &w in state.g.neighbours(v) {
-                            // Atomic claim: first visitor sets the level.
-                            if state.levels[w as usize]
-                                .compare_exchange(
-                                    UNREACHED,
-                                    level + 1,
-                                    Ordering::Relaxed,
-                                    Ordering::Relaxed,
-                                )
-                                .is_ok()
+                    let frontier = Arc::clone(&state.frontier.lock());
+                    let mut found = Vec::new();
+                    for i in (lo..hi).step_by(step as usize) {
+                        for &w in state.g.neighbours(frontier[i as usize] as usize) {
+                            // Atomic claim: first visitor sets the level;
+                            // the load spares claimed vertices the RMW.
+                            let lw = &state.levels[w as usize];
+                            if lw.load(Relaxed) == UNREACHED
+                                && lw
+                                    .compare_exchange(UNREACHED, level + 1, Relaxed, Relaxed)
+                                    .is_ok()
                             {
-                                state.discovered.update_or_init(Vec::new, |d| d.push(w));
+                                found.push(w);
                             }
                         }
-                        i += step;
+                    }
+                    if !found.is_empty() {
+                        state.discovered.update(|d| d.append(&mut found));
                     }
                 },
             );
@@ -119,7 +124,7 @@ pub fn run(g: &CsrGraph, source: usize) -> Vec<i64> {
                     .flatten()
                     .collect();
                 next.sort_unstable();
-                *state.frontier.lock() = next;
+                *state.frontier.lock() = Arc::new(next);
             });
             level += 1;
         }
@@ -162,14 +167,133 @@ pub fn aspect_deps(threads: usize) -> AspectModule {
 }
 
 /// Per-(level, partition) cells shared by [`run_deps`]'s tasks.
-type Grid<T> = Arc<Vec<Vec<Mutex<T>>>>;
+type Grid<T> = Vec<Vec<Mutex<T>>>;
 
 fn grid<T: Default>(levels: usize, parts: usize) -> Grid<T> {
-    Arc::new(
-        (0..levels)
-            .map(|_| (0..parts).map(|_| Mutex::default()).collect())
-            .collect(),
-    )
+    (0..levels)
+        .map(|_| (0..parts).map(|_| Mutex::default()).collect())
+        .collect()
+}
+
+/// One [`run_deps`] call: its graph, and the state its tasks share.
+struct Dag {
+    graph: CsrGraph,
+    group: DepGroup,
+    levels: SyncVec<i64>,
+    parts: usize,
+    /// segs[l][p]: frontier vertices claimed *into* partition p at level l.
+    segs: Grid<Vec<u32>>,
+    /// buckets[l][sp][dp]: neighbours of segs[l][sp] that fall in dp
+    /// (empty until the scatter of (l, sp) has run).
+    buckets: Grid<Vec<Vec<u32>>>,
+    /// Per level: claims done, and whether any found a vertex. A claim sets
+    /// the flag before its AcqRel count, which the last claim's acquires.
+    tally: Vec<(AtomicUsize, AtomicBool)>,
+    #[cfg(test)]
+    spawned: AtomicUsize,
+}
+
+impl Dag {
+    fn run(g: &CsrGraph, source: usize, max_levels: usize, parts: usize) -> (Vec<i64>, Arc<Dag>) {
+        let parts = parts.clamp(1, g.vertices());
+        let dag = Arc::new(Dag {
+            graph: g.clone(),
+            group: DepGroup::new(),
+            levels: SyncVec::tracked(vec![UNREACHED; g.vertices()], "bfs.dag.levels"),
+            parts,
+            segs: grid(max_levels + 1, parts),
+            buckets: grid(max_levels, parts),
+            tally: (0..max_levels).map(|_| Default::default()).collect(),
+            #[cfg(test)]
+            spawned: AtomicUsize::new(0),
+        });
+        // SAFETY: sole accessor — no tasks exist yet; the creation edges
+        // of the spawns order every task after this write.
+        unsafe { dag.levels.set(source, 0) };
+        dag.segs[0][dag.part_of(source)].lock().push(source as u32);
+        aomp_weaver::call("Graph.bfs.dag", || {
+            if !in_parallel() || thread_id() == 0 {
+                dag.grow(0..1);
+            }
+            dag.group.run().expect("tag dependences are acyclic");
+        });
+        // SAFETY: the graph has been joined; no concurrent access remains.
+        (unsafe { dag.levels.snapshot() }, dag)
+    }
+
+    fn part_of(&self, v: usize) -> usize {
+        (v * self.parts / self.levels.len()).min(self.parts - 1)
+    }
+
+    /// Wire the `levels` that `max_levels` allows; if it allows none,
+    /// close the group, as no later claim can spawn either.
+    fn grow(self: &Arc<Self>, levels: std::ops::Range<usize>) {
+        let levels = levels.start..levels.end.min(self.tally.len());
+        if levels.is_empty() {
+            self.group.close();
+        }
+        let seg = |l: usize, p: usize| Tag::part("bfs.seg", (l * self.parts + p) as u64);
+        let bucket = |l: usize, p: usize| Tag::part("bfs.bucket", (l * self.parts + p) as u64);
+        for l in levels {
+            for sp in 0..self.parts {
+                // Scatter: one scan of segment (l, sp), after the claim
+                // that wrote it. Touches no level entry.
+                let deps = [Dep::input(seg(l, sp)), Dep::output(bucket(l, sp))];
+                let dag = Arc::clone(self);
+                self.group.spawn(deps, move || {
+                    let mut out = vec![Vec::new(); dag.parts];
+                    for &v in dag.segs[l][sp].lock().iter() {
+                        for &w in dag.graph.neighbours(v as usize) {
+                            out[dag.part_of(w as usize)].push(w);
+                        }
+                    }
+                    *dag.buckets[l][sp].lock() = out;
+                });
+            }
+            for dp in 0..self.parts {
+                // Claim into dp: after every scatter of level l, and
+                // serialized per partition after all earlier claims.
+                let deps = (0..self.parts).map(|sp| Dep::input(bucket(l, sp))).chain([
+                    Dep::inout(Tag::part("bfs.levels", dp as u64)),
+                    Dep::inout(seg(l + 1, dp)),
+                ]);
+                let dag = Arc::clone(self);
+                self.group.spawn(deps, move || dag.claim(l, dp));
+            }
+            #[cfg(test)]
+            self.spawned.fetch_add(2 * self.parts, Relaxed);
+        }
+    }
+
+    fn claim(self: &Arc<Self>, l: usize, dp: usize) {
+        let mut found = Vec::new();
+        for from in &self.buckets[l] {
+            // dp is this bucket's only reader.
+            for w in std::mem::take(&mut from.lock()[dp]) {
+                // SAFETY: the inout tag on dp's level partition makes
+                // this task its sole accessor right now.
+                if unsafe { self.levels.read(w as usize) } == UNREACHED {
+                    unsafe { self.levels.set(w as usize, l as i64 + 1) };
+                    found.push(w);
+                }
+            }
+        }
+        let (claims, any) = &self.tally[l];
+        any.fetch_or(!found.is_empty(), Relaxed);
+        *self.segs[l + 1][dp].lock() = found;
+        if claims.fetch_add(1, AcqRel) + 1 < self.parts {
+            return;
+        }
+        // The last claim of level l grows the graph, or closes it. Only a
+        // claim may grow it: level l's claims run after the claim that
+        // wired level l + 1, so l + 2 is wired after l + 1 on every
+        // schedule. A spawn from outside the graph has no such order.
+        self.grow(match l {
+            _ if !any.load(Relaxed) => 0..0,
+            0 => 1..3,
+            _ => l + 2..l + 3,
+        });
+    }
 }
 
 /// BFS as a dependent task graph. `max_levels` bounds the DAG depth
@@ -178,90 +302,10 @@ fn grid<T: Default>(levels: usize, parts: usize) -> Grid<T> {
 /// to [`reference`] whenever `max_levels` covers the eccentricity of
 /// `source`.
 pub fn run_deps(g: &CsrGraph, source: usize, max_levels: usize, parts: usize) -> Vec<i64> {
-    let n = g.vertices();
-    if n == 0 {
+    if g.vertices() == 0 {
         return Vec::new();
     }
-    let parts = parts.clamp(1, n);
-    let part_of = move |v: usize| (v * parts / n).min(parts - 1);
-    let levels = Arc::new(SyncVec::tracked(vec![UNREACHED; n], "bfs.dag.levels"));
-    // segs[l][p]: frontier vertices claimed *into* partition p at level l.
-    // buckets[l][sp][dp]: neighbours of segs[l][sp] that fall in dp (empty
-    // until the scatter of (l, sp) has run).
-    let segs: Grid<Vec<u32>> = grid(max_levels + 1, parts);
-    let buckets: Grid<Vec<Vec<u32>>> = grid(max_levels, parts);
-    // SAFETY: sole accessor — no tasks exist yet; the creation edges of
-    // the spawns below order every task after this write.
-    unsafe { levels.set(source, 0) };
-    segs[0][part_of(source)].lock().push(source as u32);
-    let graph = Arc::new(g.clone());
-    let group = DepGroup::new();
-    let seg = |l: usize, p: usize| Tag::part("bfs.seg", (l * parts + p) as u64);
-    let bucket = |l: usize, p: usize| Tag::part("bfs.bucket", (l * parts + p) as u64);
-    aomp_weaver::call("Graph.bfs.dag", || {
-        if !in_parallel() || thread_id() == 0 {
-            for l in 0..max_levels {
-                for sp in 0..parts {
-                    // Scatter: one scan of segment (l, sp), after the
-                    // claim that wrote it. Touches no level entry.
-                    let (segs, buckets, graph) =
-                        (Arc::clone(&segs), Arc::clone(&buckets), Arc::clone(&graph));
-                    group.spawn(
-                        [Dep::input(seg(l, sp)), Dep::output(bucket(l, sp))],
-                        move || {
-                            let frontier = segs[l][sp].lock();
-                            if frontier.is_empty() {
-                                return;
-                            }
-                            let mut out = vec![Vec::new(); parts];
-                            for &v in frontier.iter() {
-                                for &w in graph.neighbours(v as usize) {
-                                    out[part_of(w as usize)].push(w);
-                                }
-                            }
-                            *buckets[l][sp].lock() = out;
-                        },
-                    );
-                }
-                for dp in 0..parts {
-                    // Claim into dp: after every scatter of level l, and
-                    // serialized per partition after all earlier claims.
-                    let deps = (0..parts).map(|sp| Dep::input(bucket(l, sp))).chain([
-                        Dep::inout(Tag::part("bfs.levels", dp as u64)),
-                        Dep::inout(seg(l + 1, dp)),
-                    ]);
-                    let (levels, segs, buckets) =
-                        (Arc::clone(&levels), Arc::clone(&segs), Arc::clone(&buckets));
-                    group.spawn(deps, move || {
-                        let lvl = (l + 1) as i64;
-                        let mut found = Vec::new();
-                        for from in buckets[l].iter() {
-                            // dp is this bucket's only reader.
-                            let Some(cands) = from.lock().get_mut(dp).map(std::mem::take) else {
-                                continue;
-                            };
-                            for w in cands {
-                                // SAFETY: the inout tag on dp's level
-                                // partition makes this task its sole
-                                // accessor right now.
-                                if unsafe { levels.read(w as usize) } == UNREACHED {
-                                    unsafe { levels.set(w as usize, lvl) };
-                                    found.push(w);
-                                }
-                            }
-                        }
-                        if !found.is_empty() {
-                            *segs[l + 1][dp].lock() = found;
-                        }
-                    });
-                }
-            }
-            group.close();
-        }
-        group.run().expect("tag-derived dependences are acyclic");
-    });
-    // SAFETY: the graph has been joined; no concurrent access remains.
-    unsafe { levels.snapshot() }
+    Dag::run(g, source, max_levels, parts).0
 }
 
 #[cfg(test)]
@@ -321,5 +365,21 @@ mod tests {
         assert_eq!(levels, vec![0, 1, 2, UNREACHED, UNREACHED]);
         // Full depth recovers the reference.
         assert_eq!(run_deps(&g, 0, 5, 2), reference(&g, 0));
+    }
+
+    #[test]
+    fn dep_graph_stops_when_its_work_does() {
+        let g = CsrGraph::generate(GraphKind::PowerLaw, 400, 4, 11);
+        let expect = reference(&g, 0);
+        let e = *expect.iter().max().unwrap() as usize;
+        for (t, parts) in [(0, 3), (2, 4), (4, 16)] {
+            let dag = || Dag::run(&g, 0, 64, parts);
+            let (got, dag) = match t {
+                0 => dag(), // unwoven: the shared executor
+                _ => Weaver::global().with_deployed(aspect_deps(t), dag),
+            };
+            assert_eq!(got, expect, "t={t}");
+            assert!(dag.spawned.load(Relaxed) <= 2 * parts * (e + 2), "t={t}");
+        }
     }
 }

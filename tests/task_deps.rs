@@ -1,12 +1,13 @@
 //! Schedule exploration of the task-dependence layer end to end: the
 //! dependent-task-graph kernels (`pagerank::run_deps`, `bfs::run_deps`)
 //! stay bitwise equal to their sequential references on *every* explored
-//! interleaving with the race oracle armed; a successor wired while its
-//! predecessor completes still runs after it; an intentionally inverted
-//! `depend` pair (two tasks both claiming `in` on the tag one of them
-//! writes) is flagged as a data race; a dependence cycle is reported
-//! fallibly — no hang, stall watchdog silent — on every schedule; and a
-//! failing schedule's trace replays byte-for-byte.
+//! interleaving with the race oracle armed, and unwoven `bfs::run_deps`
+//! grows its graph in level order on the shared executor; a successor
+//! wired while its predecessor completes still runs after it; an
+//! intentionally inverted `depend` pair (two tasks both claiming `in` on
+//! the tag one of them writes) is flagged as a data race; a dependence
+//! cycle is reported fallibly — no hang, stall watchdog silent — on
+//! every schedule; and a failing schedule's trace replays byte-for-byte.
 
 use aomp_check as check;
 use aomp_irregular::{bfs, pagerank, CsrGraph};
@@ -107,37 +108,86 @@ fn pct_dep_bfs_is_bitwise_sequential() {
         .assert_ok();
 }
 
-/// Three partitions of uneven size, and twice as many levels as the
-/// graph is deep: the trailing levels' scatter and claim tasks find
-/// empty segments and buckets, and must still leave every level alone.
-fn uneven_dep_bfs(expect: &[i64]) {
+/// What `bfs::run_deps(g, 0, max_levels, _)` must return: the reference
+/// with every level past `max_levels` left unreached.
+fn truncated_reference(g: &CsrGraph, max_levels: usize) -> Vec<i64> {
+    let cut = |l: i64| {
+        if l > max_levels as i64 {
+            bfs::UNREACHED
+        } else {
+            l
+        }
+    };
+    bfs::reference(g, 0).into_iter().map(cut).collect()
+}
+
+/// Depths to run the uneven graph at, one per way its group closes: at
+/// the `max_levels` bound from level 0's last claim, from a middle
+/// level's, and one level short of the last vertex; and, at twice the
+/// graph's depth, on the first level that finds nothing.
+const UNEVEN_LEVELS: [usize; 4] = [1, 3, UNEVEN_DEPTH, 2 * UNEVEN_DEPTH];
+
+/// Three partitions of uneven size, `max_levels` deep.
+fn uneven_dep_bfs(max_levels: usize, expect: &[i64]) {
     let g = uneven_graph();
-    let got = Weaver::global().with_deployed(bfs::aspect_deps(2), || {
-        bfs::run_deps(&g, 0, 2 * UNEVEN_DEPTH, 3)
-    });
-    assert_eq!(got, expect, "uneven dep BFS diverged on an interleaving");
+    let got =
+        Weaver::global().with_deployed(bfs::aspect_deps(2), || bfs::run_deps(&g, 0, max_levels, 3));
+    assert_eq!(
+        got, expect,
+        "uneven dep BFS at {max_levels} levels diverged on an interleaving"
+    );
 }
 
 #[test]
 fn dfs_uneven_dep_bfs_is_bitwise_sequential() {
-    let expect = bfs::reference(&uneven_graph(), 0);
-    assert_eq!(expect.iter().max(), Some(&(UNEVEN_DEPTH as i64)));
-    let report = check::Explorer::new()
-        .races(true)
-        .dfs(600, 48, || uneven_dep_bfs(&expect));
-    report.assert_ok();
-    assert!(report.schedules() > 1, "exploration too shallow");
+    assert_eq!(
+        bfs::reference(&uneven_graph(), 0).iter().max(),
+        Some(&(UNEVEN_DEPTH as i64))
+    );
+    for max_levels in UNEVEN_LEVELS {
+        let expect = truncated_reference(&uneven_graph(), max_levels);
+        let report = check::Explorer::new()
+            .races(true)
+            .dfs(600, 48, || uneven_dep_bfs(max_levels, &expect));
+        report.assert_ok();
+        assert!(
+            report.schedules() > 1,
+            "exploration too shallow at {max_levels} levels"
+        );
+    }
 }
 
 #[test]
 fn pct_uneven_dep_bfs_is_bitwise_sequential() {
-    let expect = bfs::reference(&uneven_graph(), 0);
-    check::Explorer::new()
-        .races(true)
-        .pct(check::seeds_from_env(16), 0x3BF5, 3, || {
-            uneven_dep_bfs(&expect)
-        })
-        .assert_ok();
+    for max_levels in UNEVEN_LEVELS {
+        let expect = truncated_reference(&uneven_graph(), max_levels);
+        check::Explorer::new()
+            .races(true)
+            .pct(
+                check::seeds_from_env(16),
+                0x3BF5 + max_levels as u64,
+                3,
+                || uneven_dep_bfs(max_levels, &expect),
+            )
+            .assert_ok();
+    }
+}
+
+/// Unwoven, `run_deps` runs on the shared executor, where no explorer
+/// serializes the claims that grow the graph: a level wired before the
+/// one it follows reads an unwritten segment and claims past its bound.
+/// Every depth from closing at level 0 to closing on an empty level,
+/// a few hundred times, against the truncated reference.
+#[test]
+fn executor_mode_dep_bfs_wires_levels_in_order() {
+    let g = uneven_graph();
+    for rep in 0..30 {
+        for max_levels in 1..=2 * UNEVEN_DEPTH {
+            let expect = truncated_reference(&g, max_levels);
+            let got = bfs::run_deps(&g, 0, max_levels, 3);
+            assert_eq!(got, expect, "max_levels={max_levels}, repetition {rep}");
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
