@@ -16,107 +16,163 @@
 //! * [`CriticalHandle`] — an owned lock: embed one per object for the
 //!   captured-lock variant, or share one handle across call sites for the
 //!   shared-lock variant.
+//!
+//! A lock is an *owner word* (the holder's thread token, 0 when free)
+//! plus a re-entrancy depth only the holder touches: an entry is one CAS,
+//! a release one store. An acquire whose first try fails counts
+//! `critical_contended`, retries for a few spins and only then waits as
+//! every member wait does (`wait::wait_until`, registered at
+//! [`WaitSite::Critical`]): its probe is "free or mine", its take the CAS.
+//! A release notifies the wait's condvar only while `sleepers` counts a
+//! waiter that got as far as offering to park.
 
-use parking_lot::{Mutex, ReentrantMutex, ReentrantMutexGuard};
+use parking_lot::{Condvar, Mutex};
+use std::cell::Cell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::AtomicUsize;
+use std::sync::atomic::Ordering::{Relaxed, SeqCst};
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
 
 use crate::ctx;
 use crate::error::WaitSite;
 use crate::hook::{self, HookEvent};
 use crate::obs;
-use crate::wait::PARK_TIMEOUT;
+use crate::wait;
 
 /// A critical lock paired with a process-unique monotonic id. Hook events
 /// key locks by this id, never by address: a dropped-and-reallocated lock
 /// must not inherit the happens-before history (vclock release→acquire
 /// chains) of whatever previously lived at the same address.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct LockBody {
-    mutex: ReentrantMutex<()>,
+    /// The holder's `ctx::thread_token`; 0 = free.
+    owner: AtomicUsize,
+    /// The holder's re-entrancy depth.
+    depth: AtomicUsize,
+    /// Waiters that offered to park on `sync` and are still waiting.
+    sleepers: AtomicUsize,
+    sync: (Mutex<()>, Condvar),
+    site: wait::Site,
     id: usize,
 }
 
 impl LockBody {
     fn new() -> Self {
         static NEXT_LOCK_ID: AtomicUsize = AtomicUsize::new(1);
+        let id = NEXT_LOCK_ID.fetch_add(1, Relaxed);
         Self {
-            mutex: ReentrantMutex::new(()),
-            id: NEXT_LOCK_ID.fetch_add(1, Ordering::Relaxed),
+            id,
+            ..Self::default()
+        }
+    }
+
+    /// Whether thread `me` could take the lock now.
+    fn open_to(&self, me: usize) -> bool {
+        let owner = self.owner.load(Relaxed);
+        owner == 0 || owner == me
+    }
+
+    /// Take the lock for thread `me`, or enter it once more.
+    fn take(&self, me: usize) -> bool {
+        let cas = self.owner.compare_exchange(0, me, SeqCst, Relaxed);
+        let got = cas.map_or_else(|owner| owner == me, |_| true);
+        if got {
+            self.depth.store(self.depth.load(Relaxed) + 1, Relaxed);
+        }
+        got
+    }
+}
+
+/// Holds its lock until dropped, unwinding included.
+struct Held<'a>(&'a LockBody);
+
+impl Drop for Held<'_> {
+    fn drop(&mut self) {
+        let lock = self.0;
+        let depth = lock.depth.load(Relaxed) - 1;
+        lock.depth.store(depth, Relaxed);
+        // Notify only while a waiter is counted in `sleepers`: it counts
+        // itself before its locked `take`, and this store comes before
+        // the load below (all SeqCst). Either the load sees the count and
+        // the notify, made under the lock, finds the waiter parked or
+        // precedes its next locked `take`, which sees `owner == 0`; or
+        // the count comes after the load, and so does the `take`.
+        if depth == 0 {
+            lock.owner.store(0, SeqCst);
+            if lock.sleepers.load(SeqCst) > 0 {
+                let _g = lock.sync.0.lock();
+                lock.sync.1.notify_one();
+            }
         }
     }
 }
 
-/// Acquire a critical lock. Inside a team this is a *cancellation point*:
-/// the wait is chopped into bounded slices so a poisoned or cancelled
-/// team unwinds instead of blocking on a lock a dead sibling still
-/// holds, and the blocked thread is registered as a
-/// [`WaitSite::Critical`] for the stall watchdog.
-///
-/// Metrics on and metrics off take the same path and emit the identical
-/// hook-event sequence (WaitRegister, then CriticalAcquire): the metrics
-/// toggle only adds a zero-duration contention probe whose result feeds
-/// the `critical_contended` counter, never a separate emit path — so an
-/// explored schedule is byte-for-byte identical with metrics toggled.
-fn acquire(lock: &LockBody) -> ReentrantMutexGuard<'_, ()> {
-    ctx::with_current(|c| match c {
-        None => lock.mutex.lock(),
-        Some(c) => {
-            c.shared.check_interrupt();
-            let team = c.shared.token();
-            let tid = c.tid;
-            let _w = c.shared.begin_wait(tid, WaitSite::Critical);
-            // Contention probe: a failed zero-duration try means another
-            // thread holds the lock right now. Only with metrics on —
-            // the extra try_lock is not free. (Criticals taken outside
-            // any team go through the bare `lock()` above and are
-            // not counted; `@Critical` contention matters inside teams.)
-            let mut got = None;
-            if obs::metrics_enabled() {
-                got = lock.mutex.try_lock_for(Duration::ZERO);
-                if got.is_none() {
-                    obs::count(obs::Counter::CriticalContended);
-                }
-            }
-            let g = match got {
-                Some(g) => g,
-                None => loop {
-                    // Under a registered hook, probe without sleeping: the
-                    // hook's blocked callback owns the park.
-                    let got = if hook::active() {
-                        lock.mutex.try_lock_for(Duration::ZERO)
-                    } else {
-                        lock.mutex.try_lock_for(PARK_TIMEOUT)
-                    };
-                    if let Some(g) = got {
-                        break g;
-                    }
-                    c.shared.check_interrupt();
-                    if !hook::yield_blocked(team, tid, WaitSite::Critical) && hook::active() {
-                        // Hook declined the park (e.g. it is letting external
-                        // waits drain): bound the probe loop ourselves.
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                },
-            };
+/// A waiter's place in `sleepers`, taken the first time it offers to
+/// park — a spinning waiter costs a release nothing — and given back
+/// when its wait returns or unwinds.
+struct Sleeper<'a>(&'a AtomicUsize, Cell<bool>);
+
+impl Sleeper<'_> {
+    /// Count the waiter in, once. It parks on the condvar all the same.
+    fn count_in(&self) -> bool {
+        if !self.1.replace(true) {
+            self.0.fetch_add(1, SeqCst);
+        }
+        false
+    }
+}
+
+impl Drop for Sleeper<'_> {
+    fn drop(&mut self) {
+        if self.1.get() {
+            self.0.fetch_sub(1, Relaxed);
+        }
+    }
+}
+
+/// Acquire a critical lock. Inside a team this is a *cancellation point*
+/// and a blocked acquire a [`WaitSite::Critical`] wait, seen by the stall
+/// watchdog, so a poisoned or cancelled team unwinds instead of blocking
+/// on a lock a dead sibling still holds. Under a registered scheduler
+/// hook a member registers before its first try, so every acquire a
+/// checker explores emits WaitRegister, then CriticalAcquire.
+fn acquire(lock: &LockBody) -> Held<'_> {
+    let me = ctx::thread_token();
+    let open = || lock.open_to(me);
+    ctx::with_current(|c| {
+        let member = c.map(|c| (&*c.shared, c.tid));
+        member.inspect(|(team, _)| team.check_interrupt());
+        let quick = !(member.is_some() && hook::active())
+            && (lock.take(me) || {
+                obs::count(obs::Counter::CriticalContended);
+                wait::spin(open, || lock.take(me))
+            });
+        if !quick {
+            let sleeper = Sleeper(&lock.sleepers, Cell::new(false));
+            wait::registered(member, WaitSite::Critical, false, |check, park| {
+                let (mx, cv) = &lock.sync;
+                let take = |_: &mut ()| lock.take(me).then_some(());
+                let park = || park() || sleeper.count_in();
+                wait::wait_until(Some(&lock.site), (mx, cv), open, take, check, park)
+            });
+        }
+        if let Some((team, tid)) = member {
             hook::emit(|| HookEvent::CriticalAcquire {
-                team,
+                team: team.token(),
                 tid,
                 lock: lock.id,
             });
-            g
         }
+        Held(lock)
     })
 }
 
 /// Run `f` holding `lock`, reporting the release to the scheduler hook
-/// after the guard drops (so a checker observes the lock actually free).
+/// once the lock is free (so a checker observes it actually free).
 fn run_locked<R>(lock: &LockBody, f: impl FnOnce() -> R) -> R {
-    let g = acquire(lock);
+    let held = acquire(lock);
     let r = f();
-    drop(g);
+    drop(held);
     hook::emit_team(|team, tid| HookEvent::CriticalRelease {
         team,
         tid,

@@ -465,6 +465,15 @@ pub(crate) fn with_current<R>(f: impl FnOnce(Option<&Rc<TeamCtx>>) -> R) -> R {
     })
 }
 
+/// A stable per-thread token (the address of a thread-local), used for
+/// re-entrancy detection. Never zero.
+pub(crate) fn thread_token() -> usize {
+    thread_local! {
+        static TOKEN: u8 = const { 0 };
+    }
+    TOKEN.with(|t| t as *const u8 as usize)
+}
+
 /// Nesting depth of parallel regions on this thread (0 outside any).
 pub fn level() -> usize {
     STACK.with(|s| s.borrow().len())

@@ -242,15 +242,6 @@ fn block_on<R>(mut ready: impl FnMut() -> Option<R>, mut retract: impl FnMut() -
     })
 }
 
-/// A stable per-thread token (the address of a thread-local), used for
-/// re-entrancy detection. Never zero.
-fn thread_token() -> usize {
-    thread_local! {
-        static TOKEN: u8 = const { 0 };
-    }
-    TOKEN.with(|t| t as *const u8 as usize)
-}
-
 thread_local! {
     /// This thread's `(replica, slot)` assignment per structure id (a
     /// [`Combiner`] has the one replica 0), made on first use. Entries
@@ -969,7 +960,7 @@ pub struct Combiner {
     /// The posters; a slot carries a type-erased section, whose result
     /// the combiner writes into the poster's [`TaskData`].
     fc: Slots<FcTask, ()>,
-    /// [`thread_token`] of the thread currently combining (0 = none);
+    /// [`ctx::thread_token`] of the thread currently combining (0 = none);
     /// lets a section body re-enter sections on the same `Combiner`
     /// inline, matching re-entrant `@Critical`.
     owner: AtomicUsize,
@@ -1038,7 +1029,7 @@ impl Combiner {
     /// join points, whose closures may not be `Send`, and by posters
     /// that got no slot.
     pub fn run_inline<R>(&self, f: impl FnOnce() -> R) -> R {
-        let token = thread_token();
+        let token = ctx::thread_token();
         if self.owner.load(Ordering::Relaxed) == token {
             return f();
         }
@@ -1071,7 +1062,7 @@ impl Combiner {
     }
 
     unsafe fn run_erased<F: FnOnce() -> R, R>(&self, f: F) -> R {
-        let token = thread_token();
+        let token = ctx::thread_token();
         if self.owner.load(Ordering::Relaxed) == token {
             // Re-entrant: we *are* the combiner; the lock is ours.
             return f();

@@ -4,9 +4,9 @@
 //! [`wait_until`]: a barrier round, an idle team worker's next dispatch,
 //! the master's join, a broadcast value, an ordered turn, a task join, a
 //! future's value, a dependence group's next ready task, a taskloop
-//! window, an idle executor worker's next task (`critical`, a mutex, and
-//! `nr`, a combiner slot with retraction, are no condvar waits and keep
-//! their own). Waking a parked thread costs ~20 µs on a loaded host while
+//! window, an idle executor worker's next task, a critical section's
+//! lock (`nr`, a combiner slot with retraction, is no condvar wait and
+//! keeps its own). Waking a parked thread costs ~20 µs on a loaded host while
 //! most such waits end within a microsecond or two, so the wait first
 //! polls its condition for [`SPIN_BUDGET`] and only then takes the
 //! loss-free park.
@@ -73,6 +73,17 @@ fn cpu_to_spare() -> bool {
     // master at its join) is not in `LIVE`: it counts itself.
     let me = usize::from(crate::ctx::level() == 0);
     LIVE.load(Ordering::Relaxed) + me <= *cpus
+}
+
+/// A caller's lock-free retry before it registers a wait at all: up to
+/// [`PURE_SPINS`] probes a `spin_loop` hint apart, none when the process
+/// is oversubscribed. `take` runs only once `probe` holds.
+pub(crate) fn spin(probe: impl Fn() -> bool, mut take: impl FnMut() -> bool) -> bool {
+    cpu_to_spare()
+        && (0..PURE_SPINS).any(|_| {
+            std::hint::spin_loop();
+            probe() && take()
+        })
 }
 
 /// One wait site's history: its last wait outlasted [`SPIN_BUDGET`]. A

@@ -2,18 +2,13 @@
 //!
 //! The build must succeed with no registry access, so this shim provides
 //! the exact subset of the `parking_lot` 0.12 API the workspace uses:
-//! [`Mutex`] / [`Condvar`] (with `wait` / `wait_for`), [`RwLock`], and a
-//! hand-built [`ReentrantMutex`] with [`try_lock_for`]
-//! (`ReentrantMutex::try_lock_for`) so cancellable critical sections can
-//! poll. Lock poisoning is intentionally swallowed — parking_lot has no
+//! [`Mutex`] / [`Condvar`] (with `wait` / `wait_for`) and [`RwLock`].
+//! Lock poisoning is intentionally swallowed — parking_lot has no
 //! poisoning, and the AOmp runtime implements its own team-poisoning
 //! protocol on top.
 
-use std::cell::UnsafeCell;
-use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A mutual-exclusion lock that, like parking_lot's, never poisons.
 pub struct Mutex<T: ?Sized>(std::sync::Mutex<T>);
@@ -224,131 +219,9 @@ impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
     }
 }
 
-/// Process-unique id of the current thread (std's `ThreadId::as_u64` is
-/// unstable, so the shim mints its own).
-fn current_thread_token() -> u64 {
-    static NEXT: AtomicU64 = AtomicU64::new(1);
-    thread_local! {
-        static TOKEN: u64 = NEXT.fetch_add(1, Ordering::Relaxed);
-    }
-    TOKEN.with(|t| *t)
-}
-
-struct ReentrantState {
-    owner: u64, // 0 = unowned
-    count: usize,
-}
-
-/// A mutex the owning thread may re-acquire, mirroring
-/// `parking_lot::ReentrantMutex`.
-pub struct ReentrantMutex<T: ?Sized> {
-    state: std::sync::Mutex<ReentrantState>,
-    cv: std::sync::Condvar,
-    data: UnsafeCell<T>,
-}
-
-// Safety: access to `data` is serialised by the ownership protocol; the
-// guard only hands out `&T`, so `T: Send + Sync` bounds mirror upstream.
-unsafe impl<T: ?Sized + Send> Send for ReentrantMutex<T> {}
-unsafe impl<T: ?Sized + Send> Sync for ReentrantMutex<T> {}
-
-/// RAII guard for [`ReentrantMutex`]; not `Send` (the lock is
-/// thread-owned).
-pub struct ReentrantMutexGuard<'a, T: ?Sized> {
-    lock: &'a ReentrantMutex<T>,
-    _not_send: PhantomData<*const ()>,
-}
-
-impl<T> ReentrantMutex<T> {
-    /// Create a new reentrant mutex.
-    pub const fn new(value: T) -> Self {
-        Self {
-            state: std::sync::Mutex::new(ReentrantState { owner: 0, count: 0 }),
-            cv: std::sync::Condvar::new(),
-            data: UnsafeCell::new(value),
-        }
-    }
-}
-
-impl<T: Default> Default for ReentrantMutex<T> {
-    fn default() -> Self {
-        Self::new(T::default())
-    }
-}
-
-impl<T: ?Sized> std::fmt::Debug for ReentrantMutex<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("ReentrantMutex { .. }")
-    }
-}
-
-impl<T: ?Sized> ReentrantMutex<T> {
-    /// Acquire the lock, blocking until available (reentrant for the
-    /// owning thread).
-    pub fn lock(&self) -> ReentrantMutexGuard<'_, T> {
-        let me = current_thread_token();
-        let mut s = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        while s.owner != 0 && s.owner != me {
-            s = self.cv.wait(s).unwrap_or_else(|e| e.into_inner());
-        }
-        s.owner = me;
-        s.count += 1;
-        ReentrantMutexGuard {
-            lock: self,
-            _not_send: PhantomData,
-        }
-    }
-
-    /// Try to acquire the lock, giving up after `timeout`.
-    pub fn try_lock_for(&self, timeout: Duration) -> Option<ReentrantMutexGuard<'_, T>> {
-        let me = current_thread_token();
-        let deadline = Instant::now() + timeout;
-        let mut s = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        while s.owner != 0 && s.owner != me {
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (g, _) = match self.cv.wait_timeout(s, deadline - now) {
-                Ok(v) => v,
-                Err(e) => e.into_inner(),
-            };
-            s = g;
-        }
-        s.owner = me;
-        s.count += 1;
-        Some(ReentrantMutexGuard {
-            lock: self,
-            _not_send: PhantomData,
-        })
-    }
-}
-
-impl<T: ?Sized> Deref for ReentrantMutexGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        // Safety: the ownership protocol guarantees this thread holds the
-        // lock; only shared references are handed out.
-        unsafe { &*self.lock.data.get() }
-    }
-}
-
-impl<T: ?Sized> Drop for ReentrantMutexGuard<'_, T> {
-    fn drop(&mut self) {
-        let mut s = self.lock.state.lock().unwrap_or_else(|e| e.into_inner());
-        s.count -= 1;
-        if s.count == 0 {
-            s.owner = 0;
-            drop(s);
-            self.lock.cv.notify_one();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn mutex_round_trip() {
@@ -364,24 +237,6 @@ mod tests {
         let mut g = m.lock();
         let r = cv.wait_for(&mut g, Duration::from_millis(5));
         assert!(r.timed_out());
-    }
-
-    #[test]
-    fn reentrant_lock_reenters() {
-        let m = ReentrantMutex::new(5);
-        let a = m.lock();
-        let b = m.lock();
-        assert_eq!(*a + *b, 10);
-    }
-
-    #[test]
-    fn reentrant_try_lock_for_fails_while_held_elsewhere() {
-        let m = Arc::new(ReentrantMutex::new(()));
-        let m2 = Arc::clone(&m);
-        let g = m.lock();
-        let t = std::thread::spawn(move || m2.try_lock_for(Duration::from_millis(20)).is_none());
-        assert!(t.join().unwrap());
-        drop(g);
     }
 
     #[test]

@@ -282,6 +282,44 @@ fn team_deadlocked_on_a_dependence_graph_is_diagnosed_at_task_wait() {
 }
 
 #[test]
+fn members_blocked_on_a_held_critical_are_diagnosed_at_critical() {
+    // Virtual time, like the hung worker above: the five-minute deadline
+    // passes while both members wait on a lock held outside the team.
+    let h = CriticalHandle::new();
+    let (held, is_held) = std::sync::mpsc::channel();
+    let (release, wait_release) = std::sync::mpsc::channel::<()>();
+    let holder = {
+        let h = h.clone();
+        std::thread::spawn(move || {
+            h.run(|| {
+                held.send(()).unwrap();
+                wait_release.recv().unwrap();
+            })
+        })
+    };
+    is_held.recv().unwrap();
+    let clock = VirtualClock::install();
+    let r = region::try_parallel_with(
+        RegionConfig::new()
+            .threads(2)
+            .stall_deadline(Duration::from_secs(300)),
+        || h.run(|| unreachable!("the lock is held until the region returns")),
+    );
+    drop(clock);
+    release.send(()).unwrap();
+    holder.join().unwrap();
+    match r {
+        // Five virtual minutes may pass before the second member arrives.
+        Err(RegionError::Stalled { blocked }) => {
+            assert!(!blocked.is_empty());
+            assert!(blocked.iter().all(|&(_, site)| site == WaitSite::Critical));
+        }
+        other => panic!("expected RegionError::Stalled, got {other:?}"),
+    }
+    assert_eq!(h.run(|| 5), 5);
+}
+
+#[test]
 fn annotation_stall_deadline_converts_hang_to_panic() {
     // A synchronisation-level hang (the worker waits at a second barrier
     // round the master never joins): the cooperative watchdog cancels the

@@ -46,6 +46,9 @@ fn dfs_exhausts_two_thread_barrier_critical_combo() {
         "2-thread combo must be enumerable within the budget"
     );
     assert!(report.schedules() > 1);
+    // Pinned: a change to the critical or barrier protocol that alters
+    // the hook-visible event sequence changes this count.
+    assert_eq!(report.schedules(), 1536);
     assert_eq!(
         report.distinct_schedules(),
         report.schedules(),
@@ -77,6 +80,8 @@ fn dfs_exhausts_three_thread_critical_barrier_combo() {
         "3 threads must branch well past a handful of schedules, got {}",
         report.schedules()
     );
+    // Pinned, like the two-thread combo's count: here it is the budget.
+    assert_eq!(report.schedules(), 20_000);
     assert_eq!(report.distinct_schedules(), report.schedules());
 }
 
