@@ -9,9 +9,7 @@
 //! writer, becomes the last writer and clears the reader set — and
 //! releases a task to the ready queue exactly when its last predecessor
 //! completes. Tag-derived edges always point from earlier to later
-//! spawns, so they cannot form a cycle; explicit [`DepGroup::edge`]s on a
-//! [`DepGroup::held`] group can, and [`DepGroup::release`] reports that
-//! *fallibly* ([`DepError::Cycle`]) instead of deadlocking.
+//! spawns, so the graph cannot form a cycle.
 //!
 //! Execution resolves lazily at the first spawn: inside a parallel
 //! region, team members pull ready tasks by calling [`DepGroup::run`]
@@ -46,20 +44,17 @@
 //!
 //! A member with nothing to run — no ready task in [`DepGroup::run`] /
 //! [`DepGroup::wait`], unfinished predecessors in
-//! [`DepGroup::run_undeferred`], no window in a taskloop — first tries
-//! its condition under the lock, and only when that fails becomes one
-//! registered [`WaitSite::TaskWait`] wait (`wait::member_wait`) for as
-//! long as it sleeps: a member that finds work never looks blocked, and
-//! one that sleeps is not progress, so the stall watchdog diagnoses a
-//! team deadlocked on its graph. None of these conditions has a
-//! lock-free probe (the ready queue, a node's `preds` and the window
-//! stack live under their mutex), so these waits park without polling.
+//! [`DepGroup::run_undeferred`] — first tries its condition under the
+//! lock, and only when that fails becomes one registered
+//! [`WaitSite::TaskWait`] wait (`wait::member_wait`) for as long as it
+//! sleeps: a member that finds work never looks blocked, and one that
+//! sleeps is not progress, so the stall watchdog diagnoses a team
+//! deadlocked on its graph. Neither condition has a lock-free probe (the
+//! ready queue and a node's `preds` live under the group mutex), so these
+//! waits park without polling.
 //!
-//! [`TaskloopConstruct`] is the `#[taskloop]` backend: the encountering
-//! member seeds the whole iteration range as a *single* task and splits
-//! it lazily — only when another member is observed waiting at a
-//! min-chunk bite boundary — reusing the adaptive schedule's min-chunk
-//! floor as the split granule.
+//! [`TaskloopConstruct`] is the `#[taskloop]` backend: the adaptive
+//! `@For` with a trailing barrier, encountered by every member.
 
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -74,7 +69,9 @@ use crate::error::WaitSite;
 use crate::hook::{self, HookEvent};
 use crate::obs;
 use crate::range::LoopRange;
+use crate::schedule::Schedule;
 use crate::wait;
+use crate::workshare::ForConstruct;
 
 // ---------------------------------------------------------------------------
 // Tags and dependence clauses
@@ -206,46 +203,21 @@ impl Dep {
     }
 }
 
-/// Fallible dependence-graph errors.
+/// Dependence-graph errors. There are none today: tag-derived edges
+/// cannot form a cycle, so [`DepGroup::run`] and [`DepGroup::wait`]
+/// always return `Ok`. They keep the `Result` so that a failure mode can
+/// be added without breaking callers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
-pub enum DepError {
-    /// [`DepGroup::release`] found a dependence cycle. The payload lists
-    /// the node ids caught in (or downstream of) the cycle; none of their
-    /// bodies ran.
-    Cycle {
-        /// Node ids that could not be topologically ordered.
-        nodes: Vec<usize>,
-    },
-}
+pub enum DepError {}
 
 impl std::fmt::Display for DepError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DepError::Cycle { nodes } => {
-                write!(f, "dependence cycle among {} task node(s)", nodes.len())
-            }
-        }
+    fn fmt(&self, _: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {}
     }
 }
 
 impl std::error::Error for DepError {}
-
-/// Handle to a spawned dependence node, for explicit [`DepGroup::edge`]s.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TaskNode {
-    idx: usize,
-    id: usize,
-}
-
-impl TaskNode {
-    /// The process-unique node id carried by `TaskDepRelease`/`TaskDepReady`
-    /// hook events for this node.
-    #[inline]
-    pub fn id(&self) -> usize {
-        self.id
-    }
-}
 
 /// Process-unique dependence-node ids (tasks and group join sinks share
 /// the namespace).
@@ -316,34 +288,18 @@ struct Inner {
     /// else.
     sleepers: usize,
     closed: bool,
-    /// `held()` groups defer readiness until `release()`.
-    held: bool,
-    released: bool,
-    error: Option<DepError>,
     mode: Mode,
 }
 
 impl Inner {
-    #[inline]
-    fn deferred(&self) -> bool {
-        self.held && !self.released
-    }
-
-    /// What a member pulling on the group finds: the latched error,
-    /// `Ok(None)` once `stop` holds, else the next ready task — or
-    /// nothing yet.
-    fn pull(
-        &mut self,
-        stop: &dyn Fn(&Inner) -> bool,
-    ) -> Option<Result<Option<Runnable>, DepError>> {
-        if let Some(e) = &self.error {
-            return Some(Err(e.clone()));
-        }
+    /// What a member pulling on the group finds: `Some(None)` once `stop`
+    /// holds, else the next ready task — or nothing yet.
+    fn pull(&mut self, stop: &dyn Fn(&Inner) -> bool) -> Option<Option<Runnable>> {
         if stop(self) {
-            return Some(Ok(None));
+            return Some(None);
         }
         let idx = self.ready.pop_front()?;
-        Some(Ok(Some(self.claim(idx))))
+        Some(Some(self.claim(idx)))
     }
 
     fn claim(&mut self, idx: usize) -> Runnable {
@@ -423,7 +379,7 @@ impl Inner {
     /// into `run` for the executor. An undeferred node has no body — its
     /// owner polls, so the caller's wake suffices.
     fn hand_on(&mut self, idx: usize, run: &mut Vec<Runnable>) {
-        if self.deferred() || self.nodes[idx].body.is_none() {
+        if self.nodes[idx].body.is_none() {
             return;
         }
         match self.mode {
@@ -495,17 +451,6 @@ impl Default for DepGroup {
 impl DepGroup {
     /// New group: tasks become ready as soon as their predecessors allow.
     pub fn new() -> DepGroup {
-        Self::with_held(false)
-    }
-
-    /// New *held* group: no task starts until [`DepGroup::release`],
-    /// which first cycle-checks the graph (needed because explicit
-    /// [`DepGroup::edge`]s, unlike tag-derived edges, can form cycles).
-    pub fn held() -> DepGroup {
-        Self::with_held(true)
-    }
-
-    fn with_held(held: bool) -> DepGroup {
         DepGroup {
             shared: Arc::new(GroupShared {
                 inner: Mutex::new(Inner {
@@ -515,9 +460,6 @@ impl DepGroup {
                     drained: 0,
                     sleepers: 0,
                     closed: false,
-                    held,
-                    released: false,
-                    error: None,
                     mode: Mode::Unset,
                 }),
                 cv: Condvar::new(),
@@ -529,8 +471,8 @@ impl DepGroup {
 
     /// Spawn a dependent task. Ordering is against *earlier spawns of the
     /// same group* that named a conflicting [`Tag`], per the OpenMP
-    /// rules. Returns a handle usable with [`DepGroup::edge`].
-    pub fn spawn<F>(&self, deps: impl IntoIterator<Item = Dep>, f: F) -> TaskNode
+    /// rules.
+    pub fn spawn<F>(&self, deps: impl IntoIterator<Item = Dep>, f: F)
     where
         F: FnOnce() + Send + 'static,
     {
@@ -558,73 +500,6 @@ impl DepGroup {
         self.shared.wake(&g);
         drop(g);
         self.dispatch(run);
-        TaskNode { idx, id }
-    }
-
-    /// Add an explicit edge `pred → succ` on a [`DepGroup::held`] group.
-    /// Panics if the group is not held or already released (edges to
-    /// possibly-running nodes would race).
-    pub fn edge(&self, pred: TaskNode, succ: TaskNode) {
-        let mut g = self.shared.inner.lock();
-        assert!(
-            g.deferred(),
-            "aomp dep group: edge() requires a held(), unreleased group"
-        );
-        g.nodes[pred.idx].succs.push(succ.idx);
-        g.nodes[succ.idx].preds += 1;
-    }
-
-    /// Cycle-check a [`DepGroup::held`] group and start its sources.
-    /// On a cycle nothing runs: every body is dropped, the error is
-    /// latched (so [`DepGroup::run`]/[`DepGroup::wait`] also fail), and
-    /// `Err(DepError::Cycle)` is returned — no hang, no watchdog trip.
-    pub fn release(&self) -> Result<(), DepError> {
-        let mut g = self.shared.inner.lock();
-        assert!(g.held, "aomp dep group: release() requires a held() group");
-        if g.released {
-            return match &g.error {
-                Some(e) => Err(e.clone()),
-                None => Ok(()),
-            };
-        }
-        g.released = true;
-        // Kahn's algorithm over the wired graph.
-        let n = g.nodes.len();
-        let mut indeg: Vec<usize> = g.nodes.iter().map(|nd| nd.preds).collect();
-        let mut q: VecDeque<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-        let mut seen = 0usize;
-        while let Some(i) = q.pop_front() {
-            seen += 1;
-            for &s in &g.nodes[i].succs {
-                indeg[s] -= 1;
-                if indeg[s] == 0 {
-                    q.push_back(s);
-                }
-            }
-        }
-        if seen < n {
-            let nodes: Vec<usize> = (0..n)
-                .filter(|&i| indeg[i] > 0)
-                .map(|i| g.nodes[i].id)
-                .collect();
-            let err = DepError::Cycle { nodes };
-            g.error = Some(err.clone());
-            for nd in g.nodes.iter_mut() {
-                nd.body = None;
-            }
-            self.shared.wake(&g);
-            return Err(err);
-        }
-        let mut run = Vec::new();
-        for i in 0..n {
-            if g.nodes[i].preds == 0 && !g.nodes[i].done {
-                g.hand_on(i, &mut run);
-            }
-        }
-        self.shared.wake(&g);
-        drop(g);
-        self.dispatch(run);
-        Ok(())
     }
 
     /// No more spawns; lets [`DepGroup::run`] terminate once the graph
@@ -737,8 +612,8 @@ impl DepGroup {
     }
 
     /// Pull-execute ready tasks until `stop` holds.
-    fn work(&self, stop: &dyn Fn(&Inner) -> bool) -> Result<(), DepError> {
-        while let Some(task) = self.take_or_wait(|g| g.pull(stop))? {
+    fn work(&self, stop: &dyn Fn(&Inner) -> bool) {
+        while let Some(task) = self.take_or_wait(|g| g.pull(stop)) {
             ctx::with_current(|c| {
                 if let Some(c) = c {
                     c.shared.check_interrupt();
@@ -747,15 +622,13 @@ impl DepGroup {
             });
             self.execute(task);
         }
-        Ok(())
     }
 
     /// Execute ready tasks until the group is [`DepGroup::close`]d and
     /// drained. Every member of a team-mode group should call this.
-    /// Panics if any task body panicked; returns the latched error if
-    /// [`DepGroup::release`] found a cycle.
+    /// Panics if any task body panicked.
     pub fn run(&self) -> Result<(), DepError> {
-        self.work(&|g: &Inner| g.closed && g.drained == g.nodes.len())?;
+        self.work(&|g: &Inner| g.closed && g.drained == g.nodes.len());
         let had_nodes = !self.shared.inner.lock().nodes.is_empty();
         self.finish_join(had_nodes);
         Ok(())
@@ -770,14 +643,11 @@ impl DepGroup {
         let target = {
             let g = self.shared.inner.lock();
             if g.nodes.is_empty() {
-                return match &g.error {
-                    Some(e) => Err(e.clone()),
-                    None => Ok(()),
-                };
+                return Ok(());
             }
             g.nodes.len()
         };
-        self.work(&|g: &Inner| g.drained >= target)?;
+        self.work(&|g: &Inner| g.drained >= target);
         self.finish_join(true);
         Ok(())
     }
@@ -804,14 +674,7 @@ impl DepGroup {
     ) -> R {
         let deps: Vec<Dep> = deps.into_iter().collect();
         obs::count(obs::Counter::DepTasks);
-        let (idx, id, acquires) = {
-            let mut g = self.shared.inner.lock();
-            assert!(
-                !g.deferred(),
-                "aomp dep group: run_undeferred() on a held, unreleased group"
-            );
-            g.wire(&deps, None)
-        };
+        let (idx, id, acquires) = self.shared.inner.lock().wire(&deps, None);
         acquire(acquires);
         self.take_or_wait(|g| (g.nodes[idx].preds == 0).then_some(()));
         acquire([id]);
@@ -855,9 +718,7 @@ where
 {
     let g = AMBIENT.with(|s| s.borrow().last().cloned());
     match g {
-        Some(g) => {
-            g.spawn(deps, f);
-        }
+        Some(g) => g.spawn(deps, f),
         None => f(),
     }
 }
@@ -866,38 +727,16 @@ where
 // Taskloop
 // ---------------------------------------------------------------------------
 
-#[derive(Default)]
-struct TlInner {
-    /// Unstarted iteration windows `[lo, hi)` (logical iteration
-    /// numbers). Seeded with the whole range as ONE window; further
-    /// windows only appear via lazy splits.
-    queue: Vec<(u64, u64)>,
-    seeded: bool,
-    done: u64,
-    total: u64,
-    /// Members currently parked wanting work — the lazy-split signal.
-    waiters: usize,
-}
-
-#[derive(Default)]
-struct TlState {
-    inner: Mutex<TlInner>,
-    cv: Condvar,
-}
-
-/// The `taskloop` construct: a work-shared loop that starts as a single
-/// range task and splits *lazily* — a worker sheds half of its remaining
-/// window only when it observes another member waiting at a min-chunk
-/// bite boundary. Contrast with [`Schedule::Dynamic`](crate::schedule):
-/// no up-front chunking, so an uncontended loop runs with zero queue
-/// traffic beyond the seed.
+/// The `taskloop` construct: the adaptive `@For`
+/// ([`Schedule::Adaptive`]) with a trailing barrier, encountered by every
+/// member of the team. Every iteration runs exactly once, and a member
+/// returns only after all of them have run; handouts report kind
+/// `"adaptive"`.
 ///
-/// Like [`ForConstruct`](crate::workshare::ForConstruct), the construct
-/// is `static` at the call site (per-encounter state lives in team slots)
-/// and executes the whole range inline outside a parallel region.
+/// Like [`ForConstruct`], the construct is `static` at the call site and
+/// executes the whole range inline outside a parallel region.
 pub struct TaskloopConstruct {
-    key: u64,
-    min_chunk: u64,
+    for_c: ForConstruct,
 }
 
 impl Default for TaskloopConstruct {
@@ -910,111 +749,25 @@ impl TaskloopConstruct {
     /// New construct with the adaptive schedule's min-chunk floor (1).
     pub fn new() -> TaskloopConstruct {
         TaskloopConstruct {
-            key: ctx::fresh_key(),
-            min_chunk: match crate::schedule::Schedule::ADAPTIVE {
-                crate::schedule::Schedule::Adaptive { min_chunk } => min_chunk,
-                _ => 1,
-            },
+            for_c: ForConstruct::new(Schedule::ADAPTIVE),
         }
     }
 
-    /// Override the bite/split granule (`grainsize` in OpenMP terms).
-    pub fn min_chunk(mut self, n: u64) -> TaskloopConstruct {
+    /// Override the dispenser's min-chunk floor (`grainsize` in OpenMP
+    /// terms).
+    pub fn min_chunk(self, n: u64) -> TaskloopConstruct {
         assert!(n >= 1, "taskloop min_chunk must be >= 1");
-        self.min_chunk = n;
-        self
+        TaskloopConstruct {
+            for_c: ForConstruct::new(Schedule::Adaptive { min_chunk: n }),
+        }
     }
 
-    /// Execute `body(lo, hi, step)` over `range` cooperatively with the
-    /// current team. Every iteration is executed exactly once; the
-    /// member-to-window assignment is schedule-dependent (and explored by
-    /// aomp-check via the `ChunkHandout { kind: "taskloop" }` events).
+    /// Execute `body(lo, hi, step)` over `range` with the current team.
     pub fn execute<F>(&self, range: LoopRange, body: F)
     where
         F: Fn(i64, i64, i64) + Sync,
     {
-        let count = range.count();
-        let team = ctx::with_current(|c| {
-            c.map(|c| (Arc::clone(&c.shared), c.tid, c.next_round(self.key)))
-        });
-        let Some((shared, tid, round)) = team else {
-            // Outside a team: sequential semantics, whole range inline.
-            if count > 0 {
-                body(range.start, range.end, range.step);
-            }
-            return;
-        };
-        let slot: Arc<TlState> = shared.slot(self.key, round);
-        {
-            let mut g = slot.inner.lock();
-            if !g.seeded {
-                g.seeded = true;
-                g.total = count;
-                if count > 0 {
-                    g.queue.push((0, count));
-                }
-            }
-        }
-        let token = shared.token();
-        // A window to walk, or `None` once every iteration ran.
-        let window = |g: &mut TlInner| {
-            if g.done >= g.total {
-                Some(None)
-            } else {
-                g.queue.pop().map(Some)
-            }
-        };
-        loop {
-            let first = {
-                let mut g = slot.inner.lock();
-                let first = window(&mut g);
-                // Nothing to take yet: count as a waiter — the lazy-split
-                // signal — until the registered wait below takes.
-                g.waiters += usize::from(first.is_none());
-                first
-            };
-            let win = first.unwrap_or_else(|| {
-                let take = |g: &mut TlInner| window(g).inspect(|_| g.waiters -= 1);
-                let sync = (&slot.inner, &slot.cv);
-                wait::member_wait(WaitSite::TaskWait, None, sync, || true, take, false)
-            });
-            let Some((mut lo, mut hi)) = win else {
-                break;
-            };
-            while lo < hi {
-                shared.check_interrupt();
-                let bite = (lo + self.min_chunk).min(hi);
-                hook::emit(|| HookEvent::ChunkHandout {
-                    team: token,
-                    tid,
-                    kind: "taskloop",
-                    lo,
-                    hi: bite,
-                });
-                let sub = range.slice_iters(lo, bite);
-                body(sub.start, sub.end, sub.step);
-                let split = {
-                    let mut g = slot.inner.lock();
-                    g.done += bite - lo;
-                    let remaining = hi - bite;
-                    // Lazy split: only shed work once a thief is waiting
-                    // and the remainder is worth splitting.
-                    if g.waiters > 0 && remaining > self.min_chunk {
-                        let mid = bite + remaining / 2;
-                        g.queue.push((mid, hi));
-                        hi = mid;
-                        true
-                    } else {
-                        g.done >= g.total
-                    }
-                };
-                if split {
-                    slot.cv.notify_all();
-                }
-                lo = bite;
-            }
-        }
-        shared.detach_slot(self.key, round);
+        self.for_c.execute(range, body);
     }
 }
 
@@ -1107,43 +860,6 @@ mod tests {
             g2.run().unwrap();
         });
         assert_eq!(sum.load(Ordering::Relaxed), (1..=16).sum::<usize>());
-    }
-
-    #[test]
-    fn cycle_is_fallible_not_deadlock() {
-        let g = DepGroup::held();
-        let ran = Arc::new(AtomicUsize::new(0));
-        let r1 = Arc::clone(&ran);
-        let r2 = Arc::clone(&ran);
-        let a = g.spawn([], move || {
-            r1.fetch_add(1, Ordering::SeqCst);
-        });
-        let b = g.spawn([], move || {
-            r2.fetch_add(1, Ordering::SeqCst);
-        });
-        g.edge(a, b);
-        g.edge(b, a);
-        g.close();
-        let err = g.release().unwrap_err();
-        assert!(matches!(&err, DepError::Cycle { nodes } if nodes.len() == 2));
-        // Joins fail fallibly too, and nothing ran.
-        assert_eq!(g.wait(), Err(err.clone()));
-        assert_eq!(g.run(), Err(err));
-        assert_eq!(ran.load(Ordering::SeqCst), 0);
-    }
-
-    #[test]
-    fn held_release_without_cycle_runs() {
-        let g = DepGroup::held();
-        let order = Arc::new(Mutex::new(Vec::new()));
-        let o1 = Arc::clone(&order);
-        let o2 = Arc::clone(&order);
-        let a = g.spawn([], move || o1.lock().push('a'));
-        let b = g.spawn([], move || o2.lock().push('b'));
-        g.edge(a, b);
-        g.release().unwrap();
-        g.wait().unwrap();
-        assert_eq!(*order.lock(), vec!['a', 'b']);
     }
 
     #[test]
@@ -1251,13 +967,13 @@ mod tests {
     }
 
     /// Run `members[tid]` as a watched team, one thread each. Once
-    /// `parked` of them sit at [`WaitSite::TaskWait`], the team's progress
-    /// counter must stand still for as long as they sleep — the stall
-    /// watchdog reads a moving counter as a live team. `release` then
-    /// lets everyone finish.
+    /// `parked` of them sit at `site`, the team's progress counter must
+    /// stand still for as long as they sleep — the stall watchdog reads a
+    /// moving counter as a live team. `release` then lets everyone finish.
     fn parked_members_make_no_progress(
         members: Vec<Box<dyn FnOnce() + Send>>,
         parked: usize,
+        site: WaitSite,
         release: impl FnOnce(),
     ) {
         use std::time::{Duration, Instant};
@@ -1285,7 +1001,7 @@ mod tests {
         std::thread::sleep(Duration::from_millis(50));
         let blocked = team.blocked_snapshot();
         assert_eq!(blocked.len(), parked, "{blocked:?}");
-        assert!(blocked.iter().all(|&(_, site)| site == WaitSite::TaskWait));
+        assert!(blocked.iter().all(|&(_, s)| s == site), "{blocked:?}");
         assert_eq!(team.progress(), before, "a sleeping member is not progress");
         release();
         for t in threads {
@@ -1298,37 +1014,51 @@ mod tests {
     fn member_parked_in_run_makes_no_progress() {
         let g = DepGroup::new();
         let g2 = g.clone();
-        parked_members_make_no_progress(vec![Box::new(move || g2.run().unwrap())], 1, || g.close());
+        parked_members_make_no_progress(
+            vec![Box::new(move || g2.run().unwrap())],
+            1,
+            WaitSite::TaskWait,
+            || g.close(),
+        );
+    }
+
+    /// An executor-mode task that spins until `go` is set: spawned
+    /// outside any team, so no member can run it.
+    fn blocked_task(g: &DepGroup, deps: impl IntoIterator<Item = Dep>) -> Arc<AtomicBool> {
+        let go = Arc::new(AtomicBool::new(false));
+        let go2 = Arc::clone(&go);
+        g.spawn(deps, move || {
+            while !go2.load(Ordering::Acquire) {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+        });
+        go
     }
 
     #[test]
     fn member_parked_in_wait_makes_no_progress() {
-        // Held: the one task cannot become ready, so the joiner cannot
-        // help itself to it.
-        let g = DepGroup::held();
-        g.spawn([], || {});
+        let g = DepGroup::new();
+        let go = blocked_task(&g, []);
         let g2 = g.clone();
-        parked_members_make_no_progress(vec![Box::new(move || g2.wait().unwrap())], 1, || {
-            g.release().unwrap()
-        });
+        parked_members_make_no_progress(
+            vec![Box::new(move || g2.wait().unwrap())],
+            1,
+            WaitSite::TaskWait,
+            || go.store(true, Ordering::Release),
+        );
     }
 
     #[test]
     fn member_parked_in_run_undeferred_makes_no_progress() {
         let g = DepGroup::new();
-        let go = Arc::new(AtomicBool::new(false));
-        let go2 = Arc::clone(&go);
-        g.spawn([Dep::output("x")], move || {
-            while !go2.load(Ordering::Acquire) {
-                std::thread::sleep(std::time::Duration::from_millis(1));
-            }
-        });
+        let go = blocked_task(&g, [Dep::output("x")]);
         let g2 = g.clone();
         parked_members_make_no_progress(
             vec![Box::new(move || {
                 g2.run_undeferred([Dep::input("x")], || {})
             })],
             1,
+            WaitSite::TaskWait,
             || go.store(true, Ordering::Release),
         );
         g.wait().unwrap();
@@ -1336,21 +1066,22 @@ mod tests {
 
     #[test]
     fn member_parked_in_taskloop_makes_no_progress() {
-        // One window of one bite: whoever takes it sits in the body, the
-        // other member waits for a split that never comes.
-        let tl = Arc::new(TaskloopConstruct::new().min_chunk(8));
+        // One iteration: static-block seeding hands it to member 0, which
+        // sits in the body; member 1 has an empty block, nothing to
+        // steal, and waits at the trailing barrier.
+        let tl = Arc::new(TaskloopConstruct::new());
         let go = Arc::new(AtomicBool::new(false));
         let member = || -> Box<dyn FnOnce() + Send> {
             let (tl, go) = (Arc::clone(&tl), Arc::clone(&go));
             Box::new(move || {
-                tl.execute(LoopRange::upto(0, 4), |_, _, _| {
+                tl.execute(LoopRange::upto(0, 1), |_, _, _| {
                     while !go.load(Ordering::Acquire) {
                         std::thread::sleep(std::time::Duration::from_millis(1));
                     }
                 })
             })
         };
-        parked_members_make_no_progress(vec![member(), member()], 1, || {
+        parked_members_make_no_progress(vec![member(), member()], 1, WaitSite::Barrier, || {
             go.store(true, Ordering::Release)
         });
     }
@@ -1370,6 +1101,14 @@ mod tests {
                     i += step;
                 }
             });
+            // The join: no member returns before every iteration ran.
+            for (i, c) in h.iter().enumerate() {
+                assert_eq!(
+                    c.load(Ordering::Relaxed),
+                    1,
+                    "iteration {i} before the join"
+                );
+            }
         });
         for (i, c) in hits.iter().enumerate() {
             assert_eq!(c.load(Ordering::Relaxed), 1, "iteration {i}");

@@ -105,7 +105,7 @@ pub mod prelude {
     pub use crate::ctx::{
         barrier, cancel_team, cancellation_point, in_parallel, team_size, thread_id,
     };
-    pub use crate::deps::{Dep, DepError, DepGroup, DepMode, Tag, TaskNode, TaskloopConstruct};
+    pub use crate::deps::{Dep, DepError, DepGroup, DepMode, Tag, TaskloopConstruct};
     pub use crate::error::{Cancelled, RegionError, TaskPanicked, WaitSite, WaitTimedOut};
     pub use crate::nr::{replicated_named, Combiner, Dispatch, Replicated, ReplicatedHandle};
     pub use crate::pool::TeamPool;

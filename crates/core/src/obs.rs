@@ -228,7 +228,10 @@ counters! {
     ChunkAdaptive => "chunk_adaptive",
     /// Adaptive schedule: ranges adopted from another thread (steal-half).
     ChunkAdaptiveSteals => "chunk_adaptive_steals",
-    /// Chunk handouts: taskloop bites executed (lazy-splitting tasks).
+    /// Chunk handouts: taskloop bites. Nothing increments it any more: a
+    /// taskloop is the adaptive `@For`, so its handouts count as
+    /// `chunk_adaptive`. It stays in [`Counter::ALL`] because snapshot
+    /// readers name it.
     ChunkTaskloop => "chunk_taskloop",
     /// Dependent tasks spawned into a [`deps::DepGroup`](crate::deps).
     DepTasks => "dep_tasks",
@@ -674,7 +677,6 @@ pub(crate) fn record_event(g: u8, ev: &HookEvent) {
                 "guided" => Some(Counter::ChunkGuided),
                 "block-cyclic" => Some(Counter::ChunkBlockCyclic),
                 "adaptive" => Some(Counter::ChunkAdaptive),
-                "taskloop" => Some(Counter::ChunkTaskloop),
                 // Per-iteration cyclic events; counted via chunk_cyclic.
                 _ => None,
             },
@@ -1251,7 +1253,6 @@ pub mod trace {
                     "dynamic" => "chunk:dynamic",
                     "guided" => "chunk:guided",
                     "adaptive" => "chunk:adaptive",
-                    "taskloop" => "chunk:taskloop",
                     _ => "chunk:block-cyclic",
                 };
                 push_now(

@@ -475,6 +475,10 @@ impl Drop for HotLease {
 /// context; panics poison the team and re-raise on the caller; the pool
 /// itself survives and stays reusable. Dropping the pool joins its
 /// workers.
+///
+/// It stays, although a `Runtime` with the same team size does the same
+/// job, because `aomp-benchmark`'s `pool.team_pool_run_ns` ledger row
+/// constructs it.
 pub struct TeamPool {
     rt: Runtime,
 }

@@ -19,7 +19,7 @@
 //! | `@Single` | `#[single]` (ditto) |
 //! | `@Task` | `#[task]` (detached activity), `#[task(depend(in = "a", out = "b"))]` (dependent task) |
 //! | `@FutureTask` + `@FutureResult` | `#[future_task]` (returns `FutureTask<T>`) |
-//! | OpenMP 4.5 `taskloop` | `#[taskloop]`, `#[taskloop(min_chunk = 8)]` (lazily-splitting range task) |
+//! | OpenMP 4.5 `taskloop` | `#[taskloop]`, `#[taskloop(min_chunk = 8)]` (the adaptive `@For` with a trailing barrier) |
 //!
 //! `@ThreadLocalField`, `@Reduce`, `@Ordered`, `@Reader`/`@Writer` are
 //! data- or scope-coupled constructs: use the `aomp` runtime API or the
@@ -655,14 +655,12 @@ pub fn task(attr: TokenStream, item: TokenStream) -> TokenStream {
 }
 
 /// `taskloop` — the function is a *for method* (first three `i64`
-/// parameters are `(start, end, step)`) executed as a lazily-splitting
-/// range task: the whole range starts as one task and sheds half of the
-/// remainder only when another team member is observed waiting, at
-/// min-chunk bite boundaries (OpenMP 4.5 `taskloop` with a work-stealing
-/// flavour). Outside a parallel region the range runs inline.
+/// parameters are `(start, end, step)`) executed as OpenMP 4.5
+/// `taskloop`: the adaptive `@For` with a trailing barrier, encountered
+/// by every member. Outside a parallel region the range runs inline.
 ///
-/// Arguments: `min_chunk = <int>` — the bite/split granule (OpenMP
-/// `grainsize`); defaults to the adaptive schedule's floor.
+/// Arguments: `min_chunk = <int>` — the dispenser's min-chunk floor
+/// (OpenMP `grainsize`); defaults to the adaptive schedule's floor.
 #[proc_macro_attribute]
 pub fn taskloop(attr: TokenStream, item: TokenStream) -> TokenStream {
     expand(item, |f| {

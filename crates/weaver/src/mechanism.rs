@@ -343,10 +343,9 @@ impl Mechanism {
         self
     }
 
-    /// OpenMP 4.5 `taskloop` — work-share a for method as a lazily
-    /// splitting range task (see [`TaskloopConstruct`]): the whole range
-    /// starts as one task and sheds half of the remainder only when
-    /// another member is observed waiting at a min-chunk bite boundary.
+    /// OpenMP 4.5 `taskloop` — work-share a for method as the adaptive
+    /// `@For` with a trailing barrier, encountered by every member (see
+    /// [`TaskloopConstruct`]).
     pub fn taskloop() -> Self {
         Self {
             kind: MechanismKind::Taskloop {
@@ -355,7 +354,7 @@ impl Mechanism {
         }
     }
 
-    /// [`taskloop`](Self::taskloop) with an explicit bite/split granule
+    /// [`taskloop`](Self::taskloop) with an explicit min-chunk floor
     /// (OpenMP `grainsize`).
     pub fn taskloop_min_chunk(min_chunk: u64) -> Self {
         Self {

@@ -26,38 +26,48 @@ use std::sync::Mutex;
 
 #[test]
 fn dfs_adaptive_handouts_partition_exactly_once() {
+    // The adaptive `@For`, and the taskloop that delegates to it.
+    type Body<'a> = &'a (dyn Fn(i64, i64, i64) + Sync);
+    type Execute<'a> = &'a (dyn Fn(LoopRange, Body) + Sync);
     let for_c = ForConstruct::new(Schedule::Adaptive { min_chunk: 2 });
-    let report = check::Explorer::new().races(true).dfs(20_000, 64, || {
-        let seen: Vec<AtomicU32> = (0..17).map(|_| AtomicU32::new(0)).collect();
-        region::parallel_with(RegionConfig::new().threads(2), || {
-            for_c.execute(LoopRange::upto(0, 17), |lo, hi, step| {
-                let mut i = lo;
-                while i < hi {
-                    seen[i as usize].fetch_add(1, Ordering::SeqCst);
-                    i += step;
-                }
+    let taskloop = TaskloopConstruct::new().min_chunk(2);
+    let constructs: [(&str, Execute); 2] = [
+        ("for", &|range, body| for_c.execute(range, body)),
+        ("taskloop", &|range, body| taskloop.execute(range, body)),
+    ];
+    for (name, execute) in constructs {
+        let report = check::Explorer::new().races(true).dfs(20_000, 64, || {
+            let seen: Vec<AtomicU32> = (0..17).map(|_| AtomicU32::new(0)).collect();
+            region::parallel_with(RegionConfig::new().threads(2), || {
+                execute(LoopRange::upto(0, 17), &|lo, hi, step| {
+                    let mut i = lo;
+                    while i < hi {
+                        seen[i as usize].fetch_add(1, Ordering::SeqCst);
+                        i += step;
+                    }
+                });
             });
+            for (i, s) in seen.iter().enumerate() {
+                assert_eq!(
+                    s.load(Ordering::SeqCst),
+                    1,
+                    "{name}: iteration {i} must run exactly once in every interleaving"
+                );
+            }
         });
-        for (i, s) in seen.iter().enumerate() {
-            assert_eq!(
-                s.load(Ordering::SeqCst),
-                1,
-                "iteration {i} must run exactly once in every interleaving"
-            );
-        }
-    });
-    report.assert_ok();
-    assert!(
-        report.schedules() > 1,
-        "the dispenser must actually branch, got {}",
-        report.schedules()
-    );
-    assert_eq!(
-        report.distinct_schedules(),
-        report.schedules(),
-        "DFS enumerated a duplicate interleaving — the adaptive dispenser \
-         leaked wall-clock into the explored state"
-    );
+        report.assert_ok();
+        assert!(
+            report.schedules() > 1,
+            "{name}: the dispenser must actually branch, got {}",
+            report.schedules()
+        );
+        assert_eq!(
+            report.distinct_schedules(),
+            report.schedules(),
+            "{name}: DFS enumerated a duplicate interleaving — the adaptive \
+             dispenser leaked wall-clock into the explored state"
+        );
+    }
 }
 
 #[test]

@@ -5,18 +5,16 @@
 //! grows its graph in level order on the shared executor; a successor
 //! wired while its predecessor completes still runs after it; an
 //! intentionally inverted `depend` pair (two tasks both claiming `in` on
-//! the tag one of them writes) is flagged as a data race; a dependence
-//! cycle is reported fallibly — no hang, stall watchdog silent — on
-//! every schedule; and a failing schedule's trace replays byte-for-byte.
+//! the tag one of them writes) is flagged as a data race; and a failing
+//! schedule's trace replays byte-for-byte.
 
 use aomp_check as check;
 use aomp_irregular::{bfs, pagerank, CsrGraph};
 use aomp_weaver::Weaver;
 use aomplib::prelude::*;
 use aomplib::runtime::check::Tracked;
-use aomplib::runtime::deps::{Dep, DepError, DepGroup};
+use aomplib::runtime::deps::{Dep, DepGroup};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// A tiny diamond-plus-tail graph: enough structure for two partitions
 /// to exchange ranks/frontiers, small enough to explore.
@@ -292,56 +290,6 @@ fn pct_flags_the_inverted_depend_pair() {
         report.runs.iter().any(|r| r.race.is_some()),
         "an inverted depend pair must race under PCT priorities"
     );
-}
-
-// ---------------------------------------------------------------------------
-// Cycles fail fallibly on every interleaving: the error comes back
-// through release/run/wait, nothing runs, nothing hangs, and the stall
-// watchdog (armed with a generous deadline) never fires.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn pct_dependence_cycle_is_fallible_and_watchdog_silent() {
-    check::Explorer::new()
-        .races(true)
-        .pct(check::seeds_from_env(16), 0xC1C1E, 3, || {
-            let group = DepGroup::held();
-            let group2 = group.clone();
-            let ran = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-            let ran2 = Arc::clone(&ran);
-            let r = region::try_parallel_with(
-                RegionConfig::new()
-                    .threads(2)
-                    .stall_deadline(Duration::from_secs(30)),
-                move || {
-                    if thread_id() == 0 {
-                        let r1 = Arc::clone(&ran2);
-                        let r2 = Arc::clone(&ran2);
-                        let a = group2.spawn([], move || {
-                            r1.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                        });
-                        let b = group2.spawn([], move || {
-                            r2.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                        });
-                        group2.edge(a, b);
-                        group2.edge(b, a);
-                        group2.close();
-                        let err = group2.release().expect_err("two-node cycle");
-                        assert!(matches!(&err, DepError::Cycle { nodes } if nodes.len() == 2));
-                    }
-                    barrier();
-                    // Every member joins fallibly after the poisoned release.
-                    assert!(matches!(group2.wait(), Err(DepError::Cycle { .. })));
-                },
-            );
-            assert_eq!(r, Ok(()), "the watchdog fired on a fallible cycle");
-            assert_eq!(
-                ran.load(std::sync::atomic::Ordering::SeqCst),
-                0,
-                "no task of a cyclic graph may run"
-            );
-        })
-        .assert_ok();
 }
 
 // ---------------------------------------------------------------------------
