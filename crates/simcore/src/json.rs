@@ -1,15 +1,12 @@
-//! Minimal JSON support for model persistence.
+//! A minimal JSON parser.
 //!
-//! The workspace builds with no registry access, so instead of `serde` +
-//! `serde_json` the simulator models carry hand-written converters over
-//! this small [`Json`] value type. The encoding mirrors what
-//! serde-derive produced for these types (struct → object, enum struct
-//! variant → `{"Variant": {..}}`, unit variant → `"Variant"`), so any
-//! previously written result files still parse.
+//! The workspace builds with no registry access, so instead of
+//! `serde_json` this small [`Json`] value type reads the documents the
+//! workspace consumes: `aomp-benchmark` parses `BENCHMARK.json` and its
+//! own result lines with it, and the observability tests parse the
+//! runtime's metrics and trace output.
 
-use std::fmt::Write as _;
-
-/// A parsed JSON value. Objects preserve key order for stable output.
+/// A parsed JSON value. Objects preserve key order.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`
@@ -103,104 +100,6 @@ impl Json {
         }
         Ok(v)
     }
-
-    /// Pretty serialisation with two-space indentation.
-    pub fn pretty(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, Some(2), 0);
-        out
-    }
-
-    fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
-        let (nl, pad, pad_in) = match indent {
-            Some(w) => ("\n", " ".repeat(w * depth), " ".repeat(w * (depth + 1))),
-            None => ("", String::new(), String::new()),
-        };
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => write_num(out, *n),
-            Json::Str(s) => write_escaped(out, s),
-            Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(nl);
-                    out.push_str(&pad_in);
-                    item.write(out, indent, depth + 1);
-                }
-                out.push_str(nl);
-                out.push_str(&pad);
-                out.push(']');
-            }
-            Json::Obj(pairs) => {
-                if pairs.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push('{');
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(nl);
-                    out.push_str(&pad_in);
-                    write_escaped(out, k);
-                    out.push(':');
-                    if indent.is_some() {
-                        out.push(' ');
-                    }
-                    v.write(out, indent, depth + 1);
-                }
-                out.push_str(nl);
-                out.push_str(&pad);
-                out.push('}');
-            }
-        }
-    }
-}
-
-/// Compact serialisation (use [`Json::pretty`] for indented output).
-impl std::fmt::Display for Json {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut out = String::new();
-        self.write(&mut out, None, 0);
-        f.write_str(&out)
-    }
-}
-
-fn write_num(out: &mut String, n: f64) {
-    if !n.is_finite() {
-        out.push_str("null");
-    } else if n.fract() == 0.0 && n.abs() < 1e15 {
-        let _ = write!(out, "{}", n as i64);
-    } else {
-        let _ = write!(out, "{n}");
-    }
-}
-
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 struct Parser<'a> {
@@ -284,8 +183,9 @@ impl Parser<'_> {
                                 .and_then(|h| u32::from_str_radix(h, 16).ok())
                                 .ok_or("bad \\u escape")?;
                             self.pos += 4;
-                            // Surrogate pairs are not needed for model
-                            // names; map lone surrogates to U+FFFD.
+                            // Surrogate pairs are not needed for the
+                            // documents read here; map lone surrogates
+                            // to U+FFFD.
                             out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
                         }
                         other => return Err(format!("bad escape `\\{}`", other as char)),
@@ -410,30 +310,26 @@ mod tests {
     use super::*;
 
     #[test]
-    fn round_trips_compact_and_pretty() {
-        let v = Json::Obj(vec![
-            ("name".into(), Json::Str("a \"b\"\n".into())),
-            (
-                "xs".into(),
-                Json::Arr(vec![
-                    Json::Num(1.0),
-                    Json::Num(2.5),
-                    Json::Null,
-                    Json::Bool(true),
-                ]),
-            ),
-            ("empty".into(), Json::Arr(vec![])),
-        ]);
-        for text in [v.to_string(), v.pretty()] {
-            assert_eq!(Json::parse(&text).unwrap(), v);
-        }
-    }
-
-    #[test]
-    fn integers_print_without_exponent() {
-        assert_eq!(Json::Num(3.0).to_string(), "3");
-        assert_eq!(Json::Num(0.5).to_string(), "0.5");
-        assert_eq!(Json::Num(-7.0).to_string(), "-7");
+    fn parses_nested_objects_and_arrays() {
+        let doc = Json::parse(
+            r#" { "name": "a \"b\"\n", "xs": [1, 2.5, null, true, {"k": [false]}],
+                 "empty": [], "obj": {} } "#,
+        )
+        .unwrap();
+        assert_eq!(doc.str_field("name").unwrap(), "a \"b\"\n");
+        let xs = doc.get("xs").and_then(Json::as_array).unwrap();
+        assert_eq!(xs.len(), 5);
+        assert_eq!(xs[0].as_usize(), Some(1));
+        assert_eq!(xs[1].as_f64(), Some(2.5));
+        assert_eq!(xs[1].as_usize(), None);
+        assert_eq!(xs[2], Json::Null);
+        assert_eq!(xs[3], Json::Bool(true));
+        let inner = xs[4].get("k").and_then(Json::as_array).unwrap();
+        assert_eq!(inner, [Json::Bool(false)]);
+        assert_eq!(doc.get("empty").and_then(Json::as_array), Some(&[][..]));
+        assert_eq!(doc.get("obj"), Some(&Json::Obj(vec![])));
+        assert!(doc.get("missing").is_none());
+        assert!(doc.f64_field("name").is_err());
     }
 
     #[test]

@@ -15,29 +15,29 @@
 //!
 //! * a [`machine::Machine`] has cores, SMT threads, per-core throughput,
 //!   a shared memory bandwidth, and synchronisation costs;
-//! * a program is a bulk-synchronous sequence of [`model::Step`]s:
+//! * a [`Program`] is a bulk-synchronous sequence of [`Step`]s:
 //!   `Parallel` (work-shared, roofline: max of compute time and memory
 //!   time), `Replicated`, `Serial` (master only), `Barrier`, `Critical`
 //!   (one lock, globally serialised, with cache-line handoff costs) and
 //!   `Locked` (fine-grained updates over many locks);
-//! * [`exec::Simulator`] advances virtual time step by step; speed-up is
-//!   the ratio of simulated 1-thread time to simulated t-thread time.
+//! * [`Simulator`] advances virtual time step by step, all threads
+//!   together: a step's wall time is a function of the step, the machine
+//!   and the team size `t` alone. Speed-up is the ratio of simulated
+//!   1-thread time to simulated `t`-thread time.
 //!
 //! [`models`] contains the per-benchmark structural models, with every
 //! operation/byte count derived from the actual Rust kernel inner loops
-//! in `aomp-jgf` (see each function's comments).
+//! in `aomp-jgf` (see each function's comments). [`Json`] is a small
+//! parser that `aomp-benchmark` reads its declaration and result lines
+//! with; the crate writes no JSON.
 
 #![warn(missing_docs)]
 
-pub mod event;
 pub mod exec;
 pub mod json;
 pub mod machine;
-pub mod model;
 pub mod models;
 
-pub use event::EventSimulator;
-pub use exec::Simulator;
+pub use exec::{Program, Simulator, Step};
 pub use json::Json;
 pub use machine::Machine;
-pub use model::{Program, Step};

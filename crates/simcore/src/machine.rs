@@ -1,7 +1,5 @@
 //! Machine models: the paper's two evaluation hosts.
 
-use crate::json::Json;
-
 /// An SMP machine model. All rates are per microsecond of virtual time.
 #[derive(Debug, Clone)]
 pub struct Machine {
@@ -36,52 +34,6 @@ pub struct Machine {
 }
 
 impl Machine {
-    /// JSON encoding of every field, mirroring the serde derive this
-    /// replaced.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("name".to_owned(), Json::Str(self.name.clone())),
-            ("cores".to_owned(), Json::Num(self.cores as f64)),
-            ("hw_threads".to_owned(), Json::Num(self.hw_threads as f64)),
-            ("ops_per_us".to_owned(), Json::Num(self.ops_per_us)),
-            ("smt_bonus".to_owned(), Json::Num(self.smt_bonus)),
-            (
-                "bw_bytes_per_us".to_owned(),
-                Json::Num(self.bw_bytes_per_us),
-            ),
-            (
-                "barrier_us_log2".to_owned(),
-                Json::Num(self.barrier_us_log2),
-            ),
-            ("lock_entry_us".to_owned(), Json::Num(self.lock_entry_us)),
-            ("handoff_us".to_owned(), Json::Num(self.handoff_us)),
-            ("l3_bytes".to_owned(), Json::Num(self.l3_bytes)),
-            (
-                "cores_per_socket".to_owned(),
-                Json::Num(self.cores_per_socket as f64),
-            ),
-            ("numa_penalty".to_owned(), Json::Num(self.numa_penalty)),
-        ])
-    }
-
-    /// Inverse of [`to_json`](Self::to_json).
-    pub fn from_json(j: &Json) -> Result<Machine, String> {
-        Ok(Machine {
-            name: j.str_field("name")?,
-            cores: j.usize_field("cores")?,
-            hw_threads: j.usize_field("hw_threads")?,
-            ops_per_us: j.f64_field("ops_per_us")?,
-            smt_bonus: j.f64_field("smt_bonus")?,
-            bw_bytes_per_us: j.f64_field("bw_bytes_per_us")?,
-            barrier_us_log2: j.f64_field("barrier_us_log2")?,
-            lock_entry_us: j.f64_field("lock_entry_us")?,
-            handoff_us: j.f64_field("handoff_us")?,
-            l3_bytes: j.f64_field("l3_bytes")?,
-            cores_per_socket: j.usize_field("cores_per_socket")?,
-            numa_penalty: j.f64_field("numa_penalty")?,
-        })
-    }
-
     /// The paper's machine 1: Intel i7, four 3.2 GHz cores sharing an
     /// 8 MB L3, 8 hardware threads.
     pub fn i7() -> Machine {

@@ -15,8 +15,8 @@
 //!   AOmp/JGF difference as below 1 %; the measured counterpart is
 //!   `aomp-benchmark`'s `jgf_coarse` `overhead_vs_mt`.
 
+use crate::exec::{Program, Step};
 use crate::machine::Machine;
-use crate::model::{Program, Step};
 
 /// Relative overhead of the aspect machinery on the total operation
 /// count (compile-time-woven shims plus a handful of dispatches per

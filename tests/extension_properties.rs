@@ -1,11 +1,10 @@
 //! Randomised property tests over the extension crates (evolib,
-//! irregular) and the simulator pair — invariants that must hold for
-//! arbitrary inputs. Seeded deterministic loops (no proptest; the
-//! workspace builds offline).
+//! irregular, jgf) — invariants that must hold for arbitrary inputs.
+//! Seeded deterministic loops (no proptest; the workspace builds
+//! offline).
 
 use aomplib::evolib::{self, Problem};
 use aomplib::irregular::{bfs, triangles, CsrGraph, GraphKind};
-use aomplib::simcore::{EventSimulator, Machine, Program, Simulator, Step};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -136,67 +135,6 @@ fn de_selection_never_regresses() {
         assert!(
             r.history.windows(2).all(|w| w[1] <= w[0] + 1e-12),
             "case {case}"
-        );
-    }
-}
-
-#[test]
-fn simulators_agree_on_barrier_separated_programs() {
-    for case in 0..32 {
-        let mut rng = StdRng::seed_from_u64(600 + case);
-        let phases = rng.gen_range(1usize..8);
-        let t = rng.gen_range(1usize..25);
-        let mut steps = Vec::new();
-        for _ in 0..phases {
-            let ops = rng.gen_range(1e5f64..1e9);
-            let bytes = rng.gen_range(0f64..1e7);
-            steps.push(Step::Parallel {
-                ops,
-                bytes,
-                imbalance: 1.0,
-            });
-            steps.push(Step::Barrier);
-        }
-        let p = Program::new("prop", steps);
-        let m = Machine::xeon();
-        let bulk = Simulator::new(m.clone()).run(&p, t);
-        let event = EventSimulator::new(m).run(&p, t);
-        assert!(
-            (bulk - event).abs() / bulk < 1e-9,
-            "case {case}: bulk {bulk} vs event {event}"
-        );
-    }
-}
-
-#[test]
-fn event_simulator_never_exceeds_bulk() {
-    for case in 0..32 {
-        let mut rng = StdRng::seed_from_u64(700 + case);
-        let phases = rng.gen_range(1usize..6);
-        let t = rng.gen_range(2usize..13);
-        // Without barriers the event executor can only do better (it
-        // relaxes synchronisation).
-        let mut steps = Vec::new();
-        for _ in 0..phases {
-            let ops = rng.gen_range(1e5f64..1e8);
-            if rng.gen_bool(0.5) {
-                steps.push(Step::Serial { ops, bytes: 0.0 });
-            } else {
-                steps.push(Step::Parallel {
-                    ops,
-                    bytes: 0.0,
-                    imbalance: 1.0,
-                });
-            }
-        }
-        steps.push(Step::Barrier);
-        let p = Program::new("prop", steps);
-        let m = Machine::xeon();
-        let bulk = Simulator::new(m.clone()).run(&p, t);
-        let event = EventSimulator::new(m).run(&p, t);
-        assert!(
-            event <= bulk + 1e-9,
-            "case {case}: event {event} > bulk {bulk}"
         );
     }
 }

@@ -178,26 +178,6 @@ fn kind_pointcut_separates_for_and_plain() {
     );
 }
 
-#[test]
-fn simulator_models_serde_round_trip() {
-    use aomplib::simcore::{Json, Machine, Program, Simulator};
-    let machine = Machine::i7();
-    let json = machine.to_json().to_string();
-    let back = Machine::from_json(&Json::parse(&json).expect("parses")).expect("decodes");
-    assert_eq!(machine.cores, back.cores);
-    assert_eq!(machine.name, back.name);
-
-    let p = aomplib::simcore::models::crypt(1_000_000, false);
-    let json = p.to_json().to_string();
-    let back = Program::from_json(&Json::parse(&json).expect("parses")).expect("decodes");
-    let sim = Simulator::new(machine);
-    assert_eq!(
-        sim.run(&p, 4),
-        sim.run(&back, 4),
-        "deserialised model simulates identically"
-    );
-}
-
 // ---------------------------------------------------------------------
 // Paper §II: the inheritance anomaly. Parallelism must be retained
 // across an interface's implementations — including ones added later by
