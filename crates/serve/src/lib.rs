@@ -45,14 +45,20 @@ use aomp::obs::{Counter, Lat};
 use aomp::prelude::*;
 use aomp::{obs, Runtime};
 use aomp_irregular::graph::{CsrGraph, GraphKind};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Extra join slack [`ResponseHandle::wait`] allows past the request
 /// deadline, covering watchdog diagnosis and unwind time.
 const WAIT_GRACE: Duration = Duration::from_secs(5);
+
+/// How many distinct workloads a server keeps a validation reference
+/// for. Clients choose workload sizes freely, so the table is bounded:
+/// a workload that finds it full is checked against a fresh computation.
+const REFERENCE_CAPACITY: usize = 64;
 
 /// `at + budget`, saturating a century out where `Instant + Duration`
 /// would panic on overflow: an unbounded budget (`Duration::MAX`) is a
@@ -183,7 +189,11 @@ impl ServerConfig {
             })
             .collect();
         Server {
-            inner: Arc::new(ServerInner { tenants, graph }),
+            inner: Arc::new(ServerInner {
+                tenants,
+                graph,
+                references: Arc::default(),
+            }),
         }
     }
 }
@@ -400,6 +410,57 @@ impl TenantState {
 struct ServerInner {
     tenants: Vec<Arc<TenantState>>,
     graph: Arc<CsrGraph>,
+    /// Validation references, shared by every tenant like the graph.
+    references: Arc<References>,
+}
+
+/// A server's validation references: [`Workload::expected`]'s value on
+/// the server's graph, per distinct workload, computed once and kept
+/// for the next request of the same workload (at most
+/// [`REFERENCE_CAPACITY`] of them).
+#[derive(Default)]
+struct References {
+    table: Mutex<HashMap<Workload, Output>>,
+    /// Sequential references computed so far; a table hit computes none.
+    computed: AtomicU64,
+}
+
+impl References {
+    /// Check a completed response `out` of `workload` against the
+    /// sequential reference: `Ok(out)` when they agree, `Faulted` when
+    /// they differ. The reference is looked up; on a miss it is computed
+    /// outside the lock, so a long computation never blocks another
+    /// tenant's lookup, then inserted while the table has room.
+    fn validate(
+        &self,
+        graph: &CsrGraph,
+        workload: Workload,
+        out: Output,
+    ) -> Result<Output, ServeError> {
+        let cached = self.lock().get(&workload).copied();
+        let expected = cached.unwrap_or_else(|| {
+            let fresh = workload.expected(graph);
+            self.computed.fetch_add(1, Ordering::Relaxed);
+            let mut table = self.lock();
+            if table.len() < REFERENCE_CAPACITY {
+                table.insert(workload, fresh);
+            }
+            fresh
+        });
+        if out == expected {
+            Ok(out)
+        } else {
+            Err(ServeError::Faulted {
+                msg: "response failed validation against the sequential reference".into(),
+            })
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, HashMap<Workload, Output>> {
+        // Nothing panics while the table is held, and a half-done insert
+        // cannot leave a wrong entry behind.
+        self.table.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// A multi-tenant server: one isolated [`Runtime`] per tenant, bounded
@@ -453,6 +514,11 @@ impl Server {
 
     /// The answer `workload` must produce on this server — exposed so
     /// callers can validate responses end-to-end.
+    ///
+    /// Computed afresh on every call, sequentially on the calling thread:
+    /// it is the timed work of a hand-written twin of a request, so it
+    /// deliberately bypasses the reference table the server validates
+    /// its own responses against.
     pub fn expected_output(&self, workload: Workload) -> Output {
         workload.expected(&self.inner.graph)
     }
@@ -493,8 +559,17 @@ impl Server {
         let seq = t.seq.fetch_add(1, Ordering::Relaxed);
         let state = Arc::clone(t);
         let graph = Arc::clone(&self.inner.graph);
+        let references = Arc::clone(&self.inner.references);
         let fut = t.rt.spawn_future(move || {
-            run_request(&state, &graph, req.workload, budget, submitted, seq)
+            run_request(
+                &state,
+                &graph,
+                &references,
+                req.workload,
+                budget,
+                submitted,
+                seq,
+            )
         });
         Ok(ResponseHandle {
             fut,
@@ -539,9 +614,15 @@ impl Drop for DepthGuard<'_> {
 /// The admitted request's whole lifecycle, run on the tenant's task
 /// executor. Bumps exactly one of `ServeCompleted` /
 /// `ServeDeadlineMissed` / `ServeFaulted` before returning.
+///
+/// A response that completes in time is checked against the sequential
+/// reference through [`References::validate`], which computes that
+/// reference once per distinct workload and server rather than once per
+/// request.
 fn run_request(
     t: &TenantState,
     graph: &Arc<CsrGraph>,
+    references: &References,
     workload: Workload,
     budget: Duration,
     submitted: Instant,
@@ -584,12 +665,8 @@ fn run_request(
                     budget,
                     cause: DeadlineCause::FinishedLate,
                 })
-            } else if out != workload.expected(graph) {
-                Err(ServeError::Faulted {
-                    msg: "response failed validation against the sequential reference".into(),
-                })
             } else {
-                Ok(out)
+                references.validate(graph, workload, out)
             }
         }
         Err(work::ExecError::TimedOut) => Err(ServeError::DeadlineExceeded {
@@ -744,6 +821,101 @@ mod tests {
         assert!(srv.drain(Duration::from_secs(60)));
         let snap = srv.tenant_runtime(0).metrics_snapshot();
         assert!(snap.counter(Counter::ServeShed) >= 1);
+    }
+
+    fn graph() -> CsrGraph {
+        CsrGraph::generate(GraphKind::PowerLaw, 512, 6, 7)
+    }
+
+    fn rejected(outcome: Result<Output, ServeError>) -> bool {
+        matches!(outcome, Err(ServeError::Faulted { .. }))
+    }
+
+    /// The reference answer of `w` on `g`, and one that differs from it
+    /// in a single bit.
+    fn right_and_wrong(g: &CsrGraph, w: Workload) -> (Output, Output) {
+        let Output::U64(x) = w.expected(g);
+        (Output::U64(x), Output::U64(x ^ 1))
+    }
+
+    #[test]
+    fn validation_accepts_the_reference_and_rejects_anything_else_cold_and_warm() {
+        let g = graph();
+        let refs = References::default();
+        let (a, b) = (
+            Workload::SumRange { n: 10_000 },
+            Workload::DegreeSum { rounds: 3 },
+        );
+        let (a_right, a_wrong) = right_and_wrong(&g, a);
+        let (b_right, b_wrong) = right_and_wrong(&g, b);
+        // Cold: `a` meets the table with a right answer, `b` with a wrong one.
+        assert_eq!(refs.validate(&g, a, a_right), Ok(a_right));
+        assert!(rejected(refs.validate(&g, b, b_wrong)));
+        // Warm: both are in the table now.
+        for _ in 0..2 {
+            assert_eq!(refs.validate(&g, a, a_right), Ok(a_right));
+            assert!(rejected(refs.validate(&g, a, a_wrong)));
+            assert_eq!(refs.validate(&g, b, b_right), Ok(b_right));
+            assert!(rejected(refs.validate(&g, b, b_wrong)));
+        }
+        assert_eq!(refs.computed.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn each_distinct_workload_computes_its_reference_once() {
+        let g = graph();
+        let refs = References::default();
+        // Same answer, different keys: `Fanout` and `SumRange` over the
+        // same range are distinct workloads.
+        let work = [
+            Workload::SumRange { n: 1_000 },
+            Workload::SumRange { n: 1_001 },
+            Workload::DegreeSum { rounds: 2 },
+            Workload::Fanout { parts: 4, n: 1_000 },
+        ];
+        for _ in 0..3 {
+            for w in work {
+                let right = w.expected(&g);
+                assert_eq!(refs.validate(&g, w, right), Ok(right));
+            }
+            assert_eq!(refs.computed.load(Ordering::Relaxed), work.len() as u64);
+        }
+    }
+
+    #[test]
+    fn a_full_reference_table_stops_growing_and_still_validates() {
+        const PAST: u64 = 16;
+        let g = graph();
+        let refs = References::default();
+        let cap = REFERENCE_CAPACITY as u64;
+        for n in 0..cap + PAST {
+            let w = Workload::SumRange { n };
+            let (right, wrong) = right_and_wrong(&g, w);
+            assert_eq!(refs.validate(&g, w, right), Ok(right));
+            assert!(rejected(refs.validate(&g, w, wrong)));
+        }
+        assert_eq!(refs.lock().len(), REFERENCE_CAPACITY);
+        // The first `cap` workloads were computed once each; every check
+        // of the ones past the bound computed afresh.
+        assert_eq!(refs.computed.load(Ordering::Relaxed), cap + 2 * PAST);
+        let first = Workload::SumRange { n: 0 };
+        assert!(rejected(refs.validate(&g, first, Output::U64(1))));
+        assert_eq!(refs.computed.load(Ordering::Relaxed), cap + 2 * PAST);
+    }
+
+    #[test]
+    fn served_requests_of_one_workload_share_one_reference() {
+        let srv = small_server(4);
+        let w = Workload::Fanout {
+            parts: 3,
+            n: 30_000,
+        };
+        for _ in 0..6 {
+            let out = srv.submit(0, Request::new(w)).expect("admitted").wait();
+            assert_eq!(out, Ok(srv.expected_output(w)));
+        }
+        assert!(srv.drain(Duration::from_secs(5)));
+        assert_eq!(srv.inner.references.computed.load(Ordering::Relaxed), 1);
     }
 
     #[test]

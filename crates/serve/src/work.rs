@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 
 /// A request's computation, executed as a parallel region (plus spawned
 /// futures for [`Workload::Fanout`]) on the owning tenant's runtime.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum Workload {
     /// Sum a scrambling hash of `0..n` under a static-block for

@@ -399,3 +399,82 @@ fn loadgen_closed_loop_over_two_tenants_is_consistent() {
         );
     }
 }
+
+/// The four `serve_mix` classes, interleaved by two client threads over
+/// two tenants: the server validates each response against its reference
+/// table, cold for the first request of a class and warm after. For the
+/// first rounds both clients submit the same class in lockstep, so the
+/// two tenants miss on each cold workload at the same moment; after that
+/// they are one class apart. Every response must be the sequential
+/// answer, none may fault, and the books balance after the drain.
+#[test]
+fn mixed_classes_over_two_tenants_validate_cold_and_warm() {
+    const ROUNDS: usize = 200;
+    const LOCKSTEP: usize = 8;
+    let classes = [
+        Workload::SumRange { n: 400_000 },
+        Workload::SumRange { n: 20_000 },
+        Workload::DegreeSum { rounds: 4 },
+        Workload::Fanout {
+            parts: 4,
+            n: 200_000,
+        },
+    ];
+    let mut config = Server::config().graph(4096, 8, 1);
+    for name in ["left", "right"] {
+        config = config.tenant(
+            TenantSpec::new(name)
+                .threads(2)
+                .queue_capacity(4)
+                .default_deadline(LONG),
+        );
+    }
+    let srv = config.build();
+    let expected = classes.map(|w| srv.expected_output(w));
+    let lockstep = std::sync::Barrier::new(2);
+    // Clients record outcomes rather than assert, so a failure cannot
+    // leave the other client waiting at the barrier.
+    let outcomes: Vec<_> = std::thread::scope(|s| {
+        let clients: Vec<_> = (0..2)
+            .map(|client| {
+                let (srv, lockstep) = (&srv, &lockstep);
+                s.spawn(move || {
+                    (0..ROUNDS)
+                        .map(|round| {
+                            if round < LOCKSTEP {
+                                lockstep.wait();
+                            }
+                            let class = (round + client * usize::from(round >= LOCKSTEP)) % 4;
+                            let req = Request::new(classes[class]);
+                            let out = srv.submit(client, req).and_then(|h| h.wait());
+                            (client, round, class, out)
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        clients
+            .into_iter()
+            .flat_map(|c| c.join().expect("client thread"))
+            .collect()
+    });
+    assert_eq!(outcomes.len(), 2 * ROUNDS);
+    for (client, round, class, out) in outcomes {
+        // One request in flight per client never sheds at capacity 4.
+        assert_eq!(out, Ok(expected[class]), "client {client} round {round}");
+    }
+    assert!(srv.drain(LONG), "server failed to drain");
+    for t in 0..2 {
+        let snap = srv.tenant_runtime(t).metrics_snapshot();
+        assert_eq!(snap.counter(Counter::ServeFaulted), 0);
+        assert_eq!(snap.counter(Counter::ServeAccepted), ROUNDS as u64);
+        assert_eq!(snap.counter(Counter::ServeCompleted), ROUNDS as u64);
+        assert_eq!(
+            snap.counter(Counter::ServeAccepted),
+            snap.counter(Counter::ServeCompleted)
+                + snap.counter(Counter::ServeDeadlineMissed)
+                + snap.counter(Counter::ServeFaulted),
+            "tenant {t}'s books do not balance"
+        );
+    }
+}
