@@ -18,13 +18,15 @@
 //! combiner publish → sync edges cover every cross-thread application
 //! of a logged op.
 //!
-//! The [`Combiner`] section lock runs the same flat-combining protocol
-//! over closure bodies; its program below drives a fetch-add section
-//! through all three entry points and must match the same single-lock
-//! reference.
+//! `@Replicated` on a code section (`#[replicated]`, the weaver's
+//! `Mechanism::replicated*`) is `@Critical`'s lock under another name,
+//! so the lock's own programs in `tests/schedule_exploration.rs` and
+//! `tests/critical_lock.rs` cover it: flat-combining closure bodies lost
+//! to that lock at every section size measured, and node replication's
+//! NUMA win needs more than one node. What is replicated here is data.
 
 use aomp::check::Tracked;
-use aomp::nr::{Combiner, Dispatch, Replicated};
+use aomp::nr::{Dispatch, Replicated};
 use aomp::prelude::*;
 use aomp_check::{seeds_from_env, Explorer};
 use std::sync::Mutex;
@@ -89,35 +91,6 @@ fn nr_run(replicas: usize) -> (Vec<Vec<u64>>, u64) {
         per.lock().unwrap()[thread_id()] = mine;
     });
     let total = repl.execute_ro(&());
-    (per.into_inner().unwrap(), total)
-}
-
-/// The counter as a [`Combiner`] section, entered three ways in turn: a
-/// flat-combined section (`run`, possibly executed by another member),
-/// a section re-entered from inside one (`run` within `run`, executed
-/// inline by whoever combines the outer one), and an inline section
-/// (`run_inline`, which first combines the published ones).
-fn combiner_run() -> (Vec<Vec<u64>>, u64) {
-    let fc = Combiner::new();
-    let cell = Tracked::new("combiner.counter", 0u64);
-    let fetch_add = || unsafe {
-        let n = cell.read() + 1;
-        cell.set(n);
-        n
-    };
-    let per: Mutex<Vec<Vec<u64>>> = Mutex::new(vec![Vec::new(); THREADS]);
-    region::parallel_with(RegionConfig::new().threads(THREADS), || {
-        let mut mine = Vec::with_capacity(OPS_PER_THREAD);
-        for k in 0..OPS_PER_THREAD {
-            mine.push(match k % 3 {
-                0 => fc.run(fetch_add),
-                1 => fc.run(|| fc.run(fetch_add)),
-                _ => fc.run_inline(fetch_add),
-            });
-        }
-        per.lock().unwrap()[thread_id()] = mine;
-    });
-    let total = unsafe { cell.read() };
     (per.into_inner().unwrap(), total)
 }
 
@@ -198,25 +171,6 @@ fn replicated_results_equal_single_lock_reference_bitwise() {
                 canonicalize(&nr_per, nr_total),
                 canonicalize(&lk_per, lk_total),
                 "replicated and single-lock executions must be indistinguishable"
-            );
-        })
-        .assert_ok();
-}
-
-#[test]
-fn combiner_sections_equal_single_lock_reference_bitwise() {
-    // Every way into a Combiner section, race oracle armed: the section
-    // body runs on whichever member combines, so only the combine →
-    // sync edges order it against the poster and the next section.
-    Explorer::new()
-        .races(true)
-        .random(seeds_from_env(16), 0xC0_4B1E, || {
-            let (fc_per, fc_total) = combiner_run();
-            let (lk_per, lk_total) = lock_run();
-            assert_eq!(
-                canonicalize(&fc_per, fc_total),
-                canonicalize(&lk_per, lk_total),
-                "combined and single-lock executions must be indistinguishable"
             );
         })
         .assert_ok();

@@ -24,25 +24,25 @@
 //! Writers on different replicas contend only on the log tail (one CAS
 //! per *batch*); readers on different replicas do not contend at all.
 //!
-//! Two front ends post through one flat-combining slot array:
+//! [`Replicated<T>`] is the API: implement [`Dispatch`] for a plain
+//! single-threaded structure (an enum of read/write ops mapped to
+//! responses) and `Replicated` makes it concurrent. A replica is a slot
+//! array carrying `WriteOp`s and responses, plus its data and the log
+//! prefix it has applied; the operation log is `Replicated`'s own.
 //!
-//! * [`Replicated<T>`] — the typed API: implement [`Dispatch`] for a
-//!   plain single-threaded structure (an enum of read/write ops mapped to
-//!   responses) and `Replicated` makes it concurrent. A replica is a slot
-//!   array carrying `WriteOp`s and responses, plus its data and the log
-//!   prefix it has applied; the operation log is `Replicated`'s own.
-//! * [`Combiner`] — an untyped flat-combining *section* lock for closure
-//!   bodies: `combiner.run(|| ...)` is a scalability upgrade for
-//!   [`critical_named`](crate::critical::critical_named), used by the
-//!   weaver's `replicated` mechanism and the `#[replicated]` macro. Its
-//!   one slot array carries type-erased sections and it has no log (the
-//!   section body runs once), so it provides flat combining without
-//!   replication.
+//! `@Replicated` on a *code* section (`#[replicated]`, the weaver's
+//! `Mechanism::replicated*`) is not this module: it is `@Critical`'s lock
+//! under another name ([`CriticalHandle`](crate::critical::CriticalHandle),
+//! one name space with `@Critical(id)`). Flat-combining closure bodies
+//! lost to that owner-word lock at every section size measured on a
+//! 2-core host (24–98 ns per entry against 66–188 ns, two members), and
+//! what node replication wins — a contended structure's cache lines kept
+//! on one NUMA node — needs data to replicate and more than one node.
 //!
-//! The slot array is the protocol, written once. A thread gets one slot
-//! per structure on first use (one per-thread registry; a
-//! [`ReplicatedHandle`] holds a slot and returns it when dropped;
-//! threads past the 64th take the combiner lock and run their op inline).
+//! The slot array is the protocol. A thread gets one slot per structure
+//! on first use (one per-thread registry; a [`ReplicatedHandle`] holds a
+//! slot and returns it when dropped; threads past the 64th take the
+//! combiner lock and run their op inline).
 //! A poster publishes its op (`EMPTY → PENDING`) and waits: it picks up
 //! its answer (`DONE → EMPTY`), or, whenever the combiner lock is free,
 //! takes it and combines with its own op still published. A combiner
@@ -81,13 +81,6 @@
 //! with a replica (combiner release, poster response pickup, reader
 //! catch-up). Blocked protocol waits park at
 //! [`WaitSite::Replicated`] and are visible to the stall watchdog.
-//!
-//! # Limitations
-//!
-//! * A [`Combiner`] section body runs on *some* combining thread, not
-//!   necessarily the posting thread — thread-identity-dependent bodies
-//!   (thread-locals, [`thread_id`](crate::ctx::thread_id)) see the
-//!   combiner's identity, exactly like flat-combining in general.
 
 use parking_lot::{Mutex, RwLock};
 use std::cell::{RefCell, UnsafeCell};
@@ -95,7 +88,6 @@ use std::collections::HashMap;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
 use std::thread;
 use std::time::Duration;
 
@@ -154,11 +146,11 @@ const SLOTLESS: usize = usize::MAX;
 /// batch (every slot plus one inline op) with room to spare.
 const MIN_LOG: usize = 2 * NR_SLOTS;
 
-/// Process-unique monotonic identity for replicated structures, shared
-/// by [`Replicated`] and [`Combiner`]. Never address-derived and never
-/// reused: hook events key happens-before state by this id, and a
-/// dropped-and-reallocated structure must not inherit the clock history
-/// of whatever previously lived at its address.
+/// Process-unique monotonic identity for replicated structures. Never
+/// address-derived and never reused: hook events key happens-before
+/// state by this id, and a dropped-and-reallocated structure must not
+/// inherit the clock history of whatever previously lived at its
+/// address.
 fn next_nr_id() -> usize {
     static NEXT: AtomicUsize = AtomicUsize::new(1);
     NEXT.fetch_add(1, Ordering::Relaxed)
@@ -243,19 +235,12 @@ fn block_on<R>(mut ready: impl FnMut() -> Option<R>, mut retract: impl FnMut() -
 }
 
 thread_local! {
-    /// This thread's `(replica, slot)` assignment per structure id (a
-    /// [`Combiner`] has the one replica 0), made on first use. Entries
-    /// for dropped structures linger (ids are never reused, so they are
-    /// merely unused); a thread's slots are not returned when the thread
-    /// exits — slot exhaustion degrades to the slotless path, never to an
-    /// error.
+    /// This thread's `(replica, slot)` assignment per structure id, made
+    /// on first use. Entries for dropped structures linger (ids are never
+    /// reused, so they are merely unused); a thread's slots are not
+    /// returned when the thread exits — slot exhaustion degrades to the
+    /// slotless path, never to an error.
     static REG: RefCell<HashMap<usize, (usize, usize)>> = RefCell::new(HashMap::new());
-}
-
-/// This thread's assignment on structure `id`, made by `assign` on first
-/// use.
-fn assignment(id: usize, assign: impl FnOnce() -> (usize, usize)) -> (usize, usize) {
-    REG.with(|m| *m.borrow_mut().entry(id).or_insert_with(assign))
 }
 
 // The protocol's happens-before edges (see the module's checker section).
@@ -340,7 +325,7 @@ impl<O> Log<O> {
 }
 
 // --------------------------------------------------------------------
-// Flat combining: the slot array both front ends post through
+// Flat combining: the slot array a replica's writers post through
 // --------------------------------------------------------------------
 
 /// One poster's slot: its op travels in (`.0`), its answer out (`.1`).
@@ -355,9 +340,9 @@ struct Cell<I, O> {
 // handing them across that protocol is sound.
 unsafe impl<I: Send, O: Send> Sync for Cell<I, O> {}
 
-/// A flat-combining slot array behind one combiner lock, generic over
-/// what a slot carries: a [`Replicated`] replica's `WriteOp` and its
-/// response, or a [`Combiner`]'s type-erased section.
+/// A flat-combining slot array behind one combiner lock: a
+/// [`Replicated`] replica's posters, a slot carrying a `WriteOp` in and
+/// its response out.
 struct Slots<I, O> {
     /// Combiner election: whoever holds this claims and answers every
     /// published op.
@@ -639,7 +624,11 @@ impl<T: Dispatch> Replicated<T> {
     }
 
     fn thread_assignment(&self) -> (usize, usize) {
-        assignment(self.id, || self.assign())
+        REG.with(|m| {
+            *m.borrow_mut()
+                .entry(self.id)
+                .or_insert_with(|| self.assign())
+        })
     }
 
     fn assign(&self) -> (usize, usize) {
@@ -901,241 +890,13 @@ impl<T: Dispatch> Drop for ReplicatedHandle<'_, T> {
     }
 }
 
-// --------------------------------------------------------------------
-// Combiner: untyped flat-combining section lock
-// --------------------------------------------------------------------
-
-/// Type-erased pointer to a poster's stack-held task. The combiner
-/// dereferences it on another thread; the poster wait (never unwind
-/// while the task is claimed) keeps the frame alive.
-struct FcTask {
-    run: unsafe fn(*mut ()),
-    data: *mut (),
-}
-
-// SAFETY: posters guarantee the pointee is safe to run from another
-// thread — `Combiner::run` by its `Send` bounds, `run_unchecked` by its
-// caller contract.
-unsafe impl Send for FcTask {}
-
-/// Clears [`Combiner::owner`] on drop, on every way out of a combining
-/// pass, so the combiner never looks owned by a thread that no longer
-/// holds the lock.
-struct OwnerReset<'a>(&'a AtomicUsize);
-
-impl Drop for OwnerReset<'_> {
-    fn drop(&mut self) {
-        self.0.store(0, Ordering::Relaxed);
-    }
-}
-
-struct TaskData<F, R> {
-    f: Option<F>,
-    result: Option<thread::Result<R>>,
-}
-
-/// Run the poster's closure, capturing panics so they unwind on the
-/// poster (via `resume_unwind`), never through the combiner.
-unsafe fn run_task<F: FnOnce() -> R, R>(p: *mut ()) {
-    // SAFETY: `p` is the `TaskData` the poster published and still keeps
-    // alive on its stack.
-    let d = unsafe { &mut *(p as *mut TaskData<F, R>) };
-    let f = d.f.take().expect("replicated section task run twice");
-    d.result = Some(catch_unwind(AssertUnwindSafe(f)));
-}
-
-/// A flat-combining *section* lock: `run(f)` executes `f` in mutual
-/// exclusion with every other section on the same `Combiner`, but under
-/// contention one thread (the combiner) executes whole batches of
-/// waiters' sections back-to-back while they wait — one lock handoff per
-/// batch instead of one per section. A drop-in scalability upgrade for
-/// [`critical_named`](crate::critical::critical_named); the weaver's
-/// `replicated` mechanism and the `#[replicated]` macro compile to this.
-///
-/// Section bodies run on the combining thread (see module docs), and —
-/// unlike a poster *waiting* at a critical lock — a poster whose section
-/// has been claimed cannot be cancelled until it executes.
-pub struct Combiner {
-    id: usize,
-    /// The posters; a slot carries a type-erased section, whose result
-    /// the combiner writes into the poster's [`TaskData`].
-    fc: Slots<FcTask, ()>,
-    /// [`ctx::thread_token`] of the thread currently combining (0 = none);
-    /// lets a section body re-enter sections on the same `Combiner`
-    /// inline, matching re-entrant `@Critical`.
-    owner: AtomicUsize,
-    /// Sections executed — the log-tail analogue for hook events.
-    ops: AtomicU64,
-}
-
-impl Default for Combiner {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Combiner {
-    /// A fresh, unshared combiner.
-    pub fn new() -> Self {
-        Self {
-            id: next_nr_id(),
-            fc: Slots::new(),
-            owner: AtomicUsize::new(0),
-            ops: AtomicU64::new(0),
-        }
-    }
-
-    /// The process-wide combiner named `id` — the replicated analogue of
-    /// a named critical lock. Sections with equal names exclude each
-    /// other; entries are never removed (names are program structure).
-    pub fn named(id: &str) -> Arc<Combiner> {
-        static REGISTRY: OnceLock<Mutex<HashMap<String, Arc<Combiner>>>> = OnceLock::new();
-        let mut reg = REGISTRY.get_or_init(|| Mutex::new(HashMap::new())).lock();
-        if let Some(c) = reg.get(id) {
-            return Arc::clone(c);
-        }
-        let c = Arc::new(Combiner::new());
-        reg.insert(id.to_owned(), Arc::clone(&c));
-        c
-    }
-
-    /// The combiner's process-unique id (the `nr` field of its hook
-    /// events). Monotonic, never reused.
-    pub fn id(&self) -> usize {
-        self.id
-    }
-
-    /// Sections executed so far.
-    pub fn sections(&self) -> u64 {
-        self.ops.load(Ordering::Acquire)
-    }
-
-    /// Run `f` in mutual exclusion with all other sections on this
-    /// combiner. `f` may execute on another (combining) thread; the
-    /// `Send` bounds make that sound. Panics in `f` unwind on the
-    /// calling thread. A cancellation point inside a team: a section no
-    /// combiner has claimed is withdrawn, a claimed one runs first.
-    pub fn run<R: Send>(&self, f: impl FnOnce() -> R + Send) -> R {
-        // SAFETY: `F: Send` and `R: Send` — the closure and its result
-        // may cross to the combining thread.
-        unsafe { self.run_erased(f) }
-    }
-
-    /// Run `f` in mutual exclusion with all other sections on this
-    /// combiner, *on the calling thread* — no flat combining for this
-    /// section, so no `Send` bounds. Other threads' published sections
-    /// are batched first while we hold the lock, keeping them from
-    /// starving behind inline sections. Used by the weaver for value
-    /// join points, whose closures may not be `Send`, and by posters
-    /// that got no slot.
-    pub fn run_inline<R>(&self, f: impl FnOnce() -> R) -> R {
-        let token = ctx::thread_token();
-        if self.owner.load(Ordering::Relaxed) == token {
-            return f();
-        }
-        let out = {
-            let _g = block_on(|| self.fc.lock.try_lock(), || true);
-            self.owner.store(token, Ordering::Relaxed);
-            let _reset = OwnerReset(&self.owner);
-            self.combine(None);
-            let lo = self.ops.load(Ordering::Relaxed);
-            combine_edge(self.id, 0, lo, lo + 1);
-            let out = catch_unwind(AssertUnwindSafe(f));
-            self.ops.store(lo + 1, Ordering::Release);
-            sync_edge(self.id, 0, lo + 1);
-            out
-        };
-        out.unwrap_or_else(|p| resume_unwind(p))
-    }
-
-    /// [`run`](Self::run) without the `Send` bounds.
-    ///
-    /// # Safety
-    ///
-    /// `f` (with everything it captures) and its result must be safe to
-    /// move to and run on another thread of this process while the
-    /// caller blocks — i.e. the caller asserts the `Send` bounds that
-    /// [`run`](Self::run) would require. The weaver uses this for woven
-    /// section bodies, which are `Fn + Sync` closures run by reference.
-    pub unsafe fn run_unchecked<R>(&self, f: impl FnOnce() -> R) -> R {
-        unsafe { self.run_erased(f) }
-    }
-
-    unsafe fn run_erased<F: FnOnce() -> R, R>(&self, f: F) -> R {
-        let token = ctx::thread_token();
-        if self.owner.load(Ordering::Relaxed) == token {
-            // Re-entrant: we *are* the combiner; the lock is ours.
-            return f();
-        }
-        let (_, si) = assignment(self.id, || (0, self.fc.assign()));
-        if si == SLOTLESS {
-            return self.run_inline(f);
-        }
-        let mut data = TaskData {
-            f: Some(f),
-            result: None,
-        };
-        let task = FcTask {
-            run: run_task::<F, R>,
-            data: &mut data as *mut TaskData<F, R> as *mut (),
-        };
-        let t = self.ops.load(Ordering::Relaxed);
-        append_edge(self.id, t, t);
-        self.fc.post(si, task, || {
-            self.owner.store(token, Ordering::Relaxed);
-            let _reset = OwnerReset(&self.owner);
-            self.combine(Some(si));
-        });
-        sync_edge(self.id, 0, self.ops.load(Ordering::Relaxed));
-        match data
-            .result
-            .take()
-            .expect("replicated section finished without a result")
-        {
-            Ok(r) => r,
-            Err(p) => resume_unwind(p),
-        }
-    }
-
-    /// The batching pass. Caller holds `fc.lock` and has set `owner`.
-    fn combine(&self, own: Option<usize>) {
-        let batch = self.fc.claim();
-        if batch.is_empty() {
-            return;
-        }
-        let lo = self.ops.load(Ordering::Relaxed);
-        let hi = lo + batch.len() as u64;
-        combine_edge(self.id, 0, lo, hi);
-        for (_, t) in &batch {
-            // SAFETY: the poster waits until we mark its slot DONE; its
-            // stack frame (holding the task state) is pinned, and
-            // `run_task` confines panics to the poster.
-            unsafe { (t.run)(t.data) };
-        }
-        self.ops.store(hi, Ordering::Release);
-        // Release edge before the DONE wake-ups, so every poster's
-        // follow-up sync joins this pass.
-        sync_edge(self.id, 0, hi);
-        self.fc
-            .answer(batch.iter().map(|&(i, _)| (i, ())), own, hi - lo);
-    }
-}
-
-/// Run `f` as a replicated section under the process-wide combiner named
-/// `id` — `@Replicated(id = name)`, the flat-combining counterpart of
-/// [`critical_named`](crate::critical::critical_named). Call sites that
-/// run hot should cache [`Combiner::named`] instead (the `#[replicated]`
-/// macro does).
-pub fn replicated_named<R: Send>(id: &str, f: impl FnOnce() -> R + Send) -> R {
-    Combiner::named(id).run(f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::error::RegionError;
     use crate::region::{parallel_with, try_parallel_with, RegionConfig};
     use std::sync::atomic::AtomicBool;
+    use std::sync::Arc;
 
     #[derive(Clone)]
     struct Counter(u64);
@@ -1259,45 +1020,6 @@ mod tests {
         });
         c.sync();
         assert_eq!(c.read_direct(|s| s.0), 200);
-    }
-
-    #[test]
-    fn combiner_serialises_sections() {
-        struct Unsync(UnsafeCell<u64>);
-        unsafe impl Sync for Unsync {}
-        impl Unsync {
-            fn bump(&self) {
-                // Data race unless callers exclude each other.
-                unsafe { *self.0.get() += 1 }
-            }
-        }
-        let counter = Unsync(UnsafeCell::new(0));
-        let fc = Combiner::new();
-        parallel_with(RegionConfig::new().threads(4), || {
-            for _ in 0..1000 {
-                fc.run(|| counter.bump());
-            }
-        });
-        assert_eq!(unsafe { *counter.0.get() }, 4000);
-        assert_eq!(fc.sections(), 4000);
-    }
-
-    #[test]
-    fn combiner_returns_values_and_is_reentrant() {
-        let fc = Combiner::new();
-        let v = fc.run(|| fc.run(|| 41) + 1);
-        assert_eq!(v, 42);
-    }
-
-    #[test]
-    fn combiner_panics_unwind_on_the_poster() {
-        let fc = Arc::new(Combiner::new());
-        let r = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            fc.run(|| panic!("section panic"));
-        }));
-        assert!(r.is_err());
-        // The combiner survives for later sections.
-        assert_eq!(fc.run(|| 7), 7);
     }
 
     /// A counter with the two ops the failure tests need: `Fail` panics
@@ -1426,10 +1148,6 @@ mod tests {
 
     #[test]
     fn pending_poster_withdraws_its_op_on_cancel() {
-        fn withdraw<I, O>(fc: &Slots<I, O>) {
-            crate::ctx::cancel_team();
-            spin_until(|| fc.cells[0].state.load(Ordering::Acquire) == EMPTY);
-        }
         let c = Replicated::with_config(Fragile(0), 1, 128);
         let fc = &c.replicas[0].fc;
         let r = with_slot_published(
@@ -1438,27 +1156,13 @@ mod tests {
                 c.execute(FWrite::Add(1));
                 panic!("a withdrawn poster returned");
             },
-            || withdraw(fc),
+            || {
+                crate::ctx::cancel_team();
+                spin_until(|| fc.cells[0].state.load(Ordering::Acquire) == EMPTY);
+            },
         );
         assert_eq!(r, Err(RegionError::Cancelled));
         assert_eq!(c.tail(), 0, "the withdrawn op never ran");
-
-        let s = Combiner::new();
-        let ran = AtomicBool::new(false);
-        let r = with_slot_published(
-            &s.fc,
-            || {
-                s.run(|| ran.store(true, Ordering::SeqCst));
-                panic!("a withdrawn poster returned");
-            },
-            || withdraw(&s.fc),
-        );
-        assert_eq!(r, Err(RegionError::Cancelled));
-        assert_eq!(s.sections(), 0);
-        assert!(
-            !ran.load(Ordering::SeqCst),
-            "the withdrawn section never ran"
-        );
     }
 
     #[test]
@@ -1484,34 +1188,6 @@ mod tests {
         let h = c.handle();
         assert_eq!(c.replicas[0].fc.registered.load(Ordering::Relaxed), 1);
         assert_eq!(h.execute_ro(&()), 1);
-
-        let s = Combiner::new();
-        let runs = AtomicUsize::new(0);
-        let returned = AtomicBool::new(false);
-        let r = with_slot_published(
-            &s.fc,
-            || {
-                s.run(|| {
-                    crate::ctx::cancel_team();
-                    std::thread::sleep(Duration::from_millis(20));
-                    runs.fetch_add(1, Ordering::SeqCst);
-                });
-                returned.store(true, Ordering::SeqCst);
-            },
-            || s.combine(None),
-        );
-        assert_eq!(r, Err(RegionError::Cancelled));
-        assert!(!returned.load(Ordering::SeqCst), "the poster unwinds");
-        assert_eq!((runs.load(Ordering::SeqCst), s.sections()), (1, 1));
-        assert_eq!(s.fc.cells[0].state.load(Ordering::Acquire), EMPTY);
-    }
-
-    #[test]
-    fn named_combiners_are_shared() {
-        let a = Combiner::named("nr-test-shared");
-        let b = Combiner::named("nr-test-shared");
-        assert_eq!(a.id(), b.id());
-        assert_ne!(a.id(), Combiner::named("nr-test-other").id());
     }
 
     #[test]
@@ -1523,7 +1199,5 @@ mod tests {
             assert!(seen.insert(c.id()), "id {} reused", c.id());
             assert!(c.id() > first);
         }
-        // Combiners draw from the same sequence: no collisions either.
-        assert!(seen.insert(Combiner::new().id()));
     }
 }

@@ -4,8 +4,12 @@
 //! [`wait_until`]: a barrier round, an idle team worker's next dispatch,
 //! the master's join, a broadcast value, an ordered turn, a task join, a
 //! future's value, a dependence group's next ready task, an idle
-//! executor worker's next task, a critical section's lock (`nr`, a
-//! combiner slot with retraction, is no condvar wait and keeps its own).
+//! executor worker's next task, a critical section's lock — `@Replicated`
+//! sections included, since `#[replicated]` and `Mechanism::replicated*`
+//! are that lock under another name (flat combining lost to it at every
+//! section size measured, and node replication pays only across NUMA
+//! nodes). `nr`'s `Replicated<T>` poster, a combiner slot with
+//! retraction, is no condvar wait and keeps its own.
 //! Waking a parked thread costs ~20 µs on a loaded host while most such
 //! waits end within a microsecond or two, so the wait first
 //! polls its condition for [`SPIN_BUDGET`] and only then takes the

@@ -13,7 +13,7 @@
 //! | `@Parallel[(threads=n)]` | `#[parallel]`, `#[parallel(threads = 4)]`, `#[parallel(cancellable, stall_deadline_ms = 200)]`, `#[parallel(only_if = "auto")]` |
 //! | `@For[(schedule=…)]` | `#[for_loop]`, `#[for_loop(schedule = "staticCyclic")]`, `#[for_loop(schedule = "dynamic", chunk = 8)]` (see the schedule table below) |
 //! | `@Critical[(id=name)]` | `#[critical]`, `#[critical(id = "lockname")]` |
-//! | `@Critical` via flat combining | `#[replicated]`, `#[replicated(id = "name")]` |
+//! | `@Replicated[(id=name)]`, `@Critical`'s lock under another name | `#[replicated]`, `#[replicated(id = "name")]` |
 //! | `@BarrierBefore` / `@BarrierAfter` | `#[barrier_before]` / `#[barrier_after]` |
 //! | `@Master` | `#[master]` (broadcasts the return value, if any) |
 //! | `@Single` | `#[single]` (ditto) |
@@ -478,28 +478,22 @@ pub fn for_loop(attr: TokenStream, item: TokenStream) -> TokenStream {
     })
 }
 
-/// `#[critical]` and `#[replicated]`: the body is a section of the call
-/// site's own `ty` (`private`), or with `id = "name"` of the process-wide
-/// one `named` looks up.
-fn section(
-    attr: TokenStream,
-    item: TokenStream,
-    what: &str,
-    ty: &str,
-    private: &str,
-    named: &str,
-) -> TokenStream {
+/// `#[critical]` and `#[replicated]` (`what`, for argument errors): the
+/// body is a section of the call site's own `CriticalHandle`, or with
+/// `id = "name"` of the process-wide named one.
+fn section(attr: TokenStream, item: TokenStream, what: &str) -> TokenStream {
+    const HANDLE: &str = "::aomp::critical::CriticalHandle";
     expand(item, |f| {
-        let mut init = private.to_owned();
+        let mut init = format!("{HANDLE}::new()");
         for arg in parse_attr_args(attr)? {
             match arg.name.as_str() {
-                "id" => init = format!("{named}({:?})", arg.str()?),
+                "id" => init = format!("{HANDLE}::named({:?})", arg.str()?),
                 other => return Err(unknown_arg(what, other, "`id = \"name\"`")),
             }
         }
         Ok(format!(
             "{}__aomp_site.run(|| {})",
-            call_site(ty, &init),
+            call_site(HANDLE, &init),
             f.body
         ))
     })
@@ -511,40 +505,17 @@ fn section(
 /// without an id, a lock private to this function.
 #[proc_macro_attribute]
 pub fn critical(attr: TokenStream, item: TokenStream) -> TokenStream {
-    section(
-        attr,
-        item,
-        "critical",
-        "::aomp::critical::CriticalHandle",
-        "::aomp::critical::CriticalHandle::new()",
-        "::aomp::critical::CriticalHandle::named",
-    )
+    section(attr, item, "critical")
 }
 
-/// `@Critical` served by flat combining — a scalable drop-in for
-/// [`macro@critical`] on contended sections. The body still executes in
-/// mutual exclusion, but instead of every thread fighting for one lock,
-/// waiting threads publish their section and the current lock holder
-/// (the *combiner*) runs a whole batch in one lock tenure
-/// (`aomp::nr::Combiner`). With `id = "name"` a process-wide named
-/// combiner is shared across type-unrelated call sites, mirroring
-/// `#[critical(id = …)]`; without an id, a combiner private to this
-/// function.
-///
-/// Unlike `#[critical]`, the body may run on a *different* thread (the
-/// combiner), so it must be `Send` and close only over `Sync` shared
-/// state — which is what a shared-state critical section closes over
-/// anyway. Bodies needing thread affinity should stay on `#[critical]`.
+/// `@Replicated` — [`macro@critical`] under another name: the same
+/// owner-word lock, the body run on the caller, and `id = "name"` in the
+/// one name space `#[critical(id = …)]` uses. Flat combining lost to that
+/// lock at every section size measured, and node replication's NUMA win
+/// needs more than one node; replicated *data* is `aomp::nr::Replicated`.
 #[proc_macro_attribute]
 pub fn replicated(attr: TokenStream, item: TokenStream) -> TokenStream {
-    section(
-        attr,
-        item,
-        "replicated",
-        "::std::sync::Arc<::aomp::nr::Combiner>",
-        "::std::sync::Arc::new(::aomp::nr::Combiner::new())",
-        "::aomp::nr::Combiner::named",
-    )
+    section(attr, item, "replicated")
 }
 
 /// `@BarrierBefore` — team barrier before the body executes.

@@ -13,7 +13,6 @@ use parking_lot::RwLock;
 
 use aomp::critical::CriticalHandle;
 use aomp::deps::{Dep, DepGroup, TaskloopConstruct};
-use aomp::nr::Combiner;
 use aomp::range::LoopRange;
 use aomp::region::{Gate, RegionConfig};
 use aomp::schedule::Schedule;
@@ -65,7 +64,6 @@ pub(crate) enum MechanismKind {
     MasterGate { construct: Master },
     SingleGate { construct: Single },
     Critical { handle: CriticalHandle },
-    Replicated { combiner: Arc<Combiner> },
     Reader { rw: Arc<RwConstruct> },
     Writer { rw: Arc<RwConstruct> },
     ReduceAfter { action: Arc<dyn Fn() + Send + Sync> },
@@ -236,35 +234,19 @@ impl Mechanism {
         }
     }
 
-    /// `@Replicated` with this aspect instance's own flat-combining
-    /// section lock — a drop-in scalability upgrade for
-    /// [`critical`](Self::critical): same mutual exclusion, but under
-    /// contention one thread executes whole batches of waiting sections
-    /// (see [`aomp::nr::Combiner`]). The section body may run on another
-    /// team thread, so it must not depend on thread identity.
+    /// `@Replicated` — [`critical`](Self::critical) under another name:
+    /// the same owner-word lock, run on the calling member. Flat combining
+    /// lost to that lock at every section size measured, and node
+    /// replication's NUMA win needs more than one node; replicated *data*
+    /// is [`aomp::nr::Replicated`].
     pub fn replicated() -> Self {
-        Self {
-            kind: MechanismKind::Replicated {
-                combiner: Arc::new(Combiner::new()),
-            },
-        }
+        Self::critical()
     }
 
-    /// `@Replicated(id = name)` — process-wide named combiner, the
-    /// flat-combining counterpart of [`critical_named`](Self::critical_named).
+    /// `@Replicated(id = name)` — [`critical_named`](Self::critical_named):
+    /// one name space, so it excludes `@Critical(id = name)` too.
     pub fn replicated_named(id: &str) -> Self {
-        Self {
-            kind: MechanismKind::Replicated {
-                combiner: Combiner::named(id),
-            },
-        }
-    }
-
-    /// `@Replicated` sharing an explicit combiner across mechanisms.
-    pub fn replicated_with(combiner: Arc<Combiner>) -> Self {
-        Self {
-            kind: MechanismKind::Replicated { combiner },
-        }
+        Self::critical_named(id)
     }
 
     /// `@Reader` — shared access through `rw`. Pair with
@@ -373,7 +355,6 @@ impl Mechanism {
             MechanismKind::Parallel(..) => layer::PARALLEL,
             MechanismKind::MasterGate { .. } | MechanismKind::SingleGate { .. } => layer::GATE,
             MechanismKind::Critical { .. }
-            | MechanismKind::Replicated { .. }
             | MechanismKind::Reader { .. }
             | MechanismKind::Writer { .. }
             | MechanismKind::Task { .. } => layer::LOCK,
@@ -402,7 +383,6 @@ impl Mechanism {
             MechanismKind::MasterGate { .. } => "master",
             MechanismKind::SingleGate { .. } => "single",
             MechanismKind::Critical { .. } => "critical",
-            MechanismKind::Replicated { .. } => "replicated",
             MechanismKind::Reader { .. } => "reader",
             MechanismKind::Writer { .. } => "writer",
             MechanismKind::ReduceAfter { .. } => "reduce",

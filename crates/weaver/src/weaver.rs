@@ -22,10 +22,9 @@
 //! 2. the `@Parallel` region, if any (the later binding wins);
 //! 3. per team member, `weave`, outermost first: the first
 //!    `@Master`/`@Single` gate (a second is inert) → `@Critical`/
-//!    `@Replicated`/`@Reader`/`@Writer`/`@Task` in binding order → custom
-//!    advice in binding order, each handing its (possibly rewritten)
-//!    range inward → the first work-share (`@For` before `@Taskloop`) →
-//!    the body;
+//!    `@Reader`/`@Writer`/`@Task` in binding order → custom advice in
+//!    binding order, each handing its (possibly rewritten) range inward →
+//!    the first work-share (`@For` before `@Taskloop`) → the body;
 //! 4. per team member, the `@Reduce` points — outside the gate, inside
 //!    the region: team barrier, the master merges, team barrier;
 //! 5. `@BarrierAfter`s, on the enclosing team again.
@@ -298,11 +297,11 @@ type Gate<'a> = &'a dyn Fn(&MechanismKind, &mut dyn FnMut());
 #[derive(Clone, Copy)]
 enum Leaf<'a> {
     /// `Fn + Sync`: any member of a team may run it. Gates elect without
-    /// a broadcast and `@Replicated` sections combine.
+    /// a broadcast.
     Team(&'a (dyn Fn(LoopRange, Option<&ForScope<'_>>) + Sync)),
     /// Confined to the calling thread (a `FnOnce` whose result need not
-    /// be `Send`): `@Replicated` runs inline, and the shim supplies the
-    /// gate step because only it can name the broadcast type.
+    /// be `Send`): the shim supplies the gate step because only it can
+    /// name the broadcast type.
     Caller {
         gate: Gate<'a>,
         leaf: &'a dyn Fn(LoopRange, Option<&ForScope<'_>>),
@@ -370,15 +369,6 @@ fn weave(stack: &[&Mechanism], range: LoopRange, member: &Member<'_>) {
             }
         }
         MechanismKind::Critical { handle } => handle.run(|| inner(range)),
-        MechanismKind::Replicated { combiner } => match member.leaf {
-            // SAFETY: the section is the rest of this weave. All it can
-            // reach is `member` — a `Leaf::Team`, so a `Sync` leaf, plus
-            // the join point — and `rest`, `&`s to `Sync` mechanisms, so
-            // the combining team thread may run it while this one parks.
-            // It returns `()`.
-            Leaf::Team(_) => unsafe { combiner.run_unchecked(|| inner(range)) },
-            Leaf::Caller { .. } => combiner.run_inline(|| inner(range)),
-        },
         MechanismKind::Reader { rw } => rw.read(|| inner(range)),
         MechanismKind::Writer { rw } => rw.write(|| inner(range)),
         // An *undeferred* dependence node: wait for the predecessors the
@@ -731,9 +721,9 @@ mod tests {
 
     #[test]
     fn replicated_value_join_point_runs_inline() {
-        // The value path takes a `FnOnce() -> T` with no `Send` bound,
-        // so the replicated mechanism must execute it on the calling
-        // thread (inline combining) rather than batching it away.
+        // `@Replicated` is the critical lock: a section runs on the
+        // member that enters it, whether it is a value join point (a
+        // `FnOnce() -> T` with no `Send` bound) or a void one.
         let seen = parking_lot::Mutex::new(Vec::new());
         let aspect = AspectModule::builder("repl-val-test")
             .bind(
@@ -744,6 +734,10 @@ mod tests {
                 Pointcut::call("weaver.test.replval"),
                 Mechanism::replicated_named("weaver.test.replval"),
             )
+            .bind(
+                Pointcut::call("weaver.test.replvoid"),
+                Mechanism::replicated_named("weaver.test.replval"),
+            )
             .build();
         Weaver::global().with_deployed(aspect, || {
             call("weaver.test.replvalwrap", || {
@@ -751,6 +745,12 @@ mod tests {
                 let v: std::thread::ThreadId =
                     call_value("weaver.test.replval", std::thread::current).id();
                 assert_eq!(v, me, "value body ran on the calling thread");
+                let runs = AtomicUsize::new(0);
+                call("weaver.test.replvoid", || {
+                    assert_eq!(std::thread::current().id(), me, "void body ran elsewhere");
+                    runs.fetch_add(1, AO::Relaxed);
+                });
+                assert_eq!(runs.into_inner(), 1, "void body ran once on its member");
                 seen.lock().push(v);
             });
         });

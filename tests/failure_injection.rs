@@ -285,7 +285,20 @@ fn team_deadlocked_on_a_dependence_graph_is_diagnosed_at_task_wait() {
 fn members_blocked_on_a_held_critical_are_diagnosed_at_critical() {
     // Virtual time, like the hung worker above: the five-minute deadline
     // passes while both members wait on a lock held outside the team.
-    let h = CriticalHandle::new();
+    // `@Replicated(id)` is `@Critical(id)`'s lock, so the woven and the
+    // annotated spellings block on the held handle too.
+    const NAME: &str = "failure_injection.held";
+    #[aomplib::annotations::replicated(id = "failure_injection.held")]
+    fn annotated() {
+        unreachable!("the lock is held until the region returns")
+    }
+    let aspect = AspectModule::builder("held-replicated")
+        .bind(
+            Pointcut::call("failure_injection.woven"),
+            Mechanism::replicated_named(NAME),
+        )
+        .build();
+    let h = CriticalHandle::named(NAME);
     let (held, is_held) = std::sync::mpsc::channel();
     let (release, wait_release) = std::sync::mpsc::channel::<()>();
     let holder = {
@@ -298,24 +311,42 @@ fn members_blocked_on_a_held_critical_are_diagnosed_at_critical() {
         })
     };
     is_held.recv().unwrap();
-    let clock = VirtualClock::install();
-    let r = region::try_parallel_with(
-        RegionConfig::new()
-            .threads(2)
-            .stall_deadline(Duration::from_secs(300)),
-        || h.run(|| unreachable!("the lock is held until the region returns")),
-    );
-    drop(clock);
+    let entries: [(&str, &(dyn Fn() + Sync)); 3] = [
+        ("handle", &|| {
+            h.run(|| unreachable!("the lock is held until the region returns"))
+        }),
+        ("woven", &|| {
+            call("failure_injection.woven", || {
+                unreachable!("the lock is held")
+            })
+        }),
+        ("annotated", &annotated),
+    ];
+    Weaver::global().with_deployed(aspect, || {
+        for (input, enter) in entries {
+            let clock = VirtualClock::install();
+            let r = region::try_parallel_with(
+                RegionConfig::new()
+                    .threads(2)
+                    .stall_deadline(Duration::from_secs(300)),
+                enter,
+            );
+            drop(clock);
+            match r {
+                // Five virtual minutes may pass before the second member arrives.
+                Err(RegionError::Stalled { blocked }) => {
+                    assert!(!blocked.is_empty(), "{input}");
+                    assert!(
+                        blocked.iter().all(|&(_, site)| site == WaitSite::Critical),
+                        "{input}: {blocked:?}"
+                    );
+                }
+                other => panic!("{input}: expected RegionError::Stalled, got {other:?}"),
+            }
+        }
+    });
     release.send(()).unwrap();
     holder.join().unwrap();
-    match r {
-        // Five virtual minutes may pass before the second member arrives.
-        Err(RegionError::Stalled { blocked }) => {
-            assert!(!blocked.is_empty());
-            assert!(blocked.iter().all(|&(_, site)| site == WaitSite::Critical));
-        }
-        other => panic!("expected RegionError::Stalled, got {other:?}"),
-    }
     assert_eq!(h.run(|| 5), 5);
 }
 
