@@ -14,7 +14,7 @@
 //! Execution resolves lazily at the first spawn: inside a parallel
 //! region, team members pull ready tasks by calling [`DepGroup::run`]
 //! (the *team* mode the checker serializes deterministically); outside a
-//! region, ready tasks are pushed to the shared work-stealing executor
+//! region, ready tasks are pushed to the shared task executor
 //! and [`DepGroup::wait`] joins them.
 //!
 //! Every dependence edge is mirrored to the scheduling hook as a precise
@@ -239,8 +239,8 @@ enum Mode {
     /// Inside a parallel region: members *pull* from the ready queue via
     /// [`DepGroup::run`]. This is the mode the checker can serialize.
     Team,
-    /// Outside any region: ready tasks are *pushed* to the shared
-    /// work-stealing executor.
+    /// Outside any region: ready tasks are *pushed* to the shared task
+    /// executor.
     Executor,
 }
 

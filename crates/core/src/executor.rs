@@ -4,24 +4,17 @@
 //! The paper's `@Task` model is "spawn a new parallel activity"; v1.0
 //! (and this runtime before hot teams) took that literally with one OS
 //! thread per task. This module replaces thread-per-task with a pool of
-//! workers, each owning a deque: submissions are distributed
-//! round-robin, a worker pops its own queue from the front and steals
-//! from the back of the others, so a burst of fine-grained tasks spreads
-//! over the pool without a single contended queue.
-//!
-//! Stealing is *locality-aware steal-half*: an idle worker scans victims
-//! same-socket first ([`schedule::steal_order`], driven by
-//! `AOMP_SOCKETS`), and when it finds a non-empty deque it adopts the
-//! whole back half — one lock acquisition amortised over half the
-//! victim's backlog, and the adopted tasks then drain from the thief's
-//! own queue instead of hammering the victim's lock once per task.
+//! workers behind one FIFO queue: a submission is pushed to the back and
+//! a worker pops the front. The queue has its own lock, not the one
+//! admission control counts workers under, so a worker's pop never
+//! takes the admission lock.
 //!
 //! Each [`Runtime`](crate::runtime::Runtime) owns one `Executor`
 //! instance (the process-wide singleton of earlier versions is now just
 //! the default runtime's executor), so two runtimes never share workers
 //! and dropping a runtime can actually join its threads: workers hold
 //! their own `Arc<Executor>` (not a `&'static`), honour the `shutdown`
-//! flag after draining the queues, and [`Executor::shutdown_and_join`]
+//! flag after draining the queue, and [`Executor::shutdown_and_join`]
 //! blocks until every worker thread has exited. A worker stuck in a
 //! task that blocks forever delays that join — the same contract as
 //! dropping a `TaskGroup` that never completes.
@@ -39,12 +32,12 @@
 //! (sequential semantics, see [`fallback_dispatch`]).
 //!
 //! A worker blocked in `FutureTask::get` / `TaskGroup::wait` pins its
-//! worker but deliberately does NOT steal-and-run queued tasks while
-//! blocked ("help joining"): running a stolen task inline on the
-//! waiter's stack deadlocks when the stolen task transitively waits on a
+//! worker but deliberately does NOT pop-and-run queued tasks while
+//! blocked ("help joining"): running a queued task inline on the
+//! waiter's stack deadlocks when that task transitively waits on a
 //! future whose producer is suspended *below it on the same stack* — the
-//! buried frame can only resume after the thief's frame returns, and the
-//! thief waits on the buried frame. Liveness without helping holds
+//! buried frame can only resume after the helper's frame returns, and
+//! the helper waits on the buried frame. Liveness without helping holds
 //! because a queued task always has a claimed idle worker to pop it, and
 //! tasks refused by admission control run on dedicated threads.
 //!
@@ -76,13 +69,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use crate::obs::{self, Counter};
-use crate::schedule;
 use crate::wait::{self, Site};
-
-/// Environment variable capping the *default runtime's* worker count.
-/// Captured once when the default runtime is constructed
-/// (see `runtime::default_runtime`); explicitly built runtimes ignore it.
-pub const TASK_WORKERS_ENV: &str = "AOMP_TASK_WORKERS";
 
 /// A queued task: the spawn surfaces wrap panic capture / completion
 /// signalling into the closure, so the executor itself only runs it.
@@ -113,10 +100,8 @@ struct Ctl {
 }
 
 pub(crate) struct Executor {
-    queues: Vec<Mutex<VecDeque<Task>>>,
-    /// Per-worker victim scan order: same-socket peers first in ring
-    /// order, then remote sockets (see [`schedule::steal_order`]).
-    steal_order: Vec<Vec<usize>>,
+    /// Submitted tasks, oldest first.
+    queue: Mutex<VecDeque<Task>>,
     inner: Mutex<Ctl>,
     cv: Condvar,
     /// Tasks enqueued but not yet popped — with `shutdown`, all an idle
@@ -125,27 +110,20 @@ pub(crate) struct Executor {
     pending: AtomicUsize,
     /// The idle wait's history, shared by the workers.
     idle: Site,
-    /// Round-robin enqueue cursor.
-    next: AtomicUsize,
     max_workers: usize,
     /// Set once by [`shutdown_and_join`](Executor::shutdown_and_join);
-    /// workers observe it after draining the queues.
+    /// workers observe it after draining the queue.
     shutdown: AtomicBool,
     handles: Mutex<Vec<JoinHandle<()>>>,
-    /// The owning runtime's counter scope; worker-side events (steals,
-    /// parks) are attributed here as well as globally.
+    /// The owning runtime's counter scope; worker-side events (parks)
+    /// are attributed here as well as globally.
     scope: Arc<obs::Scope>,
 }
 
 impl Executor {
     pub(crate) fn new(max_workers: usize, scope: Arc<obs::Scope>) -> Arc<Executor> {
-        let max = max_workers.max(1);
-        let sockets = schedule::configured_sockets();
         Arc::new(Executor {
-            queues: (0..max).map(|_| Mutex::new(VecDeque::new())).collect(),
-            steal_order: (0..max)
-                .map(|i| schedule::steal_order(i, max, sockets))
-                .collect(),
+            queue: Mutex::new(VecDeque::new()),
             inner: Mutex::new(Ctl {
                 idle: 0,
                 claims: 0,
@@ -154,8 +132,7 @@ impl Executor {
             cv: Condvar::new(),
             pending: AtomicUsize::new(0),
             idle: Site::default(),
-            next: AtomicUsize::new(0),
-            max_workers: max,
+            max_workers: max_workers.max(1),
             shutdown: AtomicBool::new(false),
             handles: Mutex::new(Vec::new()),
             scope,
@@ -178,7 +155,7 @@ impl Executor {
         g.claims = g.claims.min(self.pending.load(Ordering::Relaxed));
         if g.idle > g.claims {
             g.claims += 1;
-            self.enqueue(task);
+            self.queue.lock().push_back(task);
             self.pending.fetch_add(1, Ordering::Relaxed);
             drop(g);
             self.cv.notify_one();
@@ -192,11 +169,11 @@ impl Executor {
             let ex = Arc::clone(self);
             let spawned = std::thread::Builder::new()
                 .name(format!("aomp-exec-{id}"))
-                .spawn(move || worker_loop(ex, id));
+                .spawn(move || worker_loop(ex));
             match spawned {
                 Ok(h) => {
                     self.handles.lock().push(h);
-                    self.enqueue(task);
+                    self.queue.lock().push_back(task);
                     let mut g = self.inner.lock();
                     self.pending.fetch_add(1, Ordering::Relaxed);
                     // A worker that went idle during the spawn is whom
@@ -250,41 +227,11 @@ impl Executor {
         }
     }
 
-    fn enqueue(&self, task: Task) {
-        let i = self.next.fetch_add(1, Ordering::Relaxed) % self.queues.len();
-        self.queues[i].lock().push_back(task);
-    }
-
-    /// Pop a task: the worker's own queue from the front; when that is
-    /// empty, steal the back half of the nearest non-empty victim's
-    /// deque (near victims first), run the newest stolen task and adopt
-    /// the rest into the own queue. Adopted tasks stay enqueued —
-    /// `pending` drops only for the task actually returned.
-    fn pop_any(&self, own: usize) -> Option<Task> {
-        if let Some(t) = self.queues[own].lock().pop_front() {
-            self.pending.fetch_sub(1, Ordering::Relaxed);
-            return Some(t);
-        }
-        for &v in &self.steal_order[own] {
-            // Cut the batch under the victim's lock alone, then append
-            // under the own lock alone: never two queue locks at once.
-            let mut batch = {
-                let mut q = self.queues[v].lock();
-                let len = q.len();
-                if len == 0 {
-                    continue;
-                }
-                q.split_off(len - len.div_ceil(2))
-            };
-            let t = batch.pop_back().expect("stolen batch is non-empty");
-            self.pending.fetch_sub(1, Ordering::Relaxed);
-            if !batch.is_empty() {
-                self.queues[own].lock().append(&mut batch);
-            }
-            self.scope.record(Counter::TaskStolen);
-            return Some(t);
-        }
-        None
+    /// Pop the oldest queued task.
+    fn pop(&self) -> Option<Task> {
+        let t = self.queue.lock().pop_front()?;
+        self.pending.fetch_sub(1, Ordering::Relaxed);
+        Some(t)
     }
 }
 
@@ -299,21 +246,21 @@ fn run_task(task: Task) {
 
 /// Owns its `Arc` (not `&'static`) so the executor — and with it the
 /// runtime that owns it — is droppable once every worker has exited.
-fn worker_loop(ex: Arc<Executor>, id: usize) {
+fn worker_loop(ex: Arc<Executor>) {
     // Checked under `inner`, where the flag is flipped and `pending`
     // incremented, so a park cannot miss either.
     let wanted = || ex.pending.load(Ordering::Relaxed) > 0 || ex.shutdown.load(Ordering::Acquire);
     loop {
-        while let Some(t) = ex.pop_any(id) {
+        while let Some(t) = ex.pop() {
             run_task(t);
         }
         {
             let mut g = ex.inner.lock();
-            // Queues drained and shutdown requested: exit.
+            // Queue drained and shutdown requested: exit.
             if ex.shutdown.load(Ordering::Acquire) {
                 return;
             }
-            // A task enqueued since the scan above.
+            // A task enqueued since the last pop.
             if wanted() {
                 continue;
             }
@@ -559,71 +506,6 @@ mod tests {
         // USER_HZ is 100 on every Linux ABI: a tick is 10 ms.
         assert_eq!(after, before, "an idle worker ran");
         ex.shutdown_and_join();
-    }
-
-    #[test]
-    fn steal_takes_half_and_keeps_victims_front() {
-        // Deterministic: queues are manipulated directly, no worker
-        // threads ever start (try_submit is never called).
-        let ex = test_exec(4);
-        let log = Arc::new(Mutex::new(Vec::new()));
-        for i in 0..6 {
-            let log = Arc::clone(&log);
-            ex.queues[2]
-                .lock()
-                .push_back(Box::new(move || log.lock().push(i)) as Task);
-            ex.pending.fetch_add(1, Ordering::Relaxed);
-        }
-        // Worker 0's own queue is empty: in (single-socket) ring order
-        // 1, 2, 3 the first non-empty victim is queue 2. Of its 6
-        // tasks the thief cuts the back half [3, 4, 5], runs the
-        // newest and adopts the rest.
-        let t = ex.pop_any(0).expect("steal must find the batch");
-        t();
-        assert_eq!(
-            log.lock().as_slice(),
-            &[5],
-            "thief runs the newest stolen task"
-        );
-        assert_eq!(ex.queues[2].lock().len(), 3, "victim keeps its front half");
-        assert_eq!(ex.queues[0].lock().len(), 2, "thief adopts the rest");
-        assert_eq!(
-            ex.pending.load(Ordering::Relaxed),
-            5,
-            "adopted tasks stay pending"
-        );
-        // The adopted tasks drain from the thief's own front, in order.
-        ex.pop_any(0).unwrap()();
-        ex.pop_any(0).unwrap()();
-        assert_eq!(log.lock().as_slice(), &[5, 3, 4]);
-        // Thief dry again: next steal comes from the victim's remainder.
-        ex.pop_any(0).unwrap()();
-        assert_eq!(log.lock().as_slice(), &[5, 3, 4, 2]);
-    }
-
-    #[test]
-    fn own_queue_has_priority_over_stealing() {
-        let ex = test_exec(2);
-        let log = Arc::new(Mutex::new(Vec::new()));
-        for (q, tag) in [(0usize, "own"), (1, "other")] {
-            let log = Arc::clone(&log);
-            ex.queues[q]
-                .lock()
-                .push_back(Box::new(move || log.lock().push(tag)) as Task);
-            ex.pending.fetch_add(1, Ordering::Relaxed);
-        }
-        ex.pop_any(0).unwrap()();
-        assert_eq!(log.lock().as_slice(), &["own"]);
-    }
-
-    #[test]
-    fn steal_orders_are_rings_on_one_socket() {
-        // AOMP_SOCKETS defaults to 1 in the test environment: every
-        // worker's victim order is the plain ring after itself.
-        let ex = test_exec(4);
-        assert_eq!(ex.steal_order[0], vec![1, 2, 3]);
-        assert_eq!(ex.steal_order[1], vec![2, 3, 0]);
-        assert_eq!(ex.steal_order[3], vec![0, 1, 2]);
     }
 
     #[test]

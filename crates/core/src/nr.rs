@@ -63,13 +63,6 @@
 //!   reaches `DONE`, and a panic breaks neither the batch nor the
 //!   structure.
 //!
-//! # Configuration
-//!
-//! | Env var            | Meaning                               | Default |
-//! |--------------------|---------------------------------------|---------|
-//! | `AOMP_NR_REPLICAS` | replicas per [`Replicated`]           | by core count (1 / 2 / 4) |
-//! | `AOMP_NR_LOG`      | operation-log size in slots (min 128) | 1024    |
-//!
 //! # Checker integration
 //!
 //! Every protocol transition is reported to the [hook layer](crate::hook)
@@ -145,6 +138,8 @@ const SLOTLESS: usize = usize::MAX;
 /// Smallest permitted operation log: must fit the largest possible
 /// batch (every slot plus one inline op) with room to spare.
 const MIN_LOG: usize = 2 * NR_SLOTS;
+/// Operation-log size (slots) a [`Replicated::new`] structure gets.
+const LOG_SIZE: usize = 1024;
 
 /// Process-unique monotonic identity for replicated structures. Never
 /// address-derived and never reused: hook events key happens-before
@@ -156,31 +151,15 @@ fn next_nr_id() -> usize {
     NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
-fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .filter(|&n| n >= 1)
-}
-
-/// Replicas a [`Replicated::new`] structure gets: `AOMP_NR_REPLICAS`, or
-/// a core-count heuristic (1 below 4 cores, 2 below 16, 4 beyond —
-/// stand-ins for NUMA nodes on machines where we cannot ask).
+/// Replicas a [`Replicated::new`] structure gets: a core-count heuristic
+/// (1 below 4 cores, 2 below 16, 4 beyond — stand-ins for NUMA nodes on
+/// machines where we cannot ask).
 pub fn default_replicas() -> usize {
-    env_usize("AOMP_NR_REPLICAS").unwrap_or_else(|| {
-        let p = std::thread::available_parallelism().map_or(1, |n| n.get());
-        match p {
-            0..=3 => 1,
-            4..=15 => 2,
-            _ => 4,
-        }
-    })
-}
-
-/// Operation-log size (slots) a [`Replicated::new`] structure gets:
-/// `AOMP_NR_LOG` (clamped to at least 128), default 1024.
-pub fn default_log_size() -> usize {
-    env_usize("AOMP_NR_LOG").unwrap_or(1024).max(MIN_LOG)
+    match std::thread::available_parallelism().map_or(1, |n| n.get()) {
+        0..=3 => 1,
+        4..=15 => 2,
+        _ => 4,
+    }
 }
 
 /// Block until `ready` yields a value. Outside a team: spin, then yield.
@@ -519,10 +498,10 @@ pub struct Replicated<T: Dispatch> {
 }
 
 impl<T: Dispatch + Clone> Replicated<T> {
-    /// Replicate `initial` with the [configured](crate::nr#configuration)
-    /// replica count and log size.
+    /// Replicate `initial` with [`default_replicas`] replicas and a
+    /// 1024-slot log.
     pub fn new(initial: T) -> Self {
-        Self::with_config(initial, default_replicas(), default_log_size())
+        Self::with_config(initial, default_replicas(), LOG_SIZE)
     }
 
     /// Replicate `initial` with an explicit replica count and log size

@@ -12,7 +12,7 @@
 //!   misses, barrier rounds, critical acquisitions and contention,
 //!   ordered sections, chunk handouts per schedule kind, task dispatch
 //!   outcomes (shared pool / dedicated thread / inline fallback),
-//!   executor steals and park/unpark cycles, admission-control refusals.
+//!   executor park/unpark cycles, admission-control refusals.
 //! * **Latency histograms** ([`Lat`]) — coarse power-of-two-bucket
 //!   nanosecond histograms for region round-trips (by executor) and for
 //!   every [`WaitSite`] a team member blocks at (barrier, critical,
@@ -31,9 +31,9 @@
 //! Opt in either way:
 //!
 //! * environment — `AOMP_METRICS=1` enables counters/histograms from
-//!   process start; `AOMP_TRACE=out.json` arms the trace recorder (call
-//!   [`trace::flush_env`] before exit to write the file — the bench
-//!   binaries do);
+//!   process start; `AOMP_TRACE=out.json` arms the trace recorder, and
+//!   the program must call [`trace::flush_env`] before exit to write the
+//!   file;
 //! * API — [`set_metrics`], [`trace::start`] / [`trace::stop_to_file`].
 //!
 //! A handful of per-region counters (regions by executor, hot-team
@@ -237,15 +237,12 @@ counters! {
     DepTasks => "dep_tasks",
     /// Tasks handed to [`task::spawn`](crate::task)-family dispatch.
     TaskSpawned => "task_spawned",
-    /// Tasks admitted to the shared work-stealing executor.
+    /// Tasks admitted to the shared task executor.
     TaskPooled => "task_pooled",
     /// Tasks that fell back to a dedicated thread.
     TaskDedicated => "task_dedicated",
     /// Tasks that degraded to inline execution on the caller.
     TaskInline => "task_inline",
-    /// Steal events: a worker adopting the back half of another
-    /// worker's deque (one tick per batch, not per task).
-    TaskStolen => "task_stolen",
     /// Team-scoped task joins completed (`TaskGroup::wait`, `FutureTask::get`).
     TaskJoins => "task_joins",
     /// Admission refusals because pooling is disabled.
@@ -1105,8 +1102,9 @@ pub mod trace {
     }
 
     /// If `AOMP_TRACE=<path>` armed the recorder at startup, stop and
-    /// write the file now; otherwise do nothing. Long-lived programs
-    /// (and the bench binaries) call this once before exiting.
+    /// write the file now; otherwise do nothing. A program that arms the
+    /// recorder this way must call this once before exiting: nothing in
+    /// the library calls it.
     pub fn flush_env() -> std::io::Result<usize> {
         match env_path() {
             Some(path) => stop_to_file(&path),

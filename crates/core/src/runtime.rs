@@ -2,8 +2,8 @@
 //!
 //! Everything that used to be process-global — the default team size,
 //! the parallel/pool kill switches, the default stall deadline, the
-//! size-keyed hot-team cache and the work-stealing task executor — now
-//! lives on an instantiable [`Runtime`] handle. The free functions in
+//! size-keyed hot-team cache and the task executor — now lives on an
+//! instantiable [`Runtime`] handle. The free functions in
 //! this module ([`default_threads`], [`set_parallel_enabled`], …) are
 //! thin wrappers over a lazily-initialised *default* runtime, so the
 //! OpenMP-style surface the paper relies on (`OMP_NUM_THREADS` →
@@ -38,17 +38,16 @@
 //!
 //! ## Environment capture
 //!
-//! `AOMP_NUM_THREADS`, `AOMP_NO_POOL` and `AOMP_TASK_WORKERS` are read
-//! exactly once, when the default runtime is constructed, and seed *only
-//! the default runtime*. [`Runtime::builder`] ignores the environment
-//! entirely — an explicitly built runtime is exactly what its builder
-//! says, no matter what the process environment looks like.
+//! `AOMP_NUM_THREADS` and `AOMP_NO_POOL` are read exactly once, when the
+//! default runtime is constructed, and seed *only the default runtime*.
+//! [`Runtime::builder`] ignores the environment entirely — an explicitly
+//! built runtime is exactly what its builder says, no matter what the
+//! process environment looks like.
 //!
 //! The full `AOMP_*` environment surface (this module's variables plus
 //! the observability opt-ins `AOMP_METRICS`/`AOMP_TRACE` handled by
-//! [`obs`](crate::obs), the executor's `AOMP_TASK_WORKERS`, the
-//! schedule override `AOMP_SCHEDULE`, and the checker's `AOMP_CHECK_*`)
-//! is tabulated in the repository README.
+//! [`obs`](crate::obs), the schedule override `AOMP_SCHEDULE`, and the
+//! checker's `AOMP_CHECK_*`) is tabulated in the repository README.
 
 use std::cell::RefCell;
 use std::marker::PhantomData;
@@ -413,9 +412,9 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Cap the task-executor worker count (default: the same
+    /// Cap the task-executor worker count (default: the
     /// `(available_parallelism × 4).clamp(8, 64)` the default runtime
-    /// uses when `AOMP_TASK_WORKERS` is unset). Must be at least 1.
+    /// uses). Must be at least 1.
     pub fn task_workers(mut self, n: usize) -> Self {
         assert!(n >= 1, "task worker cap must be >= 1");
         self.task_workers = Some(n);
@@ -519,9 +518,9 @@ pub(crate) fn current() -> Runtime {
 
 /// The process's default runtime, constructed on first use. This is the
 /// only constructor that reads the environment: `AOMP_NUM_THREADS` seeds
-/// the team size, `AOMP_NO_POOL` the pool switch and `AOMP_TASK_WORKERS`
-/// the executor cap, each captured exactly once here. It is never
-/// dropped — its workers live for the process.
+/// the team size and `AOMP_NO_POOL` the pool switch, each captured
+/// exactly once here. It is never dropped — its workers live for the
+/// process.
 pub fn default_runtime() -> &'static Runtime {
     static DEFAULT: OnceLock<Runtime> = OnceLock::new();
     DEFAULT.get_or_init(|| {
@@ -532,7 +531,6 @@ pub fn default_runtime() -> &'static Runtime {
         RuntimeBuilder {
             threads: env_usize(NUM_THREADS_ENV),
             pooled: !no_pool,
-            task_workers: env_usize(executor::TASK_WORKERS_ENV),
             ..RuntimeBuilder::new()
         }
         .build()

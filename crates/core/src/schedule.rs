@@ -53,7 +53,7 @@ pub enum Schedule {
     /// above the team's EWMA) shrink their chunks so more of their block
     /// stays stealable, cold threads stay coarse — and a thread that
     /// drains its block steals the upper half of a victim's remaining
-    /// range, preferring same-socket victims. The answer to the paper's
+    /// range, scanning victims in ring order. The answer to the paper's
     /// "Case Specific" Sparse schedule (Table 2) that needs no hand-built
     /// cost model; documented in DESIGN.md.
     Adaptive {
@@ -223,71 +223,6 @@ pub fn guided_chunk(remaining: u64, n: usize, min_chunk: u64) -> u64 {
     assert!(n > 0, "guided_chunk: team size must be > 0");
     let target = remaining / (2 * n as u64);
     target.max(min_chunk).max(1).min(remaining)
-}
-
-// ---------------------------------------------------------------------
-// Locality topology
-// ---------------------------------------------------------------------
-
-/// Number of sockets (NUMA domains) work-stealers should assume, from
-/// the `AOMP_SOCKETS` environment variable. Defaults to 1 (every peer is
-/// "near"); read once per process. Thread/worker ids are grouped into
-/// sockets contiguously — id `i` of `n` with `s` sockets lives on socket
-/// `i / ceil(n/s)` — the compact placement the simcore machine model
-/// assumes (`Machine::cores_per_socket` cores fill a socket first).
-pub fn configured_sockets() -> usize {
-    static SOCKETS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *SOCKETS.get_or_init(|| {
-        std::env::var("AOMP_SOCKETS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&s| s >= 1)
-            .unwrap_or(1)
-    })
-}
-
-/// Hotness threshold for [`Schedule::Adaptive`]: a thread whose
-/// per-iteration EWMA exceeds `factor × team EWMA` starts refining its
-/// remaining range into smaller chunks. `AOMP_ADAPTIVE_HOT` overrides
-/// the default of 1.5 (values ≤ 1.0 or non-finite are ignored — a
-/// factor of 1 would mark half the team hot on pure noise); read once
-/// per process.
-pub fn adaptive_hot_factor() -> f64 {
-    static FACTOR: std::sync::OnceLock<f64> = std::sync::OnceLock::new();
-    *FACTOR.get_or_init(|| {
-        std::env::var("AOMP_ADAPTIVE_HOT")
-            .ok()
-            .and_then(|v| v.trim().parse::<f64>().ok())
-            .filter(|f| f.is_finite() && *f > 1.0)
-            .unwrap_or(1.5)
-    })
-}
-
-/// Socket of member `id` when `n` ids span `sockets` sockets under
-/// compact placement.
-pub fn socket_of(id: usize, n: usize, sockets: usize) -> usize {
-    let per = n.max(1).div_ceil(sockets.max(1));
-    id / per
-}
-
-/// Victim scan order for work-stealer `tid` of `n` across `sockets`
-/// sockets: same-socket peers first (ring order starting after `tid`),
-/// then remote peers in ring order. Steal-half from near victims first —
-/// a stolen range/batch stays in the thief's cache domain when it can.
-pub fn steal_order(tid: usize, n: usize, sockets: usize) -> Vec<usize> {
-    let mut near = Vec::new();
-    let mut far = Vec::new();
-    let home = socket_of(tid, n, sockets);
-    for k in 1..n {
-        let v = (tid + k) % n;
-        if socket_of(v, n, sockets) == home {
-            near.push(v);
-        } else {
-            far.push(v);
-        }
-    }
-    near.extend(far);
-    near
 }
 
 #[cfg(test)]
@@ -476,34 +411,6 @@ mod tests {
             Schedule::parse("adaptive, 32"),
             Some(Schedule::Adaptive { min_chunk: 32 })
         );
-    }
-
-    #[test]
-    fn socket_grouping_is_compact() {
-        // 12 ids over 2 sockets: 0..6 on socket 0, 6..12 on socket 1 —
-        // the Xeon X5650 geometry the simcore model uses.
-        for id in 0..6 {
-            assert_eq!(socket_of(id, 12, 2), 0);
-        }
-        for id in 6..12 {
-            assert_eq!(socket_of(id, 12, 2), 1);
-        }
-    }
-
-    #[test]
-    fn steal_order_prefers_near_victims() {
-        // Thief 1 of 12 over 2 sockets: its five socket-mates (in ring
-        // order) come before any remote id.
-        let order = steal_order(1, 12, 2);
-        assert_eq!(order.len(), 11);
-        assert_eq!(&order[..5], &[2, 3, 4, 5, 0]);
-        assert!(order[5..].iter().all(|&v| (6..12).contains(&v)));
-        // One socket: plain ring order.
-        assert_eq!(steal_order(2, 4, 1), vec![3, 0, 1]);
-        // Every victim appears exactly once and the thief never does.
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..12).filter(|&v| v != 1).collect::<Vec<_>>());
     }
 }
 

@@ -12,8 +12,8 @@
 //! [`get`](FutureTask::get) is the `@FutureResult`-getter
 //! synchronisation point, backed by a hand-built one-shot channel.
 //!
-//! Activities run on the shared work-stealing
-//! [`executor`](crate::executor) (parked workers, per-worker deques) —
+//! Activities run on the shared task
+//! [`executor`](crate::executor) (parked workers behind one queue) —
 //! not one OS thread per task as in the paper's literal model. The
 //! executor admits a task only when a worker is free or the pool can
 //! grow; otherwise the spawn falls back to a dedicated thread, and on
@@ -24,7 +24,7 @@
 //!
 //! Dispatch outcomes are observable: with `AOMP_METRICS` on, the
 //! [`obs`](crate::obs) registry counts spawned/pooled/dedicated/inline
-//! tasks, steals, admission refusals and executor park cycles
+//! tasks, admission refusals and executor park cycles
 //! ([`obs::Counter::TaskSpawned`](crate::obs::Counter) and friends).
 //!
 //! Failure semantics: a producer's panic poisons its one-shot cell *with

@@ -93,6 +93,12 @@ struct AdaptiveShared {
     team: AtomicU64,
 }
 
+/// Hotness threshold for [`Schedule::Adaptive`]: a thread whose
+/// per-iteration EWMA exceeds `HOT_FACTOR × team EWMA` refines its
+/// remaining range into smaller chunks. Above 1, or half the team would
+/// run hot on pure noise.
+const HOT_FACTOR: f64 = 1.5;
+
 impl AdaptiveShared {
     fn seed(count: u64, n: usize) -> Self {
         AdaptiveShared {
@@ -132,7 +138,7 @@ impl AdaptiveShared {
     fn is_hot(&self, tid: usize) -> bool {
         let own = f64::from_bits(self.ewma[tid].load(AtomicOrdering::Relaxed));
         let team = f64::from_bits(self.team.load(AtomicOrdering::Relaxed));
-        team > 0.0 && own > schedule::adaptive_hot_factor() * team
+        team > 0.0 && own > HOT_FACTOR * team
     }
 
     /// Dispense the next chunk from the front of `slot`'s range: half of
@@ -471,7 +477,6 @@ impl ForConstruct {
                         // drain in schedule-dependent order), so the
                         // oracle exercises the interesting paths.
                         let measure = !hook::active();
-                        let order = schedule::steal_order(tid, n, schedule::configured_sockets());
                         'dispense: loop {
                             // Drain the own range, refining chunk size
                             // from the latency signal.
@@ -498,9 +503,9 @@ impl ForConstruct {
                                 }
                             }
                             // Own range dry: adopt the back half of the
-                            // nearest victim with enough left to split
-                            // (same-socket ring first, then remote).
-                            for &v in &order {
+                            // first victim, in ring order after `tid`,
+                            // with enough left to split.
+                            for v in (1..n).map(|k| (tid + k) % n) {
                                 if let Some(r) = sh.steal_half(v, min_chunk) {
                                     obs::count(obs::Counter::ChunkAdaptiveSteals);
                                     sh.install(tid, r);

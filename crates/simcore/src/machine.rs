@@ -72,11 +72,6 @@ impl Machine {
         }
     }
 
-    /// Number of sockets (NUMA nodes) on the machine.
-    pub fn sockets(&self) -> usize {
-        (self.cores / self.cores_per_socket).max(1)
-    }
-
     /// Slowdown factor for single-node-allocated data touched by `t`
     /// threads: threads beyond the first socket pay remote accesses.
     pub fn numa_factor(&self, t: usize) -> f64 {

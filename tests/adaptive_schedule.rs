@@ -11,15 +11,10 @@
 //!    exactly once (including the steal path), keeps the race oracle
 //!    silent on a tracked array written through disjoint chunks, and
 //!    agrees with sequential semantics.
-//! 3. The locality model the dispenser steals by matches the simcore
-//!    Xeon's socket geometry, so simulated NUMA claims and runtime
-//!    behaviour use the same topology.
 
 use aomp_check as check;
 use aomplib::prelude::*;
 use aomplib::runtime::cell::SyncSlice;
-use aomplib::runtime::schedule;
-use aomplib::simcore::Machine;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -178,37 +173,4 @@ fn pct_adaptive_strided_loop_matches_sequential() {
             );
         })
         .assert_ok();
-}
-
-#[test]
-fn steal_order_matches_xeon_socket_geometry() {
-    // The runtime's compact-placement topology and the simcore Xeon must
-    // agree on who is "near": same-socket victims (per the machine's
-    // cores_per_socket grouping) come first, remote ones after, and
-    // together they cover every other thread exactly once.
-    let m = Machine::xeon();
-    let n = m.cores;
-    let sockets = m.sockets();
-    assert_eq!(sockets, 2, "the Xeon model is the dual-socket case");
-    for tid in 0..n {
-        assert_eq!(
-            schedule::socket_of(tid, n, sockets),
-            tid / m.cores_per_socket,
-            "compact placement must group like the machine model"
-        );
-        let order = schedule::steal_order(tid, n, sockets);
-        assert_eq!(order.len(), n - 1);
-        let near = m.cores_per_socket - 1;
-        for (k, &v) in order.iter().enumerate() {
-            let same = v / m.cores_per_socket == tid / m.cores_per_socket;
-            assert_eq!(
-                same,
-                k < near,
-                "tid {tid}: victim {v} at position {k} breaks near-first order"
-            );
-        }
-        let unique: HashSet<usize> = order.iter().copied().collect();
-        assert_eq!(unique.len(), n - 1);
-        assert!(!unique.contains(&tid));
-    }
 }

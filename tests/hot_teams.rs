@@ -351,7 +351,7 @@ fn task_waiting_on_task_stays_live() {
     // bounded pool this wedges unless admission control refuses to queue
     // tasks behind blocked workers (overflow must go to dedicated
     // threads). It is also the regression test for help-joining, which
-    // could bury a producer under a stolen task on the same worker stack
+    // could bury a producer under a queued task run on the same worker stack
     // — a cycle no future could break. Repeat a few times so builds of
     // the chain interleave with executor state left by earlier rounds.
     for round in 0..4 {

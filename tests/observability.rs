@@ -1,5 +1,5 @@
 //! Integration tests for `aomp::obs`: metrics deltas over real kernels,
-//! steal accounting under a task burst, and chrome://tracing export.
+//! dispatch accounting under a task burst, and chrome://tracing export.
 //!
 //! Metrics and the trace recorder are process-global, so every test
 //! takes a file-local lock and asserts with `>=` (activity from the
@@ -78,7 +78,7 @@ fn kernel_delta_reports_nonzero_counters() {
 }
 
 #[test]
-fn task_burst_records_steals_and_dispatch_outcomes() {
+fn task_burst_records_dispatch_outcomes() {
     let _g = serialize();
     obs::set_metrics(true);
     let before = obs::snapshot();
@@ -102,16 +102,6 @@ fn task_burst_records_steals_and_dispatch_outcomes() {
         "every spawn has a dispatch outcome:\n{}",
         delta.render_text()
     );
-    // Submissions are spread round-robin over every worker queue while
-    // only claimed workers pop, so a 200-task burst cannot drain without
-    // cross-queue pops (unless the pool was disabled by a neighbour).
-    if delta.counter(Counter::TaskPooled) >= 100 {
-        assert!(
-            delta.counter(Counter::TaskStolen) >= 1,
-            "no steals in a 200-task burst:\n{}",
-            delta.render_text()
-        );
-    }
 }
 
 #[test]
