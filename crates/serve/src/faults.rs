@@ -19,8 +19,8 @@ pub enum Fault {
     /// A worker thread panics mid-region (surfaces as
     /// [`RegionError::Panicked`](aomp::error::RegionError::Panicked)).
     Panic,
-    /// A non-master worker wedges in a compute loop until the stall
-    /// watchdog trips the region deadline
+    /// The last member (the master, on a team of one) wedges in a
+    /// registered wait until the stall watchdog trips the region deadline
     /// ([`RegionError::Stalled`](aomp::error::RegionError::Stalled)).
     Stall,
     /// The master requests team cancellation and the region unwinds

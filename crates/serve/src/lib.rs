@@ -27,7 +27,9 @@
 //! and cancellations degrade only its own latency — the tenant-isolation
 //! invariant checked by `aomp-check`'s
 //! [`check_tenant_isolation`](../aomp_check/oracle/fn.check_tenant_isolation.html)
-//! oracle.
+//! oracle. What tenants do share are the machine's cores: a request's
+//! team runs at its tenant's full size only while the server's smoothed
+//! count of running requests leaves cores free (OpenMP's `dyn-var`).
 
 #![warn(missing_docs)]
 
@@ -91,7 +93,10 @@ impl TenantSpec {
         }
     }
 
-    /// Team size for this tenant's parallel regions (≥ 1).
+    /// At most this many members in each of this tenant's request teams
+    /// (≥ 1). A request runs the full team while the server has cores to
+    /// spare, and fewer members, down to one, while other requests are
+    /// running on them.
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = n.max(1);
         self
@@ -179,20 +184,22 @@ impl ServerConfig {
                     .threads(spec.threads)
                     .task_workers(spec.queue_capacity.max(2))
                     .build();
-                Arc::new(TenantState {
+                TenantState {
                     spec,
                     rt,
                     depth: AtomicUsize::new(0),
                     seq: AtomicU64::new(0),
                     stats: Replicated::new(TenantStats::default()),
-                })
+                }
             })
             .collect();
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         Server {
             inner: Arc::new(ServerInner {
                 tenants,
                 graph,
-                references: Arc::default(),
+                references: References::default(),
+                cores: CoreShare::new(cores),
             }),
         }
     }
@@ -408,10 +415,92 @@ impl TenantState {
 }
 
 struct ServerInner {
-    tenants: Vec<Arc<TenantState>>,
+    tenants: Vec<TenantState>,
     graph: Arc<CsrGraph>,
     /// Validation references, shared by every tenant like the graph.
-    references: Arc<References>,
+    references: References,
+    /// The machine's cores, shared by every tenant's requests.
+    cores: CoreShare,
+}
+
+/// Fixed-point scale of [`CoreShare`]'s load: one running request
+/// reads 16.
+const LOAD_ONE: usize = 16;
+
+/// The load average's weight is `1 / 2^LOAD_SHIFT`: 1/8, as the
+/// adaptive `if` clause's gate weighs its samples.
+const LOAD_SHIFT: u32 = 3;
+
+/// The cores of one server, shared by every tenant's requests: each
+/// request's team is sized from how many requests have been running.
+///
+/// `running` counts the requests inside [`work::execute`], across all
+/// tenants. Each entry samples it (this request included) into `load`,
+/// an average ×[`LOAD_ONE`], and runs a team of `cores ×
+/// LOAD_ONE / load` members, at least one and at most the tenant's
+/// [`TenantSpec::threads`]. A lone request reads a load of one and gets
+/// `min(threads, cores)` members; while requests overlap, the cores are
+/// split between them.
+///
+/// Under a registered scheduler hook an entry takes the tenant's full
+/// team and leaves `load` alone, so an explored schedule depends on its
+/// seed and not on a neighbour's timing.
+struct CoreShare {
+    cores: usize,
+    /// Both counts only steer team sizes and publish nothing: relaxed.
+    running: AtomicUsize,
+    load: AtomicUsize,
+}
+
+impl CoreShare {
+    fn new(cores: usize) -> Self {
+        CoreShare {
+            cores: cores.max(1),
+            running: AtomicUsize::new(0),
+            load: AtomicUsize::new(0),
+        }
+    }
+
+    /// Count one request as running until the returned guard drops, and
+    /// size its team from at most `threads` members; `hooked` says a
+    /// scheduler hook is registered.
+    fn enter(&self, threads: usize, hooked: bool) -> (usize, Running<'_>) {
+        let now = self.running.fetch_add(1, Ordering::Relaxed) + 1;
+        let running = Running(self);
+        if hooked {
+            return (threads, running);
+        }
+        let load = self.sample(now * LOAD_ONE);
+        let team = (self.cores * LOAD_ONE / load).clamp(1, threads);
+        (team, running)
+    }
+
+    /// Fold one sample into the load average and return the new average
+    /// (never 0 after a sample). Each fold moves at least one unit toward
+    /// the sample, so a steady load is read exactly; truncating division
+    /// would stop up to 7/16 of a request above it, which on two cores
+    /// reads as two requests. Racing folds may lose a sample, as the
+    /// gate's do: the average only steers team sizes.
+    fn sample(&self, sample: usize) -> usize {
+        let avg = self.load.load(Ordering::Relaxed);
+        let next = if sample >= avg {
+            avg + (sample - avg).div_ceil(1 << LOAD_SHIFT)
+        } else {
+            avg - (avg - sample).div_ceil(1 << LOAD_SHIFT)
+        };
+        self.load.store(next, Ordering::Relaxed);
+        next
+    }
+}
+
+/// One request counted in [`CoreShare`]'s `running` until it drops, on
+/// every way out of [`work::execute`].
+struct Running<'a>(&'a CoreShare);
+
+impl Drop for Running<'_> {
+    fn drop(&mut self) {
+        self.0.running.fetch_sub(1, Ordering::Relaxed);
+    }
 }
 
 /// A server's validation references: [`Workload::expected`]'s value on
@@ -557,19 +646,9 @@ impl Server {
         let budget = req.deadline.unwrap_or(t.spec.default_deadline);
         let submitted = Instant::now();
         let seq = t.seq.fetch_add(1, Ordering::Relaxed);
-        let state = Arc::clone(t);
-        let graph = Arc::clone(&self.inner.graph);
-        let references = Arc::clone(&self.inner.references);
+        let server = Arc::clone(&self.inner);
         let fut = t.rt.spawn_future(move || {
-            run_request(
-                &state,
-                &graph,
-                &references,
-                req.workload,
-                budget,
-                submitted,
-                seq,
-            )
+            run_request(&server, tenant, req.workload, budget, submitted, seq)
         });
         Ok(ResponseHandle {
             fut,
@@ -618,16 +697,18 @@ impl Drop for DepthGuard<'_> {
 /// A response that completes in time is checked against the sequential
 /// reference through [`References::validate`], which computes that
 /// reference once per distinct workload and server rather than once per
-/// request.
+/// request. The work itself runs on a team sized by the server's
+/// [`CoreShare`].
 fn run_request(
-    t: &TenantState,
-    graph: &Arc<CsrGraph>,
-    references: &References,
+    server: &ServerInner,
+    tenant: usize,
     workload: Workload,
     budget: Duration,
     submitted: Instant,
     seq: u64,
 ) -> Result<Output, ServeError> {
+    let t = &server.tenants[tenant];
+    let graph = &server.graph;
     let _guard = DepthGuard(t);
     let queue_wait = submitted.elapsed();
     obs::record_latency(Lat::ServeQueueWait, queue_wait);
@@ -658,7 +739,11 @@ fn run_request(
     if fault.is_some() {
         t.rt.record_counter(Counter::ServeFaultInjected);
     }
-    let outcome = match work::execute(&t.rt, t.spec.threads, graph, workload, remaining, fault) {
+    let executed = {
+        let (team, _running) = server.cores.enter(t.spec.threads, aomp::hook::active());
+        work::execute(&t.rt, team, graph, workload, remaining, fault)
+    };
+    let outcome = match executed {
         Ok(out) => {
             if submitted.elapsed() > budget {
                 Err(ServeError::DeadlineExceeded {
@@ -666,7 +751,7 @@ fn run_request(
                     cause: DeadlineCause::FinishedLate,
                 })
             } else {
-                references.validate(graph, workload, out)
+                server.references.validate(graph, workload, out)
             }
         }
         Err(work::ExecError::TimedOut) => Err(ServeError::DeadlineExceeded {
@@ -916,6 +1001,101 @@ mod tests {
         }
         assert!(srv.drain(Duration::from_secs(5)));
         assert_eq!(srv.inner.references.computed.load(Ordering::Relaxed), 1);
+    }
+
+    /// Teams of `threads` on a share of two cores, entered one at a time.
+    fn lone_teams(share: &CoreShare, threads: usize, entries: usize) -> Vec<usize> {
+        (0..entries)
+            .map(|_| share.enter(threads, false).0)
+            .collect()
+    }
+
+    #[test]
+    fn lone_entries_get_the_full_team() {
+        let share = CoreShare::new(2);
+        assert_eq!(lone_teams(&share, 2, 64), vec![2; 64]);
+        assert_eq!(share.load.load(Ordering::Relaxed), LOAD_ONE);
+        // A team larger than the cores gets the cores, a smaller one
+        // keeps its size.
+        assert_eq!(lone_teams(&share, 8, 4), vec![2; 4]);
+        assert_eq!(lone_teams(&share, 1, 4), vec![1; 4]);
+        assert_eq!(share.running.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn entries_beside_a_running_request_share_the_cores() {
+        let share = CoreShare::new(2);
+        lone_teams(&share, 2, 64);
+        let (held_team, held) = share.enter(2, false);
+        assert_eq!(held_team, 2, "the first request found the cores free");
+        // Every later entry reads two running requests: the load climbs
+        // to two, exactly, and each of them runs alone.
+        assert_eq!(lone_teams(&share, 2, 64), vec![1; 64]);
+        assert_eq!(share.load.load(Ordering::Relaxed), 2 * LOAD_ONE);
+        // With the cores split, a wider tenant gets one core too.
+        assert_eq!(lone_teams(&share, 8, 4), vec![1; 4]);
+        drop(held);
+        // Once the neighbour is gone the load decays back to one, and the
+        // full team returns.
+        let after = lone_teams(&share, 2, 64);
+        assert_eq!(after.last(), Some(&2));
+        assert_eq!(share.load.load(Ordering::Relaxed), LOAD_ONE);
+        assert_eq!(share.running.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn hooked_entries_get_the_tenant_team_and_leave_the_load_alone() {
+        let share = CoreShare::new(2);
+        let (_team, _held) = share.enter(2, false);
+        let load = share.load.load(Ordering::Relaxed);
+        let hooked: Vec<_> = (0..16).map(|_| share.enter(8, true)).collect();
+        assert!(hooked.iter().all(|(team, _)| *team == 8));
+        assert_eq!(share.load.load(Ordering::Relaxed), load);
+        // Hooked requests still count as running.
+        assert_eq!(share.running.load(Ordering::Relaxed), 17);
+        drop(hooked);
+        assert_eq!(share.running.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn running_returns_to_zero_after_a_fault_storm() {
+        let srv = Server::config()
+            .graph(512, 6, 7)
+            .tenant(
+                TenantSpec::new("stormy")
+                    .threads(2)
+                    .queue_capacity(16)
+                    .default_deadline(Duration::from_millis(500))
+                    .faults(
+                        FaultPlan::none()
+                            .seed(0x5EED)
+                            .panic_fraction(0.25)
+                            .cancel_fraction(0.25)
+                            .stall_fraction(0.25),
+                    ),
+            )
+            .build();
+        let w = Workload::SumRange { n: 20_000 };
+        let handles: Vec<_> = (0..32)
+            .filter_map(|_| srv.submit(0, Request::new(w)).ok())
+            .collect();
+        let mut outcomes = [0usize; 4];
+        for h in handles {
+            let slot = match h.wait() {
+                Ok(_) => 0,
+                Err(ServeError::Faulted { .. }) => 1,
+                Err(ServeError::Cancelled) => 2,
+                Err(ServeError::DeadlineExceeded { .. }) => 3,
+                Err(other) => panic!("unexpected outcome: {other}"),
+            };
+            outcomes[slot] += 1;
+        }
+        assert!(srv.drain(Duration::from_secs(30)));
+        assert!(
+            outcomes[1..].iter().all(|&n| n > 0),
+            "every fault kind must fire: {outcomes:?}"
+        );
+        assert_eq!(srv.inner.cores.running.load(Ordering::Relaxed), 0);
     }
 
     #[test]

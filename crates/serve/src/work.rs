@@ -91,11 +91,11 @@ pub(crate) enum ExecError {
 ///
 /// Fault placement is deliberate: panics and cancels fire on the master
 /// (tid 0) so the error path through team poisoning is exercised; stalls
-/// wedge the *last* member (never the master) so the master reaches the
-/// join wait-site and the stall watchdog can observe and diagnose the
-/// hang. A stalled worker also polls its cancellation point and carries
-/// a wall-clock bound, so the region always unwinds even on one-thread
-/// teams where the stalled member *is* the master.
+/// wedge the *last* member, which is the master on a team of one, in a
+/// registered wait the stall watchdog can see (see [`apply_fault`]).
+///
+/// The answer does not depend on `threads`: every team size sums the
+/// same terms, and the sums wrap.
 pub(crate) fn execute(
     rt: &Runtime,
     threads: usize,
@@ -204,19 +204,17 @@ fn apply_fault(fault: Option<Fault>, remaining: Duration) -> bool {
             let _ = cancellation_point();
             true
         }
-        // Wedge the last member, not the master: the master then blocks
-        // at the join wait-site, which is what arms the stall watchdog's
-        // diagnosis. Bounded by wall clock so the region unwinds even if
-        // the watchdog path is unavailable.
+        // Wedge the last member on a future nobody fulfils: a registered
+        // wait at `WaitSite::FutureGet`, so the stall watchdog diagnoses
+        // the hang whatever the team size, even when the wedged member is
+        // the master of a team of one. The watchdog's verdict or a
+        // cancellation unwinds the wait; past the deadline's slack it
+        // times out on its own, so the region always ends.
         Some(Fault::Stall) if thread_id() == team_size() - 1 => {
             let slack = remaining.saturating_add(Duration::from_millis(100));
             let give_up = crate::deadline_after(Instant::now(), slack);
-            while Instant::now() < give_up {
-                if cancellation_point().is_err() {
-                    break;
-                }
-                std::thread::sleep(Duration::from_micros(200));
-            }
+            let (_never_set, wedge) = task::future_pair::<()>();
+            let _ = wedge.get_by(give_up);
             true
         }
         Some(Fault::Stall) => false,
@@ -236,37 +234,35 @@ mod tests {
         Runtime::builder().threads(2).build()
     }
 
-    #[test]
-    fn sum_range_matches_expected() {
+    /// Team sizes a request can run on: one member, or the full team.
+    const TEAMS: [usize; 2] = [1, 2];
+
+    fn matches_expected_at_every_team_size(w: Workload) {
         let g = test_graph();
         let rt = rt();
-        let w = Workload::SumRange { n: 10_000 };
-        let out = execute(&rt, 2, &g, w, Duration::from_secs(5), None)
-            .unwrap_or_else(|_| panic!("clean workload failed"));
-        assert_eq!(out, w.expected(&g));
+        for team in TEAMS {
+            let out = execute(&rt, team, &g, w, Duration::from_secs(5), None)
+                .unwrap_or_else(|_| panic!("clean workload failed on a team of {team}"));
+            assert_eq!(out, w.expected(&g), "team of {team}");
+        }
+    }
+
+    #[test]
+    fn sum_range_matches_expected() {
+        matches_expected_at_every_team_size(Workload::SumRange { n: 10_000 });
     }
 
     #[test]
     fn degree_sum_matches_expected() {
-        let g = test_graph();
-        let rt = rt();
-        let w = Workload::DegreeSum { rounds: 3 };
-        let out = execute(&rt, 2, &g, w, Duration::from_secs(5), None)
-            .unwrap_or_else(|_| panic!("clean workload failed"));
-        assert_eq!(out, w.expected(&g));
+        matches_expected_at_every_team_size(Workload::DegreeSum { rounds: 3 });
     }
 
     #[test]
     fn fanout_matches_expected() {
-        let g = test_graph();
-        let rt = rt();
-        let w = Workload::Fanout {
+        matches_expected_at_every_team_size(Workload::Fanout {
             parts: 4,
             n: 10_000,
-        };
-        let out = execute(&rt, 2, &g, w, Duration::from_secs(5), None)
-            .unwrap_or_else(|_| panic!("clean workload failed"));
-        assert_eq!(out, w.expected(&g));
+        });
     }
 
     #[test]
@@ -296,17 +292,21 @@ mod tests {
         let g = test_graph();
         let rt = rt();
         let w = Workload::SumRange { n: 100 };
-        match execute(&rt, 2, &g, w, Duration::from_millis(50), Some(Fault::Stall)) {
-            Err(ExecError::TimedOut) => {}
-            Err(ExecError::Cancelled) => {} // watchdog may cancel first
-            other => panic!(
-                "expected a timeout outcome, got {:?}",
-                match other {
-                    Ok(_) => "Ok",
-                    Err(ExecError::Panicked(_)) => "Panicked",
-                    _ => unreachable!(),
-                }
-            ),
+        let remaining = Duration::from_millis(50);
+        for team in TEAMS {
+            let outcome = execute(&rt, team, &g, w, remaining, Some(Fault::Stall));
+            match outcome {
+                Err(ExecError::TimedOut) => {}
+                Err(ExecError::Cancelled) => {} // watchdog may cancel first
+                other => panic!(
+                    "expected a timeout outcome on a team of {team}, got {}",
+                    match other {
+                        Ok(_) => "Ok",
+                        Err(ExecError::Panicked(_)) => "Panicked",
+                        _ => unreachable!(),
+                    }
+                ),
+            }
         }
     }
 }

@@ -400,6 +400,46 @@ fn loadgen_closed_loop_over_two_tenants_is_consistent() {
     }
 }
 
+/// A lone closed-loop client keeps the whole team: with no other request
+/// running, the server's core share hands every request
+/// `min(threads, cores)` members, so on a machine with two or more cores
+/// each one runs on a pooled team and none on a team of one.
+#[test]
+fn lone_client_keeps_its_full_team() {
+    const REQUESTS: u64 = 200;
+    const THREADS: usize = 2;
+    let srv = Server::config()
+        .graph(512, 6, 4)
+        .tenant(
+            TenantSpec::new("alone")
+                .threads(THREADS)
+                .queue_capacity(4)
+                .default_deadline(LONG),
+        )
+        .build();
+    let classes = [
+        Workload::SumRange { n: 20_000 },
+        Workload::DegreeSum { rounds: 2 },
+        Workload::Fanout {
+            parts: 4,
+            n: 20_000,
+        },
+    ];
+    for i in 0..REQUESTS as usize {
+        let w = classes[i % classes.len()];
+        let out = srv.submit(0, Request::new(w)).expect("admitted").wait();
+        assert_eq!(out, Ok(srv.expected_output(w)), "request {i}");
+    }
+    assert!(srv.drain(LONG));
+    let snap = srv.tenant_runtime(0).metrics_snapshot();
+    assert_eq!(snap.counter(Counter::ServeCompleted), REQUESTS);
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    if THREADS.min(cores) > 1 {
+        assert_eq!(snap.counter(Counter::RegionPooled), REQUESTS);
+        assert_eq!(snap.counter(Counter::RegionInline), 0);
+    }
+}
+
 /// The four `serve_mix` classes, interleaved by two client threads over
 /// two tenants: the server validates each response against its reference
 /// table, cold for the first request of a class and warm after. For the
