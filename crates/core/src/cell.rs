@@ -13,14 +13,15 @@
 //!
 //! The disjointness contract is checkable: build the wrapper with
 //! [`SyncSlice::tracked`] / [`SyncVec::tracked`] (a name plus the data)
-//! and every element access additionally reports a
-//! `{addr, index, is_write, thread}` shadow event to the
+//! while a race checker is armed, and every element access additionally
+//! reports a `{addr, index, is_write, thread}` shadow event to the
 //! [`check`](crate::check) layer, where aomp-check's vector-clock race
 //! detector judges it against the happens-before relation built from
-//! hook events. Cost discipline: an untracked wrapper pays nothing (the
-//! `name` branch is `None` and no atomic is touched); a tracked wrapper
-//! with no checker armed pays one relaxed load of the shared gate byte
-//! per access.
+//! hook events. Cost discipline: a tracked wrapper decides once, when it
+//! is built. Built with no checker armed it keeps no label and is the
+//! [`SyncSlice::new`] wrapper — no atomic is touched per access, so a
+//! woven hot loop compiles like its hand-threaded twin. Built while
+//! armed, it reports every access until the checker is disarmed.
 
 use std::cell::UnsafeCell;
 
@@ -64,16 +65,16 @@ impl<'a, T> SyncSlice<'a, T> {
         }
     }
 
-    /// Like [`new`](Self::new), but every access reports to an armed
-    /// race checker under `name` (see module docs).
+    /// Like [`new`](Self::new), but if a race checker is armed now,
+    /// every access reports to it under `name` (see module docs).
     pub fn tracked(data: &'a mut [T], name: &'static str) -> Self {
         Self {
-            name: Some(name),
+            name: check::armed().then_some(name),
             ..Self::new(data)
         }
     }
 
-    /// Report one element access when tracked and a checker is armed.
+    /// Report one element access if built and still armed.
     #[inline]
     fn note(&self, i: usize, is_write: bool) {
         if let Some(name) = self.name {
@@ -85,12 +86,8 @@ impl<'a, T> SyncSlice<'a, T> {
     /// the detector sees the same per-location granularity as `get`/`set`.
     #[inline]
     fn note_range(&self, lo: usize, len: usize, is_write: bool) {
-        if let Some(name) = self.name {
-            if check::armed() {
-                for i in lo..lo + len {
-                    check::report(name, self.data[i].get() as usize, i, is_write);
-                }
-            }
+        if self.name.is_some() {
+            (lo..lo + len).for_each(|i| self.note(i, is_write));
         }
     }
 
@@ -111,7 +108,7 @@ impl<'a, T> SyncSlice<'a, T> {
     /// # Safety
     /// No concurrent writer to index `i`.
     #[inline]
-    pub unsafe fn get(&self, i: usize) -> &T {
+    pub unsafe fn get(&self, i: usize) -> &'a T {
         self.note(i, false);
         &*self.data[i].get()
     }
@@ -123,7 +120,7 @@ impl<'a, T> SyncSlice<'a, T> {
     /// duration (schedule-owned index).
     #[inline]
     #[allow(clippy::mut_from_ref)]
-    pub unsafe fn get_mut(&self, i: usize) -> &mut T {
+    pub unsafe fn get_mut(&self, i: usize) -> &'a mut T {
         self.note(i, true);
         &mut *self.data[i].get()
     }
@@ -208,8 +205,8 @@ impl<T: Copy> SyncSlice<'_, T> {
 /// # Safety contract
 /// Same as [`SyncSlice`]: concurrent accesses to one index must follow a
 /// disjoint-writer discipline established by the loop schedule or by
-/// barrier-separated phases. [`tracked`](Self::tracked) makes that
-/// contract machine-checked under aomp-check.
+/// barrier-separated phases. [`tracked`](Self::tracked), built inside
+/// an aomp-check exploration, makes that contract machine-checked.
 pub struct SyncVec<T> {
     data: Vec<UnsafeCell<T>>,
     name: Option<&'static str>,
@@ -228,20 +225,21 @@ impl<T> SyncVec<T> {
         }
     }
 
-    /// Like [`new`](Self::new), but every access reports to an armed
-    /// race checker under `name` (see module docs).
+    /// Like [`new`](Self::new), but if a race checker is armed now,
+    /// every access reports to it under `name` (see module docs).
     pub fn tracked(data: Vec<T>, name: &'static str) -> Self {
         Self {
-            name: Some(name),
+            name: check::armed().then_some(name),
             ..Self::new(data)
         }
     }
 
-    /// Report one element access when tracked and a checker is armed.
+    /// The borrowed view every accessor goes through.
     #[inline]
-    fn note(&self, i: usize, is_write: bool) {
-        if let Some(name) = self.name {
-            check::report(name, self.data[i].get() as usize, i, is_write);
+    fn view(&self) -> SyncSlice<'_, T> {
+        SyncSlice {
+            data: &self.data,
+            name: self.name,
         }
     }
 
@@ -263,8 +261,7 @@ impl<T> SyncVec<T> {
     /// No concurrent writer to index `i`.
     #[inline]
     pub unsafe fn get(&self, i: usize) -> &T {
-        self.note(i, false);
-        &*self.data[i].get()
+        self.view().get(i)
     }
 
     /// Mutable access to element `i`.
@@ -274,8 +271,7 @@ impl<T> SyncVec<T> {
     #[inline]
     #[allow(clippy::mut_from_ref)]
     pub unsafe fn get_mut(&self, i: usize) -> &mut T {
-        self.note(i, true);
-        &mut *self.data[i].get()
+        self.view().get_mut(i)
     }
 
     /// Write element `i`.
@@ -284,8 +280,7 @@ impl<T> SyncVec<T> {
     /// As for [`get_mut`](Self::get_mut).
     #[inline]
     pub unsafe fn set(&self, i: usize, v: T) {
-        self.note(i, true);
-        *self.data[i].get() = v;
+        self.view().set(i, v)
     }
 }
 
@@ -296,8 +291,7 @@ impl<T: Copy> SyncVec<T> {
     /// No concurrent writer to index `i`.
     #[inline]
     pub unsafe fn read(&self, i: usize) -> T {
-        self.note(i, false);
-        *self.data[i].get()
+        self.view().read(i)
     }
 
     /// Copy the whole vector out.

@@ -13,12 +13,13 @@
 //! * [`Tracked<T>`] — a named scalar cell for shared flags/counters in
 //!   tests, with the same reporting.
 //!
-//! The cost discipline mirrors the hook/obs gate: when no checker is
-//! armed, a tracked access costs exactly **one relaxed load** of the
-//! shared gate byte (bit [`obs::F_RACE`](crate::obs)) plus a predictable
-//! branch — and an *untracked* `SyncSlice`/`SyncVec` (built with
-//! `new`/`zeroed`) does not even load the gate. Arming is process-global
-//! and intended for one exploration session at a time; `aomp-check`
+//! Cost discipline: a tracked wrapper or cell decides when it is built.
+//! Built with no checker armed (gate bit [`obs::F_RACE`](crate::obs)
+//! clear) it keeps no label, so every access is a plain memory operation
+//! as for `new`/`zeroed`; built while armed, each access re-reads the
+//! gate and goes silent after [`disarm`]. So it reports iff it was built
+//! while armed: build it inside the explored closure. Arming is
+//! process-global, one exploration session at a time; `aomp-check`
 //! serialises sessions behind its own lock.
 
 use std::cell::UnsafeCell;
@@ -67,15 +68,15 @@ pub fn arm(sink: &'static dyn AccessSink) {
     obs::gate_set(obs::F_RACE);
 }
 
-/// Disarm race checking; tracked accesses go back to one relaxed load.
+/// Disarm race checking; wrappers built while armed go silent.
 pub fn disarm() {
     let mut g = SINK.lock();
     obs::gate_clear(obs::F_RACE);
     *g = None;
 }
 
-/// True when a sink is armed. One relaxed load — this is the fast-path
-/// gate every tracked access reads first.
+/// True when a sink is armed. One relaxed load, read when a tracked
+/// wrapper is built and, by one built while armed, on every access.
 #[inline(always)]
 pub fn armed() -> bool {
     obs::gate() & obs::F_RACE != 0
@@ -122,7 +123,7 @@ fn report_slow(name: &'static str, addr: usize, index: usize, is_write: bool) {
 /// checker serialises explored schedules so accesses never physically
 /// overlap there).
 pub struct Tracked<T> {
-    name: &'static str,
+    name: Option<&'static str>,
     cell: UnsafeCell<T>,
 }
 
@@ -131,17 +132,19 @@ unsafe impl<T: Send> Sync for Tracked<T> {}
 unsafe impl<T: Send> Send for Tracked<T> {}
 
 impl<T> Tracked<T> {
-    /// Wrap `v` under `name` (the label race reports use).
+    /// Wrap `v` under `name`; it reports iff built while armed (module docs).
     pub fn new(name: &'static str, v: T) -> Self {
         Self {
-            name,
+            name: armed().then_some(name),
             cell: UnsafeCell::new(v),
         }
     }
 
     #[inline]
     fn note(&self, is_write: bool) {
-        report(self.name, self.cell.get() as usize, 0, is_write);
+        if let Some(name) = self.name {
+            report(name, self.cell.get() as usize, 0, is_write);
+        }
     }
 
     /// Read the value by shared reference.
@@ -201,14 +204,10 @@ mod tests {
     #[test]
     fn arm_cycle_gates_reports_and_requires_team_context() {
         static SINK_IMPL: CountingSink = CountingSink;
-        let cell = Tracked::new("flag", 0u32);
-        // Unarmed: accesses are plain memory operations.
-        unsafe {
-            cell.set(1);
-            assert_eq!(cell.read(), 1);
-        }
-        assert_eq!(HITS.load(Ordering::SeqCst), 0);
+        // Built unarmed: accesses are plain memory operations.
+        let before = Tracked::new("before", 0u32);
         arm(&SINK_IMPL);
+        let cell = Tracked::new("flag", 0u32);
         // Outside any team: gate is hot but the report is dropped (no
         // team context to attribute the access to).
         unsafe { cell.set(7) };
@@ -217,10 +216,17 @@ mod tests {
         crate::region::parallel_with(crate::region::RegionConfig::new().threads(1), || unsafe {
             cell.set(9);
             let _ = cell.read();
+            // Built before arming: never reports, even inside a team.
+            before.set(2);
         });
         disarm();
         assert_eq!(HITS.load(Ordering::SeqCst), 2);
         assert!(!armed());
-        assert_eq!(cell.into_inner(), 9);
+        // Built while armed, accessed after disarming: silent again.
+        crate::region::parallel_with(crate::region::RegionConfig::new().threads(1), || unsafe {
+            cell.set(11);
+        });
+        assert_eq!(HITS.load(Ordering::SeqCst), 2);
+        assert_eq!((cell.into_inner(), before.into_inner()), (11, 2));
     }
 }

@@ -57,8 +57,19 @@ fn scramble(i: u64) -> u64 {
     x
 }
 
-fn sum_range_expected(n: u64) -> u64 {
-    (0..n).fold(0u64, |acc, i| acc.wrapping_add(scramble(i)))
+/// Wrapping sum of `scramble(i)` over `lo..hi`: the one kernel the
+/// sequential reference, `SumRange` chunks and `Fanout` parts all run,
+/// so a served request's hot loop compiles like its `seq`/`mt` twins.
+#[inline(never)]
+fn sum_range(lo: u64, hi: u64) -> u64 {
+    (lo..hi).fold(0u64, |acc, i| acc.wrapping_add(scramble(i)))
+}
+
+/// Wrapping sum of the degrees of vertices `lo..hi`: the `DegreeSum`
+/// counterpart of [`sum_range`].
+#[inline(never)]
+fn degree_sum(graph: &CsrGraph, lo: usize, hi: usize) -> u64 {
+    (lo..hi).fold(0u64, |acc, v| acc.wrapping_add(graph.degree(v) as u64))
 }
 
 impl Workload {
@@ -66,12 +77,11 @@ impl Workload {
     /// `graph`). Sequential reference used to validate parallel answers.
     pub fn expected(&self, graph: &CsrGraph) -> Output {
         match *self {
-            Workload::SumRange { n } => Output::U64(sum_range_expected(n)),
+            Workload::SumRange { n } | Workload::Fanout { n, .. } => Output::U64(sum_range(0, n)),
             Workload::DegreeSum { rounds } => {
-                let per_round: u64 = (0..graph.vertices()).map(|v| graph.degree(v) as u64).sum();
+                let per_round = degree_sum(graph, 0, graph.vertices());
                 Output::U64(per_round.wrapping_mul(rounds as u64))
             }
-            Workload::Fanout { n, .. } => Output::U64(sum_range_expected(n)),
         }
     }
 }
@@ -124,12 +134,10 @@ pub(crate) fn execute(
         match work {
             Workload::SumRange { n } => {
                 let mut local = 0u64;
+                // `upto` ranges hand out unit-step chunks.
                 for_static.execute(LoopRange::upto(0, n as i64), |lo, hi, step| {
-                    let mut i = lo;
-                    while i < hi {
-                        local = local.wrapping_add(scramble(i as u64));
-                        i += step;
-                    }
+                    assert_eq!(step, 1);
+                    local = local.wrapping_add(sum_range(lo as u64, hi as u64));
                 });
                 acc.fetch_add(local, Ordering::Relaxed);
             }
@@ -139,11 +147,9 @@ pub(crate) fn execute(
                     for_dynamic.execute(
                         LoopRange::upto(0, graph.vertices() as i64),
                         |lo, hi, step| {
-                            let mut v = lo;
-                            while v < hi {
-                                local = local.wrapping_add(graph.degree(v as usize) as u64);
-                                v += step;
-                            }
+                            assert_eq!(step, 1);
+                            let part = degree_sum(graph, lo as usize, hi as usize);
+                            local = local.wrapping_add(part);
                         },
                     );
                 }
@@ -161,9 +167,7 @@ pub(crate) fn execute(
                 while p < parts {
                     let lo = n * p / parts;
                     let hi = n * (p + 1) / parts;
-                    futs.push(task::spawn_future(move || {
-                        (lo..hi).fold(0u64, |a, i| a.wrapping_add(scramble(i)))
-                    }));
+                    futs.push(task::spawn_future(move || sum_range(lo, hi)));
                     p += team;
                 }
                 let mut local = 0u64;

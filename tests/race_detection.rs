@@ -8,9 +8,10 @@
 //! race — the reproduction contract of `aomp-check`'s other oracles,
 //! extended to races.
 //!
-//! The cost contract (with no checker armed, a tracked accessor pays one
-//! relaxed gate load and nothing else) is guarded in its own test binary,
-//! `race_gate_unarmed` — a process none of these explorations arm.
+//! A tracked wrapper reports iff it was built while a checker was armed;
+//! the last section pins that rule. The unarmed cost contract is guarded
+//! in its own test binary, `race_gate_unarmed` — a process none of these
+//! explorations arm.
 
 use aomp_check as check;
 use aomplib::prelude::*;
@@ -30,7 +31,11 @@ use std::sync::Arc;
 /// schedule.
 fn racy_missing_barrier() {
     let mut data = vec![0usize; 4];
-    let arr = SyncSlice::tracked(&mut data, "racy.phased");
+    missing_barrier_phases(SyncSlice::tracked(&mut data, "racy.phased"));
+}
+
+/// The region of [`racy_missing_barrier`], over a wrapper built elsewhere.
+fn missing_barrier_phases(arr: SyncSlice<'_, usize>) {
     region::parallel_with(RegionConfig::new().threads(2), || {
         let me = thread_id();
         unsafe {
@@ -346,4 +351,40 @@ fn race_report_replays_byte_for_byte() {
             "{what}: replayed race must name the same access pair"
         );
     }
+}
+
+// ---------------------------------------------------------------------------
+// The build-time rule: a tracked wrapper decides when it is built whether
+// to report, and the explorer arms only while a schedule runs. So the
+// same racy program is flagged when its wrapper is built inside the
+// explored closure and checks nothing when the wrapper predates the
+// exploration.
+// ---------------------------------------------------------------------------
+
+/// A tracked wrapper over fresh data, built where no checker can be
+/// armed: inside a one-schedule exploration with the oracle off.
+/// Sessions are serialised, so no sibling test arms the process-global
+/// sink meanwhile.
+fn built_unarmed(name: &'static str) -> SyncSlice<'static, usize> {
+    let arr = std::cell::Cell::new(None);
+    check::Explorer::new()
+        .races(false)
+        .random(1, 0, || {
+            let data = Box::leak(vec![0usize; 4].into_boxed_slice());
+            arr.set(Some(SyncSlice::tracked(data, name)));
+        })
+        .assert_ok();
+    arr.get().expect("the schedule ran")
+}
+
+#[test]
+fn a_tracked_wrapper_reports_iff_built_while_armed() {
+    let explorer = check::Explorer::new().races(true);
+    let inside = explorer.dfs(2_000, 64, racy_missing_barrier);
+    assert_race_found("wrapper built inside", &inside, "racy.phased");
+
+    let arr = built_unarmed("racy.phased");
+    let before = explorer.dfs(2_000, 64, || missing_barrier_phases(arr));
+    assert!(before.schedules() > 1, "exploration too shallow");
+    before.assert_ok();
 }
