@@ -55,11 +55,9 @@
 //! one. Like every site the workers share one history bit: after a wait
 //! that outlasted the budget the next one parks at once.
 //!
-//! Disabled together with the hot-team cache (`AOMP_NO_POOL=1` /
-//! [`RuntimeBuilder::pooled(false)`](crate::runtime::RuntimeBuilder::pooled)):
-//! every task then gets a dedicated thread, as before. The pool-enabled
-//! gate lives on the runtime, not here — the runtime decides whether to
-//! offer the task to its executor at all.
+//! Every task is offered to the executor. A runtime built with a small
+//! [`task_workers`](crate::runtime::RuntimeBuilder::task_workers) cap
+//! sends the overflow down [`fallback_dispatch`]'s dedicated threads.
 
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
@@ -287,14 +285,13 @@ fn worker_loop(ex: Arc<Executor>) {
     }
 }
 
-/// Run a task the executor refused (or was never offered, pool
-/// disabled): a dedicated thread named `name` — the classic
-/// thread-per-task path — else, when even that spawn fails, inline on
-/// the caller. Inline degradation is the sequential semantics the paper
-/// guarantees for unplugged annotations, and strictly better than the
-/// panic it replaces: the task still runs, completion counters still
-/// reach zero, futures still get their value. The outcome is recorded in
-/// `scope`, the dispatching runtime's.
+/// Run a task the executor refused: a dedicated thread named `name` —
+/// the classic thread-per-task path — else, when even that spawn fails,
+/// inline on the caller. Inline degradation is the sequential semantics
+/// the paper guarantees for unplugged annotations, and strictly better
+/// than the panic it replaces: the task still runs, completion counters
+/// still reach zero, futures still get their value. The outcome is
+/// recorded in `scope`, the dispatching runtime's.
 pub(crate) fn fallback_dispatch(name: &'static str, task: Task, scope: &obs::Scope) {
     // `Builder::spawn` consumes the closure even on error, so park the
     // task in a shared slot the caller can reclaim if the spawn fails.
@@ -327,7 +324,7 @@ mod tests {
     use std::time::Duration;
 
     fn test_exec(max: usize) -> Arc<Executor> {
-        Executor::new(max, Arc::new(obs::Scope::new(true)))
+        Executor::new(max, Arc::new(obs::Scope::default()))
     }
 
     fn submit_or_fallback(ex: &Arc<Executor>, task: Task) {

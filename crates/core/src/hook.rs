@@ -13,7 +13,8 @@
 //! branch ([`active`]), and every call site already sits on a slow path
 //! (a blocking primitive, a chunk dispenser, a region spawn). Release
 //! builds with no hook registered pay one cold branch per decision site;
-//! `overhead_fig13` guards that this stays inside the noise floor.
+//! the benchmark ledger's `region.entry_pooled_ns` row measures the entry
+//! path that carries it.
 //!
 //! # Contract for hook implementations
 //!

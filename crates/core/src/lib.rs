@@ -35,7 +35,7 @@
 //!   that converts deadlocks and hung workers into
 //!   [`RegionError::Stalled`](error::RegionError) diagnoses.
 //! * **Runtime instances** ([`Runtime`]) — every process-global above
-//!   (defaults, kill switches, hot-team cache, task executor, counters)
+//!   (team size, parallel kill switch, hot-team cache, task executor, counters)
 //!   lives on an instantiable handle; the free functions are wrappers
 //!   over a lazily-built default runtime, and [`Runtime::builder`] gives
 //!   isolated runtimes that coexist without sharing workers or state and

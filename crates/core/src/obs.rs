@@ -27,7 +27,10 @@
 //!
 //! Metrics and tracing are **off by default** and cost one relaxed
 //! atomic load per instrumented site when off (the same discipline as
-//! the [`hook`](crate::hook) layer; `overhead_fig13` guards it).
+//! the [`hook`](crate::hook) layer; the benchmark ledger's
+//! `obs.metrics_on_ratio` row measures the metrics-on side, and
+//! `observability::metrics_on_and_watched_entries_stay_near_the_plain_pooled_entry`
+//! guards it).
 //! Opt in either way:
 //!
 //! * environment — `AOMP_METRICS=1` enables counters/histograms from
@@ -245,8 +248,6 @@ counters! {
     TaskInline => "task_inline",
     /// Team-scoped task joins completed (`TaskGroup::wait`, `FutureTask::get`).
     TaskJoins => "task_joins",
-    /// Admission refusals because pooling is disabled.
-    TaskRefusedDisabled => "task_refused_disabled",
     /// Admission refusals because the executor was saturated.
     TaskRefusedSaturated => "task_refused_saturated",
     /// Executor workers entering their idle wait (polled or parked).
@@ -474,7 +475,8 @@ fn count_slow(c: Counter) {
 
 /// Bump `c` unconditionally — only for the pre-obs hot-team counters
 /// whose readers ([`pool::hot_team_stats`](crate::pool::hot_team_stats),
-/// the hot-team tests, `fig13`) do not opt in to metrics. One relaxed
+/// the hot-team tests, the benchmark ledger) do not opt in to metrics.
+/// It is part of what `region.entry_pooled_ns` times. One relaxed
 /// RMW per *region*, the cost those counters always had.
 #[inline]
 pub(crate) fn count_always(c: Counter) {
@@ -521,28 +523,25 @@ pub fn record_latency(l: Lat, d: Duration) {
 /// Latency histograms are deliberately *not* scoped: they are keyed by
 /// wait site, not by runtime, and stay process-global.
 ///
-/// Recording is controlled by the runtime's `metrics` builder knob
-/// (default on); a disabled scope reads all-zero.
+/// A scope always records, whatever the `AOMP_METRICS` gate says.
 pub(crate) struct Scope {
-    enabled: bool,
     counters: [AtomicU64; N_COUNTERS],
 }
 
-impl Scope {
-    pub(crate) fn new(enabled: bool) -> Self {
+impl Default for Scope {
+    fn default() -> Self {
         Self {
-            enabled,
             counters: [ZERO; N_COUNTERS],
         }
     }
+}
 
-    /// Bump one counter in this scope. One branch + one relaxed RMW, and
-    /// only called from region-granularity slow paths.
+impl Scope {
+    /// Bump one counter in this scope. One relaxed RMW, and only called
+    /// from region-granularity slow paths.
     #[inline]
     pub(crate) fn bump(&self, c: Counter) {
-        if self.enabled {
-            self.counters[c as usize].fetch_add(1, Ordering::Relaxed);
-        }
+        self.counters[c as usize].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record one event of this scope's runtime: in the scope and, when
@@ -555,24 +554,14 @@ impl Scope {
 
     /// Value of one counter in this scope.
     pub(crate) fn counter(&self, c: Counter) -> u64 {
-        if self.enabled {
-            self.counters[c as usize].load(Ordering::Relaxed)
-        } else {
-            0
-        }
+        self.counters[c as usize].load(Ordering::Relaxed)
     }
 
     /// Copy this scope as a [`Snapshot`] (histograms read zero — they
     /// are process-global, see the type docs).
     pub(crate) fn snapshot(&self) -> Snapshot {
-        let mut counters = [0u64; N_COUNTERS];
-        if self.enabled {
-            for (i, c) in self.counters.iter().enumerate() {
-                counters[i] = c.load(Ordering::Relaxed);
-            }
-        }
         Snapshot {
-            counters,
+            counters: std::array::from_fn(|i| self.counters[i].load(Ordering::Relaxed)),
             hists: [HistSnapshot::default(); N_LATS],
             nr_batch: HistSnapshot::default(),
         }

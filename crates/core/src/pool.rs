@@ -14,13 +14,14 @@
 //!   size-keyed [`HotCache`] and returned on region exit — the default
 //!   for top-level regions, and the optimisation the paper's §VII names
 //!   as current work (Figure 13 measures region-entry overhead; the
-//!   `fig13` bench quantifies it). Thread creation leaves the entry path
+//!   benchmark ledger's `region.entry_pooled_ns` row quantifies it).
+//!   Thread creation leaves the entry path
 //!   after the first region of each size;
 //! * **fresh**: built for this region and torn down on exit — nested
 //!   regions (`ctx::level() > 0`: the cache only serves top-level
-//!   regions, avoiding lease re-entrancy), `AOMP_NO_POOL=1` /
-//!   [`RuntimeBuilder::pooled(false)`](crate::runtime::RuntimeBuilder::pooled),
-//!   [`RegionConfig::pooled(false)`](crate::region::RegionConfig::pooled),
+//!   regions, avoiding lease re-entrancy),
+//!   [`RegionConfig::pooled(false)`](crate::region::RegionConfig::pooled)
+//!   (the benchmark ledger's `region.entry_spawned_ns` row),
 //!   a closed or exhausted cache, and
 //!   [`region::try_parallel_detached`](crate::region::try_parallel_detached)
 //!   (its abandonment contract needs threads the runtime can afford to
@@ -390,7 +391,8 @@ impl HotCache {
 }
 
 /// Monotonic counters describing how multi-thread regions were executed;
-/// used by the hot-team tests and the `fig13` bench. Deltas between two
+/// used by the hot-team tests (the benchmark ledger's `pool.hit_ratio`
+/// row reads the same always-on counters). Deltas between two
 /// snapshots attribute the regions in between.
 ///
 /// Thin compatibility view over the [`obs`](crate::obs) registry (these
@@ -702,7 +704,7 @@ mod tests {
 
     #[test]
     fn lease_round_trips_through_cache() {
-        let cache = HotCache::new(Arc::new(obs::Scope::new(true)));
+        let cache = HotCache::new(Arc::new(obs::Scope::default()));
         {
             let l = cache.lease(7).expect("lease");
             assert_eq!(l.team().size(), 7);
@@ -716,7 +718,7 @@ mod tests {
 
     #[test]
     fn closed_cache_refuses_leases_and_tears_down_returns() {
-        let cache = HotCache::new(Arc::new(obs::Scope::new(true)));
+        let cache = HotCache::new(Arc::new(obs::Scope::default()));
         let l = cache.lease(3).expect("lease");
         cache.close();
         drop(l); // returns into a closed cache: torn down, not re-cached

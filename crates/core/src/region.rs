@@ -25,10 +25,8 @@
 //!   size-keyed cache and returned on exit — the default for top-level
 //!   regions; thread creation is paid once per team, not per region;
 //! * **fresh** — built for this region and torn down on exit: nested
-//!   regions, [`RegionConfig::pooled(false)`], a pool-disabled runtime
-//!   (`AOMP_NO_POOL=1` /
-//!   [`RuntimeBuilder::pooled(false)`](crate::runtime::RuntimeBuilder::pooled))
-//!   and [`try_parallel_detached`].
+//!   regions, [`RegionConfig::pooled(false)`](RegionConfig::pooled) and
+//!   [`try_parallel_detached`].
 //!
 //! A region resolves its runtime as [`RegionConfig::runtime`] > the
 //! innermost entered runtime on the calling thread (which is how a
@@ -204,7 +202,7 @@ impl RegionConfig {
 
     /// Optional form of [`stall_deadline`](Self::stall_deadline) for
     /// callers threading a computed time budget — `None` leaves the
-    /// config unchanged (the runtime default, if any, still applies).
+    /// config unchanged (no watchdog).
     /// This is the deadline-propagation hook used by request-serving
     /// layers: a request's remaining budget flows here so a wedged
     /// region times out as
@@ -220,9 +218,7 @@ impl RegionConfig {
     /// Allow (`true`, the default) or refuse (`false`) serving this
     /// region from the runtime's hot-team cache. With pooling refused the
     /// region always builds a fresh team and tears it down on exit — the
-    /// per-region counterpart of the per-runtime
-    /// [`RuntimeBuilder::pooled`](crate::runtime::RuntimeBuilder::pooled) /
-    /// `AOMP_NO_POOL=1` opt-out. Semantics are identical either way; the
+    /// one pooling opt-out there is. Semantics are identical either way; the
     /// switch exists for ablation measurements and for bodies that want
     /// guaranteed-fresh OS threads (e.g. ones mutating thread-level
     /// state such as signal masks or priorities).
@@ -232,7 +228,7 @@ impl RegionConfig {
     }
 
     /// Pin this region to a specific [`Runtime`](crate::runtime::Runtime)
-    /// instance: its defaults (team size, kill switches, stall deadline),
+    /// instance: its defaults (team size, parallel kill switch),
     /// its hot-team cache and its counter scope serve the region,
     /// regardless of which runtime the calling thread has entered.
     /// Unset, the region uses the innermost entered runtime (the
@@ -435,8 +431,7 @@ where
 /// never leased from the cache, which must not get an abandoned team
 /// back.
 ///
-/// On a watchdog-declared stall ([`RegionConfig::stall_deadline`] or the
-/// [process-wide default](crate::runtime::set_default_stall_deadline)),
+/// On a watchdog-declared stall ([`RegionConfig::stall_deadline`]),
 /// members parked in library primitives are woken, unwound and joined;
 /// a member that never reaches a cancellation point is **abandoned**
 /// after a short grace period (`min(deadline, 100 ms)`) and the call
@@ -585,12 +580,11 @@ fn run_region(cfg: RegionConfig, work: Work<'_>) -> RawOutcome {
 /// Run a region on `n` threads: pick the team source, run the
 /// [`master_sequence`], classify.
 fn run_team(cfg: &RegionConfig, rt: &runtime::Runtime, n: usize, work: Work<'_>) -> RawOutcome {
-    let deadline = cfg.stall_deadline.or_else(|| rt.default_stall_deadline());
     let shared = Arc::new(TeamShared::for_runtime(
         n,
         ctx::level() + 1,
         cfg.cancellable.unwrap_or(false),
-        deadline.is_some(),
+        cfg.stall_deadline.is_some(),
         rt.downgrade(),
     ));
 
@@ -600,17 +594,15 @@ fn run_team(cfg: &RegionConfig, rt: &runtime::Runtime, n: usize, work: Work<'_>)
         level: shared.level,
     });
     // Region round-trip histogram (entry + body + join + teardown): with
-    // an empty body this is exactly fig13's entry overhead, keyed by
-    // team source.
+    // an empty body this is the entry overhead the benchmark ledger's
+    // `region.entry_pooled_ns` row times, keyed by team source.
     let t0 = obs::region_timer();
     // The cache only serves top-level regions (a nested region's caller
     // may itself be a cached worker mid-dispatch — no lease re-entrancy)
     // and only borrowed work: owned work may abandon its team, and an
     // abandoned team must never be handed back.
-    let cacheable = matches!(work, Work::Borrowed(_))
-        && cfg.pooled != Some(false)
-        && rt.pool_enabled()
-        && ctx::level() == 0;
+    let cacheable =
+        matches!(work, Work::Borrowed(_)) && cfg.pooled != Some(false) && ctx::level() == 0;
     let team = if n == 1 {
         Team::None
     } else if let Some(lease) = cacheable.then(|| rt.lease(n)).flatten() {
@@ -631,7 +623,7 @@ fn run_team(cfg: &RegionConfig, rt: &runtime::Runtime, n: usize, work: Work<'_>)
         obs::count_always(counter);
     }
     rt.scope().bump(counter);
-    master_sequence(workers, &shared, rt, deadline, &work);
+    master_sequence(workers, &shared, rt, cfg.stall_deadline, &work);
     drop(team);
     obs::region_done(t0, lat);
 
@@ -1161,24 +1153,5 @@ mod tests {
         );
         assert!(r.is_ok());
         assert_eq!(sum.load(Ordering::SeqCst), 20);
-    }
-
-    #[test]
-    fn default_stall_deadline_applies() {
-        // A private runtime carries the default deadline, so this test no
-        // longer mutates (or serialises against) process-global state.
-        let rt = runtime::Runtime::builder()
-            .stall_deadline(Duration::from_millis(150))
-            .build();
-        // Same barrier-round mismatch as
-        // `scoped_watchdog_reports_sync_deadlock`, but the watchdog is
-        // armed by the runtime's default instead of the region config.
-        let r = try_parallel_with(RegionConfig::new().threads(2).runtime(&rt), || {
-            crate::ctx::barrier();
-            if thread_id() == 1 {
-                crate::ctx::barrier();
-            }
-        });
-        assert!(matches!(r, Err(RegionError::Stalled { .. })), "got {r:?}");
     }
 }

@@ -1,12 +1,12 @@
 //! Runtime instances and the default-runtime configuration surface.
 //!
 //! Everything that used to be process-global — the default team size,
-//! the parallel/pool kill switches, the default stall deadline, the
-//! size-keyed hot-team cache and the task executor — now lives on an
-//! instantiable [`Runtime`] handle. The free functions in
-//! this module ([`default_threads`], [`set_parallel_enabled`], …) are
-//! thin wrappers over a lazily-initialised *default* runtime, so the
-//! OpenMP-style surface the paper relies on (`OMP_NUM_THREADS` →
+//! the parallel kill switch, the size-keyed hot-team cache and the task
+//! executor — now lives on an instantiable [`Runtime`] handle. The free
+//! functions in this module ([`default_threads`],
+//! [`set_parallel_enabled`], …) are thin wrappers over a
+//! lazily-initialised *default* runtime, so the OpenMP-style surface
+//! the paper relies on (`OMP_NUM_THREADS` →
 //! `AOMP_NUM_THREADS`, the process-wide kill switch for "programs can be
 //! valid if annotations for parallelisation are ignored") is unchanged
 //! for callers that never mention a runtime.
@@ -38,22 +38,27 @@
 //!
 //! ## Environment capture
 //!
-//! `AOMP_NUM_THREADS` and `AOMP_NO_POOL` are read exactly once, when the
-//! default runtime is constructed, and seed *only the default runtime*.
-//! [`Runtime::builder`] ignores the environment entirely — an explicitly
-//! built runtime is exactly what its builder says, no matter what the
-//! process environment looks like.
+//! `AOMP_NUM_THREADS` is read exactly once, when the default runtime is
+//! constructed, and seeds *only the default runtime*. [`Runtime::builder`]
+//! ignores the environment entirely — an explicitly built runtime is
+//! exactly what its builder says (a team size and a task-worker cap), no
+//! matter what the process environment looks like.
 //!
-//! The full `AOMP_*` environment surface (this module's variables plus
+//! Pooling and the stall watchdog are chosen per region:
+//! [`RegionConfig::pooled(false)`](crate::region::RegionConfig::pooled)
+//! refuses the hot-team cache and
+//! [`RegionConfig::stall_deadline`](crate::region::RegionConfig::stall_deadline)
+//! arms the watchdog.
+//!
+//! The full `AOMP_*` environment surface (this module's variable plus
 //! the observability opt-ins `AOMP_METRICS`/`AOMP_TRACE` handled by
 //! [`obs`](crate::obs), the schedule override `AOMP_SCHEDULE`, and the
 //! checker's `AOMP_CHECK_*`) is tabulated in the repository README.
 
 use std::cell::RefCell;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
-use std::time::Duration;
 
 use crate::error::RegionError;
 use crate::executor::{self, Executor};
@@ -67,13 +72,6 @@ use crate::watchdog::Watchdog;
 /// runtimes ignore it.
 pub const NUM_THREADS_ENV: &str = "AOMP_NUM_THREADS";
 
-/// Environment variable disabling the default runtime's hot-team cache
-/// and task executor (`AOMP_NO_POOL=1`): every region builds a fresh team
-/// and every task gets a dedicated thread. Captured once at
-/// default-runtime construction; explicitly built runtimes ignore it
-/// (they have [`RuntimeBuilder::pooled`]).
-pub const NO_POOL_ENV: &str = "AOMP_NO_POOL";
-
 struct RuntimeInner {
     /// `set_default_threads` override; 0 = unset (use `base_threads`).
     threads: AtomicUsize,
@@ -81,10 +79,6 @@ struct RuntimeInner {
     /// the default runtime: env, else `available_parallelism`).
     base_threads: usize,
     parallel: AtomicBool,
-    /// Fixed at construction: `AOMP_NO_POOL` / [`RuntimeBuilder::pooled`].
-    pool: bool,
-    /// Default stall deadline in nanoseconds; 0 = no watchdog.
-    stall_nanos: AtomicU64,
     scope: Arc<obs::Scope>,
     cache: Arc<HotCache>,
     executor: Arc<Executor>,
@@ -107,8 +101,9 @@ impl Drop for RuntimeInner {
     }
 }
 
-/// An isolated runtime instance: defaults, kill switches, hot-team
-/// cache, task executor, stall watchdog and a metrics scope of its own.
+/// An isolated runtime instance: team-size default, parallel kill
+/// switch, hot-team cache, task executor, stall watchdog and a metrics
+/// scope of its own.
 ///
 /// Cheap to clone (an `Arc` handle); equality is identity. Most programs
 /// never construct one — the free functions in this module and the
@@ -143,8 +138,6 @@ impl std::fmt::Debug for Runtime {
         f.debug_struct("Runtime")
             .field("threads", &self.default_threads())
             .field("parallel", &self.parallel_enabled())
-            .field("pool", &self.pool_enabled())
-            .field("stall_deadline", &self.default_stall_deadline())
             .finish()
     }
 }
@@ -154,7 +147,7 @@ impl Runtime {
     /// `AOMP_*` environment variable — those seed the default runtime
     /// only.
     pub fn builder() -> RuntimeBuilder {
-        RuntimeBuilder::new()
+        RuntimeBuilder::default()
     }
 
     /// Enter this runtime on the current thread: until the returned
@@ -194,37 +187,6 @@ impl Runtime {
     /// its body once on the calling thread.
     pub fn set_parallel_enabled(&self, enabled: bool) {
         self.inner.parallel.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Whether pooled execution (cached hot teams for regions, the
-    /// executor for tasks) is enabled on this runtime. Fixed at
-    /// construction; with pooling disabled every region builds a fresh
-    /// team and every task runs on a dedicated thread — the fresh-team
-    /// path the benchmark's `region.entry_spawned_ns` row times.
-    pub fn pool_enabled(&self) -> bool {
-        self.inner.pool
-    }
-
-    /// This runtime's default stall deadline, if one is armed.
-    pub fn default_stall_deadline(&self) -> Option<Duration> {
-        match self.inner.stall_nanos.load(Ordering::Relaxed) {
-            0 => None,
-            n => Some(Duration::from_nanos(n)),
-        }
-    }
-
-    /// Arm (or with `None`, disarm) this runtime's default stall
-    /// deadline; see [`set_default_stall_deadline`] for semantics and
-    /// caveats.
-    pub fn set_default_stall_deadline(&self, deadline: Option<Duration>) {
-        let nanos = match deadline {
-            None => 0,
-            Some(d) => {
-                assert!(!d.is_zero(), "stall deadline must be non-zero");
-                u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
-            }
-        };
-        self.inner.stall_nanos.store(nanos, Ordering::Relaxed);
     }
 
     /// Execute `body` as a parallel region on this runtime (equivalent
@@ -285,7 +247,6 @@ impl Runtime {
 
     /// Per-runtime view of the hot-team counters (this runtime's share
     /// of the process-wide [`pool::hot_team_stats`](crate::pool::hot_team_stats)).
-    /// All-zero when the runtime was built with `.metrics(false)`.
     pub fn hot_team_stats(&self) -> HotTeamStats {
         HotTeamStats::read(|c| self.inner.scope.counter(c))
     }
@@ -303,9 +264,7 @@ impl Runtime {
     /// layers above the core runtime — per-tenant admission control in
     /// `aomp-serve` — keep per-runtime accounting observably disjoint:
     /// each tenant bumps only its own runtime's scope, so one tenant's
-    /// sheds and faults never move a neighbour's counters. No-op on a
-    /// runtime built with `.metrics(false)` (scope side; the global
-    /// registry still ticks when `AOMP_METRICS` is on).
+    /// sheds and faults never move a neighbour's counters.
     pub fn record_counter(&self, c: obs::Counter) {
         self.inner.scope.record(c);
     }
@@ -334,21 +293,14 @@ impl Runtime {
         WeakRuntime(Arc::downgrade(&self.inner))
     }
 
-    /// Run `task` on this runtime: its executor when pooling is enabled
-    /// and admission control accepts, else a dedicated thread, else
-    /// inline (see [`executor::fallback_dispatch`]).
+    /// Run `task` on this runtime: its executor when admission control
+    /// accepts, else a dedicated thread, else inline (see
+    /// [`executor::fallback_dispatch`]).
     pub(crate) fn dispatch_task(&self, name: &'static str, task: executor::Task) {
         self.inner.scope.record(obs::Counter::TaskSpawned);
-        let task = if self.pool_enabled() {
-            match self.inner.executor.try_submit(task) {
-                Ok(()) => return,
-                Err(t) => t,
-            }
-        } else {
-            self.inner.scope.record(obs::Counter::TaskRefusedDisabled);
-            task
-        };
-        executor::fallback_dispatch(name, task, &self.inner.scope);
+        if let Err(task) = self.inner.executor.try_submit(task) {
+            executor::fallback_dispatch(name, task, &self.inner.scope);
+        }
     }
 }
 
@@ -366,49 +318,21 @@ impl WeakRuntime {
     }
 }
 
-/// Builder for an explicit [`Runtime`]. Every knob has a fixed default
-/// (documented per method); none of them read the environment.
-#[derive(Debug, Clone)]
+/// Builder for an explicit [`Runtime`]: a team size and a task-worker
+/// cap, each with a fixed default (documented per method); neither reads
+/// the environment.
+#[derive(Debug, Clone, Default)]
 pub struct RuntimeBuilder {
     threads: Option<usize>,
-    parallel: bool,
-    pooled: bool,
     task_workers: Option<usize>,
-    stall_deadline: Option<Duration>,
-    metrics: bool,
 }
 
 impl RuntimeBuilder {
-    fn new() -> Self {
-        Self {
-            threads: None,
-            parallel: true,
-            pooled: true,
-            task_workers: None,
-            stall_deadline: None,
-            metrics: true,
-        }
-    }
-
     /// Default team size (default: `available_parallelism`). Must be at
     /// least 1.
     pub fn threads(mut self, n: usize) -> Self {
         assert!(n >= 1, "default thread count must be >= 1");
         self.threads = Some(n);
-        self
-    }
-
-    /// Start with parallel execution enabled or disabled (default:
-    /// enabled); toggleable later via [`Runtime::set_parallel_enabled`].
-    pub fn parallel(mut self, enabled: bool) -> Self {
-        self.parallel = enabled;
-        self
-    }
-
-    /// Build with pooled execution enabled or disabled (default:
-    /// enabled); see [`Runtime::pool_enabled`].
-    pub fn pooled(mut self, enabled: bool) -> Self {
-        self.pooled = enabled;
         self
     }
 
@@ -418,23 +342,6 @@ impl RuntimeBuilder {
     pub fn task_workers(mut self, n: usize) -> Self {
         assert!(n >= 1, "task worker cap must be >= 1");
         self.task_workers = Some(n);
-        self
-    }
-
-    /// Arm a default stall deadline for every region on this runtime
-    /// (default: none); see [`set_default_stall_deadline`].
-    pub fn stall_deadline(mut self, d: Duration) -> Self {
-        assert!(!d.is_zero(), "stall deadline must be non-zero");
-        self.stall_deadline = Some(d);
-        self
-    }
-
-    /// Record per-runtime counters (default: `true`). With `false` the
-    /// runtime's scope reads all-zero — including
-    /// [`Runtime::hot_team_stats`] — while the process-global registry
-    /// still sees its activity.
-    pub fn metrics(mut self, enabled: bool) -> Self {
-        self.metrics = enabled;
         self
     }
 
@@ -450,18 +357,12 @@ impl RuntimeBuilder {
         let task_workers = self
             .task_workers
             .unwrap_or_else(executor::default_max_workers);
-        let scope = Arc::new(obs::Scope::new(self.metrics));
-        let stall_nanos = match self.stall_deadline {
-            None => 0,
-            Some(d) => u64::try_from(d.as_nanos()).unwrap_or(u64::MAX).max(1),
-        };
+        let scope = Arc::new(obs::Scope::default());
         Runtime {
             inner: Arc::new(RuntimeInner {
                 threads: AtomicUsize::new(0),
                 base_threads,
-                parallel: AtomicBool::new(self.parallel),
-                pool: self.pooled,
-                stall_nanos: AtomicU64::new(stall_nanos),
+                parallel: AtomicBool::new(true),
                 cache: HotCache::new(Arc::clone(&scope)),
                 executor: Executor::new(task_workers, Arc::clone(&scope)),
                 watchdog: Watchdog::new(Arc::clone(&scope)),
@@ -518,20 +419,14 @@ pub(crate) fn current() -> Runtime {
 
 /// The process's default runtime, constructed on first use. This is the
 /// only constructor that reads the environment: `AOMP_NUM_THREADS` seeds
-/// the team size and `AOMP_NO_POOL` the pool switch, each captured
-/// exactly once here. It is never dropped — its workers live for the
-/// process.
+/// the team size, captured exactly once here. It is never dropped — its
+/// workers live for the process.
 pub fn default_runtime() -> &'static Runtime {
     static DEFAULT: OnceLock<Runtime> = OnceLock::new();
     DEFAULT.get_or_init(|| {
-        let no_pool = std::env::var(NO_POOL_ENV).is_ok_and(|v| {
-            let v = v.trim();
-            !v.is_empty() && v != "0"
-        });
         RuntimeBuilder {
             threads: env_usize(NUM_THREADS_ENV),
-            pooled: !no_pool,
-            ..RuntimeBuilder::new()
+            ..RuntimeBuilder::default()
         }
         .build()
     })
@@ -580,44 +475,6 @@ pub fn parallel_enabled() -> bool {
     default_runtime().parallel_enabled()
 }
 
-/// Whether pooled execution (cached hot teams for regions, the shared
-/// executor for tasks) is enabled on the default runtime: `true` unless
-/// [`NO_POOL_ENV`] (`AOMP_NO_POOL=1`) was set when the default runtime
-/// was constructed.
-pub fn pool_enabled() -> bool {
-    default_runtime().pool_enabled()
-}
-
-/// Arm (or with `None`, disarm) the default runtime's default stall
-/// deadline.
-///
-/// Every parallel region whose own configuration does not set
-/// [`RegionConfig::stall_deadline`](crate::region::RegionConfig::stall_deadline)
-/// (and that resolves to the default runtime) inherits this value, so
-/// one line converts every region's *synchronisation* stall — members
-/// parked at barriers, broadcasts, criticals, task joins or the
-/// end-of-region worker join — into a diagnosable
-/// [`RegionError::Stalled`](crate::error::RegionError).
-/// Per-region settings always win.
-///
-/// This is not a blanket hang kill switch:
-/// [`region::parallel`](crate::region::parallel) and
-/// [`region::try_parallel`](crate::region::try_parallel) accept
-/// borrowing bodies and therefore always join every worker, so a member
-/// wedged in non-cooperative user code (an unbounded sleep, a lost
-/// external call) still delays its region until it returns. Abandoning
-/// such a member requires a body that owns its captures — opt in per
-/// call site with
-/// [`region::try_parallel_detached`](crate::region::try_parallel_detached).
-pub fn set_default_stall_deadline(deadline: Option<Duration>) {
-    default_runtime().set_default_stall_deadline(deadline)
-}
-
-/// The default runtime's stall deadline, if one is armed.
-pub fn default_stall_deadline() -> Option<Duration> {
-    default_runtime().default_stall_deadline()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -643,45 +500,12 @@ mod tests {
     }
 
     #[test]
-    fn stall_deadline_round_trips() {
-        // A private runtime: no cross-test serialisation needed (the
-        // pre-instance version of this test had to lock a global).
-        let rt = Runtime::builder().threads(1).build();
-        rt.set_default_stall_deadline(Some(Duration::from_millis(250)));
-        assert_eq!(
-            rt.default_stall_deadline(),
-            Some(Duration::from_millis(250))
-        );
-        rt.set_default_stall_deadline(None);
-        assert_eq!(rt.default_stall_deadline(), None);
-    }
-
-    #[test]
     fn parallel_enabled_toggle() {
         assert!(parallel_enabled());
         set_parallel_enabled(false);
         assert!(!parallel_enabled());
         set_parallel_enabled(true);
         assert!(parallel_enabled());
-    }
-
-    #[test]
-    fn builder_knobs_round_trip() {
-        let rt = Runtime::builder()
-            .threads(3)
-            .parallel(true)
-            .pooled(false)
-            .task_workers(2)
-            .stall_deadline(Duration::from_secs(5))
-            .metrics(false)
-            .build();
-        assert_eq!(rt.default_threads(), 3);
-        assert!(rt.parallel_enabled());
-        assert!(!rt.pool_enabled());
-        assert_eq!(rt.default_stall_deadline(), Some(Duration::from_secs(5)));
-        // metrics(false): the scope reads zero even after activity.
-        rt.parallel(|| {});
-        assert_eq!(rt.hot_team_stats(), HotTeamStats::default());
     }
 
     #[test]

@@ -18,9 +18,9 @@
 //! executor admits a task only when a worker is free or the pool can
 //! grow; otherwise the spawn falls back to a dedicated thread, and on
 //! thread exhaustion to *inline* execution on the caller (sequential
-//! semantics) instead of panicking. `AOMP_NO_POOL=1` /
-//! [`RuntimeBuilder::pooled(false)`](crate::runtime::RuntimeBuilder::pooled)
-//! restores thread-per-task.
+//! semantics) instead of panicking. A runtime's
+//! [`task_workers`](crate::runtime::RuntimeBuilder::task_workers) cap
+//! bounds the pool; spawns past it get thread-per-task.
 //!
 //! Dispatch outcomes are observable: with `AOMP_METRICS` on, the
 //! [`obs`](crate::obs) registry counts spawned/pooled/dedicated/inline

@@ -262,7 +262,7 @@ mod tests {
     }
 
     fn dog() -> Arc<Watchdog> {
-        Watchdog::new(Arc::new(obs::Scope::new(true)))
+        Watchdog::new(Arc::new(obs::Scope::default()))
     }
 
     #[test]

@@ -99,7 +99,7 @@ where
     assert_eq!(seq, woven);
     let counters = rt.metrics_snapshot();
     let gated = counters.counter(Counter::RegionGated);
-    // Pooled, or spawned under `AOMP_NO_POOL=1`.
+    // Leased from `rt`'s cache, or fresh where the cache cannot serve one.
     let team = counters.counter(Counter::RegionPooled) + counters.counter(Counter::RegionSpawned);
     let warm_up = if gated + team > 32 { 2 } else { 0 };
     assert!(

@@ -3,13 +3,12 @@
 //! cancellation, member panics and stall diagnoses without poisoning the
 //! cache for the next region, whatever the team's provenance; and the
 //! shared task executor behind `task::spawn` must stay live when tasks
-//! block on each other or the pool is disabled.
+//! block on each other.
 
 use aomp_check as check;
 use aomplib::prelude::*;
 use aomplib::runtime::clock::VirtualClock;
 use aomplib::runtime::hook::{self, HookEvent, SchedHook};
-use aomplib::runtime::obs;
 use aomplib::runtime::pool::hot_team_stats;
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -26,9 +25,9 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// A private runtime with its cache on, for the tests that are about
-/// the cache: entered, it serves every region of the test, whereas the
-/// default runtime's cache is off in CI's `AOMP_NO_POOL=1` leg.
+/// A private runtime for the tests that are about the cache: entered, it
+/// serves every region of the test from a cache no other test in the
+/// binary leases from.
 fn pooled_runtime() -> Runtime {
     Runtime::builder().build()
 }
@@ -66,23 +65,6 @@ fn pooled_false_forces_the_spawn_path() {
     let after = hot_team_stats();
     assert!(after.spawned_regions > before.spawned_regions);
     assert_eq!(after.pooled_regions, before.pooled_regions);
-}
-
-#[test]
-fn kill_switch_forces_the_spawn_path() {
-    // A private pool-disabled runtime: its own counters, so the
-    // assertions are exact and no process-global switch is flipped.
-    let rt = Runtime::builder().pooled(false).build();
-    let hits = AtomicUsize::new(0);
-    rt.parallel_with(RegionConfig::new().threads(3), || {
-        hits.fetch_add(1, Ordering::SeqCst);
-        barrier();
-    });
-    assert_eq!(hits.load(Ordering::SeqCst), 3);
-    let stats = rt.hot_team_stats();
-    assert_eq!(stats.spawned_regions, 1);
-    assert_eq!(stats.pooled_regions, 0);
-    assert_eq!(stats.teams_created, 0, "no cache miss: the cache is off");
 }
 
 #[test]
@@ -261,13 +243,12 @@ fn explored_region_is_schedule_independent_whatever_the_team_source() {
         st.total.fetch_add(10, Ordering::SeqCst);
     }
     let team = || RegionConfig::new().threads(2);
-    let no_pool_rt = Runtime::builder().pooled(false).build();
     let user_pool = TeamPool::new(2);
     // (name, regions entered per run, the run itself). Only the nested
     // row's explored region is not the one the checker controls (it binds
     // the outermost), so its interleavings differ from the other rows'.
     type Run<'a> = &'a dyn Fn(&Arc<State>);
-    let rows: [(&str, usize, Run); 6] = [
+    let rows: [(&str, usize, Run); 5] = [
         ("cached", 1, &|st| {
             region::parallel_with(team(), || body(st))
         }),
@@ -278,9 +259,6 @@ fn explored_region_is_schedule_independent_whatever_the_team_source() {
             region::parallel_with(RegionConfig::new().threads(1), || {
                 region::parallel_with(team(), || body(st))
             })
-        }),
-        ("pool-disabled runtime", 1, &|st| {
-            no_pool_rt.parallel_with(team(), || body(st))
         }),
         ("try_parallel_detached", 1, &|st| {
             let st = Arc::clone(st);
@@ -360,25 +338,4 @@ fn task_waiting_on_task_stays_live() {
         });
         assert_eq!(chain.get(), 24, "round {round}");
     }
-}
-
-#[test]
-fn tasks_degrade_to_dedicated_threads_when_pool_disabled() {
-    let rt = Runtime::builder().pooled(false).build();
-    let _in_rt = rt.enter();
-    let done = std::sync::Arc::new(AtomicUsize::new(0));
-    let group = TaskGroup::new();
-    for _ in 0..8 {
-        let done = std::sync::Arc::clone(&done);
-        group.spawn(move || {
-            done.fetch_add(1, Ordering::SeqCst);
-        });
-    }
-    group.wait();
-    let f = task::spawn_future(|| 41 + 1);
-    assert_eq!(f.get(), 42);
-    assert_eq!(done.load(Ordering::SeqCst), 8);
-    let snap = rt.metrics_snapshot();
-    assert_eq!(snap.counter(obs::Counter::TaskSpawned), 9);
-    assert_eq!(snap.counter(obs::Counter::TaskPooled), 0);
 }

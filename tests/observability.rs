@@ -95,8 +95,7 @@ fn task_burst_records_dispatch_outcomes() {
     assert!(delta.counter(Counter::TaskSpawned) >= 200);
     let placed = delta.counter(Counter::TaskPooled)
         + delta.counter(Counter::TaskDedicated)
-        + delta.counter(Counter::TaskInline)
-        + delta.counter(Counter::TaskRefusedDisabled);
+        + delta.counter(Counter::TaskInline);
     assert!(
         placed >= 200,
         "every spawn has a dispatch outcome:\n{}",

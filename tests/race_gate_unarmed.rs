@@ -1,5 +1,9 @@
-//! The race oracle's cost contract: with no checker armed, a tracked
-//! accessor pays one relaxed gate load and nothing else.
+//! The race oracle's cost contract: a tracked wrapper decides when it is
+//! built. Built with no checker armed it keeps no label, so it *is* the
+//! `new` wrapper and every access is a plain memory operation; only a
+//! wrapper built while armed reports (and re-checks the gate per access).
+//! `race_detection::a_tracked_wrapper_reports_iff_built_while_armed`
+//! covers the armed side.
 //!
 //! Lives in its own test binary because the sink `armed()` reads is
 //! process-global: nothing in this process ever runs an exploration, so
@@ -7,14 +11,12 @@
 
 use aomplib::runtime::cell::SyncSlice;
 use aomplib::runtime::check::Tracked;
-use std::hint::black_box;
-use std::time::{Duration, Instant};
 
 #[test]
 fn unarmed_tracked_accessors_are_plain_memory_operations() {
     // No exploration in this test, so nothing arms the process-global
-    // sink: `armed()` (the one relaxed load every tracked access gates
-    // on) must read false before, throughout, and after.
+    // sink: `armed()` reads false when the wrappers are built (so they
+    // carry no label and report nothing), throughout, and after.
     assert!(!aomplib::runtime::check::armed());
     let mut data = vec![0u64; 64];
     let arr = SyncSlice::tracked(&mut data, "gate.probe");
@@ -30,43 +32,4 @@ fn unarmed_tracked_accessors_are_plain_memory_operations() {
     }
     assert!(!aomplib::runtime::check::armed());
     assert_eq!(cell.into_inner(), 63);
-}
-
-#[test]
-fn unarmed_gate_overhead_is_negligible() {
-    // Wall-clock-sensitive; the CI schedule-check job (saturated runners)
-    // sets AOMP_CHECK_NO_WALLCLOCK and skips it — the race-check leg runs
-    // it with the variable cleared.
-    let disabled = std::env::var_os("AOMP_CHECK_NO_WALLCLOCK").is_some_and(|v| v != "0");
-    if disabled {
-        eprintln!("unarmed_gate_overhead_is_negligible: skipped (AOMP_CHECK_NO_WALLCLOCK)");
-        return;
-    }
-    assert!(!aomplib::runtime::check::armed());
-    const N: usize = 400_000;
-    let mut a = vec![1u64; 256];
-    let mut b = vec![1u64; 256];
-    let time = |slice: &SyncSlice<'_, u64>| {
-        let t0 = Instant::now();
-        let mut sum = 0u64;
-        for i in 0..N {
-            // SAFETY: single-threaded test body.
-            sum = sum.wrapping_add(unsafe { slice.read(i & 255) });
-        }
-        black_box(sum);
-        t0.elapsed()
-    };
-    let plain = SyncSlice::new(&mut a);
-    let tracked = SyncSlice::tracked(&mut b, "gate.bench");
-    // Warm both paths once, then measure.
-    let (_, _) = (time(&plain), time(&tracked));
-    let base = time(&plain);
-    let gated = time(&tracked);
-    // The tracked-but-unarmed path adds one relaxed load + a never-taken
-    // branch per access; 10x plus scheduling slop is far beyond anything
-    // that single load can legitimately cost.
-    assert!(
-        gated <= base * 10 + Duration::from_millis(20),
-        "unarmed tracked access is too slow: tracked {gated:?} vs untracked {base:?}"
-    );
 }

@@ -7,7 +7,6 @@
 //! mutate the default runtime, and the rest stay out of their way.
 
 use aomp::obs::Counter;
-use aomp::pool::HotTeamStats;
 use aomp::region::RegionConfig;
 use aomp::{ctx, region, runtime, Runtime};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -24,7 +23,7 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
 fn two_runtimes_observe_disjoint_counters() {
     let _s = serial();
     let a = Runtime::builder().threads(3).build();
-    let b = Runtime::builder().threads(3).pooled(false).build();
+    let b = Runtime::builder().threads(3).build();
 
     // Same team size on both, concurrently: if the hot-team cache or the
     // counters were shared, attribution below would bleed across.
@@ -42,7 +41,7 @@ fn two_runtimes_observe_disjoint_counters() {
         s.spawn(|| {
             for _ in 0..2 {
                 let hits = AtomicUsize::new(0);
-                b.parallel(|| {
+                b.parallel_with(RegionConfig::new().pooled(false), || {
                     hits.fetch_add(1, Ordering::SeqCst);
                     ctx::barrier();
                 });
@@ -61,7 +60,7 @@ fn two_runtimes_observe_disjoint_counters() {
     assert_eq!(
         (sb.pooled_regions, sb.spawned_regions, sb.teams_created),
         (0, 2, 0),
-        "runtime B (pool off): 2 spawned regions, got {sb:?}"
+        "runtime B (pooled(false) regions): 2 spawned regions, got {sb:?}"
     );
 
     // Per-runtime metrics snapshots attribute the same way.
@@ -125,22 +124,15 @@ fn spawned_tasks_inherit_the_spawning_runtime() {
 }
 
 #[test]
-fn unpooled_task_outcomes_are_attributed_to_their_runtime() {
+fn refused_task_outcomes_are_attributed_to_their_runtime() {
     let _s = serial();
     let neighbour = Runtime::builder().threads(2).build();
     let outcomes = [
-        Counter::TaskRefusedDisabled,
         Counter::TaskRefusedSaturated,
         Counter::TaskDedicated,
         Counter::TaskInline,
     ];
     let read = |rt: &Runtime| outcomes.map(|c| rt.metrics_snapshot().counter(c));
-
-    // Pool disabled: the executor is never offered the task, which runs
-    // on a dedicated thread.
-    let unpooled = Runtime::builder().threads(2).pooled(false).build();
-    assert_eq!(unpooled.spawn_future(|| 7).get(), 7);
-    assert_eq!(read(&unpooled), [1, 0, 1, 0]);
 
     // One worker, blocked: the second task is refused as saturated and
     // falls back to a dedicated thread.
@@ -150,9 +142,9 @@ fn unpooled_task_outcomes_are_attributed_to_their_runtime() {
     assert_eq!(saturated.spawn_future(|| 8).get(), 8);
     release.send(()).unwrap();
     assert_eq!(first.get(), Some(()));
-    assert_eq!(read(&saturated), [0, 1, 1, 0]);
+    assert_eq!(read(&saturated), [1, 1, 0]);
 
-    assert_eq!(read(&neighbour), [0; 4], "a neighbour's scope stays clean");
+    assert_eq!(read(&neighbour), [0; 3], "a neighbour's scope stays clean");
 }
 
 /// Thread ids (`/proc/self/task`) present right now, for the bounded
@@ -241,23 +233,9 @@ fn builder_ignores_env_knobs() {
     // Env vars seed the *default* runtime once at first use; the builder
     // never consults them.
     std::env::set_var("AOMP_NUM_THREADS", "193");
-    std::env::set_var("AOMP_NO_POOL", "1");
     let rt = Runtime::builder().build();
     assert_ne!(rt.default_threads(), 193);
-    assert!(rt.pool_enabled());
     std::env::remove_var("AOMP_NUM_THREADS");
-    std::env::remove_var("AOMP_NO_POOL");
-}
-
-#[test]
-fn metrics_off_runtime_reads_zero() {
-    let _s = serial();
-    let rt = Runtime::builder().threads(2).metrics(false).build();
-    rt.parallel(|| {
-        ctx::barrier();
-    });
-    assert_eq!(rt.hot_team_stats(), HotTeamStats::default());
-    assert_eq!(rt.metrics_snapshot().counter(Counter::RegionPooled), 0);
 }
 
 static MACRO_RT: OnceLock<Runtime> = OnceLock::new();

@@ -25,8 +25,8 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// A private runtime with its cache on: the default runtime's is off in
-/// CI's `AOMP_NO_POOL=1` leg.
+/// A private runtime, so the cached teams these tests time and census
+/// are theirs alone, not ones other tests in the binary lease.
 fn pooled_runtime() -> Runtime {
     Runtime::builder().build()
 }
@@ -247,18 +247,21 @@ fn explored_cold_then_warm(program: impl Fn()) -> (check::Report, check::Report)
 #[test]
 fn nothing_spins_under_a_scheduler_hook() {
     let _s = serial();
-    let master = Master::new();
-    let (cold, warm) = explored_cold_then_warm(|| {
-        region::parallel_with(RegionConfig::new().threads(2), || {
-            for round in 0..4 {
-                assert_eq!(master.run(|| round), round);
-                barrier();
-            }
-        })
-    });
-    // No wait spun, so the interleavings are byte-for-byte the cold ones.
-    assert_eq!(warm.digests(), cold.digests());
-    assert!(cold.distinct_schedules() > 1);
+    // A leased team, and a fresh one built and torn down per region.
+    for pooled in [true, false] {
+        let master = Master::new();
+        let (cold, warm) = explored_cold_then_warm(|| {
+            region::parallel_with(RegionConfig::new().threads(2).pooled(pooled), || {
+                for round in 0..4 {
+                    assert_eq!(master.run(|| round), round);
+                    barrier();
+                }
+            })
+        });
+        // No wait spun, so the interleavings are byte-for-byte the cold ones.
+        assert_eq!(warm.digests(), cold.digests(), "pooled({pooled})");
+        assert!(cold.distinct_schedules() > 1, "pooled({pooled})");
+    }
 }
 
 #[aomplib::annotations::taskloop(min_chunk = 4)]
