@@ -435,7 +435,7 @@ mod tests {
             }
             assert_eq!(ex.inner.lock().live, 1, "submission {i} grew the pool");
         }
-        assert_eq!(ex.scope.counter(Counter::TaskPooled), 1000);
+        assert_eq!(ex.scope.snapshot().counter(Counter::TaskPooled), 1000);
         ex.shutdown_and_join();
     }
 

@@ -39,12 +39,11 @@
 //!   file;
 //! * API — [`set_metrics`], [`trace::start`] / [`trace::stop_to_file`].
 //!
-//! A handful of per-region counters (regions by executor, hot-team
-//! cache hits/misses, teams created) predate this module as
-//! [`pool::hot_team_stats`](crate::pool::hot_team_stats) and remain
-//! **always on**: they tick once per region on an already-slow path and
-//! existing tests and benches read them without opting in.
-//! `hot_team_stats` is now a thin wrapper over this registry.
+//! Events attributed to a [`Runtime`](crate::runtime::Runtime) (regions
+//! by executor, hot-team cache hits/misses, task outcomes) are also
+//! counted in that runtime's own scope, which records whatever the gate
+//! says: [`Runtime::metrics_snapshot`](crate::runtime::Runtime::metrics_snapshot)
+//! reads them without opting in.
 //!
 //! # Reading
 //!
@@ -195,17 +194,17 @@ macro_rules! counters {
 }
 
 counters! {
-    /// Multi-thread regions served by a leased hot team (always on).
+    /// Multi-thread regions served by a leased hot team.
     RegionPooled => "region_pooled",
-    /// Multi-thread regions that built a fresh team (always on).
+    /// Multi-thread regions that built a fresh team.
     RegionSpawned => "region_spawned",
     /// Size-1 regions run inline on the caller.
     RegionInline => "region_inline",
-    /// Hot teams created on cache misses (always on; lower = better reuse).
+    /// Hot teams created on cache misses (lower = better reuse).
     TeamsCreated => "teams_created",
-    /// Hot-team leases served from the cache (always on).
+    /// Hot-team leases served from the cache.
     PoolCacheHit => "pool_cache_hit",
-    /// Hot-team leases that missed the cache (always on).
+    /// Hot-team leases that missed the cache.
     PoolCacheMiss => "pool_cache_miss",
     /// Team barrier rounds completed (one tick per member per round).
     BarrierRounds => "barrier_rounds",
@@ -473,16 +472,6 @@ fn count_slow(c: Counter) {
     REG.counters[c as usize].fetch_add(1, Ordering::Relaxed);
 }
 
-/// Bump `c` unconditionally — only for the pre-obs hot-team counters
-/// whose readers ([`pool::hot_team_stats`](crate::pool::hot_team_stats),
-/// the hot-team tests, the benchmark ledger) do not opt in to metrics.
-/// It is part of what `region.entry_pooled_ns` times. One relaxed
-/// RMW per *region*, the cost those counters always had.
-#[inline]
-pub(crate) fn count_always(c: Counter) {
-    REG.counters[c as usize].fetch_add(1, Ordering::Relaxed);
-}
-
 /// Record a latency sample if metrics are enabled.
 pub(crate) fn record_lat(l: Lat, d: Duration) {
     if gate() & F_METRICS != 0 {
@@ -490,19 +479,10 @@ pub(crate) fn record_lat(l: Lat, d: Duration) {
     }
 }
 
-/// Bump a counter in the process-global registry (one relaxed load when
-/// metrics are off). Public so runtime layers built *on top of* aomp —
-/// the `aomp-serve` request server is the motivating one — can account
-/// their events (admissions, sheds, completions) in the same registry
-/// the benchmarks and `AOMP_METRICS=1` already read.
-#[inline]
-pub fn counter_inc(c: Counter) {
-    count(c);
-}
-
 /// Record a latency sample in the process-global registry (no-op with
-/// metrics off). The public companion of [`counter_inc`] for
-/// higher-layer latencies such as [`Lat::ServeRequest`].
+/// metrics off). Public so layers built on top of aomp can time their
+/// own work, such as [`Lat::ServeRequest`]; their counters go through
+/// [`Runtime::record_counter`](crate::runtime::Runtime::record_counter).
 #[inline]
 pub fn record_latency(l: Lat, d: Duration) {
     record_lat(l, d);
@@ -515,13 +495,13 @@ pub fn record_latency(l: Lat, d: Duration) {
 /// A counters-only registry owned by one
 /// [`Runtime`](crate::runtime::Runtime) instance.
 ///
-/// The process-global registry above stays the *union* of all activity
-/// (so [`snapshot`], [`pool::hot_team_stats`](crate::pool::hot_team_stats)
-/// and the env opt-ins keep their meaning); a scope additionally
-/// attributes region/pool/task events to the runtime that executed them,
-/// which is what makes two concurrent runtimes observably disjoint.
-/// Latency histograms are deliberately *not* scoped: they are keyed by
-/// wait site, not by runtime, and stay process-global.
+/// Every runtime-attributed event goes through [`Scope::record`], which
+/// ticks the scope and, when metrics are on, the process-global registry
+/// above — so [`snapshot`] stays the union of all metrics-on activity,
+/// and the scope attributes region/pool/task events to the runtime that
+/// executed them, which is what makes two concurrent runtimes observably
+/// disjoint. Latency histograms are deliberately *not* scoped: they are
+/// keyed by wait site, not by runtime, and stay process-global.
 ///
 /// A scope always records, whatever the `AOMP_METRICS` gate says.
 pub(crate) struct Scope {
@@ -537,24 +517,13 @@ impl Default for Scope {
 }
 
 impl Scope {
-    /// Bump one counter in this scope. One relaxed RMW, and only called
-    /// from region-granularity slow paths.
-    #[inline]
-    pub(crate) fn bump(&self, c: Counter) {
-        self.counters[c as usize].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one event of this scope's runtime: in the scope and, when
-    /// metrics are armed, in the process-global registry.
+    /// Record one event of this scope's runtime: in the scope (one
+    /// relaxed RMW) and, when metrics are armed, in the process-global
+    /// registry.
     #[inline]
     pub(crate) fn record(&self, c: Counter) {
         count(c);
-        self.bump(c);
-    }
-
-    /// Value of one counter in this scope.
-    pub(crate) fn counter(&self, c: Counter) -> u64 {
-        self.counters[c as usize].load(Ordering::Relaxed)
+        self.counters[c as usize].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Copy this scope as a [`Snapshot`] (histograms read zero — they
@@ -760,9 +729,10 @@ impl HistSnapshot {
     }
 }
 
-/// Copy the current registry. Cheap (a few hundred relaxed loads);
-/// usable with metrics off (everything reads 0 except the always-on
-/// hot-team counters).
+/// Copy the current registry. Cheap (a few hundred relaxed loads). It
+/// only moves while metrics are on; a runtime's own counts, kept whatever
+/// the gate says, are read with
+/// [`Runtime::metrics_snapshot`](crate::runtime::Runtime::metrics_snapshot).
 pub fn snapshot() -> Snapshot {
     let mut counters = [0u64; N_COUNTERS];
     for (i, c) in REG.counters.iter().enumerate() {
@@ -813,7 +783,7 @@ impl Snapshot {
     }
 
     /// The activity between `base` and this snapshot.
-    pub fn since(&self, base: &Snapshot) -> Delta {
+    pub fn since(&self, base: &Snapshot) -> Snapshot {
         let mut counters = [0u64; N_COUNTERS];
         for (c, (a, b)) in counters
             .iter_mut()
@@ -828,11 +798,11 @@ impl Snapshot {
         {
             *h = a.since(b);
         }
-        Delta(Snapshot {
+        Snapshot {
             counters,
             hists,
             nr_batch: self.nr_batch.since(&base.nr_batch),
-        })
+        }
     }
 
     /// Human-readable table: non-zero counters, then non-empty
@@ -924,30 +894,6 @@ impl Snapshot {
     }
 }
 
-/// The difference between two [`Snapshot`]s — same accessors, counts
-/// attributable to the interval.
-#[derive(Debug, Clone)]
-pub struct Delta(Snapshot);
-
-impl std::ops::Deref for Delta {
-    type Target = Snapshot;
-    fn deref(&self) -> &Snapshot {
-        &self.0
-    }
-}
-
-/// Render the current registry as text (shorthand for
-/// `snapshot().render_text()`).
-pub fn render_text() -> String {
-    snapshot().render_text()
-}
-
-/// Render the current registry as JSON (shorthand for
-/// `snapshot().render_json()`).
-pub fn render_json() -> String {
-    snapshot().render_json()
-}
-
 // ---------------------------------------------------------------------
 // Trace recorder
 // ---------------------------------------------------------------------
@@ -960,8 +906,8 @@ pub fn render_json() -> String {
 /// environment), every decision-site event and every timed wait is
 /// appended to a buffer owned by the recording thread (no cross-thread
 /// contention on the hot path; buffers are capped, overflow ticks
-/// [`Counter::TraceDropped`]). [`stop_to_file`] stops recording, drains
-/// all buffers and writes one JSON document.
+/// [`Counter::TraceDropped`] when metrics are on). [`stop_to_file`]
+/// stops recording, drains all buffers and writes one JSON document.
 pub mod trace {
     use super::*;
 
@@ -1027,7 +973,7 @@ pub mod trace {
         if g.len() < MAX_EVENTS_PER_THREAD {
             g.push(rec);
         } else {
-            count_always(Counter::TraceDropped);
+            count(Counter::TraceDropped);
         }
     }
 
@@ -1306,15 +1252,6 @@ mod tests {
         let before = names.len();
         names.dedup();
         assert_eq!(names.len(), before);
-    }
-
-    #[test]
-    fn snapshot_delta_attributes_counts() {
-        let before = snapshot();
-        count_always(Counter::TraceDropped);
-        count_always(Counter::TraceDropped);
-        let d = snapshot().since(&before);
-        assert!(d.counter(Counter::TraceDropped) >= 2);
     }
 
     #[test]

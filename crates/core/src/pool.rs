@@ -31,7 +31,9 @@
 //! Each runtime owns one cache, so two runtimes never trade teams, and
 //! dropping a runtime closes its cache: idle teams are torn down and
 //! joined, and in-flight leases tear their team down on return instead of
-//! re-caching it.
+//! re-caching it. Every lease records a cache hit or miss (and a miss a
+//! team created) through its runtime's counter scope, which
+//! [`Runtime::metrics_snapshot`] reads.
 //!
 //! Workers hold no region state between generations, so a panicking,
 //! cancelled or stalled region never poisons the team for its next lease.
@@ -324,7 +326,7 @@ struct CacheState {
 pub(crate) struct HotCache {
     state: Mutex<CacheState>,
     /// The owning runtime's counter scope: hit/miss/created events are
-    /// attributed here as well as to the global registry.
+    /// recorded through it.
     scope: Arc<obs::Scope>,
 }
 
@@ -356,16 +358,13 @@ impl HotCache {
         };
         let team = match cached {
             Some(t) => {
-                obs::count_always(obs::Counter::PoolCacheHit);
-                self.scope.bump(obs::Counter::PoolCacheHit);
+                self.scope.record(obs::Counter::PoolCacheHit);
                 t
             }
             None => {
-                obs::count_always(obs::Counter::PoolCacheMiss);
-                self.scope.bump(obs::Counter::PoolCacheMiss);
+                self.scope.record(obs::Counter::PoolCacheMiss);
                 let t = HotTeam::new(size, false).ok()?;
-                obs::count_always(obs::Counter::TeamsCreated);
-                self.scope.bump(obs::Counter::TeamsCreated);
+                self.scope.record(obs::Counter::TeamsCreated);
                 t
             }
         };
@@ -387,44 +386,6 @@ impl HotCache {
         };
         // Tear down outside the lock: each HotTeam::drop joins workers.
         drop(teams);
-    }
-}
-
-/// Monotonic counters describing how multi-thread regions were executed;
-/// used by the hot-team tests (the benchmark ledger's `pool.hit_ratio`
-/// row reads the same always-on counters). Deltas between two
-/// snapshots attribute the regions in between.
-///
-/// Thin compatibility view over the [`obs`](crate::obs) registry (these
-/// counters are always on there — no `AOMP_METRICS` opt-in needed);
-/// [`obs::snapshot`](crate::obs::snapshot) additionally reports cache
-/// hits/misses and everything else.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HotTeamStats {
-    /// Regions served by a cached/leased hot team.
-    pub pooled_regions: u64,
-    /// Regions that built a fresh team (nested, pooling refused or
-    /// disabled, detached).
-    pub spawned_regions: u64,
-    /// Hot teams created on cache misses (lower = better reuse).
-    pub teams_created: u64,
-}
-
-/// Snapshot of the process-wide hot-team counters — the union across
-/// every runtime instance. Per-runtime attribution is available from
-/// [`Runtime::hot_team_stats`](crate::runtime::Runtime::hot_team_stats).
-pub fn hot_team_stats() -> HotTeamStats {
-    let s = obs::snapshot();
-    HotTeamStats::read(|c| s.counter(c))
-}
-
-impl HotTeamStats {
-    pub(crate) fn read(counter: impl Fn(obs::Counter) -> u64) -> Self {
-        HotTeamStats {
-            pooled_regions: counter(obs::Counter::RegionPooled),
-            spawned_regions: counter(obs::Counter::RegionSpawned),
-            teams_created: counter(obs::Counter::TeamsCreated),
-        }
     }
 }
 
@@ -629,13 +590,17 @@ mod tests {
     #[test]
     fn kill_switch_degrades_pool_to_sequential() {
         let pool = TeamPool::new(4);
-        crate::runtime::set_parallel_enabled(false);
+        // The pool honours the caller's current runtime: switch off a
+        // private one, entered, rather than the default one its sibling
+        // tests run on.
+        let ambient = Runtime::builder().build();
+        ambient.set_parallel_enabled(false);
+        let _in_ambient = ambient.enter();
         let count = AtomicUsize::new(0);
         pool.parallel(|| {
             assert_eq!(team_size(), 1);
             count.fetch_add(1, Ordering::SeqCst);
         });
-        crate::runtime::set_parallel_enabled(true);
         assert_eq!(count.load(Ordering::SeqCst), 1);
     }
 
@@ -712,8 +677,9 @@ mod tests {
         let l = cache.lease(7).expect("lease");
         assert_eq!(l.team().size(), 7);
         // The first lease missed (fresh cache), the second must hit.
-        assert_eq!(cache.scope.counter(obs::Counter::PoolCacheMiss), 1);
-        assert_eq!(cache.scope.counter(obs::Counter::PoolCacheHit), 1);
+        let counts = cache.scope.snapshot();
+        assert_eq!(counts.counter(obs::Counter::PoolCacheMiss), 1);
+        assert_eq!(counts.counter(obs::Counter::PoolCacheHit), 1);
     }
 
     #[test]

@@ -200,21 +200,6 @@ impl RegionConfig {
         self
     }
 
-    /// Optional form of [`stall_deadline`](Self::stall_deadline) for
-    /// callers threading a computed time budget — `None` leaves the
-    /// config unchanged (no watchdog).
-    /// This is the deadline-propagation hook used by request-serving
-    /// layers: a request's remaining budget flows here so a wedged
-    /// region times out as
-    /// [`RegionError::Stalled`](crate::error::RegionError) instead of
-    /// occupying its workers past the deadline.
-    pub fn stall_deadline_opt(self, deadline: Option<Duration>) -> Self {
-        match deadline {
-            Some(d) => self.stall_deadline(d),
-            None => self,
-        }
-    }
-
     /// Allow (`true`, the default) or refuse (`false`) serving this
     /// region from the runtime's hot-team cache. With pooling refused the
     /// region always builds a fresh team and tears it down on exit — the
@@ -615,14 +600,7 @@ fn run_team(cfg: &RegionConfig, rt: &runtime::Runtime, n: usize, work: Work<'_>)
         Team::Leased(lease) => (Some(lease.team()), Counter::RegionPooled, Lat::RegionPooled),
         Team::Fresh(fresh) => (Some(fresh), Counter::RegionSpawned, Lat::RegionSpawned),
     };
-    // The two hot-team counters are always on (`hot_team_stats` reads
-    // them without the metrics opt-in); the inline one is gated.
-    if n == 1 {
-        obs::count(counter);
-    } else {
-        obs::count_always(counter);
-    }
-    rt.scope().bump(counter);
+    rt.scope().record(counter);
     master_sequence(workers, &shared, rt, cfg.stall_deadline, &work);
     drop(team);
     obs::region_done(t0, lat);
@@ -780,13 +758,15 @@ mod tests {
 
     #[test]
     fn parallel_disabled_runs_sequentially() {
-        crate::runtime::set_parallel_enabled(false);
+        // A private runtime: switching the default one off would serialise
+        // sibling tests' regions.
+        let rt = crate::Runtime::builder().build();
+        rt.set_parallel_enabled(false);
         let count = AtomicUsize::new(0);
-        parallel_with(RegionConfig::new().threads(8), || {
+        rt.parallel_with(RegionConfig::new().threads(8), || {
             assert_eq!(team_size(), 1);
             count.fetch_add(1, Ordering::SeqCst);
         });
-        crate::runtime::set_parallel_enabled(true);
         assert_eq!(count.load(Ordering::SeqCst), 1);
     }
 

@@ -63,7 +63,7 @@ use std::sync::{Arc, OnceLock, Weak};
 use crate::error::RegionError;
 use crate::executor::{self, Executor};
 use crate::obs;
-use crate::pool::{HotCache, HotLease, HotTeamStats};
+use crate::pool::{HotCache, HotLease};
 use crate::region::RegionConfig;
 use crate::watchdog::Watchdog;
 
@@ -243,12 +243,6 @@ impl Runtime {
         F: FnOnce() -> T + Send + 'static,
     {
         crate::task::spawn_future_in(self, f)
-    }
-
-    /// Per-runtime view of the hot-team counters (this runtime's share
-    /// of the process-wide [`pool::hot_team_stats`](crate::pool::hot_team_stats)).
-    pub fn hot_team_stats(&self) -> HotTeamStats {
-        HotTeamStats::read(|c| self.inner.scope.counter(c))
     }
 
     /// Point-in-time copy of this runtime's counter scope. Counters
@@ -501,11 +495,13 @@ mod tests {
 
     #[test]
     fn parallel_enabled_toggle() {
-        assert!(parallel_enabled());
-        set_parallel_enabled(false);
-        assert!(!parallel_enabled());
-        set_parallel_enabled(true);
-        assert!(parallel_enabled());
+        // A private runtime: the default one serves sibling tests.
+        let rt = Runtime::builder().build();
+        assert!(rt.parallel_enabled());
+        rt.set_parallel_enabled(false);
+        assert!(!rt.parallel_enabled());
+        rt.set_parallel_enabled(true);
+        assert!(rt.parallel_enabled());
     }
 
     #[test]

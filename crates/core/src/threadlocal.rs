@@ -114,18 +114,6 @@ impl<T> ThreadLocalField<T> {
         std::mem::replace(&mut *self.global.lock(), v)
     }
 
-    /// Read the global value through a closure (no thread-local copy is
-    /// consulted or created) — the field "outside the thread local
-    /// context".
-    pub fn with_global<R>(&self, f: impl FnOnce(&T) -> R) -> R {
-        f(&self.global.lock())
-    }
-
-    /// Mutate the global value through a closure.
-    pub fn with_global_mut<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
-        f(&mut self.global.lock())
-    }
-
     /// Remove and return all thread-local copies, in creation order.
     pub fn drain_locals(&self) -> Vec<T> {
         let mut locals = self.locals.lock();
@@ -275,14 +263,6 @@ mod tests {
         let mut vals = f.drain_locals();
         vals.sort_unstable();
         assert_eq!(vals, vec![0, 10, 20]);
-    }
-
-    #[test]
-    fn with_global_mut_edits_global_only() {
-        let f = ThreadLocalField::new(vec![1, 2, 3]);
-        f.with_global_mut(|v| v.push(4));
-        assert_eq!(f.get_global(), vec![1, 2, 3, 4]);
-        assert!(!f.has_local());
     }
 
     #[test]

@@ -300,7 +300,7 @@ mod tests {
         }
         assert_eq!(stuck.take_stalled(), Some(vec![(1, WaitSite::Barrier)]));
         assert!(!healthy.stall_declared() && !computing.stall_declared());
-        assert_eq!(dog.scope.counter(Counter::RegionStalled), 1);
+        assert_eq!(dog.scope.snapshot().counter(Counter::RegionStalled), 1);
         assert_eq!(dog.state.lock().entries.len(), 2, "a verdict disarms");
         dog.shutdown_and_join();
     }

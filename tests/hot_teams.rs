@@ -9,16 +9,14 @@ use aomp_check as check;
 use aomplib::prelude::*;
 use aomplib::runtime::clock::VirtualClock;
 use aomplib::runtime::hook::{self, HookEvent, SchedHook};
-use aomplib::runtime::pool::hot_team_stats;
+use aomplib::runtime::obs::{Counter, Snapshot};
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// Tests that assert on the global hot-team counters or register a
-/// process-global hook serialise here, so one test's regions cannot move
-/// another's counts.
+/// Tests that register a process-global hook serialise here.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 fn serial() -> std::sync::MutexGuard<'static, ()> {
@@ -27,17 +25,25 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
 
 /// A private runtime for the tests that are about the cache: entered, it
 /// serves every region of the test from a cache no other test in the
-/// binary leases from.
+/// binary leases from, and counts them in a scope no other test moves.
 fn pooled_runtime() -> Runtime {
     Runtime::builder().build()
 }
 
+/// `(pooled, spawned)` regions `rt` ran since `before`.
+fn regions_since(rt: &Runtime, before: &Snapshot) -> (u64, u64) {
+    let d = rt.metrics_snapshot().since(before);
+    (
+        d.counter(Counter::RegionPooled),
+        d.counter(Counter::RegionSpawned),
+    )
+}
+
 #[test]
 fn top_level_regions_use_the_hot_team_cache() {
-    let _s = serial();
     let rt = pooled_runtime();
     let _in_rt = rt.enter();
-    let before = hot_team_stats();
+    let before = rt.metrics_snapshot();
     for _ in 0..4 {
         let hits = AtomicUsize::new(0);
         region::parallel_with(RegionConfig::new().threads(5), || {
@@ -46,33 +52,30 @@ fn top_level_regions_use_the_hot_team_cache() {
         });
         assert_eq!(hits.load(Ordering::SeqCst), 5);
     }
-    let after = hot_team_stats();
-    assert!(
-        after.pooled_regions >= before.pooled_regions + 4,
-        "top-level regions should take the pooled path: {before:?} -> {after:?}"
+    assert_eq!(
+        regions_since(&rt, &before),
+        (4, 0),
+        "top-level regions should take the pooled path"
     );
 }
 
 #[test]
 fn pooled_false_forces_the_spawn_path() {
-    let _s = serial();
-    let before = hot_team_stats();
+    let rt = pooled_runtime();
+    let before = rt.metrics_snapshot();
     let hits = AtomicUsize::new(0);
-    region::parallel_with(RegionConfig::new().threads(4).pooled(false), || {
+    rt.parallel_with(RegionConfig::new().threads(4).pooled(false), || {
         hits.fetch_add(1, Ordering::SeqCst);
     });
     assert_eq!(hits.load(Ordering::SeqCst), 4);
-    let after = hot_team_stats();
-    assert!(after.spawned_regions > before.spawned_regions);
-    assert_eq!(after.pooled_regions, before.pooled_regions);
+    assert_eq!(regions_since(&rt, &before), (0, 1));
 }
 
 #[test]
 fn nested_regions_fall_back_to_spawning() {
-    let _s = serial();
     let rt = pooled_runtime();
     let _in_rt = rt.enter();
-    let before = hot_team_stats();
+    let before = rt.metrics_snapshot();
     let inner_hits = AtomicUsize::new(0);
     region::parallel_with(RegionConfig::new().threads(2), || {
         region::parallel_with(RegionConfig::new().threads(2), || {
@@ -81,20 +84,15 @@ fn nested_regions_fall_back_to_spawning() {
     });
     // 2 outer members × 2 inner members each.
     assert_eq!(inner_hits.load(Ordering::SeqCst), 4);
-    let after = hot_team_stats();
-    assert!(
-        after.pooled_regions > before.pooled_regions,
-        "the outer region should be pooled"
-    );
-    assert!(
-        after.spawned_regions >= before.spawned_regions + 2,
-        "both inner regions should spawn (nesting fallback)"
+    assert_eq!(
+        regions_since(&rt, &before),
+        (1, 2),
+        "the outer region should be pooled, both inner regions spawned (nesting fallback)"
     );
 }
 
 #[test]
 fn cancelled_pooled_region_leaves_the_cache_clean() {
-    let _s = serial();
     let rt = pooled_runtime();
     let _in_rt = rt.enter();
     for round in 0..3 {
@@ -119,7 +117,6 @@ fn cancelled_pooled_region_leaves_the_cache_clean() {
 
 #[test]
 fn member_panic_does_not_poison_the_cache() {
-    let _s = serial();
     let rt = pooled_runtime();
     let _in_rt = rt.enter();
     for round in 0..3 {
@@ -143,7 +140,6 @@ fn member_panic_does_not_poison_the_cache() {
 
 #[test]
 fn stall_watchdog_fires_whatever_the_team_source() {
-    let _s = serial();
     let rt = pooled_runtime();
     let _in_rt = rt.enter();
     // The hang is synchronisation-level (one member waits at a barrier
@@ -176,7 +172,7 @@ fn stall_watchdog_fires_whatever_the_team_source() {
         }),
     ];
     for (name, cached, run) in rows {
-        let before = rt.hot_team_stats();
+        let before = rt.metrics_snapshot();
         // Virtual time: a 5-minute deadline elapses in wall-clock
         // microseconds.
         let clock = VirtualClock::install();
@@ -186,13 +182,8 @@ fn stall_watchdog_fires_whatever_the_team_source() {
             matches!(r, Err(RegionError::Stalled { .. })),
             "{name}: expected a stall diagnosis, got {r:?}"
         );
-        let after = rt.hot_team_stats();
-        let (pooled, spawned) = (
-            after.pooled_regions - before.pooled_regions,
-            after.spawned_regions - before.spawned_regions,
-        );
         assert_eq!(
-            (pooled, spawned),
+            regions_since(&rt, &before),
             if cached { (1, 0) } else { (0, 1) },
             "{name}"
         );
@@ -242,6 +233,9 @@ fn explored_region_is_schedule_independent_whatever_the_team_source() {
         barrier();
         st.total.fetch_add(10, Ordering::SeqCst);
     }
+    // The explorer runs each schedule on a runtime of its own; the cached
+    // row names `rt` so its regions are counted where this test reads.
+    let rt = pooled_runtime();
     let team = || RegionConfig::new().threads(2);
     let user_pool = TeamPool::new(2);
     // (name, regions entered per run, the run itself). Only the nested
@@ -250,7 +244,7 @@ fn explored_region_is_schedule_independent_whatever_the_team_source() {
     type Run<'a> = &'a dyn Fn(&Arc<State>);
     let rows: [(&str, usize, Run); 5] = [
         ("cached", 1, &|st| {
-            region::parallel_with(team(), || body(st))
+            region::parallel_with(team().runtime(&rt), || body(st))
         }),
         ("pooled(false)", 1, &|st| {
             region::parallel_with(team().pooled(false), || body(st))
@@ -284,16 +278,17 @@ fn explored_region_is_schedule_independent_whatever_the_team_source() {
         hook::unregister();
         assert_eq!(REGION_EVENTS.get(), (regions, regions), "{name}");
 
-        let before = hot_team_stats();
+        let before = rt.metrics_snapshot();
         let report = check::Explorer::new()
             .races(true)
             .random(seeds, 0x407_7EA5, || run_once(run));
         report.assert_ok();
         assert_eq!(report.schedules(), seeds, "{name}");
         if name == "cached" {
-            assert!(
-                hot_team_stats().pooled_regions > before.pooled_regions,
-                "the explored region should still take the pooled path"
+            assert_eq!(
+                regions_since(&rt, &before),
+                (seeds as u64, 0),
+                "every explored run should still take the pooled path"
             );
         }
         if regions == 1 {

@@ -106,7 +106,7 @@ fn task_burst_records_dispatch_outcomes() {
 #[test]
 fn metrics_render_json_is_valid() {
     let _g = serialize();
-    let doc = Json::parse(&obs::render_json()).expect("render_json parses");
+    let doc = Json::parse(&obs::snapshot().render_json()).expect("render_json parses");
     let counters = doc.get("counters").expect("counters object");
     for c in Counter::ALL {
         assert!(
@@ -127,21 +127,24 @@ fn metrics_render_json_is_valid() {
 }
 
 #[test]
-fn hot_team_stats_is_a_view_of_the_registry() {
+fn metrics_off_a_pooled_region_counts_only_in_its_runtime() {
     let _g = serialize();
-    // Always-on counters: no set_metrics needed, exactly as before obs.
-    let before = aomplib::runtime::pool::hot_team_stats();
-    region::parallel_with(RegionConfig::new().threads(2), || {
-        std::hint::black_box(());
-    });
-    let after = aomplib::runtime::pool::hot_team_stats();
-    assert!(
-        after.pooled_regions + after.spawned_regions
-            > before.pooled_regions + before.spawned_regions
+    // With metrics off nothing ticks the process registry, so the exact
+    // checks below hold whatever ran before.
+    obs::set_metrics(false);
+    let rt = Runtime::builder().build();
+    let team = || RegionConfig::new().threads(2);
+    rt.parallel_with(team(), || {}); // warm: the next lease hits
+    let (global, scoped) = (obs::snapshot(), rt.metrics_snapshot());
+    rt.parallel_with(team(), || {});
+    let (global, scoped) = (
+        obs::snapshot().since(&global),
+        rt.metrics_snapshot().since(&scoped),
     );
-    let snap = obs::snapshot();
-    assert_eq!(snap.counter(Counter::RegionPooled), after.pooled_regions);
-    assert_eq!(snap.counter(Counter::TeamsCreated), after.teams_created);
+    for c in [Counter::RegionPooled, Counter::PoolCacheHit] {
+        assert_eq!(scoped.counter(c), 1, "{}", c.name());
+        assert_eq!(global.counter(c), 0, "{}", c.name());
+    }
 }
 
 #[test]

@@ -3,6 +3,7 @@
 //! kernels all behave identically under `TeamPool`.
 
 use aomplib::prelude::*;
+use aomplib::runtime::obs::Counter;
 use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
 
 #[test]
@@ -134,7 +135,7 @@ fn user_owned_pool_is_distinct_from_the_runtime_cache() {
     let pool = TeamPool::new(6);
     let ambient = Runtime::builder().build();
     let _in_ambient = ambient.enter();
-    let before = ambient.hot_team_stats();
+    let before = ambient.metrics_snapshot();
     for _ in 0..5 {
         let hits = AtomicUsize::new(0);
         pool.parallel(|| {
@@ -143,9 +144,10 @@ fn user_owned_pool_is_distinct_from_the_runtime_cache() {
         });
         assert_eq!(hits.load(Ordering::SeqCst), 6);
     }
-    assert_eq!(
-        ambient.hot_team_stats(),
-        before,
-        "TeamPool::parallel must not move the entered runtime's counters"
+    let moved = ambient.metrics_snapshot().since(&before);
+    assert!(
+        Counter::ALL.iter().all(|&c| moved.counter(c) == 0),
+        "TeamPool::parallel must not move the entered runtime's counters:\n{}",
+        moved.render_text()
     );
 }

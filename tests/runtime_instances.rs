@@ -19,6 +19,16 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+/// `(pooled regions, spawned regions, teams created)` on `rt` so far.
+fn team_counts(rt: &Runtime) -> (u64, u64, u64) {
+    let s = rt.metrics_snapshot();
+    (
+        s.counter(Counter::RegionPooled),
+        s.counter(Counter::RegionSpawned),
+        s.counter(Counter::TeamsCreated),
+    )
+}
+
 #[test]
 fn two_runtimes_observe_disjoint_counters() {
     let _s = serial();
@@ -50,22 +60,16 @@ fn two_runtimes_observe_disjoint_counters() {
         });
     });
 
-    let sa = a.hot_team_stats();
     assert_eq!(
-        (sa.pooled_regions, sa.spawned_regions, sa.teams_created),
+        team_counts(&a),
         (3, 0, 1),
-        "runtime A: 3 pooled regions off one cached team, got {sa:?}"
+        "runtime A: 3 pooled regions off one cached team"
     );
-    let sb = b.hot_team_stats();
     assert_eq!(
-        (sb.pooled_regions, sb.spawned_regions, sb.teams_created),
+        team_counts(&b),
         (0, 2, 0),
-        "runtime B (pooled(false) regions): 2 spawned regions, got {sb:?}"
+        "runtime B (pooled(false) regions): 2 spawned regions"
     );
-
-    // Per-runtime metrics snapshots attribute the same way.
-    assert_eq!(a.metrics_snapshot().counter(Counter::RegionPooled), 3);
-    assert_eq!(b.metrics_snapshot().counter(Counter::RegionSpawned), 2);
     assert_eq!(b.metrics_snapshot().counter(Counter::PoolCacheMiss), 0);
 }
 
@@ -90,11 +94,11 @@ fn nested_region_inherits_the_enclosing_runtime() {
     });
 
     assert_eq!(*inner_sizes.lock().unwrap(), vec![4]);
-    let stats = rt.hot_team_stats();
-    assert_eq!(stats.pooled_regions, 1, "outer region pooled: {stats:?}");
+    let (pooled, spawned, _) = team_counts(&rt);
+    assert_eq!(pooled, 1, "outer region pooled");
     assert_eq!(
-        stats.spawned_regions, 1,
-        "inner nested region spawned on rt, not on the default runtime: {stats:?}"
+        spawned, 1,
+        "inner nested region spawned on rt, not on the default runtime"
     );
 }
 
@@ -256,7 +260,7 @@ fn parallel_macro_accepts_a_runtime_argument() {
     let hits = AtomicUsize::new(0);
     annotated_region(&hits);
     assert_eq!(hits.load(Ordering::SeqCst), 2, "team size comes from rt");
-    assert!(macro_rt().hot_team_stats().pooled_regions >= 1);
+    assert!(team_counts(macro_rt()).0 >= 1);
 }
 
 #[test]
@@ -271,7 +275,7 @@ fn region_config_runtime_pins_the_region() {
         }
     });
     assert_eq!(*sizes.lock().unwrap(), vec![2]);
-    assert_eq!(rt.hot_team_stats().pooled_regions, 1);
+    assert_eq!(team_counts(&rt).0, 1);
 }
 
 #[test]
@@ -284,7 +288,7 @@ fn enter_guard_redirects_free_functions() {
             ctx::barrier();
         });
     }
-    assert_eq!(rt.hot_team_stats().pooled_regions, 1);
+    assert_eq!(team_counts(&rt).0, 1);
     // Guard dropped: free functions are back on the default runtime.
     assert_ne!(runtime::default_threads(), 0);
 }
