@@ -11,12 +11,16 @@
 //! so asserting them on every explored schedule proves the replicated
 //! execution is indistinguishable from the single-lock reference.
 //!
-//! The counter's state lives in an [`aomp::check::Tracked`] cell, so
-//! with [`Explorer::races`] on, every `dispatch`/`dispatch_mut` access
-//! is judged against the happens-before relation built from the
+//! Each write takes its replica's lock, appends its own op and replays
+//! the log up to it; another member's replica replays the op later.
+//! The counter's state and each op's payload live in
+//! [`aomp::check::Tracked`] cells, so with [`Explorer::races`] on, every
+//! `dispatch`/`dispatch_mut` access and every payload read is judged
+//! against the happens-before relation built from the
 //! `NrAppend`/`NrCombine`/`NrSync` hook events: zero races proves the
-//! combiner publish → sync edges cover every cross-thread application
-//! of a logged op.
+//! append → replay → sync edges cover every cross-thread application of
+//! a logged op. Deleting the write's `NrAppend` or the replay pass's
+//! `NrCombine` makes the two-replica programs report a race.
 //!
 //! `@Replicated` on a code section (`#[replicated]`, the weaver's
 //! `Mechanism::replicated*`) is `@Critical`'s lock under another name,
@@ -29,7 +33,7 @@ use aomp::check::Tracked;
 use aomp::nr::{Dispatch, Replicated};
 use aomp::prelude::*;
 use aomp_check::{seeds_from_env, Explorer};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 const THREADS: usize = 3;
 const OPS_PER_THREAD: usize = 3;
@@ -58,9 +62,14 @@ impl Clone for Counter {
     }
 }
 
-/// Unit write op: increment and return the new total.
-#[derive(Clone, Debug)]
-struct Inc;
+/// Write op: add the payload's value (its writer sets it to 1) and
+/// return the new total. The payload is a tracked cell the writer sets
+/// just before the write, so a replay on another member's replica reads
+/// memory the writer wrote, ordered only by the `NrAppend` → `NrCombine`
+/// edge. The log keeps every payload alive until the structure drops,
+/// after the region, so no cell's address is reused mid-schedule.
+#[derive(Clone)]
+struct Inc(Arc<Tracked<u64>>);
 
 impl Dispatch for Counter {
     type ReadOp = ();
@@ -71,8 +80,8 @@ impl Dispatch for Counter {
         unsafe { self.v.read() }
     }
 
-    fn dispatch_mut(&mut self, _op: &Inc) -> u64 {
-        let n = unsafe { self.v.read() } + 1;
+    fn dispatch_mut(&mut self, op: &Inc) -> u64 {
+        let n = unsafe { self.v.read() + op.0.read() };
         unsafe { self.v.set(n) };
         n
     }
@@ -86,7 +95,9 @@ fn nr_run(replicas: usize) -> (Vec<Vec<u64>>, u64) {
     region::parallel_with(RegionConfig::new().threads(THREADS), || {
         let mut mine = Vec::with_capacity(OPS_PER_THREAD);
         for _ in 0..OPS_PER_THREAD {
-            mine.push(repl.execute(Inc));
+            let payload = Arc::new(Tracked::new("nr.op", 0));
+            unsafe { payload.set(1) };
+            mine.push(repl.execute(Inc(payload)));
         }
         per.lock().unwrap()[thread_id()] = mine;
     });
@@ -177,7 +188,7 @@ fn replicated_results_equal_single_lock_reference_bitwise() {
 }
 
 #[test]
-fn single_replica_degenerates_to_flat_combining_and_still_linearizes() {
+fn single_replica_serialises_its_writers_and_still_linearizes() {
     let n = (THREADS * OPS_PER_THREAD) as u64;
     Explorer::new()
         .races(true)

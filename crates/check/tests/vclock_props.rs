@@ -153,19 +153,19 @@ fn lock_program(r: &mut SplitMix64, n: usize, episodes: usize) -> (Vec<Item>, Ve
 }
 
 /// A node-replication program on one replicated structure: `episodes`
-/// combining passes on replica 0, the combiner rotating per episode
+/// replay passes on replica 0, the replaying member rotating per episode
 /// (adjacent passes always run on different members). Episode `e` by
 /// member `c`:
 ///
-/// * a poster `p ≠ c` writes the op payload (location `700 + e`) and
-///   publishes it (`NrAppend`),
-/// * the combiner acquires (`NrCombine`), reads the payload, applies it
-///   to the replica state (location 600, write), and releases
+/// * a writer `p ≠ c` (on another replica) writes the op payload
+///   (location `700 + e`) and appends it (`NrAppend`),
+/// * the replaying member acquires (`NrCombine`), reads the payload,
+///   applies it to the replica state (location 600, write), and releases
 ///   (`NrSync`).
 ///
 /// Returns the items plus the index of each episode's `NrAppend` and
 /// `NrCombine`, for the mutation tests: the append is what orders the
-/// combiner's payload read after the poster's write; the combine is
+/// replayer's payload read after the writer's write; the combine is
 /// what orders episode `e`'s state write after episode `e - 1`'s.
 fn nr_program(
     r: &mut SplitMix64,
@@ -367,9 +367,9 @@ fn dropping_one_nr_append_unorders_the_op_payload_handoff() {
         let (mut r, n) = params(seed);
         let episodes = 2 + r.below(5);
         let (items, appends, _) = nr_program(&mut r, n, episodes);
-        // Drop one publish edge: the combiner's read of that episode's
-        // op payload is no longer ordered after the poster's write (the
-        // poster is always a different member than the combiner).
+        // Drop one append edge: the replayer's read of that episode's
+        // op payload is no longer ordered after the writer's write (the
+        // writer is always a different member than the replayer).
         let victim = appends[r.below(appends.len())];
         let mutated: Vec<Item> = items[..victim]
             .iter()

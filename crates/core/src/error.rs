@@ -83,7 +83,7 @@ pub enum WaitSite {
     /// `TaskGroup::wait` (`@TaskWait`).
     TaskWait,
     /// Waiting on a replicated structure ([`nr`](crate::nr)): for a
-    /// flat-combining slot to be executed, for the combiner lock, or for
+    /// replica's lock or data lock, for a log slot to be stamped, or for
     /// operation-log space while a lagging replica catches up.
     Replicated,
     /// `FutureTask::get` (`@FutureResult` getter).

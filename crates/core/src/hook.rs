@@ -244,10 +244,10 @@ pub enum HookEvent {
         /// The wait site it is about to block at.
         site: WaitSite,
     },
-    /// A member published one or more operations toward a replicated
-    /// structure ([`nr`](crate::nr)): either a direct log append or a
-    /// flat-combining slot publication that a combiner will append on its
-    /// behalf. The release half of the publish→sync happens-before edge.
+    /// A member appended an operation to a replicated structure's log
+    /// ([`nr`](crate::nr)), emitted once its position is reserved and
+    /// before the op turns visible. The release half of the
+    /// append→replay happens-before edge.
     NrAppend {
         /// Team identity.
         team: TeamId,
@@ -258,14 +258,13 @@ pub enum HookEvent {
         nr: usize,
         /// First appended log position (inclusive).
         lo: u64,
-        /// Last appended log position (exclusive). A slot publication
-        /// whose log position is not yet known uses `hi == lo`.
+        /// Last appended log position (exclusive).
         hi: u64,
     },
-    /// A member became the combiner for one replica and is about to apply
-    /// log entries `[lo, hi)` to the local copy. The acquire half: the
-    /// combiner observes every append up to `hi` plus everything earlier
-    /// combiners published into this replica.
+    /// A member holds one replica's locks and is about to replay log
+    /// entries `[lo, hi)` into the local copy. The acquire half: the
+    /// member observes every append up to `hi` plus everything earlier
+    /// replay passes published into this replica.
     NrCombine {
         /// Team identity.
         team: TeamId,
@@ -273,17 +272,17 @@ pub enum HookEvent {
         tid: usize,
         /// Identity of the replicated structure.
         nr: usize,
-        /// Replica index the batch is applied to.
+        /// Replica index the entries are applied to.
         replica: usize,
         /// First applied log position (inclusive).
         lo: u64,
         /// End of the applied range (exclusive).
         hi: u64,
     },
-    /// A member synchronised with a replica: a combiner publishing its
-    /// applied batch, a reader that observed the replica at the log tail,
-    /// or a writer that observed its operation's response. Orders the
-    /// member after every combine previously published into the replica.
+    /// A member synchronised with a replica: a replay pass publishing
+    /// what it applied, or a reader that observed the replica at the log
+    /// tail. Orders the member after every replay pass previously
+    /// published into the replica.
     NrSync {
         /// Team identity.
         team: TeamId,

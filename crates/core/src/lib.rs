@@ -107,7 +107,7 @@ pub mod prelude {
     };
     pub use crate::deps::{Dep, DepError, DepGroup, DepMode, Tag, TaskloopConstruct};
     pub use crate::error::{Cancelled, RegionError, TaskPanicked, WaitSite, WaitTimedOut};
-    pub use crate::nr::{Dispatch, Replicated, ReplicatedHandle};
+    pub use crate::nr::{Dispatch, Replicated};
     pub use crate::pool::TeamPool;
     pub use crate::range::LoopRange;
     pub use crate::reduction::{

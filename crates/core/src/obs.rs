@@ -288,11 +288,9 @@ counters! {
     NrWrites => "nr_writes",
     /// Replicated structures: read operations served from a replica.
     NrReads => "nr_reads",
-    /// Replicated structures: combiner passes (each applies a batch).
+    /// Replicated structures: append passes. Every write is its own
+    /// pass, so this equals [`NrWrites`](Counter::NrWrites).
     NrCombines => "nr_combines",
-    /// Replicated structures: operations applied by combiners on behalf
-    /// of another thread's flat-combining slot (batching wins).
-    NrCombinedOps => "nr_combined_ops",
     /// Replicated structures: help passes applying the log to a lagging
     /// replica so an appender could reclaim log space.
     NrHelps => "nr_helps",
@@ -361,8 +359,8 @@ lats! {
     WaitTaskWait => "wait_task_wait",
     /// Time blocked in `FutureTask::get`.
     WaitFutureGet => "wait_future_get",
-    /// Time blocked on a replicated structure (flat-combining slot,
-    /// combiner lock, or operation-log space).
+    /// Time blocked on a replicated structure (a replica's lock, its
+    /// data lock, a log slot's stamp, or operation-log space).
     WaitReplicated => "wait_replicated",
     /// Time the master blocked joining its workers at region end.
     WaitJoin => "wait_join",
@@ -430,13 +428,6 @@ fn bucket_of(ns: u64) -> usize {
 struct Registry {
     counters: [AtomicU64; N_COUNTERS],
     hists: [Hist; N_LATS],
-    /// Combiner occupancy for replicated structures ([`crate::nr`]):
-    /// a histogram of *operations applied per combine pass* (a count, not
-    /// a latency — buckets are still powers of two). Together with
-    /// [`Counter::NrCombines`] this exposes how well flat combining is
-    /// batching: mean ≈ 1 means the lock is bouncing per-op, larger
-    /// means one combiner is absorbing its peers' operations.
-    nr_batch: Hist,
 }
 
 #[allow(clippy::declare_interior_mutable_const)]
@@ -445,19 +436,7 @@ const HIST_ZERO: Hist = Hist::new();
 static REG: Registry = Registry {
     counters: [ZERO; N_COUNTERS],
     hists: [HIST_ZERO; N_LATS],
-    nr_batch: Hist::new(),
 };
-
-/// Record one combine pass that applied `ops` operations (replicated
-/// structures' flat-combining/combiner path). No-op with metrics off.
-#[inline]
-pub(crate) fn nr_combine_batch(ops: u64) {
-    if gate() & F_METRICS != 0 {
-        REG.nr_batch.count.fetch_add(1, Ordering::Relaxed);
-        REG.nr_batch.sum_ns.fetch_add(ops, Ordering::Relaxed);
-        REG.nr_batch.buckets[bucket_of(ops)].fetch_add(1, Ordering::Relaxed);
-    }
-}
 
 /// Bump `c` if metrics are enabled: one relaxed load when they are not.
 #[inline]
@@ -532,7 +511,6 @@ impl Scope {
         Snapshot {
             counters: std::array::from_fn(|i| self.counters[i].load(Ordering::Relaxed)),
             hists: [HistSnapshot::default(); N_LATS],
-            nr_batch: HistSnapshot::default(),
         }
     }
 }
@@ -657,7 +635,6 @@ pub(crate) fn record_event(g: u8, ev: &HookEvent) {
 pub struct Snapshot {
     counters: [u64; N_COUNTERS],
     hists: [HistSnapshot; N_LATS],
-    nr_batch: HistSnapshot,
 }
 
 /// One histogram's totals and buckets at snapshot time.
@@ -742,11 +719,7 @@ pub fn snapshot() -> Snapshot {
     for (i, h) in REG.hists.iter().enumerate() {
         hists[i] = hist_snapshot(h);
     }
-    Snapshot {
-        counters,
-        hists,
-        nr_batch: hist_snapshot(&REG.nr_batch),
-    }
+    Snapshot { counters, hists }
 }
 
 fn hist_snapshot(h: &Hist) -> HistSnapshot {
@@ -772,16 +745,6 @@ impl Snapshot {
         &self.hists[l as usize]
     }
 
-    /// Combiner-occupancy histogram for replicated structures
-    /// ([`aomp::nr`](crate::nr)): samples are *operations applied per
-    /// combine pass* (dimensionless counts, power-of-two buckets), one
-    /// sample per combine. `count()` equals the combine passes recorded
-    /// while metrics were on; `sum_ns()` holds the total operations
-    /// applied, so `mean_ns()` is the mean batch size.
-    pub fn nr_combine_batch(&self) -> &HistSnapshot {
-        &self.nr_batch
-    }
-
     /// The activity between `base` and this snapshot.
     pub fn since(&self, base: &Snapshot) -> Snapshot {
         let mut counters = [0u64; N_COUNTERS];
@@ -798,11 +761,7 @@ impl Snapshot {
         {
             *h = a.since(b);
         }
-        Snapshot {
-            counters,
-            hists,
-            nr_batch: self.nr_batch.since(&base.nr_batch),
-        }
+        Snapshot { counters, hists }
     }
 
     /// Human-readable table: non-zero counters, then non-empty
@@ -840,16 +799,6 @@ impl Snapshot {
         if !any {
             out.push_str("  (no samples)\n");
         }
-        if self.nr_batch.count() != 0 {
-            out.push_str(&format!(
-                "nr combine batch (ops/pass):\n  passes={:<8} ops={:<10} mean={:<8.1} p50<{} p99<{}\n",
-                self.nr_batch.count(),
-                self.nr_batch.sum_ns(),
-                self.nr_batch.mean_ns(),
-                self.nr_batch.quantile_ns(0.5),
-                self.nr_batch.quantile_ns(0.99),
-            ));
-        }
         out
     }
 
@@ -880,16 +829,7 @@ impl Snapshot {
                 h.quantile_ns(0.99),
             ));
         }
-        out.push_str("\n  },\n  \"nr_combine_batch\": {");
-        out.push_str(&format!(
-            "\"passes\": {}, \"ops\": {}, \"mean\": {:.1}, \"p50\": {}, \"p99\": {}}}",
-            self.nr_batch.count(),
-            self.nr_batch.sum_ns(),
-            self.nr_batch.mean_ns(),
-            self.nr_batch.quantile_ns(0.5),
-            self.nr_batch.quantile_ns(0.99),
-        ));
-        out.push_str("\n}\n");
+        out.push_str("\n  }\n}\n");
         out
     }
 }

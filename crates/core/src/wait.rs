@@ -8,8 +8,10 @@
 //! sections included, since `#[replicated]` and `Mechanism::replicated*`
 //! are that lock under another name (flat combining lost to it at every
 //! section size measured, and node replication pays only across NUMA
-//! nodes). `nr`'s `Replicated<T>` poster, a combiner slot with
-//! retraction, is no condvar wait and keeps its own.
+//! nodes). `nr`'s `Replicated<T>` keeps its own polling wait: it probes
+//! lock-free conditions (a `try_lock`, a log slot's stamp, ring space)
+//! that no condvar is notified for, and its waits made while holding a
+//! replica's lock must not unwind.
 //! Waking a parked thread costs ~20 µs on a loaded host while most such
 //! waits end within a microsecond or two, so the wait first
 //! polls its condition for [`SPIN_BUDGET`] and only then takes the
@@ -57,16 +59,25 @@ const PURE_SPINS: u32 = 64;
 
 /// Threads inside a team context — region masters and workers running a
 /// body — process-wide, each counted once however deeply it is nested.
-static LIVE: AtomicUsize = AtomicUsize::new(0);
+/// Every member writes it on entry and exit, so it sits alone in its
+/// [`Line`]: the linker otherwise may place it beside a static every
+/// event reads (`obs`'s gate byte), and each write would evict that
+/// static's line from every other core.
+static LIVE: Line = Line(AtomicUsize::new(0));
+
+/// 128 bytes to itself: a cache line plus the one an adjacent-line
+/// prefetcher pulls in with it.
+#[repr(align(128))]
+struct Line(AtomicUsize);
 
 /// The calling thread entered its outermost team context.
 pub(crate) fn member_entered() {
-    LIVE.fetch_add(1, Ordering::Relaxed);
+    LIVE.0.fetch_add(1, Ordering::Relaxed);
 }
 
 /// The calling thread left its outermost team context.
 pub(crate) fn member_left() {
-    LIVE.fetch_sub(1, Ordering::Relaxed);
+    LIVE.0.fetch_sub(1, Ordering::Relaxed);
 }
 
 /// The throttle: whether every running team thread can have a CPU.
@@ -76,7 +87,7 @@ fn cpu_to_spare() -> bool {
     // A waiter outside any team context (an idle worker, a top-level
     // master at its join) is not in `LIVE`: it counts itself.
     let me = usize::from(crate::ctx::level() == 0);
-    LIVE.load(Ordering::Relaxed) + me <= *cpus
+    LIVE.0.load(Ordering::Relaxed) + me <= *cpus
 }
 
 /// A caller's lock-free retry before it registers a wait at all: up to

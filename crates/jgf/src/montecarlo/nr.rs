@@ -4,11 +4,12 @@
 //! The JGF code appends each run's result to a shared `results` vector
 //! under a lock (the `@Critical` flavour of the accumulator). Here the
 //! vector lives behind [`aomp::nr::Replicated`]: every thread *logs* a
-//! `Record { k, v }` write operation; combiners batch the log onto
-//! per-node replicas. Because each record is keyed by its run index, the
-//! final structure is independent of log order and the variant stays
-//! bitwise identical to the sequential version — which makes it a good
-//! differential oracle for the NR machinery on a real workload.
+//! `Record { k, v }` write operation under its replica's lock, and each
+//! per-node replica replays the log. Because each record is keyed by its
+//! run index, the final structure is independent of log order and the
+//! variant stays bitwise identical to the sequential version — which
+//! makes it a good differential oracle for the NR machinery on a real
+//! workload.
 
 use aomp::nr::{Dispatch, Replicated};
 use aomp::prelude::*;

@@ -334,11 +334,11 @@ impl ResponseHandle {
 /// One tenant's observed service-time statistics.
 ///
 /// The single-threaded structure is replicated via [`aomp::nr`]: every
-/// completion *logs* an [`StatsOp::Observe`] and the flat-combining
-/// replicas apply the log in one order, so the EWMA fold — which is
-/// *not* commutative — is deterministic and identical on every replica,
-/// where the old lock-free read-modify-write could drop samples under
-/// contention.
+/// completion *logs* an [`StatsOp::Observe`] under its replica's lock
+/// and every replica applies the log in one order, so the EWMA fold —
+/// which is *not* commutative — is deterministic and identical on every
+/// replica, where the old lock-free read-modify-write could drop samples
+/// under contention.
 #[derive(Clone, Debug, Default)]
 pub struct TenantStats {
     /// EWMA of successful service time, in nanoseconds (0 = no samples).
