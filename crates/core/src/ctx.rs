@@ -465,6 +465,31 @@ pub(crate) fn with_current<R>(f: impl FnOnce(Option<&Rc<TeamCtx>>) -> R) -> R {
     })
 }
 
+/// Run `f` outside every team the calling thread is a member of, as a
+/// task runs on an executor worker: inside, [`level`] reads 0 and no
+/// construct binds to the hidden teams, and the thread no longer counts
+/// as a running team thread. The hidden stack and that count come back
+/// on every way out, unwinding included. A future's getter runs its
+/// own unstarted producer this way.
+pub(crate) fn detached<R>(f: impl FnOnce() -> R) -> R {
+    struct Restore(Vec<Rc<TeamCtx>>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            if !self.0.is_empty() {
+                wait::member_entered();
+            }
+            let hidden = std::mem::take(&mut self.0);
+            STACK.with(|s| *s.borrow_mut() = hidden);
+        }
+    }
+    let hidden = STACK.with(|s| std::mem::take(&mut *s.borrow_mut()));
+    if !hidden.is_empty() {
+        wait::member_left();
+    }
+    let _restore = Restore(hidden);
+    f()
+}
+
 /// A stable per-thread token (the address of a thread-local), used for
 /// re-entrancy detection. Never zero.
 pub(crate) fn thread_token() -> usize {
@@ -596,6 +621,17 @@ mod tests {
             assert_eq!(level(), 1);
         }
         assert_eq!(level(), 0);
+    }
+
+    #[test]
+    fn detached_hides_the_team_stack_and_restores_it_on_unwind() {
+        let shared = Arc::new(TeamShared::new(2, 1));
+        let _g = CtxGuard::enter(shared, 1);
+        let inside = detached(|| (level(), thread_id(), team_size()));
+        assert_eq!(inside, (0, 0, 1));
+        let unwound = std::panic::catch_unwind(|| detached(|| panic!("inside")));
+        assert!(unwound.is_err());
+        assert_eq!((level(), thread_id(), team_size()), (1, 1, 2));
     }
 
     #[test]

@@ -32,14 +32,32 @@
 //! (sequential semantics, see [`fallback_dispatch`]).
 //!
 //! A worker blocked in `FutureTask::get` / `TaskGroup::wait` pins its
-//! worker but deliberately does NOT pop-and-run queued tasks while
-//! blocked ("help joining"): running a queued task inline on the
-//! waiter's stack deadlocks when that task transitively waits on a
-//! future whose producer is suspended *below it on the same stack* — the
-//! buried frame can only resume after the helper's frame returns, and
-//! the helper waits on the buried frame. Liveness without helping holds
-//! because a queued task always has a claimed idle worker to pop it, and
-//! tasks refused by admission control run on dedicated threads.
+//! worker but deliberately does NOT pop-and-run *other* queued tasks
+//! while blocked ("help joining"): running an unrelated queued task
+//! inline on the waiter's stack deadlocks when that task transitively
+//! waits on a future whose producer is suspended *below it on the same
+//! stack* — the buried frame can only resume after the helper's frame
+//! returns, and the helper waits on the buried frame. Liveness without
+//! helping holds because a queued task always has a claimed idle worker
+//! to pop it, and tasks refused by admission control run on dedicated
+//! threads.
+//!
+//! ## A getter runs its own producer
+//!
+//! The one task a waiter may take off the queue is the producer of the
+//! very future it waits for: every submission hands back a ticket, and
+//! `FutureTask`'s getter [`withdraw`](Executor::withdraw)s its producer
+//! by that ticket while no worker has popped it, then runs it itself.
+//! This cannot deadlock. The getter would block until that producer
+//! finishes anyway, so running it first only moves the work. Each frame
+//! on the getter's stack waits for the frame above it to return; a
+//! producer that waits on something buried below it therefore waits on
+//! its own consumer, and that wait was already a cycle when the producer
+//! ran on another thread. A withdrawn task leaves nothing behind:
+//! `pending` drops with it, the idle worker it was promised to stays in
+//! its wait (it polls `pending`, now back to where it was), and the
+//! stale promise lapses at the next submission like one whose task a
+//! busy worker popped.
 //!
 //! ## The idle wait
 //!
@@ -97,9 +115,26 @@ struct Ctl {
     live: usize,
 }
 
+/// Submitted tasks, oldest first, each under the ticket its submission
+/// handed back. Tickets grow with every push, so the queue is sorted by
+/// them.
+#[derive(Default)]
+struct Queue {
+    tasks: VecDeque<(u64, Task)>,
+    next_ticket: u64,
+}
+
+impl Queue {
+    fn push(&mut self, task: Task) -> u64 {
+        let ticket = self.next_ticket;
+        self.next_ticket += 1;
+        self.tasks.push_back((ticket, task));
+        ticket
+    }
+}
+
 pub(crate) struct Executor {
-    /// Submitted tasks, oldest first.
-    queue: Mutex<VecDeque<Task>>,
+    queue: Mutex<Queue>,
     inner: Mutex<Ctl>,
     cv: Condvar,
     /// Tasks enqueued but not yet popped — with `shutdown`, all an idle
@@ -121,7 +156,7 @@ pub(crate) struct Executor {
 impl Executor {
     pub(crate) fn new(max_workers: usize, scope: Arc<obs::Scope>) -> Arc<Executor> {
         Arc::new(Executor {
-            queue: Mutex::new(VecDeque::new()),
+            queue: Mutex::new(Queue::default()),
             inner: Mutex::new(Ctl {
                 idle: 0,
                 claims: 0,
@@ -137,11 +172,12 @@ impl Executor {
         })
     }
 
-    /// Try to run `task` on the pool. `Err` hands the task back when the
-    /// pool is saturated (no idle worker to claim and no room to
-    /// grow), shutting down, or a needed worker could not be spawned —
-    /// the caller decides the fallback.
-    pub(crate) fn try_submit(self: &Arc<Self>, task: Task) -> Result<(), Task> {
+    /// Try to run `task` on the pool. `Ok` carries the ticket that
+    /// [`withdraw`](Self::withdraw)s the task while it is still queued.
+    /// `Err` hands the task back when the pool is saturated (no idle
+    /// worker to claim and no room to grow), shutting down, or a needed
+    /// worker could not be spawned — the caller decides the fallback.
+    pub(crate) fn try_submit(self: &Arc<Self>, task: Task) -> Result<u64, Task> {
         if self.shutdown.load(Ordering::Acquire) {
             self.scope.record(Counter::TaskRefusedSaturated);
             return Err(task);
@@ -153,12 +189,12 @@ impl Executor {
         g.claims = g.claims.min(self.pending.load(Ordering::Relaxed));
         if g.idle > g.claims {
             g.claims += 1;
-            self.queue.lock().push_back(task);
+            let ticket = self.queue.lock().push(task);
             self.pending.fetch_add(1, Ordering::Relaxed);
             drop(g);
             self.cv.notify_one();
             self.scope.record(Counter::TaskPooled);
-            return Ok(());
+            return Ok(ticket);
         }
         if g.live < self.max_workers {
             let id = g.live;
@@ -171,7 +207,7 @@ impl Executor {
             match spawned {
                 Ok(h) => {
                     self.handles.lock().push(h);
-                    self.queue.lock().push_back(task);
+                    let ticket = self.queue.lock().push(task);
                     let mut g = self.inner.lock();
                     self.pending.fetch_add(1, Ordering::Relaxed);
                     // A worker that went idle during the spawn is whom
@@ -183,7 +219,7 @@ impl Executor {
                     drop(g);
                     self.cv.notify_one();
                     self.scope.record(Counter::TaskPooled);
-                    Ok(())
+                    Ok(ticket)
                 }
                 Err(_) => {
                     self.inner.lock().live -= 1;
@@ -227,9 +263,46 @@ impl Executor {
 
     /// Pop the oldest queued task.
     fn pop(&self) -> Option<Task> {
-        let t = self.queue.lock().pop_front()?;
+        let (_, t) = self.queue.lock().tasks.pop_front()?;
         self.pending.fetch_sub(1, Ordering::Relaxed);
         Some(t)
+    }
+
+    /// Take the task submitted under `ticket` back out of the queue, for
+    /// the caller to run: `None` once a worker has popped it. Only a
+    /// future's getter calls this, for its own producer (see the module
+    /// doc); the withdrawal counts in the runtime's scope.
+    pub(crate) fn withdraw(&self, ticket: u64) -> Option<Task> {
+        let mut q = self.queue.lock();
+        let at = q.tasks.binary_search_by_key(&ticket, |e| e.0).ok()?;
+        let (_, t) = q.tasks.remove(at)?;
+        drop(q);
+        self.pending.fetch_sub(1, Ordering::Relaxed);
+        self.scope.record(Counter::TaskRunByGetter);
+        Some(t)
+    }
+}
+
+#[cfg(test)]
+impl Executor {
+    /// `(pending, idle, claims, live)` right now.
+    pub(crate) fn books(&self) -> (usize, usize, usize, usize) {
+        let g = self.inner.lock();
+        (
+            self.pending.load(Ordering::Relaxed),
+            g.idle,
+            g.claims,
+            g.live,
+        )
+    }
+
+    /// Book one started worker in its idle wait with no thread behind
+    /// it: the next submission claims it and queues its task, which then
+    /// runs only if its getter withdraws it.
+    pub(crate) fn fake_idle_worker(&self) {
+        let mut g = self.inner.lock();
+        g.idle += 1;
+        g.live += 1;
     }
 }
 
@@ -455,6 +528,39 @@ mod tests {
         let g = ex.inner.lock();
         assert_eq!((g.idle, g.claims, g.live), (1, 1, 1), "claimed, not grown");
         assert_eq!(ex.pending.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn withdraw_takes_back_only_a_queued_task() {
+        // Deterministic: two booked idle workers, no worker thread.
+        let ex = test_exec(2);
+        ex.fake_idle_worker();
+        ex.fake_idle_worker();
+        let ran = Arc::new(AtomicUsize::new(0));
+        let task = |bit: usize| -> Task {
+            let ran = Arc::clone(&ran);
+            Box::new(move || {
+                ran.fetch_or(bit, Ordering::SeqCst);
+            })
+        };
+        let first = ex.try_submit(task(1)).ok().expect("claims an idle worker");
+        let second = ex.try_submit(task(2)).ok().expect("claims the other");
+        assert_eq!(ex.books(), (2, 2, 2, 2));
+        ex.withdraw(second).expect("still queued")();
+        assert!(ex.withdraw(second).is_none(), "withdrawn once");
+        assert_eq!(ex.pending.load(Ordering::Relaxed), 1);
+        // A worker pops the first task: its getter finds nothing to take.
+        ex.pop().expect("the first task")();
+        assert!(ex.withdraw(first).is_none(), "popped by a worker");
+        assert_eq!(ran.load(Ordering::SeqCst), 3);
+        // Both promises lapse at the next submission: it claims a worker
+        // rather than growing the pool.
+        let third = ex.try_submit(task(4)).ok().expect("claims an idle worker");
+        assert_eq!(ex.books(), (1, 2, 1, 2));
+        assert!(ex.withdraw(third).is_some());
+        let books = ex.scope.snapshot();
+        assert_eq!(books.counter(Counter::TaskPooled), 3);
+        assert_eq!(books.counter(Counter::TaskRunByGetter), 2);
     }
 
     #[test]

@@ -96,13 +96,22 @@ pub(crate) const F_EVENTS: u8 = F_HOOK | F_METRICS | F_TRACE;
 /// The combined fast-path gate. Every instrumented site (hook emits,
 /// wait registration, obs probes) reads this one byte: when no hook is
 /// registered and metrics/trace are off, the site costs exactly one
-/// relaxed load plus a predictable branch.
-static GATE: AtomicU8 = AtomicU8::new(0);
+/// relaxed load plus a predictable branch. It sits alone in its
+/// [`Line`]: the linker otherwise places it beside whatever static
+/// comes next (the registry's last histogram, say), and every write to
+/// that neighbour would evict the gate's line from every other core.
+static GATE: Line<AtomicU8> = Line(AtomicU8::new(0));
+
+/// 128 bytes to itself: a cache line plus the one an adjacent-line
+/// prefetcher pulls in with it. For a static that every core reads or
+/// writes on a hot path.
+#[repr(align(128))]
+pub(crate) struct Line<T>(pub(crate) T);
 
 /// Read the gate, initialising it from the environment on first use.
 #[inline(always)]
 pub(crate) fn gate() -> u8 {
-    let g = GATE.load(Ordering::Relaxed);
+    let g = GATE.0.load(Ordering::Relaxed);
     if g & F_INIT == 0 {
         init_gate()
     } else {
@@ -123,7 +132,7 @@ fn init_gate() -> u8 {
             bits |= F_TRACE;
         }
     }
-    GATE.fetch_or(bits, Ordering::SeqCst) | bits
+    GATE.0.fetch_or(bits, Ordering::SeqCst) | bits
 }
 
 fn env_truthy(name: &str) -> bool {
@@ -137,12 +146,12 @@ fn env_truthy(name: &str) -> bool {
 
 pub(crate) fn gate_set(bit: u8) {
     gate();
-    GATE.fetch_or(bit, Ordering::SeqCst);
+    GATE.0.fetch_or(bit, Ordering::SeqCst);
 }
 
 pub(crate) fn gate_clear(bit: u8) {
     gate();
-    GATE.fetch_and(!bit, Ordering::SeqCst);
+    GATE.0.fetch_and(!bit, Ordering::SeqCst);
 }
 
 /// Enable or disable the metrics registry at runtime (the programmatic
@@ -245,6 +254,10 @@ counters! {
     TaskDedicated => "task_dedicated",
     /// Tasks that degraded to inline execution on the caller.
     TaskInline => "task_inline",
+    /// Future producers a getter took back off the executor's queue and
+    /// ran itself (a subset of `task_pooled`, so the spawn books still
+    /// read `task_spawned == task_pooled + task_dedicated + task_inline`).
+    TaskRunByGetter => "task_run_by_getter",
     /// Team-scoped task joins completed (`TaskGroup::wait`, `FutureTask::get`).
     TaskJoins => "task_joins",
     /// Admission refusals because the executor was saturated.
@@ -1183,6 +1196,13 @@ mod tests {
         assert_eq!(bucket_of(3), 2);
         assert_eq!(bucket_of(1024), 11);
         assert_eq!(bucket_of(u64::MAX), BUCKETS - 1);
+    }
+
+    #[test]
+    fn gate_has_a_line_to_itself() {
+        let at = &GATE as *const Line<AtomicU8> as usize;
+        assert_eq!(at % 128, 0, "GATE at {at:#x}");
+        assert_eq!(std::mem::size_of_val(&GATE), 128);
     }
 
     #[test]

@@ -289,12 +289,21 @@ impl Runtime {
 
     /// Run `task` on this runtime: its executor when admission control
     /// accepts, else a dedicated thread, else inline (see
-    /// [`executor::fallback_dispatch`]).
-    pub(crate) fn dispatch_task(&self, name: &'static str, task: executor::Task) {
+    /// [`executor::fallback_dispatch`]). A queued task's ticket comes
+    /// back, for [`Executor::withdraw`]; `None` when it went elsewhere.
+    pub(crate) fn dispatch_task(&self, name: &'static str, task: executor::Task) -> Option<u64> {
         self.inner.scope.record(obs::Counter::TaskSpawned);
-        if let Err(task) = self.inner.executor.try_submit(task) {
-            executor::fallback_dispatch(name, task, &self.inner.scope);
+        match self.inner.executor.try_submit(task) {
+            Ok(ticket) => Some(ticket),
+            Err(task) => {
+                executor::fallback_dispatch(name, task, &self.inner.scope);
+                None
+            }
         }
+    }
+
+    pub(crate) fn executor(&self) -> &Arc<Executor> {
+        &self.inner.executor
     }
 }
 

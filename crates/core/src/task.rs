@@ -42,6 +42,17 @@
 //! and parks at once. [`FutureTask::get_timeout`] and
 //! [`TaskGroup::wait_timeout`] bound the waits explicitly: the deadline
 //! rides in the wait's condition.
+//!
+//! The getter says when the value must exist, not which thread computes
+//! it. A future's getter that finds its own producer still queued on
+//! the executor takes it back and runs it on the calling thread, as a
+//! worker would: outside the caller's teams, in its spawning runtime
+//! (the executor's module doc argues why this cannot deadlock). Only a
+//! producer running elsewhere is waited for, so a bound limits that
+//! wait; a producer that had not started runs to completion on the
+//! caller. Under a registered scheduler hook every getter waits, so an
+//! explored schedule stays a function of its seed. `TaskGroup::wait`
+//! never runs a task itself.
 
 use parking_lot::{Condvar, Mutex};
 use std::any::Any;
@@ -52,6 +63,7 @@ use std::time::{Duration, Instant};
 
 use crate::ctx;
 use crate::error::{self, TaskPanicked, WaitSite, WaitTimedOut};
+use crate::executor::Executor;
 use crate::hook::{self, HookEvent};
 use crate::wait::{self, Site};
 
@@ -180,7 +192,7 @@ where
     hook::emit_team(|team, tid| HookEvent::TaskSpawn { team, tid });
     let shot = Arc::new(OneShot::new());
     let shot2 = Arc::clone(&shot);
-    rt.dispatch_task(
+    let ticket = rt.dispatch_task(
         "aomp-future-task",
         // Capture the panic payload so `get` can re-raise the *original*
         // panic instead of a generic "producer died" message.
@@ -189,7 +201,10 @@ where
             Err(p) => shot2.poison(Some(p)),
         }),
     );
-    FutureTask { shot }
+    FutureTask {
+        shot,
+        producer: ticket.map(|t| (Arc::clone(rt.executor()), t)),
+    }
 }
 
 /// Wrap a task body so it executes with `rt` entered: anything the task
@@ -218,9 +233,20 @@ fn raise(payload: Payload) -> ! {
 /// Handle to a value being computed by a spawned activity
 /// (`@FutureTask`). [`get`](Self::get) blocks until the value is set —
 /// the `@FutureResult` getter synchronisation point.
-#[derive(Debug)]
 pub struct FutureTask<T> {
     shot: Arc<OneShot<T>>,
+    /// Where the producer was queued, and under which ticket: the getter
+    /// runs it itself if no worker has popped it yet. `None` for a
+    /// [`future_pair`] and for a producer the executor refused.
+    producer: Option<(Arc<Executor>, u64)>,
+}
+
+impl<T> std::fmt::Debug for FutureTask<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FutureTask")
+            .field("shot", &self.shot)
+            .finish_non_exhaustive()
+    }
 }
 
 impl<T> std::fmt::Debug for OneShot<T> {
@@ -264,23 +290,41 @@ impl<T> FutureTask<T> {
     /// The future is consumed either way — on `Err` the producer's
     /// eventual value is discarded. Producer panics re-raise as in
     /// [`get`](Self::get).
+    ///
+    /// The bound limits waiting for a producer that is running
+    /// elsewhere. A producer that had not started yet runs to completion
+    /// on the caller, however long it takes, and its value is returned.
     pub fn get_timeout(self, timeout: Duration) -> Result<T, WaitTimedOut> {
         Ok(self.try_take(Some(timeout))?.unwrap_or_else(|p| raise(p)))
     }
 
     /// Deadline form of [`get_timeout`](Self::get_timeout): waits until
     /// the absolute instant `deadline`. An already-expired deadline
-    /// still takes a value that is ready right now (one lock-free
-    /// check) before reporting [`WaitTimedOut`] — the semantics a
-    /// request server wants when propagating a request's time budget
-    /// through chained waits.
+    /// still takes a value that is ready right now before reporting
+    /// [`WaitTimedOut`] — the semantics a request server wants when
+    /// propagating a request's time budget through chained waits. As
+    /// there, a producer that had not started runs to completion on the
+    /// caller: the deadline bounds only the wait for one running
+    /// elsewhere.
     pub fn get_by(self, deadline: Instant) -> Result<T, WaitTimedOut> {
         let remaining = deadline.saturating_duration_since(Instant::now());
         self.get_timeout(remaining)
     }
 
     /// The `@FutureResult` getter proper; a team member's is a task join.
+    /// A producer still queued runs here first, detached from the
+    /// caller's teams (see the module doc), after which the cell is full.
     fn try_take(self, timeout: Option<Duration>) -> Result<Result<T, Payload>, WaitTimedOut> {
+        if let Some((executor, ticket)) = &self.producer {
+            if !hook::active() {
+                // `get` is a cancellation point: a cancelled member
+                // leaves its producer to a worker.
+                ctx::with_current(|c| c.map(|c| c.shared.check_interrupt()));
+                if let Some(task) = executor.withdraw(*ticket) {
+                    ctx::detached(task);
+                }
+            }
+        }
         let taken = self.shot.take(timeout);
         hook::emit_team(|team, tid| HookEvent::TaskJoin {
             team,
@@ -305,7 +349,10 @@ pub fn future_pair<T: Send>() -> (FuturePromise<T>, FutureTask<T>) {
         FuturePromise {
             shot: Arc::clone(&shot),
         },
-        FutureTask { shot },
+        FutureTask {
+            shot,
+            producer: None,
+        },
     )
 }
 
@@ -476,6 +523,9 @@ impl TaskGroup {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ctx::{CtxGuard, TeamShared};
+    use crate::obs::Counter;
+    use crate::runtime::Runtime;
     use std::sync::atomic::AtomicU64;
 
     #[test]
@@ -675,6 +725,121 @@ mod tests {
             "empty join must not register a wait site"
         );
         assert!(shared.blocked_snapshot().is_empty());
+    }
+
+    /// A runtime whose executor books one idle worker with no thread
+    /// behind it: a producer submitted to it stays queued until its
+    /// getter withdraws it.
+    fn workerless_runtime() -> Runtime {
+        let rt = Runtime::builder().build();
+        rt.executor().fake_idle_worker();
+        rt
+    }
+
+    /// `TaskRunByGetter`, after checking that every spawn has exactly one
+    /// dispatch outcome: a withdrawn producer counts as a pooled task.
+    fn run_by_getter(rt: &Runtime) -> u64 {
+        let m = rt.metrics_snapshot();
+        assert_eq!(
+            m.counter(Counter::TaskSpawned),
+            m.counter(Counter::TaskPooled)
+                + m.counter(Counter::TaskDedicated)
+                + m.counter(Counter::TaskInline)
+        );
+        let n = m.counter(Counter::TaskRunByGetter);
+        assert!(n <= m.counter(Counter::TaskPooled));
+        n
+    }
+
+    #[test]
+    fn getter_runs_its_queued_producer() {
+        let rt = workerless_runtime();
+        let fut = rt.spawn_future(|| 6 * 7);
+        assert_eq!(rt.executor().books().0, 1, "queued, and no worker");
+        assert_eq!(fut.get(), 42);
+        assert_eq!(rt.executor().books().0, 0);
+        assert_eq!(run_by_getter(&rt), 1);
+    }
+
+    #[test]
+    fn member_getter_runs_its_producer_outside_the_team() {
+        let rt = workerless_runtime();
+        let _member = CtxGuard::enter(Arc::new(TeamShared::new(2, 1)), 1);
+        let member = || (ctx::thread_id(), ctx::team_size(), ctx::level());
+        let seen = Arc::new(Mutex::new(None));
+        let (seen2, rt2) = (Arc::clone(&seen), rt.clone());
+        let fut = rt.spawn_future(move || {
+            *seen2.lock() = Some((
+                ctx::level(),
+                ctx::in_parallel(),
+                crate::runtime::current() == rt2,
+            ));
+            5
+        });
+        assert_eq!(fut.get(), 5);
+        assert_eq!(*seen.lock(), Some((0, false, true)), "as on a worker");
+        assert_eq!(member(), (1, 2, 1));
+        let fut = rt.spawn_future(|| -> u32 { panic!("producer dies on its getter") });
+        let e = fut.try_get().expect_err("the producer panicked");
+        assert_eq!(e.payload_msg, "producer dies on its getter");
+        assert_eq!(member(), (1, 2, 1));
+        assert_eq!(run_by_getter(&rt), 2);
+    }
+
+    /// `n` `spawn_future(..).get()` round trips on `rt`, split across two
+    /// threads; each checks that its producer ran exactly once.
+    fn round_trips(rt: &Runtime, n: usize) {
+        let clients: Vec<_> = (0..2)
+            .map(|_| {
+                let rt = rt.clone();
+                std::thread::spawn(move || {
+                    for i in 0..n / 2 {
+                        let runs = Arc::new(AtomicUsize::new(0));
+                        let r = Arc::clone(&runs);
+                        let got = rt
+                            .spawn_future(move || {
+                                r.fetch_add(1, Ordering::Relaxed);
+                                i
+                            })
+                            .get();
+                        assert_eq!((got, runs.load(Ordering::Relaxed)), (i, 1));
+                    }
+                })
+            })
+            .collect();
+        for c in clients {
+            c.join().expect("a client's round trips");
+        }
+    }
+
+    #[test]
+    fn many_getters_run_every_producer_once_and_leave_the_books_clean() {
+        // Two booked idle workers and no worker thread: every producer
+        // waits for its getter, and each of the two clients always finds
+        // a spare worker to claim, so the pool cannot grow.
+        let rt = workerless_runtime();
+        rt.executor().fake_idle_worker();
+        let (.., workers) = rt.executor().books();
+        round_trips(&rt, 10_000);
+        let (pending, .., live) = rt.executor().books();
+        assert_eq!(pending, 0);
+        assert_eq!(live, workers, "the pool grew");
+        assert_eq!(run_by_getter(&rt), 10_000);
+        // The promises of withdrawn producers lapse at the next
+        // submission, which holds the only one left.
+        let last = rt.spawn_future(|| 0);
+        let (pending, _, claims, _) = rt.executor().books();
+        assert_eq!((pending, claims), (1, 1));
+        assert_eq!(last.get(), 0);
+    }
+
+    #[test]
+    fn getters_and_workers_race_for_producers_and_each_runs_once() {
+        // Real workers pop what their getters have not withdrawn yet.
+        let rt = Runtime::builder().build();
+        round_trips(&rt, 10_000);
+        assert_eq!(rt.executor().books().0, 0);
+        run_by_getter(&rt);
     }
 
     #[test]

@@ -39,7 +39,7 @@ use std::time::{Duration, Instant};
 use crate::ctx::TeamShared;
 use crate::error::{WaitSite, WaitTimedOut};
 use crate::hook;
-use crate::obs::{self, Counter};
+use crate::obs::{self, Counter, Line};
 
 /// Park timeout: bounds how long a thread sleeps before re-running its
 /// `check` (team poison/cancel flags), so a panic or cancellation
@@ -63,12 +63,7 @@ const PURE_SPINS: u32 = 64;
 /// [`Line`]: the linker otherwise may place it beside a static every
 /// event reads (`obs`'s gate byte), and each write would evict that
 /// static's line from every other core.
-static LIVE: Line = Line(AtomicUsize::new(0));
-
-/// 128 bytes to itself: a cache line plus the one an adjacent-line
-/// prefetcher pulls in with it.
-#[repr(align(128))]
-struct Line(AtomicUsize);
+static LIVE: Line<AtomicUsize> = Line(AtomicUsize::new(0));
 
 /// The calling thread entered its outermost team context.
 pub(crate) fn member_entered() {

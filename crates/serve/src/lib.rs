@@ -11,7 +11,10 @@
 //!   and every bounded join
 //!   ([`FutureTask::get_by`](aomp::task::FutureTask::get_by)), so a slow
 //!   or wedged request resolves as [`ServeError::DeadlineExceeded`]
-//!   instead of hanging a worker forever.
+//!   instead of hanging a worker forever. A client waiting in
+//!   [`ResponseHandle::wait`] before any worker picked its request up
+//!   runs the request itself (a future's getter runs its own unstarted
+//!   producer); the deadline is then enforced server-side all the same.
 //! * **Admission control & load-shedding** — each tenant has a bounded
 //!   in-flight queue; beyond capacity the server *rejects newest* with a
 //!   [`ServeError::Shed`] carrying a retry-after hint derived from the
@@ -317,6 +320,13 @@ impl ResponseHandle {
     /// Block for the response, bounded by the request deadline plus a
     /// fixed grace period (the deadline itself is enforced server-side;
     /// the grace only covers watchdog diagnosis and unwind time).
+    ///
+    /// If no executor worker has started the request yet, the calling
+    /// client runs it, on the tenant's runtime, and this returns once it
+    /// finished. The bound does not apply to that run: the deadline is
+    /// enforced server-side by the queue-wait check, the stall verdict
+    /// and [`DeadlineCause::FinishedLate`], so [`ServeError::Lost`] is
+    /// only reachable for a request that a worker runs.
     pub fn wait(self) -> Result<Output, ServeError> {
         let bound = deadline_after(self.submitted, self.budget.saturating_add(WAIT_GRACE));
         match self.fut.get_by(bound) {

@@ -325,3 +325,28 @@ fn no_task_side_wait_spins_under_a_scheduler_hook() {
         assert_eq!(ran.load(Ordering::SeqCst), 2);
     });
 }
+
+#[test]
+fn no_getter_runs_its_producer_under_a_scheduler_hook() {
+    let _s = serial();
+    // A getter that takes its producer back off the queue does so only if
+    // it gets there before a worker: real time's say. Under the hook every
+    // getter waits instead, so an exploration stays a function of its
+    // seed. The futures live on a private runtime, whose scope counts
+    // the withdrawals.
+    let rt = pooled_runtime();
+    let report = check::Explorer::new().random(check::seeds_from_env(16), 0x6E77, || {
+        region::parallel_with(RegionConfig::new().threads(2), || {
+            if thread_id() == 0 {
+                for i in 0..8usize {
+                    assert_eq!(rt.spawn_future(move || i).get(), i);
+                }
+            }
+            barrier();
+        });
+    });
+    report.assert_ok();
+    let books = rt.metrics_snapshot();
+    assert!(books.counter(obs::Counter::TaskPooled) > 0);
+    assert_eq!(books.counter(obs::Counter::TaskRunByGetter), 0);
+}
