@@ -185,6 +185,12 @@ impl TeamShared {
         }
     }
 
+    /// Number of construct slots some member still holds.
+    #[cfg(test)]
+    pub(crate) fn live_slots(&self) -> usize {
+        self.slots.lock().len()
+    }
+
     /// Check the poison flag, unwinding with
     /// [`TeamPoisoned`](crate::error::TeamPoisoned) if a sibling panicked.
     #[inline]

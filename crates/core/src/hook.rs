@@ -117,7 +117,8 @@ pub enum HookEvent {
         /// Member id within the team.
         tid: usize,
         /// Schedule kind (`"static-block"`, `"static-cyclic"`,
-        /// `"dynamic"`, `"guided"`, `"block-cyclic"`).
+        /// `"dynamic"`, `"guided"`, `"block-cyclic"`, `"adaptive"`;
+        /// taskloop reports `"adaptive"`).
         kind: &'static str,
         /// Chunk start: a logical iteration number in `0..count`, for
         /// every schedule kind (element values are recovered with

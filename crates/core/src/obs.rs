@@ -586,6 +586,36 @@ pub(crate) fn region_done(t: Option<Instant>, l: Lat) {
     }
 }
 
+/// Each `ChunkHandout` kind (as [`Schedule`](crate::schedule::Schedule)
+/// reports it) with the counter its events tick and its trace name.
+/// `static-cyclic` events tick nothing: that kind emits one event per
+/// iteration, so [`chunk_cyclic`] counts its assignments instead.
+const CHUNK_KINDS: [(&str, Option<Counter>, &str); 6] = [
+    (
+        "static-block",
+        Some(Counter::ChunkStaticBlock),
+        "chunk:static-block",
+    ),
+    ("static-cyclic", None, "chunk:static-cyclic"),
+    ("dynamic", Some(Counter::ChunkDynamic), "chunk:dynamic"),
+    ("guided", Some(Counter::ChunkGuided), "chunk:guided"),
+    (
+        "block-cyclic",
+        Some(Counter::ChunkBlockCyclic),
+        "chunk:block-cyclic",
+    ),
+    ("adaptive", Some(Counter::ChunkAdaptive), "chunk:adaptive"),
+];
+
+/// The counter and trace name of handout `kind`; an unknown kind ticks
+/// nothing and traces as plain `chunk`.
+fn chunk_kind(kind: &str) -> (Option<Counter>, &'static str) {
+    CHUNK_KINDS
+        .iter()
+        .find(|k| k.0 == kind)
+        .map_or((None, "chunk"), |&(_, counter, name)| (counter, name))
+}
+
 /// One static-cyclic assignment was handed to a member. Counted here
 /// (once per member, like the other static schedule) rather than from
 /// hook events: when a hook is registered the cyclic arm emits one
@@ -617,15 +647,7 @@ pub(crate) fn record_event(g: u8, ev: &HookEvent) {
             HookEvent::BroadcastPublish { .. } => Some(Counter::Broadcasts),
             HookEvent::TaskJoin { .. } => Some(Counter::TaskJoins),
             HookEvent::CancelRequested { .. } => Some(Counter::CancelsRequested),
-            HookEvent::ChunkHandout { kind, .. } => match *kind {
-                "static-block" => Some(Counter::ChunkStaticBlock),
-                "dynamic" => Some(Counter::ChunkDynamic),
-                "guided" => Some(Counter::ChunkGuided),
-                "block-cyclic" => Some(Counter::ChunkBlockCyclic),
-                "adaptive" => Some(Counter::ChunkAdaptive),
-                // Per-iteration cyclic events; counted via chunk_cyclic.
-                _ => None,
-            },
+            HookEvent::ChunkHandout { kind, .. } => chunk_kind(kind).0,
             _ => None,
         };
         if let Some(c) = c {
@@ -1133,16 +1155,8 @@ pub mod trace {
             HookEvent::CriticalAcquire { .. } => push_now("critical", 'B', [None, None]),
             HookEvent::CriticalRelease { .. } => push_now("critical", 'E', [None, None]),
             HookEvent::ChunkHandout { kind, lo, hi, .. } => {
-                let name = match kind {
-                    "static-block" => "chunk:static-block",
-                    "static-cyclic" => "chunk:static-cyclic",
-                    "dynamic" => "chunk:dynamic",
-                    "guided" => "chunk:guided",
-                    "adaptive" => "chunk:adaptive",
-                    _ => "chunk:block-cyclic",
-                };
                 push_now(
-                    name,
+                    chunk_kind(kind).1,
                     'i',
                     [Some(("lo", lo as i64)), Some(("hi", hi as i64))],
                 );

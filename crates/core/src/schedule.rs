@@ -82,6 +82,19 @@ impl Schedule {
         }
     }
 
+    /// The `kind` this schedule's [`ChunkHandout`](crate::hook::HookEvent::ChunkHandout)
+    /// events report.
+    pub(crate) fn handout_kind(&self) -> &'static str {
+        match self {
+            Schedule::StaticBlock => "static-block",
+            Schedule::StaticCyclic => "static-cyclic",
+            Schedule::Dynamic { .. } => "dynamic",
+            Schedule::Guided { .. } => "guided",
+            Schedule::BlockCyclic { .. } => "block-cyclic",
+            Schedule::Adaptive { .. } => "adaptive",
+        }
+    }
+
     /// Parse an `OMP_SCHEDULE`-style string: `staticBlock`,
     /// `staticCyclic`, `dynamic[,chunk]`, `guided[,min]`,
     /// `blockCyclic,chunk`, `adaptive[,min]` (aliases `static`/`cyclic`
@@ -160,8 +173,14 @@ impl Schedule {
 }
 
 /// The chunks of logical iterations thread `tid` of `n` executes under a
-/// block-cyclic schedule over `count` iterations, as `(lo, hi)` pairs.
-pub fn block_cyclic_iters(count: u64, chunk: u64, tid: usize, n: usize) -> Vec<(u64, u64)> {
+/// block-cyclic schedule over `count` iterations, as `(lo, hi)` pairs in
+/// ascending order.
+pub fn block_cyclic_iters(
+    count: u64,
+    chunk: u64,
+    tid: usize,
+    n: usize,
+) -> impl Iterator<Item = (u64, u64)> {
     // Unconditional: in a release build `tid >= n` would deal ranges the
     // team never agreed to partition — corrupt results, not a crash. The
     // panic is team-safe (poisoning cancels the region); precedent is
@@ -170,13 +189,12 @@ pub fn block_cyclic_iters(count: u64, chunk: u64, tid: usize, n: usize) -> Vec<(
         n > 0 && tid < n && chunk > 0,
         "block_cyclic_iters: invalid tid={tid} n={n} chunk={chunk}"
     );
-    let mut out = Vec::new();
-    let mut lo = tid as u64 * chunk;
-    while lo < count {
-        out.push((lo, (lo + chunk).min(count)));
-        lo += chunk * n as u64;
-    }
-    out
+    let stride = chunk.saturating_mul(n as u64);
+    std::iter::successors((tid as u64).checked_mul(chunk), move |lo| {
+        lo.checked_add(stride)
+    })
+    .take_while(move |&lo| lo < count)
+    .map(move |lo| (lo, lo.saturating_add(chunk).min(count)))
 }
 
 /// The contiguous block of logical iterations `[lo, hi)` assigned to
@@ -446,7 +464,6 @@ mod block_cyclic_tests {
         let n = 4usize;
         for t in 0..n {
             let bc: Vec<u64> = block_cyclic_iters(count, 1, t, n)
-                .into_iter()
                 .flat_map(|(lo, hi)| lo..hi)
                 .collect();
             let cyc: Vec<u64> = (t as u64..count).step_by(n).collect();

@@ -67,6 +67,66 @@ impl<T: Clone> BroadcastCell<T> {
     }
 }
 
+/// One encounter of the broadcast construct `key`, whose waits register
+/// at `site`: the elected member — member 0 for `@Master`
+/// ([`WaitSite::MasterBroadcast`]), else the first to arrive — runs `f`
+/// and publishes its result, the rest of the team awaits it.
+fn broadcast<T, F>(key: u64, site: WaitSite, f: F) -> T
+where
+    T: Clone + Send + 'static,
+    F: FnOnce() -> T,
+{
+    ctx::with_current(|c| match c {
+        None => f(),
+        Some(c) if c.shared.n == 1 => f(),
+        Some(c) => {
+            let round = c.next_round(key);
+            let cell = c.shared.slot::<BroadcastCell<T>>(key, round);
+            let elected = if site == WaitSite::MasterBroadcast {
+                c.tid == 0
+            } else {
+                !cell.claimed.swap(true, Ordering::AcqRel)
+            };
+            let result = if elected {
+                let v = f();
+                cell.publish(&v);
+                c.shared.bump_progress();
+                hook::emit(|| HookEvent::BroadcastPublish {
+                    team: c.shared.token(),
+                    tid: c.tid,
+                    site,
+                });
+                v
+            } else {
+                cell.await_value(site)
+            };
+            c.shared.detach_slot(key, round);
+            result
+        }
+    })
+}
+
+/// One encounter of the construct `key` without a broadcast: the member
+/// [`broadcast`] would elect for `site` runs `f` and returns `Some`, the
+/// others skip at once. Electing the master needs no team slot.
+fn run_elected<T>(key: u64, site: WaitSite, f: impl FnOnce() -> T) -> Option<T> {
+    let elected = if site == WaitSite::MasterBroadcast {
+        ctx::thread_id() == 0
+    } else {
+        ctx::with_current(|c| match c {
+            Some(c) if c.shared.n > 1 => {
+                let round = c.next_round(key);
+                let claimed = c.shared.slot::<AtomicBool>(key, round);
+                let won = !claimed.swap(true, Ordering::AcqRel);
+                c.shared.detach_slot(key, round);
+                won
+            }
+            _ => true,
+        })
+    };
+    elected.then(f)
+}
+
 /// The `@Single` construct: per encounter, the first team thread to arrive
 /// executes the body.
 ///
@@ -89,29 +149,7 @@ impl Single {
         T: Clone + Send + 'static,
         F: FnOnce() -> T,
     {
-        ctx::with_current(|c| match c {
-            None => f(),
-            Some(c) if c.shared.n == 1 => f(),
-            Some(c) => {
-                let round = c.next_round(self.key);
-                let cell = c.shared.slot::<BroadcastCell<T>>(self.key, round);
-                let result = if !cell.claimed.swap(true, Ordering::AcqRel) {
-                    let v = f();
-                    cell.publish(&v);
-                    c.shared.bump_progress();
-                    hook::emit(|| HookEvent::BroadcastPublish {
-                        team: c.shared.token(),
-                        tid: c.tid,
-                        site: WaitSite::SingleBroadcast,
-                    });
-                    v
-                } else {
-                    cell.await_value(WaitSite::SingleBroadcast)
-                };
-                c.shared.detach_slot(self.key, round);
-                result
-            }
-        })
+        broadcast(self.key, WaitSite::SingleBroadcast, f)
     }
 
     /// Execute `f` on exactly one thread; the others skip immediately
@@ -120,21 +158,7 @@ impl Single {
     where
         F: FnOnce() -> T,
     {
-        ctx::with_current(|c| match c {
-            None => Some(f()),
-            Some(c) if c.shared.n == 1 => Some(f()),
-            Some(c) => {
-                let round = c.next_round(self.key);
-                let cell = c.shared.slot::<BroadcastCell<()>>(self.key, round);
-                let r = if !cell.claimed.swap(true, Ordering::AcqRel) {
-                    Some(f())
-                } else {
-                    None
-                };
-                c.shared.detach_slot(self.key, round);
-                r
-            }
-        })
+        run_elected(self.key, WaitSite::SingleBroadcast, f)
     }
 }
 
@@ -164,29 +188,7 @@ impl Master {
         T: Clone + Send + 'static,
         F: FnOnce() -> T,
     {
-        ctx::with_current(|c| match c {
-            None => f(),
-            Some(c) if c.shared.n == 1 => f(),
-            Some(c) => {
-                let round = c.next_round(self.key);
-                let cell = c.shared.slot::<BroadcastCell<T>>(self.key, round);
-                let result = if c.tid == 0 {
-                    let v = f();
-                    cell.publish(&v);
-                    c.shared.bump_progress();
-                    hook::emit(|| HookEvent::BroadcastPublish {
-                        team: c.shared.token(),
-                        tid: 0,
-                        site: WaitSite::MasterBroadcast,
-                    });
-                    v
-                } else {
-                    cell.await_value(WaitSite::MasterBroadcast)
-                };
-                c.shared.detach_slot(self.key, round);
-                result
-            }
-        })
+        broadcast(self.key, WaitSite::MasterBroadcast, f)
     }
 
     /// Execute `f` on the master thread only; other threads skip
@@ -196,16 +198,7 @@ impl Master {
     where
         F: FnOnce() -> T,
     {
-        ctx::with_current(|c| match c {
-            None => Some(f()),
-            Some(c) => {
-                if c.tid == 0 {
-                    Some(f())
-                } else {
-                    None
-                }
-            }
-        })
+        run_elected(self.key, WaitSite::MasterBroadcast, f)
     }
 }
 

@@ -12,21 +12,29 @@
 //!   barrier (Figure 11's trailing `// call barrier`).
 //!
 //! Outside a parallel region the body runs once with the original range —
-//! sequential semantics.
+//! sequential semantics. So does a team of one, whose ordered turns live
+//! on its own stack: no other member needs to see them.
 //!
-//! Construct state (dispenser cursors, ordered turns) is keyed by team,
-//! not stored on a [`Runtime`](crate::Runtime): a `ForConstruct` works
-//! unchanged inside regions of any runtime instance, including two
-//! instances work-sharing through distinct constructs concurrently.
+//! An encounter by a larger team shares one team slot, keyed by the
+//! construct and the member's encounter round: it holds the ordered turn
+//! and the schedule's dispenser, and each member detaches it once, after
+//! the trailing barrier. Keyed by team rather than stored on a
+//! [`Runtime`](crate::Runtime), a `ForConstruct` works unchanged inside
+//! regions of any runtime instance, including two instances work-sharing
+//! through distinct constructs concurrently.
 //!
-//! Every chunk handout is a *cancellation point*: after a
-//! [`cancel_team`](crate::ctx::cancel_team) (or a watchdog force-cancel)
-//! the dispensers stop handing out iterations and the thread skips to the
-//! end of the region. Handouts also count as progress for the stall
-//! watchdog, so a long chunked loop is never mistaken for a stall.
+//! Each schedule only produces chunks `[lo, hi)` of logical iterations;
+//! one handout step per member runs every chunk. The step is a
+//! *cancellation point* — after a [`cancel_team`](crate::ctx::cancel_team)
+//! (or a watchdog force-cancel) the thread skips to the end of the region
+//! — and counts as progress for the stall watchdog, so a long chunked loop
+//! is never mistaken for a stall; then it reports a `ChunkHandout` hook
+//! event and calls the body. Static cyclic's assignment is not contiguous,
+//! so it reports its own per-iteration handouts instead.
 
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use crate::ctx::{self, fresh_key};
@@ -37,44 +45,38 @@ use crate::range::LoopRange;
 use crate::schedule::{self, Schedule};
 use crate::wait::{self, Site};
 
-/// Shared dispenser for [`Schedule::Dynamic`]: the paper Figure 11
-/// `getTask()` counter.
+/// The team slot of one encounter: ordered turns for every schedule, and
+/// the dispenser of the chunked ones (each schedule touches only its own).
 #[derive(Default)]
-struct DynState {
+struct ForState {
+    ordered: OrderedState,
+    /// Dynamic and guided: the first logical iteration not yet handed out
+    /// (the paper Figure 11 `getTask()` counter). Relaxed: it publishes
+    /// no data, and the trailing barrier orders the bodies.
     next: AtomicU64,
+    /// Adaptive: built on first touch by whichever member arrives first
+    /// (every member computes the same seed). Boxed, so that the slot
+    /// every other encounter allocates stays small.
+    adaptive: OnceLock<Box<AdaptiveShared>>,
 }
 
-/// Shared dispenser for [`Schedule::Guided`].
-#[derive(Default)]
-struct GuidedState {
-    remaining: Mutex<Option<u64>>,
-}
-
-impl GuidedState {
-    /// Take the next chunk as logical iterations `[lo, hi)`.
-    fn take(&self, count: u64, n: usize, min_chunk: u64) -> Option<(u64, u64)> {
-        let mut g = self.remaining.lock();
-        let rem = g.get_or_insert(count);
-        if *rem == 0 {
-            return None;
-        }
-        let c = schedule::guided_chunk(*rem, n, min_chunk);
-        let lo = count - *rem;
-        *rem -= c;
-        Some((lo, lo + c))
+impl ForState {
+    /// Take the next guided chunk of `count` iterations as logical
+    /// iterations `[lo, hi)`.
+    fn take_guided(&self, count: u64, n: usize, min_chunk: u64) -> Option<(u64, u64)> {
+        let hi = |lo: u64| lo + schedule::guided_chunk(count - lo, n, min_chunk);
+        let lo = self
+            .next
+            .fetch_update(AtomicOrdering::Relaxed, AtomicOrdering::Relaxed, |lo| {
+                (lo < count).then(|| hi(lo))
+            })
+            .ok()?;
+        Some((lo, hi(lo)))
     }
 }
 
-/// Shared dispenser for [`Schedule::Adaptive`], built on first touch by
-/// whichever member arrives first (every member computes the same seed).
-#[derive(Default)]
-struct AdaptiveState {
-    shared: std::sync::OnceLock<AdaptiveShared>,
-}
-
-/// The adaptive dispenser proper: per-thread remaining ranges seeded
-/// exactly like static block, plus the latency signal that drives
-/// refinement.
+/// The adaptive dispenser: per-thread remaining ranges seeded exactly
+/// like static block, plus the latency signal that drives refinement.
 ///
 /// Ownership protocol: slot `i` is *installed into* only by thread `i`
 /// (its static seed, then ranges it steals); thieves only ever shrink a
@@ -275,255 +277,158 @@ impl ForConstruct {
     where
         F: FnMut(LoopRange, &ForScope<'_>),
     {
-        ctx::with_current(|c| match c {
-            None => {
+        ctx::with_current(|c| {
+            let Some(c) = c.filter(|c| c.shared.n > 1) else {
+                // Sequential, or a team of one: the whole range at once,
+                // with the team's ordered turns on this stack.
+                let ordered = c.map(|_| OrderedState::default());
                 let scope = ForScope {
                     full: range,
-                    ordered: None,
+                    ordered: ordered.as_ref(),
                 };
                 body(range, &scope);
-            }
-            Some(c) => {
-                let n = c.shared.n;
-                let tid = c.tid;
-                if n == 1 {
-                    let round = c.next_round(self.key);
-                    let ordered = c.shared.slot::<OrderedState>(self.key, round);
-                    let scope = ForScope {
-                        full: range,
-                        ordered: Some(&ordered),
-                    };
-                    body(range, &scope);
-                    c.shared.detach_slot(self.key, round);
-                    return;
+                return;
+            };
+            let (n, tid) = (c.shared.n, c.tid);
+            let count = range.count();
+            let round = c.next_round(self.key);
+            let st = c.shared.slot::<ForState>(self.key, round);
+            let scope = ForScope {
+                full: range,
+                ordered: Some(&st.ordered),
+            };
+            let kind = self.schedule.handout_kind();
+            // The handout step: every contiguous chunk runs through it.
+            let mut step = |lo: u64, hi: u64| {
+                c.shared.check_interrupt();
+                c.shared.bump_progress();
+                hook::emit(|| HookEvent::ChunkHandout {
+                    team: c.shared.token(),
+                    tid,
+                    kind,
+                    lo,
+                    hi,
+                });
+                body(range.slice_iters(lo, hi), &scope);
+            };
+            match self.schedule {
+                Schedule::StaticBlock => {
+                    let (lo, hi) = schedule::static_block_iters(count, tid, n);
+                    if lo < hi {
+                        step(lo, hi);
+                    }
                 }
-                let round = c.next_round(self.key);
-                let count = range.count();
-                // Ordered sequencing state is shared by every schedule.
-                let ordered = c.shared.slot::<OrderedState>(self.key, round);
-
-                match self.schedule {
-                    Schedule::StaticBlock => {
-                        c.shared.check_interrupt();
-                        // Compute the block in iteration space so the
-                        // handout event reports logical iteration numbers
-                        // (it used to leak element values here, one of
-                        // the two coordinate systems the five arms mixed).
-                        let (ilo, ihi) = schedule::static_block_iters(count, tid, n);
-                        let sub = range.slice_iters(ilo, ihi);
-                        let scope = ForScope {
-                            full: range,
-                            ordered: Some(&ordered),
-                        };
-                        if !sub.is_empty() {
-                            hook::emit(|| HookEvent::ChunkHandout {
-                                team: c.shared.token(),
-                                tid,
-                                kind: "static-block",
-                                lo: ilo,
-                                hi: ihi,
-                            });
-                            body(sub, &scope);
-                        }
-                    }
-                    Schedule::StaticCyclic => {
-                        c.shared.check_interrupt();
-                        let sub = schedule::static_cyclic_range(range, tid, n);
-                        let scope = ForScope {
-                            full: range,
-                            ordered: Some(&ordered),
-                        };
-                        if !sub.is_empty() {
-                            // The cyclic assignment {tid, tid+n, ...} is
-                            // non-contiguous in iteration space, so a
-                            // single [lo, hi) cannot describe it: with a
-                            // hook registered, emit one single-iteration
-                            // handout per assigned iteration (cyclic ==
-                            // block-cyclic with chunk 1). Metrics/trace
-                            // instead take one O(1) probe per assignment —
-                            // an O(count) event loop must not run just
-                            // because AOMP_METRICS is set.
-                            let first = tid as u64;
-                            if hook::active() {
-                                let mut k = first;
-                                while k < count {
-                                    hook::emit(|| HookEvent::ChunkHandout {
-                                        team: c.shared.token(),
-                                        tid,
-                                        kind: "static-cyclic",
-                                        lo: k,
-                                        hi: k + 1,
-                                    });
-                                    k += n as u64;
-                                }
-                            }
-                            let iters = (count - first).div_ceil(n as u64);
-                            obs::chunk_cyclic(first, iters);
-                            body(sub, &scope);
-                        }
-                    }
-                    Schedule::Dynamic { chunk } => {
-                        let chunk = chunk.max(1);
-                        let dyn_state = c.shared.slot::<DynState>(self.key ^ DYN_KEY_SALT, round);
-                        let scope = ForScope {
-                            full: range,
-                            ordered: Some(&ordered),
-                        };
-                        // Chunk coalescing: grab a *batch* of consecutive
-                        // chunks per shared-counter fetch so fine-grained
-                        // loops (small `chunk`, large `count`) don't
-                        // hammer one cache line once per chunk. Sized so
-                        // every thread still makes ~8 trips to the
-                        // dispenser — enough batches left for load
-                        // balancing, the property dynamic scheduling is
-                        // for. Each chunk inside a batch remains its own
-                        // handout: a cancellation point, a progress bump
-                        // and a `ChunkHandout` hook event, so
-                        // cancellation latency and checker-visible
-                        // granularity are unchanged.
-                        let chunks_total = count.div_ceil(chunk);
-                        let coalesce = (chunks_total / (8 * n as u64)).clamp(1, 16);
-                        let batch = chunk * coalesce;
-                        loop {
-                            // Cancellation point: stop requesting batches
-                            // once the team is poisoned/cancelled.
-                            c.shared.check_interrupt();
-                            let lo = dyn_state.next.fetch_add(batch, AtomicOrdering::Relaxed);
-                            if lo >= count {
-                                break;
-                            }
-                            let batch_hi = (lo + batch).min(count);
-                            let mut cl = lo;
-                            while cl < batch_hi {
-                                c.shared.check_interrupt();
-                                c.shared.bump_progress();
-                                let hi = (cl + chunk).min(batch_hi);
+                Schedule::StaticCyclic => {
+                    c.shared.check_interrupt();
+                    let first = tid as u64;
+                    if first < count {
+                        // The assignment {tid, tid+n, ...} is not
+                        // contiguous, so no single [lo, hi) describes it:
+                        // with a hook registered, report one
+                        // single-iteration handout per assigned iteration
+                        // (cyclic == block-cyclic with chunk 1). Metrics
+                        // and trace take one O(1) probe per assignment
+                        // instead — an O(count) event loop must not run
+                        // just because AOMP_METRICS is set.
+                        if hook::active() {
+                            for k in (first..count).step_by(n) {
                                 hook::emit(|| HookEvent::ChunkHandout {
                                     team: c.shared.token(),
                                     tid,
-                                    kind: "dynamic",
-                                    lo: cl,
-                                    hi,
+                                    kind,
+                                    lo: k,
+                                    hi: k + 1,
                                 });
-                                body(range.slice_iters(cl, hi), &scope);
-                                cl = hi;
                             }
                         }
-                        c.shared.detach_slot(self.key ^ DYN_KEY_SALT, round);
-                        if !self.nowait {
-                            c.shared.team_barrier(tid);
-                        }
+                        obs::chunk_cyclic(first, (count - first).div_ceil(n as u64));
+                        body(schedule::static_cyclic_range(range, tid, n), &scope);
                     }
-                    Schedule::BlockCyclic { chunk } => {
-                        let chunk = chunk.max(1);
-                        let scope = ForScope {
-                            full: range,
-                            ordered: Some(&ordered),
-                        };
-                        for (lo, hi) in schedule::block_cyclic_iters(count, chunk, tid, n) {
-                            c.shared.check_interrupt();
-                            c.shared.bump_progress();
-                            hook::emit(|| HookEvent::ChunkHandout {
-                                team: c.shared.token(),
-                                tid,
-                                kind: "block-cyclic",
-                                lo,
-                                hi,
-                            });
-                            body(range.slice_iters(lo, hi), &scope);
-                        }
-                    }
-                    Schedule::Guided { min_chunk } => {
-                        let gstate = c.shared.slot::<GuidedState>(self.key ^ DYN_KEY_SALT, round);
-                        let scope = ForScope {
-                            full: range,
-                            ordered: Some(&ordered),
-                        };
-                        loop {
-                            c.shared.check_interrupt();
-                            let Some((lo, hi)) = gstate.take(count, n, min_chunk.max(1)) else {
-                                break;
-                            };
-                            c.shared.bump_progress();
-                            hook::emit(|| HookEvent::ChunkHandout {
-                                team: c.shared.token(),
-                                tid,
-                                kind: "guided",
-                                lo,
-                                hi,
-                            });
-                            body(range.slice_iters(lo, hi), &scope);
-                        }
-                        c.shared.detach_slot(self.key ^ DYN_KEY_SALT, round);
-                        if !self.nowait {
-                            c.shared.team_barrier(tid);
-                        }
-                    }
-                    Schedule::Adaptive { min_chunk } => {
-                        let min_chunk = min_chunk.max(1);
-                        let astate = c
-                            .shared
-                            .slot::<AdaptiveState>(self.key ^ DYN_KEY_SALT, round);
-                        let sh = astate.shared.get_or_init(|| AdaptiveShared::seed(count, n));
-                        let scope = ForScope {
-                            full: range,
-                            ordered: Some(&ordered),
-                        };
-                        // Under the checker, skip wall-clock sampling
-                        // entirely: every thread stays cold, so the
-                        // handout stream is a pure function of the
-                        // explored interleaving and traces replay
-                        // byte-for-byte. Stealing still happens (ranges
-                        // drain in schedule-dependent order), so the
-                        // oracle exercises the interesting paths.
-                        let measure = !hook::active();
-                        'dispense: loop {
-                            // Drain the own range, refining chunk size
-                            // from the latency signal.
-                            loop {
-                                c.shared.check_interrupt();
-                                let hot = measure && sh.is_hot(tid);
-                                let Some((lo, hi)) = sh.take(tid, hot, min_chunk) else {
-                                    break;
-                                };
-                                c.shared.bump_progress();
-                                hook::emit(|| HookEvent::ChunkHandout {
-                                    team: c.shared.token(),
-                                    tid,
-                                    kind: "adaptive",
-                                    lo,
-                                    hi,
-                                });
-                                let t0 = measure.then(Instant::now);
-                                body(range.slice_iters(lo, hi), &scope);
-                                if let Some(t0) = t0 {
-                                    let dur = t0.elapsed();
-                                    sh.note(tid, dur.as_nanos() as f64 / (hi - lo) as f64);
-                                    obs::record_lat(obs::Lat::ChunkBody, dur);
-                                }
-                            }
-                            // Own range dry: adopt the back half of the
-                            // first victim, in ring order after `tid`,
-                            // with enough left to split.
-                            for v in (1..n).map(|k| (tid + k) % n) {
-                                if let Some(r) = sh.steal_half(v, min_chunk) {
-                                    obs::count(obs::Counter::ChunkAdaptiveSteals);
-                                    sh.install(tid, r);
-                                    continue 'dispense;
-                                }
-                            }
-                            // A full scan found nothing splittable; what
-                            // little remains is drained by its owners.
+                }
+                Schedule::Dynamic { chunk } => {
+                    let chunk = chunk.max(1);
+                    // Chunk coalescing: grab a *batch* of consecutive
+                    // chunks per shared-counter fetch so fine-grained
+                    // loops (small `chunk`, large `count`) don't hammer
+                    // one cache line once per chunk. Sized so every
+                    // thread still makes ~8 trips to the dispenser —
+                    // enough batches left for load balancing, the
+                    // property dynamic scheduling is for. Each chunk
+                    // inside a batch remains its own handout step, so
+                    // cancellation latency and checker-visible
+                    // granularity are unchanged.
+                    let coalesce = (count.div_ceil(chunk) / (8 * n as u64)).clamp(1, 16);
+                    let batch = chunk * coalesce;
+                    loop {
+                        let lo = st.next.fetch_add(batch, AtomicOrdering::Relaxed);
+                        if lo >= count {
                             break;
                         }
-                        c.shared.detach_slot(self.key ^ DYN_KEY_SALT, round);
-                        if !self.nowait {
-                            c.shared.team_barrier(tid);
+                        let batch_hi = (lo + batch).min(count);
+                        for cl in (lo..batch_hi).step_by(chunk as usize) {
+                            step(cl, (cl + chunk).min(batch_hi));
                         }
                     }
                 }
-                c.shared.detach_slot(self.key, round);
+                Schedule::BlockCyclic { chunk } => {
+                    for (lo, hi) in schedule::block_cyclic_iters(count, chunk.max(1), tid, n) {
+                        step(lo, hi);
+                    }
+                }
+                Schedule::Guided { min_chunk } => {
+                    while let Some((lo, hi)) = st.take_guided(count, n, min_chunk.max(1)) {
+                        step(lo, hi);
+                    }
+                }
+                Schedule::Adaptive { min_chunk } => {
+                    let min_chunk = min_chunk.max(1);
+                    let sh = st
+                        .adaptive
+                        .get_or_init(|| Box::new(AdaptiveShared::seed(count, n)));
+                    // Under the checker, skip wall-clock sampling
+                    // entirely: every thread stays cold, so the handout
+                    // stream is a pure function of the explored
+                    // interleaving and traces replay byte-for-byte.
+                    // Stealing still happens (ranges drain in
+                    // schedule-dependent order), so the oracle exercises
+                    // the interesting paths.
+                    let measure = !hook::active();
+                    loop {
+                        // Drain the own range, refining chunk size from
+                        // the latency signal.
+                        while let Some((lo, hi)) =
+                            sh.take(tid, measure && sh.is_hot(tid), min_chunk)
+                        {
+                            let t0 = measure.then(Instant::now);
+                            step(lo, hi);
+                            if let Some(t0) = t0 {
+                                let dur = t0.elapsed();
+                                sh.note(tid, dur.as_nanos() as f64 / (hi - lo) as f64);
+                                obs::record_lat(obs::Lat::ChunkBody, dur);
+                            }
+                        }
+                        // Own range dry: adopt the back half of the first
+                        // victim, in ring order after `tid`, with enough
+                        // left to split. A full scan that finds nothing
+                        // splittable ends the loop: what little remains is
+                        // drained by its owners.
+                        let Some(r) = (1..n).find_map(|k| sh.steal_half((tid + k) % n, min_chunk))
+                        else {
+                            break;
+                        };
+                        obs::count(obs::Counter::ChunkAdaptiveSteals);
+                        sh.install(tid, r);
+                    }
+                }
             }
+            let chunked = matches!(
+                self.schedule,
+                Schedule::Dynamic { .. } | Schedule::Guided { .. } | Schedule::Adaptive { .. }
+            );
+            if chunked && !self.nowait {
+                c.shared.team_barrier(tid);
+            }
+            c.shared.detach_slot(self.key, round);
         });
     }
 }
@@ -533,10 +438,6 @@ impl Default for ForConstruct {
         Self::new(Schedule::StaticBlock)
     }
 }
-
-/// Salt distinguishing the dispenser slot from the ordered slot of the
-/// same construct occurrence.
-const DYN_KEY_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Per-encounter handle passed to [`ForConstruct::execute_scoped`]
 /// bodies: ordered sections and iteration bookkeeping.
@@ -731,20 +632,6 @@ mod tests {
     }
 
     #[test]
-    fn ordered_with_adaptive_schedule() {
-        let for_c = ForConstruct::new(Schedule::Adaptive { min_chunk: 1 });
-        let log = PlMutex::new(Vec::new());
-        parallel_with(RegionConfig::new().threads(3), || {
-            for_c.execute_scoped(LoopRange::upto(0, 24), |sub, scope| {
-                for i in sub.iter() {
-                    scope.ordered(i, || log.lock().push(i));
-                }
-            });
-        });
-        assert_eq!(log.into_inner(), (0..24).collect::<Vec<i64>>());
-    }
-
-    #[test]
     fn negative_step_covers_range() {
         let r = LoopRange::new(40, -1, -3);
         assert_eq!(run_for(Schedule::StaticBlock, 3, r), expect(r));
@@ -797,18 +684,77 @@ mod tests {
         assert_eq!(log.into_inner(), (0..32).collect::<Vec<i64>>());
     }
 
+    const EVERY_SCHEDULE: [Schedule; 6] = [
+        Schedule::StaticBlock,
+        Schedule::StaticCyclic,
+        Schedule::Dynamic { chunk: 3 },
+        Schedule::GUIDED,
+        Schedule::BlockCyclic { chunk: 2 },
+        Schedule::Adaptive { min_chunk: 1 },
+    ];
+
     #[test]
-    fn ordered_with_dynamic_schedule() {
-        let for_c = ForConstruct::new(Schedule::Dynamic { chunk: 3 });
-        let log = PlMutex::new(Vec::new());
-        parallel_with(RegionConfig::new().threads(3), || {
-            for_c.execute_scoped(LoopRange::upto(0, 20), |sub, scope| {
-                for i in sub.iter() {
-                    scope.ordered(i, || log.lock().push(i));
+    fn ordered_with_every_schedule() {
+        // Back-to-back encounters, with and without the trailing barrier:
+        // with `nowait` (and under the static schedules) a member may
+        // start the next pass's sections while the last pass's are still
+        // running, so the order is checked per pass.
+        for schedule in EVERY_SCHEDULE {
+            for threads in [1, 3] {
+                for nowait in [false, true] {
+                    let mut for_c = ForConstruct::new(schedule);
+                    if nowait {
+                        for_c = for_c.nowait();
+                    }
+                    let log = PlMutex::new(Vec::new());
+                    parallel_with(RegionConfig::new().threads(threads), || {
+                        for pass in 0..3 {
+                            for_c.execute_scoped(LoopRange::upto(0, 20), |sub, scope| {
+                                for i in sub.iter() {
+                                    scope.ordered(i, || log.lock().push((pass, i)));
+                                }
+                            });
+                        }
+                    });
+                    let log = log.into_inner();
+                    for pass in 0..3 {
+                        let order: Vec<i64> =
+                            log.iter().filter(|e| e.0 == pass).map(|e| e.1).collect();
+                        assert_eq!(
+                            order,
+                            (0..20).collect::<Vec<i64>>(),
+                            "{schedule:?}, {threads} threads, nowait {nowait}, pass {pass}"
+                        );
+                    }
                 }
-            });
-        });
-        assert_eq!(log.into_inner(), (0..20).collect::<Vec<i64>>());
+            }
+        }
+    }
+
+    #[test]
+    fn every_schedule_leaves_no_team_slot() {
+        for schedule in EVERY_SCHEDULE {
+            for threads in [1, 2, 3] {
+                let for_c = ForConstruct::new(schedule).nowait();
+                let live = PlMutex::new(Vec::new());
+                parallel_with(RegionConfig::new().threads(threads), || {
+                    for_c.execute_scoped(LoopRange::upto(0, 20), |sub, scope| {
+                        for i in sub.iter() {
+                            scope.ordered(i, || ());
+                        }
+                    });
+                    // Every member has detached once all have arrived.
+                    crate::ctx::barrier();
+                    let slots = ctx::with_current(|c| c.map(|c| c.shared.live_slots()));
+                    live.lock().push(slots);
+                });
+                assert_eq!(
+                    live.into_inner(),
+                    vec![Some(0); threads],
+                    "{schedule:?}, {threads} threads"
+                );
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!
 //! 1. **Partition**: the union of the `[lo, hi)` iteration ranges covers
 //!    `0..count` with every logical iteration appearing exactly once —
-//!    this is only possible if all five schedules report the same
+//!    this is only possible if all six schedules report the same
 //!    coordinate system (before the fix, static-block emitted element
 //!    values and static-cyclic emitted a strided element range).
 //! 2. **Differential**: the loop bodies together visit exactly the
